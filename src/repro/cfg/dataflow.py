@@ -8,7 +8,7 @@ on every *other* path out of that predecessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.graph import ProgramGraph
 from repro.ir.instr import Instruction
@@ -29,41 +29,55 @@ class LivenessInfo:
         return reg in self.live_out.get(node_id, ())
 
 
-def compute_liveness(graph: ProgramGraph) -> LivenessInfo:
+def compute_liveness(graph: ProgramGraph,
+                     rpo: Optional[List[int]] = None) -> LivenessInfo:
     """Classic backward worklist liveness over VLIW nodes.
 
     Within a node all reads happen before all writes, so a register both
     read and written by the same node is *used* (its incoming value matters):
     ``use(n) = reads(n)``, ``def(n) = writes(n)``,
     ``live_in = use ∪ (live_out − def)``.
-    """
-    use: Dict[int, Set[VirtualReg]] = {}
-    defs: Dict[int, Set[VirtualReg]] = {}
-    for nid, node in graph.nodes.items():
-        use[nid] = node.uses()
-        defs[nid] = node.defs()
 
+    *rpo* is the graph's current :meth:`~ProgramGraph.rpo_order`, for
+    callers that already hold it; only nodes reachable from the entry are
+    solved, the rest keep empty sets.
+    """
+    nodes = graph.nodes
     info = LivenessInfo(
-        live_in={nid: set() for nid in graph.nodes},
-        live_out={nid: set() for nid in graph.nodes},
+        live_in={nid: set() for nid in nodes},
+        live_out={nid: set() for nid in nodes},
     )
-    # Iterate to fixpoint; process in reverse RPO for fast convergence.
-    order = list(reversed(graph.rpo_order()))
+    live_in = info.live_in
+    live_out = info.live_out
+    # Iterate to fixpoint in reverse RPO for fast convergence, revisiting
+    # only nodes with a successor whose live_in changed since their last
+    # visit.  Every update is monotone from the empty sets, so this is the
+    # same least fixpoint a full round-robin reaches.
+    order = list(reversed(graph.rpo_order() if rpo is None else rpo))
+    position = {nid: i for i, nid in enumerate(order)}
+    facts = []
+    for nid in order:
+        node = nodes[nid]
+        preds = [position[p] for p in node.preds if p in position]
+        facts.append((nid, node.succs, preds, node.uses(), node.defs()))
+    dirty = [True] * len(order)
     changed = True
     while changed:
         changed = False
-        for nid in order:
-            node = graph.nodes[nid]
+        for i, (nid, succs, preds, use, defs) in enumerate(facts):
+            if not dirty[i]:
+                continue
+            dirty[i] = False
             out: Set[VirtualReg] = set()
-            for succ in node.succs:
-                out |= info.live_in[succ]
-            new_in = use[nid] | (out - defs[nid])
-            if out != info.live_out[nid]:
-                info.live_out[nid] = out
-                changed = True
-            if new_in != info.live_in[nid]:
-                info.live_in[nid] = new_in
-                changed = True
+            for succ in succs:
+                out |= live_in[succ]
+            live_out[nid] = out
+            new_in = use | (out - defs)
+            if new_in != live_in[nid]:
+                live_in[nid] = new_in
+                for p in preds:
+                    dirty[p] = True
+                    changed = changed or p <= i
     return info
 
 

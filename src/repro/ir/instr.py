@@ -53,7 +53,7 @@ class Instruction:
     """
 
     __slots__ = ("op", "dest", "srcs", "array", "true_label", "false_label",
-                 "callee", "uid", "origin", "loc")
+                 "callee", "uid", "origin", "loc", "_uses_of", "_uses")
 
     def __init__(
         self,
@@ -77,6 +77,7 @@ class Instruction:
         self.uid = _next_uid()
         self.origin = origin if origin is not None else self.uid
         self.loc = loc
+        self._uses_of = None
         self._check_shape()
 
     # -- construction helpers -------------------------------------------------
@@ -138,8 +139,17 @@ class Instruction:
     # -- dataflow accessors ----------------------------------------------------
 
     def uses(self) -> Tuple[VirtualReg, ...]:
-        """Registers read by this instruction (in operand order)."""
-        return tuple(s for s in self.srcs if isinstance(s, VirtualReg))
+        """Registers read by this instruction (in operand order).
+
+        Memoized against the identity of the ``srcs`` tuple it was built
+        from: rewriting operands means assigning a new tuple, which
+        invalidates the memo without any bookkeeping.
+        """
+        srcs = self.srcs
+        if srcs is not self._uses_of:
+            self._uses = tuple(s for s in srcs if isinstance(s, VirtualReg))
+            self._uses_of = srcs
+        return self._uses
 
     def defs(self) -> Tuple[VirtualReg, ...]:
         """Registers written by this instruction (empty or a single one)."""

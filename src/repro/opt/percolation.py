@@ -38,6 +38,18 @@ Legality rules (one VLIW node: reads at cycle start, writes at cycle end):
 ``move_cond`` (branch hoisting) is intentionally not implemented: chainable
 sequences are data-operation chains, and in this framework branch order
 contributes nothing to producer→consumer adjacency (see DESIGN.md).
+
+Cost: compaction is the largest share of a study, so a pass computes once
+what stays fixed while it runs, and the moves come out in exactly the
+order a from-scratch check of every candidate would give.  The memos rest
+on three invariants: calls never move (and no move creates one), so the
+set of nodes holding a call is computed once per :func:`compact_graph`;
+:meth:`Instruction.uses <repro.ir.instr.Instruction.uses>` is memoized on
+the identity of the ``srcs`` tuple, which every operand rewrite replaces;
+and liveness is recomputed exactly at every pass start, then only grown
+within the pass as ops move up.  The reverse postorder is reused while no
+node is deleted, since moves never touch edges, and rule 5 counts the
+readers of each register per node visit instead of rescanning the node.
 """
 
 from __future__ import annotations
@@ -82,63 +94,40 @@ def _node_has_call(node: Node) -> bool:
     return any(ins.op is Op.CALL for ins in node.ops)
 
 
-def _check_target(op: Instruction, src_node: Node, target: Node,
-                  succ_live_in: Dict[int, Set[VirtualReg]],
+def _check_target(op: Instruction, op_uses: Set[VirtualReg], mem: bool,
+                  unsafe: bool, target: Node, other_succs: List[int],
+                  live_in: Dict[int, Set[VirtualReg]],
                   max_width: Optional[int]) -> str:
-    """Classify hoisting *op* from *src_node* into *target*."""
-    if _node_has_call(target):
-        return _BLOCKED
+    """Classify hoisting *op* into *target* (rules 2-4, 6, 7).
+
+    *op_uses*, *mem* (a load or store) and *unsafe* (trapping or a store)
+    are the op's own facts, computed once for all targets; *other_succs*
+    are the target's successors other than the source node, so a
+    non-empty list makes the hoist speculative.  Rule 1 and the renaming
+    legality are the caller's.
+    """
     if max_width is not None and len(target.ops) >= max_width:
         return _BLOCKED
-
-    speculative = (len(set(target.succs)) != 1
-                   or target.succs[0] != src_node.id)
-    if speculative and (op.op in TRAPPING_OPS or op.is_store):
+    if unsafe and other_succs:
         return _BLOCKED
 
-    op_uses = set(op.uses())
+    dest = op.dest
     verdict = _LEGAL
     for existing in target.ops:
-        dest = existing.dest
-        if dest is not None and dest in op_uses:
-            return _BLOCKED  # true dependence
-        if dest is not None and op.dest is not None and dest == op.dest:
-            verdict = _RENAME  # output dependence: renaming can fix it
-        if (op.is_store or op.is_load) and memory_conflict(op, existing):
+        written = existing.dest
+        if written is not None:
+            if written in op_uses:
+                return _BLOCKED  # true dependence
+            if written == dest:
+                verdict = _RENAME  # output dependence: renaming can fix it
+        if mem and memory_conflict(op, existing):
             return _BLOCKED
 
-    if op.dest is not None:
-        for succ in target.succs:
-            if succ == src_node.id:
-                continue
-            if op.dest in succ_live_in[succ]:
-                verdict = _RENAME
-    if verdict is _RENAME:
-        # Renaming produces a speculatively executed copy, so the op must
-        # be pure and non-trapping, and it needs a destination to rename.
-        if (op.dest is None or op.is_store or op.has_side_effects
-                or op.op in TRAPPING_OPS):
-            return _BLOCKED
+    if dest is not None and verdict is _LEGAL:
+        for succ in other_succs:
+            if dest in live_in[succ]:
+                return _RENAME
     return verdict
-
-
-def _movable_from_source(op: Instruction, src_node: Node) -> bool:
-    """Check source-node conditions (reader-left-behind, memory order)."""
-    if op.op is Op.CALL:
-        return False
-    remaining = [ins for ins in src_node.ops if ins is not op]
-    if op.dest is not None:
-        for other in remaining:
-            if op.dest in other.uses():
-                return False
-        control = src_node.control
-        if control is not None and op.dest in control.uses():
-            return False
-    if op.is_store:
-        for other in remaining:
-            if memory_conflict(op, other):
-                return False
-    return True
 
 
 def compact_graph(graph: ProgramGraph, rename: bool = False,
@@ -150,80 +139,125 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
     without it, level 1.  Returns :class:`CompactionStats`.
     """
     stats = CompactionStats()
+    # Calls never move and no move creates one, so this holds all run.
+    call_nodes = {nid for nid, node in graph.nodes.items()
+                  if _node_has_call(node)}
+    order: List[int] = []
     for _ in range(max_passes):
         stats.passes += 1
-        made_progress = _compaction_pass(graph, rename, max_width, stats)
-        stats.deleted_nodes += delete_empty_nodes(graph)
+        if not order:
+            # Moves never touch edges, so the order survives every pass
+            # that deletes no node.
+            order = graph.rpo_order()
+        made_progress = _compaction_pass(graph, order, call_nodes, rename,
+                                         max_width, stats)
+        deleted = delete_empty_nodes(graph)
+        stats.deleted_nodes += deleted
+        if deleted:
+            order = []
         if not made_progress:
             break
     return stats
 
 
-def _compaction_pass(graph: ProgramGraph, rename: bool,
+def _compaction_pass(graph: ProgramGraph, order: List[int],
+                     call_nodes: Set[int], rename: bool,
                      max_width: Optional[int],
                      stats: CompactionStats) -> bool:
-    liveness = compute_liveness(graph)
-    live_in = liveness.live_in
-    live_out = liveness.live_out
-    order = graph.rpo_order()
+    nodes = graph.nodes
+    live_in = compute_liveness(graph, order).live_in
     rpo_index = {nid: i for i, nid in enumerate(order)}
     moved_any = False
 
     for nid in order:
-        node = graph.nodes.get(nid)
-        if node is None or not node.preds:
+        node = nodes[nid]
+        if not node.ops or not node.preds:
             continue
-        for op in list(node.ops):
-            if op not in node.ops:
-                continue
-            preds = list(dict.fromkeys(node.preds))
-            if any(p == nid for p in preds):
-                continue
-            # Forward motion only (termination + no cycling around loops).
-            if any(rpo_index.get(p, -1) >= rpo_index[nid] for p in preds):
-                continue
-            if not _movable_from_source(op, node):
-                continue
-            verdicts = [
-                _check_target(op, node, graph.nodes[p], live_in, max_width)
-                for p in preds
-            ]
-            if any(v is _BLOCKED for v in verdicts):
-                continue
-            needs_rename = any(v is _RENAME for v in verdicts)
-            if needs_rename and not rename:
-                continue
+        preds = list(dict.fromkeys(node.preds))
+        # Forward motion only (termination + no cycling around loops); a
+        # self-loop is the degenerate backward edge.  A predecessor
+        # holding a call blocks every op (rule 1).
+        here = rpo_index[nid]
+        if any(rpo_index.get(p, -1) >= here or p in call_nodes
+               for p in preds):
+            continue
+        targets = [(nodes[p], [s for s in nodes[p].succs if s != nid])
+                   for p in preds]
+        # Rule 5 by counting: how many reads of each register the node's
+        # instructions make, kept current as ops leave it.
+        readers: Dict[VirtualReg, int] = {}
+        for ins in node.all_instructions():
+            for reg in ins.uses():
+                readers[reg] = readers.get(reg, 0) + 1
 
-            if needs_rename:
-                fresh = graph.new_temp(op.dest.is_float)
-                for p in preds:
-                    clone = op.clone()
-                    clone.dest = fresh
-                    graph.nodes[p].ops.append(clone)
-                    live_out[p] = live_out[p] | {fresh}
-                mov_op = Op.FMOV if op.dest.is_float else Op.MOV
-                index = node.ops.index(op)
-                node.ops[index] = Instruction(
-                    mov_op, dest=op.dest, srcs=(fresh,),
-                    origin=op.origin, loc=op.loc)
-                live_in[nid] = live_in[nid] | {fresh}
-                stats.renames += 1
-                stats.copies += len(preds) - 1
+        for op in list(node.ops):
+            if op.op is Op.CALL:
+                continue
+            dest = op.dest
+            uses = op.uses()
+            if dest is not None and readers.get(dest, 0) > uses.count(dest):
+                continue  # another instruction here reads the old value
+            store = op.is_store
+            if store and any(memory_conflict(op, other)
+                             for other in node.ops if other is not op):
+                continue
+            op_uses = set(uses)
+            mem = store or op.is_load
+            unsafe = store or op.op in TRAPPING_OPS
+            needs_rename = False
+            for target, other_succs in targets:
+                verdict = _check_target(op, op_uses, mem, unsafe, target,
+                                        other_succs, live_in, max_width)
+                if verdict is _BLOCKED:
+                    break
+                if verdict is _RENAME:
+                    needs_rename = True
             else:
-                node.ops.remove(op)
-                first = True
-                for p in preds:
-                    moved = op if first else op.clone()
-                    first = False
-                    graph.nodes[p].ops.append(moved)
-                    if op.dest is not None:
-                        live_out[p] = live_out[p] | {op.dest}
-                if op.dest is not None:
-                    live_in[nid] = live_in[nid] | {op.dest}
-                stats.moves += 1
-                stats.copies += len(preds) - 1
-            moved_any = True
+                # Renaming produces a speculatively executed copy, so the
+                # op must be pure and non-trapping with a destination.
+                if needs_rename and not (
+                        rename and dest is not None and not unsafe
+                        and not op.has_side_effects):
+                    continue
+                for reg in uses:
+                    readers[reg] -= 1
+                if needs_rename:
+                    _hoist_renamed(graph, op, node, targets, live_in,
+                                   readers, stats)
+                else:
+                    node.ops.remove(op)
+                    first = True
+                    for target, _ in targets:
+                        target.ops.append(op if first else op.clone())
+                        first = False
+                    if dest is not None:
+                        live_in[nid].add(dest)
+                    stats.moves += 1
+                    stats.copies += len(preds) - 1
+                moved_any = True
     return moved_any
+
+
+def _hoist_renamed(graph: ProgramGraph, op: Instruction, node: Node,
+                   targets: List[Tuple[Node, List[int]]],
+                   live_in: Dict[int, Set[VirtualReg]],
+                   readers: Dict[VirtualReg, int],
+                   stats: CompactionStats) -> None:
+    """Hoist ``r' = op ...`` into every target, leave ``mov dest, r'``."""
+    fresh = graph.new_temp(op.dest.is_float)
+    for target, _ in targets:
+        clone = op.clone()
+        clone.dest = fresh
+        target.ops.append(clone)
+    mov_op = Op.FMOV if op.dest.is_float else Op.MOV
+    index = node.ops.index(op)
+    node.ops[index] = Instruction(
+        mov_op, dest=op.dest, srcs=(fresh,),
+        origin=op.origin, loc=op.loc)
+    live_in[node.id].add(fresh)
+    readers[fresh] = readers.get(fresh, 0) + 1
+    stats.renames += 1
+    stats.copies += len(targets) - 1
 
 
 def delete_empty_nodes(graph: ProgramGraph) -> int:

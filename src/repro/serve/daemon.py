@@ -50,6 +50,11 @@ from repro.serve import protocol
 from repro.sim import diskcache
 
 
+#: Longest request line the daemon reads, newline excluded.  A longer
+#: line is skipped and answered with an error; the connection stays usable.
+MAX_REQUEST_LINE = 64 * 1024
+
+
 def _encode(obj: dict) -> bytes:
     """One response line (no newline).  ``sort_keys`` makes the
     encoding a pure function of the payload, which is what lets dedup
@@ -153,10 +158,12 @@ class ReproServer:
         self._stop = asyncio.Event()
         if self.socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_client, path=self.socket_path)
+                self._handle_client, path=self.socket_path,
+                limit=MAX_REQUEST_LINE)
         else:
             server = await asyncio.start_server(
-                self._handle_client, self.host, self.port or 0)
+                self._handle_client, self.host, self.port or 0,
+                limit=MAX_REQUEST_LINE)
         for sock in server.sockets:
             name = sock.getsockname()
             if isinstance(name, tuple) and len(name) >= 2:
@@ -189,10 +196,16 @@ class ReproServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # the last line may lack "\n"
+                except asyncio.LimitOverrunError:
+                    await _skip_line(reader)
+                    line = None  # answered with an error by _respond
+                if line is not None and not line:
                     break
-                if not line.strip():
+                if line is not None and not line.strip():
                     continue
                 # _active spans handling *and* the write-back, so a
                 # drain-then-stop shutdown never cuts off a response.
@@ -221,9 +234,14 @@ class ReproServer:
 
     # -- request handling --------------------------------------------------------
 
-    async def _respond(self, line: bytes) -> bytes:
+    async def _respond(self, line: Optional[bytes]) -> bytes:
+        """Answer one request line; ``None`` stands for an over-limit
+        line that was skipped unread."""
         self.stats.requests += 1
         try:
+            if line is None:
+                raise ReproError(
+                    f"request line exceeds {MAX_REQUEST_LINE} bytes")
             request = protocol.parse_request(line)
         except ReproError as exc:
             self.stats.errors += 1
@@ -240,9 +258,12 @@ class ReproServer:
         inflight = self._inflight.get(digest)
         if inflight is not None:
             self.stats.dedup_coalesced += 1
-            return await inflight
+            # Shielded: a rider's cancellation must not cancel the
+            # future the owner and the other riders share.
+            return await asyncio.shield(inflight)
         future = self._loop.create_future()
         self._inflight[digest] = future
+        blob = None
         try:
             blob = await self._evaluate_request(request, digest)
         except ReproError as exc:
@@ -254,8 +275,16 @@ class ReproServer:
             blob = _encode({"ok": False, "op": op, "digest": digest,
                             "error": f"internal error: {exc}"})
         finally:
+            # Resolve on every exit path, cancellation at shutdown
+            # included, so coalesced riders never wait forever.
             self._inflight.pop(digest, None)
-        future.set_result(blob)
+            if blob is None:
+                self.stats.errors += 1
+                future.set_result(_encode({
+                    "ok": False, "op": op, "digest": digest,
+                    "error": "evaluation cancelled"}))
+            else:
+                future.set_result(blob)
         return blob
 
     async def _evaluate_request(self, request: dict,
@@ -337,6 +366,18 @@ class ReproServer:
             "cache": (cache.stats_snapshot()
                       if cache is not None else None),
         }
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard the rest of an over-limit line, newline included."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return  # the peer closed mid-line
 
 
 # -- evaluation-thread helpers -----------------------------------------------------

@@ -11,7 +11,8 @@ run too), and asserts that the reference interpreter, the compiled
 closure engine, the bytecode tier, the exec-compiled codegen tier and
 the lane-parallel tier produce identical outputs, cycle counts and
 fully resolved profiles.  Programs that fault must fault *identically*
-on every engine.
+on every engine.  A cross-level leg checks the optimizer itself: on the
+reference interpreter, levels 1 and 2 must compute what level 0 computes.
 
 The lane tier additionally runs every case at batch widths 2, 4 and 9:
 generated programs are closed (no external inputs), so every lane of
@@ -291,6 +292,28 @@ def test_lanes_agree_at_every_width(case):
                 assert_outcome_matches(
                     outcome, reference,
                     f"case {case} level {level} width {width} lane {lane}")
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_levels_agree(case):
+    """The optimizer preserves semantics: on the reference oracle, levels
+    1 and 2 return the same value and leave the same memory as level 0,
+    or all three levels fault (the fault's cycle may differ by level)."""
+    source = generate_case(case)
+    module = compile_source(source, f"fuzz{case}", filename=f"fuzz{case}.c")
+    outcomes = {
+        level: run_one(optimize_module(module, OptLevel(level))[0],
+                       "reference")
+        for level in LEVELS
+    }
+    kind, baseline = outcomes[0]
+    for level in LEVELS[1:]:
+        got_kind, got = outcomes[level]
+        ctx = f"case {case} level {level} vs level 0"
+        assert got_kind == kind, f"{ctx}: {got_kind} vs {kind} ({got})"
+        if kind == "ok":
+            assert got.return_value == baseline.return_value, ctx
+            assert got.globals_after == baseline.globals_after, ctx
 
 
 def test_generator_is_deterministic():

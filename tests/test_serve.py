@@ -10,13 +10,16 @@ The daemon's contract, pinned here:
   eviction pass under any cap must not remove it;
 * a served ``explore-study`` answer is the same document a direct
   ``run_exploration_study`` call (tier off) produces;
-* malformed requests are answered with ``ok: false`` and the daemon
-  stays up.
+* malformed and oversized requests are answered with ``ok: false`` and
+  the daemon stays up;
+* coalesced riders are answered even when the owning evaluation is
+  cancelled.
 
 Each test gets a private cache directory and its own daemon on a Unix
 socket under ``tmp_path``.
 """
 
+import asyncio
 import json
 import os
 import threading
@@ -28,10 +31,12 @@ from repro.errors import ReproError
 from repro.feedback import study as study_api
 from repro.serve import ReproServer, ServeClient, wait_for_server
 from repro.serve import protocol
+from repro.serve.daemon import MAX_REQUEST_LINE
 from repro.sim import diskcache
 
 EXPLORE_REQ = {"op": "explore-study", "benchmarks": ["sewha"],
                "budgets": [2500], "jobs": 1}
+EXPLORE_LINE = json.dumps(EXPLORE_REQ).encode()
 
 ANALYZE_SRC = ("int a[8]; int b[8]; void main() { int i; "
                "for (i = 0; i < 8; i = i + 1) "
@@ -282,6 +287,25 @@ class TestValidationAndStatus:
         assert status["result"]["stats"]["errors"] == len(bad)
         assert status["result"]["stats"]["evaluations"] == 0
 
+    def test_oversized_line_answered_daemon_stays_up(self, server):
+        padding = "/* " + "x" * (70 * 1024) + " */ "
+        request = {"op": "analyze", "source": padding + ANALYZE_SRC}
+        assert len(json.dumps(request)) > MAX_REQUEST_LINE
+        with connect(server) as client:
+            response = client.request(request)
+            assert response == {
+                "ok": False,
+                "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+            # the rest of the long line was skipped, not parsed
+            assert client.request({"op": "status"})["ok"]
+        with connect(server) as client:
+            status = client.request({"op": "status"})
+        assert status["ok"]
+        stats = status["result"]["stats"]
+        assert stats["errors"] == 1
+        assert stats["requests"] == 3
+        assert stats["dispatches"] == 0
+
     def test_field_errors_name_the_field(self, server):
         with connect(server) as client:
             response = client.request({"op": "study", "seed": "zero"})
@@ -316,6 +340,75 @@ class TestValidationAndStatus:
         thread.join(30)
         assert not thread.is_alive()
         assert not os.path.exists(sock)  # socket file unlinked
+
+
+class TestInflightResolution:
+    """The shared in-flight future resolves on every exit path."""
+
+    @staticmethod
+    def scenario(serve_env, monkeypatch, body):
+        srv = ReproServer(socket_path=str(serve_env / "unused.sock"),
+                          jobs=1)
+
+        async def main():
+            srv._loop = asyncio.get_running_loop()
+            entered = asyncio.Event()
+            release = asyncio.Event()
+
+            async def gated(request, digest):
+                entered.set()
+                await release.wait()
+                return b"answer"
+
+            monkeypatch.setattr(srv, "_evaluate_request", gated)
+            owner = asyncio.ensure_future(srv._respond(EXPLORE_LINE))
+            await entered.wait()
+            return await body(srv, owner, release)
+
+        try:
+            return srv, asyncio.run(main())
+        finally:
+            srv._executor.shutdown()
+
+    @staticmethod
+    async def ride(srv):
+        rider = asyncio.ensure_future(srv._respond(EXPLORE_LINE))
+        await asyncio.sleep(0)
+        return rider
+
+    def test_rider_answered_when_owner_cancelled(self, serve_env,
+                                                 monkeypatch):
+        async def body(srv, owner, release):
+            rider = await self.ride(srv)
+            assert srv.stats.dedup_coalesced == 1
+            owner.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await owner
+            return await asyncio.wait_for(rider, 10)
+
+        srv, blob = self.scenario(serve_env, monkeypatch, body)
+        response = json.loads(blob)
+        assert response["ok"] is False
+        assert response["error"] == "evaluation cancelled"
+        assert srv._inflight == {}
+        assert srv.stats.errors == 1
+
+    def test_cancelled_rider_leaves_shared_answer_intact(
+            self, serve_env, monkeypatch):
+        async def body(srv, owner, release):
+            quitter = await self.ride(srv)
+            stayer = await self.ride(srv)
+            quitter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await quitter
+            release.set()
+            return await asyncio.wait_for(
+                asyncio.gather(owner, stayer), 10)
+
+        srv, blobs = self.scenario(serve_env, monkeypatch, body)
+        assert blobs == [b"answer", b"answer"]
+        assert srv.stats.dedup_coalesced == 2
+        assert srv.stats.errors == 0
 
 
 class TestProtocol:
