@@ -64,33 +64,9 @@ def test_simulator_throughput(benchmark, edge_module, edge_spec):
     assert result.cycles > 10_000
 
 
-def test_simulator_throughput_compiled(benchmark, edge_module, edge_spec):
-    """Compiled engine on the same workload; the ratio against
-    ``test_simulator_throughput`` is the engine speedup (target >= 3x)."""
-    gm = build_module_graphs(edge_module)
-    inputs = edge_spec.generate_inputs(0)
-    # compile once outside the timed region (engine pinned so the
-    # numbers are stable under any REPRO_ENGINE)
-    run_module(gm, inputs, engine="compiled")
-    result = benchmark(run_module, gm, inputs, engine="compiled")
-    assert result.cycles > 10_000
-
-
-def test_simulator_throughput_bytecode(benchmark, edge_module, edge_spec):
-    """Bytecode engine on the same workload; the ratio against
-    ``test_simulator_throughput_compiled`` is the tier-3 speedup
-    (target >= 1.5x)."""
-    gm = build_module_graphs(edge_module)
-    inputs = edge_spec.generate_inputs(0)
-    run_module(gm, inputs, engine="bytecode")  # lower once outside timing
-    result = benchmark(run_module, gm, inputs, engine="bytecode")
-    assert result.cycles > 10_000
-
-
 def test_simulator_throughput_codegen(benchmark, edge_module, edge_spec):
     """Codegen engine on the same workload; the ratio against
-    ``test_simulator_throughput_bytecode`` is the tier-4 speedup
-    (target >= 1.5x)."""
+    ``test_simulator_throughput`` is the engine speedup."""
     gm = build_module_graphs(edge_module)
     inputs = edge_spec.generate_inputs(0)
     run_module(gm, inputs, engine="codegen")  # generate once outside
@@ -98,9 +74,9 @@ def test_simulator_throughput_codegen(benchmark, edge_module, edge_spec):
     assert result.cycles > 10_000
 
 
-#: The acceptance pairs: per-benchmark, per-level columns in the bench
-#: JSON so the >= 1.5x tier-over-tier simulator speedups are recorded at
-#: every optimization level, not just the sequential graphs.
+#: Per-benchmark, per-level simulator columns in the bench JSON, so the
+#: engine's throughput is recorded at every optimization level, not just
+#: on the sequential graphs.
 SIM_BENCHES = ("edge", "sewha")
 SIM_LEVELS = (0, 1, 2)
 
@@ -111,39 +87,17 @@ def _optimized(name, level):
     return gm, spec.generate_inputs(0)
 
 
-@pytest.mark.parametrize("name", SIM_BENCHES)
-def test_sim_compiled(benchmark, name):
-    gm, inputs = _optimized(name, 0)
-    run_module(gm, inputs, engine="compiled")
-    result = benchmark(run_module, gm, inputs, engine="compiled")
-    assert result.cycles > 1_000
-
-
-@pytest.mark.parametrize("level", SIM_LEVELS)
-@pytest.mark.parametrize("name", SIM_BENCHES)
-def test_sim_bytecode(benchmark, name, level):
-    """Paired with ``test_sim_codegen[name-level]``: the bytecode/codegen
-    ratio per cell is the recorded tier-4 speedup."""
-    gm, inputs = _optimized(name, level)
-    run_module(gm, inputs, engine="bytecode")
-    result = benchmark(run_module, gm, inputs, engine="bytecode")
-    assert result.cycles > 500
-
-
 @pytest.mark.parametrize("level", SIM_LEVELS)
 @pytest.mark.parametrize("name", SIM_BENCHES)
 def test_sim_codegen(benchmark, name, level):
-    """The tier-4 acceptance leg: >= 1.5x over the matching
-    ``test_sim_bytecode[name-level]`` on edge/sewha at levels 0-2."""
     gm, inputs = _optimized(name, level)
     run_module(gm, inputs, engine="codegen")
     result = benchmark(run_module, gm, inputs, engine="codegen")
     assert result.cycles > 500
 
 
-#: Batch width for the lane-vs-per-seed legs — the smallest batch the
-#: auto-upgrade reroutes to the lane tier (``LANE_SHARD_MIN``), i.e. the
-#: least favorable many-seed shape for lanes.
+#: Batch width of the multi-seed legs: the seed count of the
+#: ``explore-seeds`` workload.
 BATCH_SEEDS = tuple(range(8))
 
 
@@ -156,9 +110,8 @@ def _batch_cell(name, level):
 @pytest.mark.parametrize("level", SIM_LEVELS)
 @pytest.mark.parametrize("name", SIM_BENCHES)
 def test_sim_batch_codegen(benchmark, name, level):
-    """Eight seeds as eight per-seed codegen runs through one batch: the
-    denominator of the lane speedup (paired with
-    ``test_sim_batch_lanes[name-level]``)."""
+    """Eight seeds through one batch: generation is paid once, each seed
+    runs on its own globals and counters."""
     gm, inputs_list = _batch_cell(name, level)
     run_module_batch(gm, inputs_list, engine="codegen")  # generate once
     results = benchmark(run_module_batch, gm, inputs_list,
@@ -166,70 +119,9 @@ def test_sim_batch_codegen(benchmark, name, level):
     assert len(results) == len(BATCH_SEEDS)
 
 
-@pytest.mark.parametrize("level", SIM_LEVELS)
-@pytest.mark.parametrize("name", SIM_BENCHES)
-def test_sim_batch_lanes(benchmark, name, level):
-    """The tier-5 acceptance leg: the same eight seeds in one
-    lane-parallel pass, target >= 2x over the matching
-    ``test_sim_batch_codegen[name-level]`` (recorded in
-    ``benchmarks/results/bench_lanes.json``)."""
-    gm, inputs_list = _batch_cell(name, level)
-    run_module_batch(gm, inputs_list, engine="lanes")  # generate once
-    results = benchmark(run_module_batch, gm, inputs_list, engine="lanes")
-    assert len(results) == len(BATCH_SEEDS)
-
-
-#: Load-heavy kernels where the range analysis proves the most bounds
-#: guards away — the guard-elimination acceptance legs.  Each
-#: ``ranges_off`` leg is the denominator of the speedup recorded by the
-#: matching ``ranges_on`` leg.
-GUARD_ELIM_BENCHES = ("fir", "iir", "smooth")
-
-
-def _guard_elim_cell(name):
-    spec = get_benchmark(name)
-    gm, _ = optimize_module(compile_benchmark(spec), OptLevel(2))
-    return gm, spec.generate_inputs(0)
-
-
-@pytest.mark.parametrize("name", GUARD_ELIM_BENCHES)
-def test_sim_codegen_ranges_off(benchmark, name, monkeypatch):
-    """Fully guarded codegen run (REPRO_RANGES=0): every subscripted
-    load keeps its bounds check."""
-    monkeypatch.setenv("REPRO_RANGES", "0")
-    gm, inputs = _guard_elim_cell(name)
-    run_module(gm, inputs, engine="codegen")  # generate once outside
-    result = benchmark(run_module, gm, inputs, engine="codegen")
-    assert result.cycles > 500
-
-
-@pytest.mark.parametrize("name", GUARD_ELIM_BENCHES)
-def test_sim_codegen_ranges_on(benchmark, name, monkeypatch):
-    """Guard-eliminated codegen run: SAFE-proved loads go out
-    unguarded under a verified certificate.  The ratio against
-    ``test_sim_codegen_ranges_off[name]`` is the recorded win."""
-    monkeypatch.delenv("REPRO_RANGES", raising=False)
-    gm, inputs = _guard_elim_cell(name)
-    from repro.sim.codegen import generate_module
-    assert generate_module(gm).bounds is not None  # elision active
-    run_module(gm, inputs, engine="codegen")
-    result = benchmark(run_module, gm, inputs, engine="codegen")
-    assert result.cycles > 500
-
-
-def test_simulator_compile_cost(benchmark, edge_module):
-    """Cost of one cold compilation (paid once per module thanks to the
-    on-module cache)."""
-    from repro.sim.engine import CompiledModule
-
-    gm = build_module_graphs(edge_module)
-    compiled = benchmark(CompiledModule, gm)
-    assert compiled.graphs
-
-
 def test_simulator_lowering_cost(benchmark, edge_module):
-    """Cost of one cold bytecode lowering (cached like the compiled
-    form, stripped and rebuilt per worker at pickle boundaries)."""
+    """Cost of one cold bytecode lowering (cached on the module,
+    stripped and rebuilt per worker at pickle boundaries)."""
     from repro.sim.engine import LoweredModule
 
     gm = build_module_graphs(edge_module)
@@ -237,24 +129,22 @@ def test_simulator_lowering_cost(benchmark, edge_module):
     assert lowered.graphs
 
 
-def test_simulator_codegen_cost(benchmark, edge_module):
-    """Cost of one cold source generation + exec-compile (cached under
-    the same structural signature as the other compiled forms)."""
-    from repro.sim.codegen import GeneratedModule
+def test_simulator_codegen_cost(benchmark, edge_module, monkeypatch):
+    """Cost of one cold lowering + source generation + compile, with the
+    disk cache off (cached under the module's structural signature, so
+    a study pays it once per module)."""
+    from repro.sim.codegen import generate_module
 
+    monkeypatch.setenv("REPRO_CACHE", "none")
     gm = build_module_graphs(edge_module)
-    generated = benchmark(GeneratedModule, gm)
+
+    def cold_generate():
+        gm.__dict__.pop("_codegen_cache", None)
+        gm.__dict__.pop("_lowered_cache", None)
+        return generate_module(gm)
+
+    generated = benchmark(cold_generate)
     assert generated.fns
-
-
-def test_simulator_lanegen_cost(benchmark, edge_module):
-    """Cost of one cold lane-module generation at width 8 (cached per
-    width, in memory and on disk, so a study pays it once per cell)."""
-    from repro.sim.lanes import LaneModule
-
-    gm = build_module_graphs(edge_module)
-    lanes = benchmark(LaneModule, gm, 8)
-    assert lanes.fns
 
 
 def _explore_edge(edge_module, edge_spec, engine):
@@ -267,10 +157,10 @@ def _explore_edge(edge_module, edge_spec, engine):
 
 
 def test_exploration_end_to_end(benchmark, edge_module, edge_spec):
-    """Full design-space exploration on the compiled engine (cached base
-    simulation + compilation reuse across finalists)."""
+    """Full design-space exploration on the codegen engine (cached base
+    simulation + generated-code reuse across finalists)."""
     result = benchmark.pedantic(
-        _explore_edge, args=(edge_module, edge_spec, "compiled"),
+        _explore_edge, args=(edge_module, edge_spec, "codegen"),
         rounds=3, iterations=1, warmup_rounds=1)
     assert result.best is not None
 
@@ -280,24 +170,6 @@ def test_exploration_end_to_end_reference(benchmark, edge_module, edge_spec):
     result = benchmark.pedantic(
         _explore_edge, args=(edge_module, edge_spec, "reference"),
         rounds=2, iterations=1)
-    assert result.best is not None
-
-
-def test_exploration_end_to_end_bytecode(benchmark, edge_module, edge_spec):
-    """Same exploration on the bytecode tier (shared base simulation +
-    lowered-form reuse across finalists)."""
-    result = benchmark.pedantic(
-        _explore_edge, args=(edge_module, edge_spec, "bytecode"),
-        rounds=3, iterations=1, warmup_rounds=1)
-    assert result.best is not None
-
-
-def test_exploration_end_to_end_codegen(benchmark, edge_module, edge_spec):
-    """Same exploration on the codegen tier (shared base simulation +
-    generated-source reuse across finalists)."""
-    result = benchmark.pedantic(
-        _explore_edge, args=(edge_module, edge_spec, "codegen"),
-        rounds=3, iterations=1, warmup_rounds=1)
     assert result.best is not None
 
 

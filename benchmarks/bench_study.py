@@ -44,15 +44,6 @@ def test_study_serial(benchmark):
     _assert_full_matrix(study)
 
 
-def test_study_serial_bytecode(benchmark):
-    """The full matrix on the bytecode engine tier; the ratio against
-    ``test_study_serial`` is the study-level engine win."""
-    study = benchmark.pedantic(
-        run_study, args=(StudyConfig(jobs=1, engine="bytecode"),),
-        rounds=3, iterations=1)
-    _assert_full_matrix(study)
-
-
 def test_small_studies_repeated_parallel(benchmark):
     """Back-to-back small parallel studies: the shape where process-pool
     spin-up used to dominate.  The persistent pool pays it once."""
@@ -87,23 +78,6 @@ def test_study_multiseed_batched(benchmark):
     _assert_full_matrix(study)
     run = study.benchmark("edge").run_at(1)
     assert run.seeds == SEEDS and len(run.seed_results) == len(SEEDS)
-
-
-#: Past :data:`repro.sim.machine.LANE_SHARD_MIN` seeds the batch path
-#: auto-upgrades to the lane engine — one generated pass for all seeds.
-LANE_SEEDS = tuple(range(8))
-
-
-def test_cell_multiseed_lanes(benchmark):
-    """One cell (edge @ level 1), eight seeds through one lane-parallel
-    pass; ratio against a pro-rated ``test_cell_multiseed_batched`` is
-    the study-level lane win."""
-    spec = get_benchmark("edge")
-    run = benchmark.pedantic(
-        run_benchmark, args=(spec, OptLevel.PIPELINED),
-        kwargs={"seeds": LANE_SEEDS}, rounds=3, iterations=1)
-    assert run.seeds == LANE_SEEDS
-    assert len({r.cycles for r in run.seed_results}) > 1
 
 
 def _unbatched_multiseed(spec):

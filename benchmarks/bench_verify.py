@@ -11,9 +11,9 @@ PR 8's acceptance bar: turning ``REPRO_VERIFY=1`` on must cost a warm
   (word layouts, edge/counter tables, generated-source AST invariants)
   before reconstruction.  The ratio to the leg above is the headline
   overhead number;
-* **the verification sweep itself** — one benchmark through all five
-  tiers of ``repro verify``, watching the absolute cost of the checks
-  in isolation (no simulation at all).
+* **the verification sweep itself** — one benchmark through both
+  engines' artifacts in ``repro verify``, watching the absolute cost of
+  the checks in isolation (no simulation at all).
 
 Run with ``--benchmark-json=bench_verify.json`` (as CI does); the
 headline numbers are recorded in ``benchmarks/results/bench_verify.json``.
@@ -65,8 +65,8 @@ def test_warm_study_gate_on(benchmark, warm_cache, monkeypatch):
 
 
 def test_verify_sweep_single_benchmark(benchmark, warm_cache):
-    """The static checks in isolation: one benchmark, levels 0-2, all
-    five tiers — no simulation, just lowering + verification."""
+    """The static checks in isolation: one benchmark, levels 0-2, both
+    engines' artifacts — no simulation, just lowering + verification."""
     report = benchmark.pedantic(
         run_sweep, kwargs={"benchmarks": ("edge",)},
         rounds=3, iterations=1)

@@ -52,9 +52,14 @@ def main():
 
     reference = None
     for level in (OptLevel.NONE, OptLevel.PIPELINED, OptLevel.RENAMED):
-        # Steps 2+3: optimize and profile on the sample data.
+        # Steps 2+3: optimize and profile on the sample data.  The
+        # default engine exec-compiles the graph; the reference
+        # interpreter is its oracle and must agree to the cycle.
         graph_module, _report = optimize_module(module, level)
         result = run_module(graph_module, inputs)
+        oracle = run_module(graph_module, inputs, engine="reference")
+        assert result.cycles == oracle.cycles
+        assert result.profile == oracle.profile
 
         # The optimizer must never change program results.
         if reference is None:

@@ -1,9 +1,9 @@
 """Static verification of lowered artifacts, generated source and task graphs.
 
-The five engine tiers are pinned bit-identical *dynamically* by the
-differential and fuzz suites, which execute every artifact.  This package is
-the static counterpart: it proves a lowered bytecode stream, a generated
-codegen/lanes source, a disk-cache payload or an exec task graph well-formed
+The two engines are pinned bit-identical *dynamically* by the differential
+and fuzz suites, which execute every artifact.  This package is the static
+counterpart: it proves a lowered bytecode stream, a generated codegen
+source, a disk-cache payload or an exec task graph well-formed
 *without running it*, the way LLVM's IR verifier or Cranelift's CFG validator
 gate every pass with a machine-checked invariant sweep.
 
@@ -18,9 +18,12 @@ Submodules
     :class:`ProgramGraph`: edge tables, branch-counter coverage, fused
     op+jump consistency, frame plans.
 ``verify_codegen``
-    Parses generated codegen/lanes source with :mod:`ast` and checks
-    definite assignment, counter write-back discipline, load bounds guards
-    and lanes reconvergence points.
+    Parses generated codegen source with :mod:`ast` and checks definite
+    assignment, counter write-back discipline, load bounds guards and
+    dispatch targets.
+``ranges``
+    Interval analysis over the lowered words: classifies every array
+    access SAFE / UNKNOWN / UNSAFE for ``repro verify --ranges``.
 ``taskgraph``
     Validates exec :class:`Task` graphs before submission (cycles with the
     named cycle, dangling deps, duplicate keys, affinity hints).

@@ -1,16 +1,11 @@
 """Drive the static verifier across the benchmark suite (``repro verify``).
 
-For every benchmark x optimization level, each of the five engine tiers'
-artifacts is built and checked statically:
+For every benchmark x optimization level, each engine's artifacts are
+built and checked statically:
 
 * **reference** — the :class:`ProgramGraph` structure itself;
-* **compiled**  — the closure tier's node/edge/step tables;
-* **bytecode**  — the direct-threaded words against the graph
-  (:func:`verify_lowered_module`);
-* **codegen**   — the exec-compiled source's AST
-  (:func:`verify_generated_module`);
-* **lanes**     — the lane-parallel source plus reconvergence points
-  (:func:`verify_lane_module`).
+* **codegen**   — the direct-threaded words against the graph, then the
+  exec-compiled source's AST (:func:`verify_generated_module`).
 
 The result renders as a Markdown table of checks passed per
 (benchmark, level, tier) — any cell with violations fails the sweep, and
@@ -30,11 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import VerifyResult, Violation
 
-TIERS = ("reference", "compiled", "bytecode", "codegen", "lanes")
+TIERS = ("reference", "codegen")
 
 DEFAULT_LEVELS = (0, 1, 2)
-
-DEFAULT_LANES = 4
 
 
 @dataclass
@@ -75,34 +68,19 @@ class SweepReport:
         return [(cell, v) for cell in self.cells for v in cell.violations]
 
 
-def _verify_tier(tier: str, graph_module, n_lanes: int) -> VerifyResult:
-    from repro.analysis.verify_codegen import (verify_generated_module,
-                                               verify_lane_module)
-    from repro.analysis.verify_lowered import (verify_compiled_module,
-                                               verify_graph,
-                                               verify_lowered_module)
+def _verify_tier(tier: str, graph_module) -> VerifyResult:
+    from repro.analysis.verify_codegen import verify_generated_module
+    from repro.analysis.verify_lowered import verify_graph
     from repro.sim.codegen import generate_module
-    from repro.sim.engine import compile_module, lower_module
-    from repro.sim.lanes import generate_lane_module
 
     if tier == "reference":
         result = VerifyResult()
         for name in sorted(graph_module.graphs):
             result.merge(verify_graph(graph_module.graphs[name]))
         return result
-    if tier == "compiled":
-        return verify_compiled_module(graph_module,
-                                      compile_module(graph_module))
-    if tier == "bytecode":
-        lower_module(graph_module)
-        return verify_lowered_module(graph_module,
-                                     graph_module._lowered_cache)
     if tier == "codegen":
         return verify_generated_module(graph_module,
                                        generate_module(graph_module))
-    if tier == "lanes":
-        return verify_lane_module(
-            graph_module, generate_lane_module(graph_module, n_lanes))
     raise ValueError(f"unknown tier {tier!r}")
 
 
@@ -141,7 +119,6 @@ def _range_cell(benchmark: str, level: int, graph_module) -> Tuple[
 def run_sweep(benchmarks: Optional[Sequence[str]] = None,
               levels: Sequence[int] = DEFAULT_LEVELS,
               tiers: Sequence[str] = TIERS,
-              n_lanes: int = DEFAULT_LANES,
               ranges: bool = False,
               progress=None) -> SweepReport:
     """Statically verify every (benchmark, level, tier) artifact."""
@@ -163,7 +140,7 @@ def run_sweep(benchmarks: Optional[Sequence[str]] = None,
                     progress(spec.name, level, tier)
                 cell = SweepCell(spec.name, level, tier)
                 try:
-                    result = _verify_tier(tier, graph_module, n_lanes)
+                    result = _verify_tier(tier, graph_module)
                 except Exception as exc:  # a crash is itself a finding
                     cell.checks += 1
                     cell.violations.append(Violation(
@@ -274,34 +251,32 @@ def _scan_payload(kind: str, payload) -> VerifyResult:
     from repro.analysis.cfg import verify_words
 
     result = VerifyResult()
-    if kind in ("bytecode", "codegen", "lanes"):
-        graphs = payload.get("graphs") if isinstance(payload, dict) \
-            else None
-        if not result.check(isinstance(graphs, dict), "payload-shape",
-                            f"{kind} payload has no graphs table"):
-            return result
-        for name in sorted(graphs):
-            result.merge(verify_words(graphs[name]))
-    if kind in ("codegen", "lanes"):
-        source = payload.get("source")
-        if result.check(isinstance(source, str), "payload-shape",
-                        f"{kind} payload has no source text"):
-            try:
-                ast.parse(source)
-                result.check(True, "source-syntax", "")
-            except SyntaxError as exc:
-                result.check(False, "source-syntax",
-                             f"stored source does not parse: {exc}")
-        blob = payload.get("code")
-        if blob is not None:
-            import hashlib
-            sha = hashlib.sha256(blob).hexdigest()
-            result.check(sha == payload.get("code_sha"), "code-sha",
-                         "marshalled code blob does not match its "
-                         "recorded digest")
-    if kind == "lanes":
-        result.check(isinstance(payload.get("n_lanes"), int),
-                     "payload-shape", "lanes payload has no lane count")
+    if kind != "codegen":
+        return result
+    graphs = payload.get("graphs") if isinstance(payload, dict) else None
+    if not result.check(isinstance(graphs, dict), "payload-shape",
+                        "codegen payload has no graphs table"):
+        return result
+    for name in sorted(graphs):
+        result.merge(verify_words(graphs[name]))
+    sources = payload.get("sources")
+    if result.check(isinstance(sources, tuple)
+                    and all(isinstance(text, str) for text in sources),
+                    "payload-shape", "codegen payload has no source texts"):
+        try:
+            for text in sources:
+                ast.parse(text)
+            result.check(True, "source-syntax", "")
+        except SyntaxError as exc:
+            result.check(False, "source-syntax",
+                         f"stored source does not parse: {exc}")
+    blob = payload.get("code")
+    if blob is not None:
+        import hashlib
+        sha = hashlib.sha256(blob).hexdigest()
+        result.check(sha == payload.get("code_sha"), "code-sha",
+                     "marshalled code blob does not match its "
+                     "recorded digest")
     return result
 
 

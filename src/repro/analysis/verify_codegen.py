@@ -1,8 +1,8 @@
-"""Static checks over generated codegen/lanes source, parsed via ``ast``.
+"""Static checks over generated codegen source, parsed via ``ast``.
 
-The codegen and lanes tiers ``exec`` Python source emitted from the lowered
-words.  This module proves a stored source text well-formed *before*
-anything executes it:
+The codegen engine ``exec``-s Python source emitted from the lowered words.
+This module proves a stored source text well-formed *before* anything
+executes it:
 
 * **definite assignment** — every name the generated function reads is a
   parameter, a known builtin, or assigned on every path before the read
@@ -12,25 +12,18 @@ anything executes it:
 * **constant bindings** — every default argument (``K3=_f0_K3``) resolves
   to a known namespace name or a stored const;
 * **counter discipline** — the per-frame branch-edge counter locals
-  (``e7``) are initialized to zero, and written back exactly once: the
-  codegen tier folds the full counted set immediately before *every*
-  ``return`` (preceded by the ``cyc[0] = n`` cycle write-back), the lanes
-  tier folds the full counted set in every fold loop (``_a[7] += e7``);
-* **bounds guards** — every ``a3.data[idx]`` / ``w3.data[idx]`` fast-path
-  read sits inside an ``if 0 <= idx < a3.size:`` guard over the *same*
-  index expression;
-* **dispatch targets** — every ``pc = N`` constant and every parked
-  ``wait[N]`` ordinal stays inside the block table the emitter's own
-  ``_analyze`` derives from the words;
-* **lanes reconvergence** — the immediate postdominator of every branch
-  word (computed by :mod:`repro.analysis.cfg`) is a lanes block start, so
-  parked lane groups always re-merge at the postdominator and never at a
-  mid-block word.
+  (``e7``) are initialized to zero, and the full counted set is folded
+  into ``eh`` exactly once immediately before *every* ``return``
+  (preceded by the ``cyc[0] = n`` cycle write-back);
+* **bounds guards** — every ``a3.data[idx]`` fast-path read sits inside an
+  ``if 0 <= idx < a3.size:`` guard over the *same* index expression;
+* **dispatch targets** — every ``pc = N`` constant stays inside the block
+  table the emitter's own ``_analyze`` derives from the words.
 
-``verify_codegen_payload`` / ``verify_lanes_payload`` bundle these with
-the lowered-graph cross-checks for a raw disk-cache payload — the gate the
-cache load path runs under ``REPRO_VERIFY=1``, entirely before
-``from_payload`` compiles or ``exec``-utes anything.
+``verify_codegen_payload`` bundles these with the lowered-graph
+cross-checks for a raw disk-cache payload — the gate the cache load path
+runs under ``REPRO_VERIFY=1``, entirely before ``from_payload`` compiles or
+``exec``-utes anything.
 """
 
 from __future__ import annotations
@@ -39,8 +32,6 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import VerifyResult
-from repro.analysis.cfg import (build_word_cfg, immediate_postdominators,
-                                verify_words)
 from repro.sim import engine as _eng
 
 #: Builtins the emitters are allowed to reference without binding.
@@ -264,18 +255,16 @@ def _iter_blocks(fn: ast.FunctionDef):
                 stack.append(handler.body)
 
 
-def _fold_edge(stmt: ast.stmt, array_names: Tuple[str, ...]) -> Optional[
-        Tuple[int, bool]]:
-    """Match ``<arr>[E] += eE`` (optionally ``+ 1``); returns
-    ``(edge, name_matches)`` or ``None`` for any other statement.
-    Pure ``+= 1`` bumps (the lanes parked-edge fast path) are not folds."""
+def _fold_edge(stmt: ast.stmt) -> Optional[Tuple[int, bool]]:
+    """Match ``eh[E] += eE`` (optionally ``+ 1``); returns
+    ``(edge, name_matches)`` or ``None`` for any other statement."""
     if not isinstance(stmt, ast.AugAssign) \
             or not isinstance(stmt.op, ast.Add):
         return None
     target = stmt.target
     if not (isinstance(target, ast.Subscript)
             and isinstance(target.value, ast.Name)
-            and target.value.id in array_names):
+            and target.value.id == "eh"):
         return None
     index = target.slice
     if not (isinstance(index, ast.Constant)
@@ -329,7 +318,7 @@ def _check_counter_writeback(fn: ast.FunctionDef, counted: List[int],
         run: List[int] = []
         run_ok = True
         for stmt in block:
-            fold = _fold_edge(stmt, ("eh",))
+            fold = _fold_edge(stmt)
             if fold is not None:
                 edge, matches = fold
                 run.append(edge)
@@ -360,7 +349,7 @@ def _check_counter_writeback(fn: ast.FunctionDef, counted: List[int],
             if not isinstance(stmt, ast.Return):
                 continue
             j = i - 1
-            while j >= 0 and _fold_edge(block[j], ("eh",)) is not None:
+            while j >= 0 and _fold_edge(block[j]) is not None:
                 j -= 1
             result.check(j >= 0 and _is_cyc_writeback(block[j]),
                          "cycle-writeback",
@@ -386,39 +375,6 @@ def _check_counter_writeback(fn: ast.FunctionDef, counted: List[int],
                      f"does not write back cyc[0] before raising", gname)
 
 
-def _check_counter_folds(fn: ast.FunctionDef, counted: List[int],
-                         result: VerifyResult, gname: str) -> None:
-    """Lanes discipline: every fold run (``_a[E] += eE`` sequence) covers
-    the full counted set exactly once."""
-    counted_set = set(counted)
-    for block in _iter_blocks(fn):
-        run: List[int] = []
-        run_ok = True
-
-        def flush(line: int) -> None:
-            nonlocal run, run_ok
-            if run:
-                result.check(
-                    run_ok and sorted(run) == sorted(counted_set)
-                    and len(run) == len(counted_set),
-                    "counter-fold",
-                    f"{fn.name} line {line}: fold run covers counters "
-                    f"{sorted(run)}, the words imply "
-                    f"{sorted(counted_set)}", gname)
-            run = []
-            run_ok = True
-
-        for stmt in block:
-            fold = _fold_edge(stmt, ("_a",))
-            if fold is not None:
-                edge, matches = fold
-                run.append(edge)
-                run_ok = run_ok and matches
-            else:
-                flush(getattr(stmt, "lineno", 0))
-        flush(0)
-
-
 # -- bounds guards -----------------------------------------------------------------
 
 
@@ -438,12 +394,8 @@ def _match_bounds_guard(test: ast.expr) -> Optional[Tuple[str, str]]:
 
 
 def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
-                         gname: str,
-                         proven: frozenset = frozenset()) -> None:
-    """Every ``ARR.data[IDX]`` read must sit under a matching guard —
-    unless its ``(array name, index dump)`` key is in *proven*, the
-    textual keys whose bounds certificate the independent checker
-    re-validated (see :func:`_proven_load_keys`)."""
+                         gname: str) -> None:
+    """Every ``ARR.data[IDX]`` read must sit under a matching guard."""
     unguarded: List[int] = []
 
     def visit(node: ast.AST, guards: Tuple[Tuple[str, str], ...]) -> None:
@@ -462,7 +414,7 @@ def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
                 and isinstance(node.value.value, ast.Name) \
                 and isinstance(node.ctx, ast.Load):
             key = (node.value.value.id, ast.dump(node.slice))
-            if key not in guards and key not in proven:
+            if key not in guards:
                 unguarded.append(getattr(node, "lineno", 0))
         for child in ast.iter_child_nodes(node):
             visit(child, guards)
@@ -471,27 +423,21 @@ def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
         visit(stmt, ())
     result.check(not unguarded, "unguarded-load",
                  f"{fn.name}: .data reads at line(s) {unguarded[:5]} "
-                 f"lack a matching bounds guard or a verified proof",
+                 "lack a matching bounds guard",
                  gname)
 
 
-# -- dispatch targets and lanes reconvergence --------------------------------------
+# -- dispatch targets ---------------------------------------------------------------
 
 
-def _emitter_starts(lg, lanes: bool, n_lanes: int,
-                    fn_of_graph: Dict[str, str]) -> Optional[List[int]]:
+def _emitter_starts(lg, fn_of_graph: Dict[str, str]) -> Optional[List[int]]:
     """Block starts exactly as the generating emitter derives them."""
     if lg.entry_word is None:
         return None
     try:
-        if lanes:
-            from repro.sim.lanes import _LaneEmitter
-            emitter = _LaneEmitter(lg, fn_of_graph.get(lg.name, "_v"),
-                                   fn_of_graph, n_lanes)
-        else:
-            from repro.sim.codegen import _FunctionEmitter
-            emitter = _FunctionEmitter(lg, fn_of_graph.get(lg.name, "_v"),
-                                       fn_of_graph)
+        from repro.sim.codegen import _FunctionEmitter
+        emitter = _FunctionEmitter(lg, fn_of_graph.get(lg.name, "_v"),
+                                   fn_of_graph)
         _, _, starts, _ = emitter._analyze()
     except Exception:
         return None
@@ -499,412 +445,26 @@ def _emitter_starts(lg, lanes: bool, n_lanes: int,
 
 
 def _check_dispatch_targets(fn: ast.FunctionDef, n_blocks: int,
-                            result: VerifyResult, gname: str,
-                            lanes: bool) -> None:
+                            result: VerifyResult, gname: str) -> None:
     bad: List[Tuple[int, int]] = []
     for node in ast.walk(fn):
-        target = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
                 and node.targets[0].id == "pc" \
                 and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, int):
-            target = node.value.value
-        elif lanes and isinstance(node, ast.Subscript) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "wait" \
-                and isinstance(node.slice, ast.Constant) \
-                and isinstance(node.slice.value, int):
-            target = node.slice.value
-        if target is not None and not 0 <= target < n_blocks:
-            bad.append((getattr(node, "lineno", 0), target))
+                and isinstance(node.value.value, int) \
+                and not 0 <= node.value.value < n_blocks:
+            bad.append((getattr(node, "lineno", 0), node.value.value))
     result.check(not bad, "dispatch-target",
                  f"{fn.name}: block ordinals {bad[:5]} outside "
                  f"[0, {n_blocks})", gname)
-
-
-def check_reconvergence(lg, starts: Iterable[int],
-                        result: VerifyResult) -> None:
-    """Lanes reconvergence: the immediate postdominator of every
-    reachable branch word must be a block start — parked groups re-merge
-    exactly there, never at a mid-block word."""
-    starts_set = set(starts)
-    cfg = build_word_cfg(lg)
-    ipdom = immediate_postdominators(cfg)
-    n_member = len(lg.words)
-    for i, word in enumerate(cfg.words):
-        if i >= n_member or not word or word[0] != _eng.BR:
-            continue
-        if i not in cfg.reachable:
-            continue
-        p = ipdom[i] if i < len(ipdom) else None
-        if p is None or p >= n_member:
-            # the branch legs exit separately (virtual-exit ipdom)
-            continue
-        result.check(p in starts_set, "lanes-reconvergence",
-                     f"branch word {i}'s immediate postdominator (word "
-                     f"{p}) is not a lanes block start", lg.name)
-
-
-# -- proof-carrying guard elimination ----------------------------------------------
-
-
-def _index_dump(text: str) -> Optional[str]:
-    try:
-        return ast.dump(ast.parse(text, mode="eval").body)
-    except SyntaxError:
-        return None
-
-
-def _proven_load_keys(lg, verified_safe, lanes: bool) -> Tuple[
-        frozenset, frozenset]:
-    """``(textual keys, array slots)`` of the guard-elidable loads.
-
-    A key is elidable only when *every* load word sharing it carries a
-    verified proof (the emitters apply the same closure), so a single
-    unguarded occurrence in the source never smuggles in an unproven
-    sibling with identical text.  Keys are rendered exactly as each
-    emitter renders them: ``a{k}``/``r{s}``/``t{s}`` for the codegen
-    tier, ``w{k}``/``v{s}``/``u{s}`` for lanes.
-    """
-    from repro.analysis.ranges import elidable_loads, load_key
-    elided = elidable_loads(lg, set(verified_safe))
-    members = [w for w in lg.words if isinstance(w, list)]
-    keys = set()
-    slots = set()
-    for idx in sorted(elided):
-        array_slot, ikind, payload = load_key(members[idx])
-        array = f"w{array_slot}" if lanes else f"a{array_slot}"
-        if ikind == "r":
-            if lanes:
-                index = f"v{payload}" if payload >= 0 else f"u{-payload}"
-            else:
-                index = f"r{payload}" if payload >= 0 else f"t{-payload}"
-        else:
-            index = repr(payload)
-        dump = _index_dump(index)
-        if dump is None:
-            continue
-        keys.add((array, dump))
-        slots.add(array_slot)
-    return frozenset(keys), frozenset(slots)
-
-
-def _collect_bindings(fn: ast.FunctionDef) -> Dict[str, List[ast.AST]]:
-    """Every construct that (re)binds or deletes a local name, keyed by
-    name.  Object mutations through a subscript or attribute
-    (``a3[ln] = ...``, ``state.depth = ...``) do not rebind the name and
-    are collected separately by :func:`_element_stores` and
-    :func:`_mutation_paths`.
-    """
-    out: Dict[str, List[ast.AST]] = {}
-
-    def record(target: ast.AST, node: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            out.setdefault(target.id, []).append(node)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                record(elt, node)
-        elif isinstance(target, ast.Starred):
-            record(target.value, node)
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
-            record(node.target, node)
-        elif isinstance(node, ast.NamedExpr):
-            record(node.target, node)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            if node is not fn:
-                out.setdefault(node.name, []).append(node)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                out.setdefault(bound, []).append(node)
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None:
-                record(node.optional_vars, node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, ast.ExceptHandler):
-            if node.name:
-                out.setdefault(node.name, []).append(node)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            for bound in node.names:
-                out.setdefault(bound, []).append(node)
-    return out
-
-
-def _element_stores(fn: ast.FunctionDef) -> Dict[str, List[ast.Assign]]:
-    """Assignments through a subscript (``name[i] = ...``), by name."""
-    out: Dict[str, List[ast.Assign]] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) \
-                        and isinstance(target.value, ast.Name):
-                    out.setdefault(target.value.id, []).append(node)
-    return out
-
-
-def _mutation_paths(fn: ast.FunctionDef) -> Dict[
-        str, List[Tuple[Tuple, ast.AST]]]:
-    """Object mutations by root name: stores or deletes whose target is
-    an attribute/subscript chain (``a3.data[i] = v``,
-    ``state.depth = d``, ``del _g['A']``).  Each entry is the chain as a
-    tuple of steps outermost-root-first — ``('attr', name)`` or
-    ``('sub', slice_node)`` — so callers can whitelist the exact shapes
-    the emitters produce.
-    """
-    out: Dict[str, List[Tuple[Tuple, ast.AST]]] = {}
-
-    def record(target: ast.AST, node: ast.AST) -> None:
-        steps: List[Tuple] = []
-        base = target
-        while True:
-            if isinstance(base, ast.Attribute):
-                steps.append(("attr", base.attr))
-                base = base.value
-            elif isinstance(base, ast.Subscript):
-                steps.append(("sub", base.slice))
-                base = base.value
-            else:
-                break
-        if steps and isinstance(base, ast.Name):
-            out.setdefault(base.id, []).append(
-                (tuple(reversed(steps)), node))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                record(elt, node)
-        elif isinstance(target, ast.Starred):
-            record(target.value, node)
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
-            record(node.target, node)
-        elif isinstance(node, ast.NamedExpr):
-            record(node.target, node)
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None:
-                record(node.optional_vars, node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                record(target, node)
-    return out
-
-
-def _plain_element(steps: Tuple) -> bool:
-    """``('sub', <non-slice>)`` — a single-element store, which can
-    never change the storage's length."""
-    return (len(steps) == 1 and steps[0][0] == "sub"
-            and not isinstance(steps[0][1], (ast.Slice, ast.Tuple)))
-
-
-def _data_element(steps: Tuple) -> bool:
-    """``('attr', 'data'), ('sub', <non-slice>)`` — the emitters' store
-    form ``a3.data[i] = v``; slice targets could shrink the list."""
-    return (len(steps) == 2 and steps[0] == ("attr", "data")
-            and steps[1][0] == "sub"
-            and not isinstance(steps[1][1], (ast.Slice, ast.Tuple)))
-
-
-def _is_name_sub(node: ast.AST, base: str, key: str) -> bool:
-    """Match ``base[<key constant>]``."""
-    return (isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == base
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value == key)
-
-
-def _storage_call_symbol(value: ast.AST, consts: Dict[str, object],
-                         fn_name: str):
-    """The consts object of an ``ArrayStorage(K<i>)`` call, else None."""
-    if not (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "ArrayStorage"
-            and len(value.args) == 1 and not value.keywords
-            and isinstance(value.args[0], ast.Name)):
-        return None
-    kname = value.args[0].id
-    if not isinstance(consts, dict):
-        return None
-    return consts.get(f"_{fn_name}_{kname}")
-
-
-def _check_elided_bindings(fn: ast.FunctionDef, lg, module,
-                           consts: Dict[str, object],
-                           elided_slots: frozenset, lanes: bool,
-                           result: VerifyResult, gname: str) -> bool:
-    """The unguarded-load soundness contract beyond the certificate:
-    every array a proof was verified against must be bound in the
-    source exactly as the emitter binds it, so the storage the elided
-    load reads is the one whose live length the checker used.
-
-    Checks, for each elided array slot: the slot is a local or global
-    of the lowered plan; its binding statements match the emitter's
-    exact prologue shape (``ArrayStorage(K<i>)`` of a consts symbol
-    whose name *and size* match the live module, or a lookup of the
-    plan's global name in ``state.globals``/``state.global_arrays``);
-    and none of the names the binding chain rests on (``state``,
-    ``ArrayStorage``, ``_g``/``_ga``, the arrays themselves, the lanes
-    ``w<k>`` views) is rebound anywhere else in the function.
-    """
-    if not elided_slots:
-        return True
-    bindings = _collect_bindings(fn)
-    elem = _element_stores(fn)
-    mutations = _mutation_paths(fn)
-    live = module.graphs.get(lg.name)
-    live_locals = {} if live is None else {
-        arr.name: arr for arr in live.local_arrays}
-    local_of = dict(lg.local_plan)
-    global_of = dict(lg.global_plan)
-    failures: List[str] = []
-
-    def fail(message: str) -> None:
-        failures.append(message)
-
-    for name in ("state", "ArrayStorage"):
-        if bindings.get(name):
-            fail(f"{name!r} is rebound")
-    for steps, node in mutations.get("state", ()):
-        # the emitters mutate only the recursion-depth counter; a store
-        # through state.globals/state.global_arrays could swap a storage
-        # out from under an elided load
-        if isinstance(node, ast.Delete) or steps != (("attr", "depth"),):
-            fail("'state' is mutated beyond state.depth")
-    gref = "_ga" if lanes else "_g"
-    gref_attr = "global_arrays" if lanes else "globals"
-    if mutations.get(gref):
-        fail(f"{gref!r} is mutated")
-    for node in bindings.get(gref, ()):
-        ok = (isinstance(node, ast.Assign) and len(node.targets) == 1
-              and isinstance(node.value, ast.Attribute)
-              and node.value.attr == gref_attr
-              and isinstance(node.value.value, ast.Name)
-              and node.value.value.id == "state")
-        if not ok:
-            fail(f"{gref!r} bound to something other than "
-                 f"state.{gref_attr}")
-
-    def check_storage_symbol(value: ast.AST, slot: int) -> None:
-        symbol = local_of[slot]
-        obj = _storage_call_symbol(value, consts, fn.name)
-        live_sym = live_locals.get(symbol.name)
-        if obj is None:
-            fail(f"a{slot} is not built with ArrayStorage(K<i>)")
-        elif live_sym is None:
-            fail(f"a{slot}: local array {symbol.name!r} does not exist "
-                 f"in the live module")
-        elif getattr(obj, "name", None) != symbol.name \
-                or getattr(obj, "size", None) != live_sym.size:
-            fail(f"a{slot}: bound symbol "
-                 f"{getattr(obj, 'name', None)!r} size "
-                 f"{getattr(obj, 'size', None)!r} does not match live "
-                 f"array {symbol.name!r} size {live_sym.size}")
-
-    for slot in sorted(elided_slots):
-        aname = f"a{slot}"
-        abinds = bindings.get(aname, [])
-        if slot in local_of:
-            if lanes:
-                if not (len(abinds) == 1
-                        and isinstance(abinds[0], ast.Assign)
-                        and isinstance(abinds[0].value, ast.BinOp)
-                        and isinstance(abinds[0].value.op, ast.Mult)):
-                    fail(f"{aname}: lane local not bound to a "
-                         f"[None] * L list")
-                stores = elem.get(aname, [])
-                if not stores:
-                    fail(f"{aname}: no per-lane ArrayStorage stores")
-                for node in stores:
-                    check_storage_symbol(node.value, slot)
-            else:
-                if len(abinds) != 1 \
-                        or not isinstance(abinds[0], ast.Assign):
-                    fail(f"{aname}: expected exactly one binding")
-                else:
-                    check_storage_symbol(abinds[0].value, slot)
-                if elem.get(aname):
-                    fail(f"{aname}: unexpected element stores")
-        elif slot in global_of:
-            expected = global_of[slot]
-            if module.global_arrays.get(expected) is None:
-                fail(f"{aname}: global {expected!r} does not exist in "
-                     f"the live module")
-            if len(abinds) != 1 or not isinstance(abinds[0], ast.Assign) \
-                    or not _is_name_sub(abinds[0].value, gref, expected):
-                fail(f"{aname}: not bound to {gref}[{expected!r}]")
-            if elem.get(aname):
-                fail(f"{aname}: unexpected element stores")
-        else:
-            fail(f"{aname}: elided load on a slot that is neither a "
-                 f"local nor a global array")
-        for steps, node in mutations.get(aname, ()):
-            # single-element stores can't change a storage's length;
-            # anything else (a3.data = ..., slice stores, deletes) can
-            allowed = (not isinstance(node, ast.Delete)
-                       and (_data_element(steps)
-                            or (lanes and _plain_element(steps))))
-            if not allowed:
-                fail(f"{aname}: mutated beyond single-element stores")
-        if lanes:
-            wname = f"w{slot}"
-            for steps, node in mutations.get(wname, ()):
-                if isinstance(node, ast.Delete) \
-                        or not _data_element(steps):
-                    fail(f"{wname}: mutated beyond .data element "
-                         f"stores")
-            wbinds = bindings.get(wname, [])
-            if not wbinds:
-                fail(f"{wname}: lane view never bound")
-            for node in wbinds:
-                ok = (isinstance(node, ast.Assign)
-                      and len(node.targets) == 1
-                      and isinstance(node.value, ast.Subscript)
-                      and isinstance(node.value.value, ast.Name)
-                      and node.value.value.id == aname
-                      and isinstance(node.value.slice, ast.Name))
-                if not ok:
-                    fail(f"{wname}: lane view bound to something other "
-                         f"than {aname}[<lane>]")
-    return result.check(
-        not failures, "elided-binding",
-        f"{fn.name}: {'; '.join(failures[:4])}", gname)
-
-
-def _verified_bounds(module, graphs: Dict[str, object], bounds,
-                     result: VerifyResult) -> Dict[str, set]:
-    """Re-check a payload's bounds certificate; any problem is a
-    violation and no load counts as proven."""
-    from repro.analysis.ranges import check_bounds_payload
-    if bounds is None:
-        return {name: set() for name in graphs}
-    verified, problems = check_bounds_payload(module, graphs, bounds)
-    for problem in problems[:8]:
-        result.check(False, "bounds-proof", problem)
-    if problems:
-        return {name: set() for name in graphs}
-    return verified
 
 
 # -- whole-source entry points -----------------------------------------------------
 
 
 def verify_generated_source(module, graphs: Dict[str, object], source: str,
-                            consts: Dict[str, object], *,
-                            lanes: bool = False, n_lanes: int = 2,
-                            bounds=None,
-                            starts_override: Optional[Dict[str, List[int]]]
-                            = None) -> VerifyResult:
+                            consts: Dict[str, object]) -> VerifyResult:
     """AST-check emitted *source* against its lowered *graphs*."""
     result = VerifyResult()
     if not result.check(isinstance(source, str), "source-shape",
@@ -921,7 +481,6 @@ def verify_generated_source(module, graphs: Dict[str, object], source: str,
     namespace = _NAMESPACE_NAMES | set(consts if isinstance(consts, dict)
                                        else ())
     fn_of_graph = {g: f"_f{i}" for i, g in enumerate(graphs)}
-    verified_bounds = _verified_bounds(module, graphs, bounds, result)
     for i, (gname, lg) in enumerate(graphs.items()):
         fn_name = f"_f{i}"
         fn = defs.get(fn_name)
@@ -932,70 +491,26 @@ def verify_generated_source(module, graphs: Dict[str, object], source: str,
         counted = _counted_of(lg)
         _check_definite_assignment(fn, result, gname, namespace)
         _check_counter_init(fn, counted, result, gname)
-        if lanes:
-            _check_counter_folds(fn, counted, result, gname)
-        else:
-            _check_counter_writeback(fn, counted, result, gname)
-        proven, elided_slots = _proven_load_keys(
-            lg, verified_bounds.get(gname, set()), lanes)
-        if not _check_elided_bindings(fn, lg, module, consts,
-                                      elided_slots, lanes, result, gname):
-            proven = frozenset()
-        _check_bounds_guards(fn, result, gname, proven)
-        starts = (starts_override or {}).get(gname)
-        if starts is None:
-            starts = _emitter_starts(lg, lanes, n_lanes, fn_of_graph)
+        _check_counter_writeback(fn, counted, result, gname)
+        _check_bounds_guards(fn, result, gname)
+        starts = _emitter_starts(lg, fn_of_graph)
         if starts is not None:
-            _check_dispatch_targets(fn, len(starts), result, gname, lanes)
-            if lanes:
-                check_reconvergence(lg, starts, result)
+            _check_dispatch_targets(fn, len(starts), result, gname)
     return result
 
 
 def verify_generated_module(module, generated) -> VerifyResult:
-    """Verify a live :class:`GeneratedModule` (the ``codegen`` tier)."""
+    """Verify a live :class:`GeneratedModule` (the ``codegen`` engine).
+
+    The module keeps no source text, so the source is re-emitted from
+    its lowered form; emission is deterministic."""
     from repro.analysis.verify_lowered import verify_lowered_module
+    from repro.sim.codegen import emit_sources
     result = verify_lowered_module(module, generated.lowered)
+    sources, consts = emit_sources(generated.lowered)
     result.merge(verify_generated_source(
-        module, generated.lowered.graphs, generated.source,
-        generated.consts, lanes=False, bounds=generated.bounds))
+        module, generated.lowered.graphs, "\n".join(sources), consts))
     return result
-
-
-def verify_lane_module(module, lane_module) -> VerifyResult:
-    """Verify a live :class:`LaneModule` (the ``lanes`` tier)."""
-    from repro.analysis.verify_lowered import verify_lowered_module
-    result = verify_lowered_module(module, lane_module.lowered)
-    result.merge(verify_generated_source(
-        module, lane_module.lowered.graphs, lane_module.source,
-        lane_module.consts, lanes=True, n_lanes=lane_module.n_lanes,
-        bounds=lane_module.bounds))
-    return result
-
-
-def _payload_shape(payload, keys: Tuple[str, ...],
-                   result: VerifyResult) -> bool:
-    if not result.check(isinstance(payload, dict), "payload-shape",
-                        "cache payload is not a dict"):
-        return False
-    ok = True
-    for key in keys:
-        ok &= result.check(key in payload, "payload-shape",
-                           f"cache payload is missing {key!r}")
-    if ok:
-        ok &= result.check(isinstance(payload["graphs"], dict),
-                           "payload-shape",
-                           "cache payload graphs is not a dict")
-    return ok
-
-
-def verify_bytecode_payload(module, payload) -> VerifyResult:
-    """Static gate for a loaded ``bytecode`` cache payload."""
-    from repro.analysis.verify_lowered import verify_lowered_module
-    result = VerifyResult()
-    if not _payload_shape(payload, ("graphs",), result):
-        return result
-    return result.merge(verify_lowered_module(module, payload["graphs"]))
 
 
 def verify_codegen_payload(module, payload) -> VerifyResult:
@@ -1003,27 +518,25 @@ def verify_codegen_payload(module, payload) -> VerifyResult:
     ``from_payload`` compiles or execs anything."""
     from repro.analysis.verify_lowered import verify_lowered_module
     result = VerifyResult()
-    if not _payload_shape(payload, ("graphs", "source", "consts"), result):
+    if not result.check(isinstance(payload, dict), "payload-shape",
+                        "cache payload is not a dict"):
         return result
-    result.merge(verify_lowered_module(module, payload["graphs"]))
-    result.merge(verify_generated_source(
-        module, payload["graphs"], payload["source"], payload["consts"],
-        lanes=False, bounds=payload.get("bounds")))
-    return result
-
-
-def verify_lanes_payload(module, payload, n_lanes: int) -> VerifyResult:
-    """Static gate for a loaded ``lanes`` cache payload."""
-    from repro.analysis.verify_lowered import verify_lowered_module
-    result = VerifyResult()
-    if not _payload_shape(payload, ("graphs", "source", "consts",
-                                    "n_lanes"), result):
+    ok = True
+    for key in ("graphs", "sources", "consts"):
+        ok &= result.check(key in payload, "payload-shape",
+                           f"cache payload is missing {key!r}")
+    if not ok:
         return result
-    result.check(payload["n_lanes"] == n_lanes, "lane-count",
-                 f"cache payload is specialized for "
-                 f"{payload['n_lanes']} lanes, {n_lanes} requested")
-    result.merge(verify_lowered_module(module, payload["graphs"]))
+    graphs, sources = payload["graphs"], payload["sources"]
+    if not (result.check(isinstance(graphs, dict), "payload-shape",
+                         "cache payload graphs is not a dict")
+            & result.check(isinstance(sources, tuple)
+                           and all(isinstance(text, str)
+                                   for text in sources),
+                           "source-shape",
+                           "stored sources are not a tuple of strings")):
+        return result
+    result.merge(verify_lowered_module(module, graphs))
     result.merge(verify_generated_source(
-        module, payload["graphs"], payload["source"], payload["consts"],
-        lanes=True, n_lanes=n_lanes, bounds=payload.get("bounds")))
+        module, graphs, "\n".join(sources), payload["consts"]))
     return result

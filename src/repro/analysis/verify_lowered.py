@@ -286,7 +286,7 @@ def verify_lowered_graph(graph, lg,
 
 
 def verify_lowered_module(module, lowered) -> VerifyResult:
-    """Verify every lowered graph of *module* (the ``bytecode`` tier)."""
+    """Verify every lowered graph of *module*."""
     result = VerifyResult()
     graphs = getattr(lowered, "graphs", lowered)
     result.check(set(graphs) == set(module.graphs), "graph-table",
@@ -295,56 +295,4 @@ def verify_lowered_module(module, lowered) -> VerifyResult:
     for gname in sorted(set(graphs) & set(module.graphs)):
         result.merge(verify_lowered_graph(module.graphs[gname],
                                           graphs[gname]))
-    return result
-
-
-def verify_compiled_module(module, compiled) -> VerifyResult:
-    """Verify a :class:`CompiledModule` (the ``compiled`` closure tier).
-
-    The closures themselves are opaque, but the tables around them are
-    not: node/edge tables must mirror the graph exactly as in the
-    bytecode tier, every edge destination must land on a real step (or a
-    dangling-target stub appended past the node steps), and the entry
-    index must point at the entry node.
-    """
-    result = VerifyResult()
-    result.check(set(compiled.graphs) == set(module.graphs), "graph-table",
-                 f"compiled module covers graphs "
-                 f"{sorted(compiled.graphs)}, the module defines "
-                 f"{sorted(module.graphs)}")
-    for gname in sorted(set(compiled.graphs) & set(module.graphs)):
-        graph = module.graphs[gname]
-        cg = compiled.graphs[gname]
-        result.check(cg.node_ids == list(graph.nodes), "node-table",
-                     "compiled node table does not mirror the graph's "
-                     "node order", gname)
-        expected_pairs = [(nid, succ) for nid in cg.node_ids
-                          if nid in graph.nodes
-                          for succ in graph.nodes[nid].succs]
-        result.check(cg.edge_pairs == expected_pairs, "edge-table",
-                     "compiled edge table does not mirror the graph's "
-                     "edges", gname)
-        result.check(len(cg.edge_dst) == len(cg.edge_pairs),
-                     "profile-tables",
-                     f"{len(cg.edge_dst)} edge destinations for "
-                     f"{len(cg.edge_pairs)} edges", gname)
-        n_steps = len(cg.steps)
-        result.check(n_steps >= len(cg.node_ids), "node-table",
-                     f"{n_steps} steps for {len(cg.node_ids)} nodes",
-                     gname)
-        result.check(all(callable(step) for step in cg.steps),
-                     "step-table", "non-callable entry in the compiled "
-                     "step table", gname)
-        result.check(
-            all(0 <= dst < n_steps for dst in cg.edge_dst),
-            "edge-dst", "compiled edge destination outside the step "
-            "table", gname)
-        idx_of = {nid: i for i, nid in enumerate(cg.node_ids)}
-        result.check(cg.entry_idx == idx_of.get(graph.entry, -1),
-                     "entry-index",
-                     f"compiled entry index {cg.entry_idx} does not "
-                     f"match the graph entry", gname)
-        result.check(cg.n_params == len(graph.params), "param-count",
-                     f"compiled arity {cg.n_params} != "
-                     f"{len(graph.params)} graph params", gname)
     return result

@@ -26,7 +26,7 @@ from repro.errors import AsipError
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import (DEFAULT_ENGINE, MachineResult, run_module,
-                               run_module_batch_auto)
+                               run_module_batch)
 
 
 @dataclass
@@ -133,16 +133,16 @@ def evaluate_on_sequential_batch(seq_module: GraphModule,
     """
     cost = cost_model or isa.cost_model or DEFAULT_COST_MODEL
     if base_results is None:
-        base_results = run_module_batch_auto(seq_module, inputs_list,
-                                             engine=engine)
+        base_results = run_module_batch(seq_module, inputs_list,
+                                        engine=engine)
     if len(base_results) != len(inputs_list):
         raise AsipError(
             f"base results cover {len(base_results)} runs but the batch "
             f"has {len(inputs_list)} input sets")
     fused_module = seq_module.copy()
     stats = select_chains(fused_module, isa)
-    fused_results = run_module_batch_auto(fused_module, inputs_list,
-                                          engine=engine)
+    fused_results = run_module_batch(fused_module, inputs_list,
+                                     engine=engine)
     evaluations = []
     for fused_result, base_result in zip(fused_results, base_results):
         if fused_result.globals_after != base_result.globals_after \

@@ -227,8 +227,8 @@ def explore_designs(module: Module,
 
     # Stage 2: measure each finalist on the simulator.  Every finalist
     # shares the same unchained base processor, so simulate it exactly once
-    # and hand the cached result to each evaluation; the compiled engine
-    # additionally reuses the base module's compilation across finalists.
+    # and hand the cached result to each evaluation; the codegen engine
+    # additionally reuses the base module's generated code across finalists.
     # With jobs > 1 the finalists are measured on a process pool.
     sequential = resequence_module(graph_module)
     base_result = run_module(sequential, inputs, engine=engine)

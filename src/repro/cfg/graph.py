@@ -303,17 +303,14 @@ class GraphModule:
         )
 
     def __getstate__(self):
-        # The compiled-engine cache holds closures — and the codegen
-        # cache exec-compiled function objects — which cannot cross a
-        # pickle boundary (the study executor ships modules to worker
-        # processes); the bytecode cache is dropped alongside them for
-        # the same per-process-rebuild contract.  Each process
-        # recompiles / re-lowers / regenerates on first run instead.
+        # The codegen cache holds exec-compiled function objects, which
+        # cannot cross a pickle boundary (the study executor ships
+        # modules to worker processes); the lowered-form cache is dropped
+        # alongside it for the same per-process-rebuild contract.  Each
+        # process re-lowers and regenerates on first run instead.
         state = self.__dict__.copy()
-        state.pop("_compiled_cache", None)
         state.pop("_lowered_cache", None)
         state.pop("_codegen_cache", None)
-        state.pop("_lanes_cache", None)
         return state
 
     def __repr__(self) -> str:

@@ -324,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--levels", default="0,1,2", type=_parse_levels,
                         help="optimization levels (default 0,1,2)")
     verify.add_argument("--tiers", default=None,
-                        help="comma-separated subset of "
-                             "reference,compiled,bytecode,codegen,lanes")
-    verify.add_argument("--lanes", type=int, default=4,
-                        help="lane count for the lanes tier (default 4)")
+                        help="comma-separated subset of reference,codegen")
     verify.add_argument("--skip-lint", action="store_true",
                         help="skip the determinism lint over sim/, exec/, "
                              "serve/ and analysis/")
@@ -773,7 +770,7 @@ def cmd_verify(args, out) -> int:
             raise ReproError(f"unknown tier {tier!r} (expected one of "
                              f"{', '.join(TIERS)})")
     report = run_sweep(benchmarks=benchmarks, levels=args.levels,
-                       tiers=tiers, n_lanes=args.lanes, ranges=args.ranges)
+                       tiers=tiers, ranges=args.ranges)
     failed = not report.ok
     lint = None
     if not args.skip_lint:

@@ -7,13 +7,13 @@ this module schedules the whole matrix as dependency tasks on the same
 persistent pool the study executor uses:
 
 * one **base task** per benchmark — optimize at the study level, run
-  *one* simulation batch over every seed (lane-parallel past the shard
-  threshold), detect sequences on the primary seed's profile, build the
-  budget-agnostic candidate pool, and re-sequentialize.  The unchained
-  single-issue base results are *derived* from that batch rather than
-  simulated again: re-sequentialization preserves semantics (outputs
-  are shared — and still independently guarded by the fused-vs-base
-  check inside every evaluation), and the chain expansion recorded by
+  *one* simulation batch over every seed, detect sequences on the
+  primary seed's profile, build the budget-agnostic candidate pool, and
+  re-sequentialize.  The unchained single-issue base results are
+  *derived* from that batch rather than simulated again:
+  re-sequentialization preserves semantics (outputs are shared — and
+  still independently guarded by the fused-vs-base check inside every
+  evaluation), and the chain expansion recorded by
   :func:`~repro.asip.resequence.resequence_module_mapped` determines
   the sequential node counts, hence the exact single-issue cycle
   count, from the VLIW profile.  This is the part every budget of a
@@ -62,7 +62,7 @@ from repro.exec.pool import next_epoch, sync_epoch, worker_cached
 from repro.exec.scheduler import Task, run_tasks
 from repro.exec.study import _optimized_cell, shard_seeds
 from repro.opt.pipeline import OptLevel
-from repro.sim.machine import MachineResult, run_module_batch_auto
+from repro.sim.machine import MachineResult, run_module_batch
 from repro.sim.profile import ProfileData
 from repro.suite.registry import get_benchmark
 
@@ -122,15 +122,15 @@ def _explore_base(name: str, level: int, lengths: Tuple[int, ...],
     plus the benchmark's share of suite execution the cross-benchmark
     aggregation weights by.  Profiling and sequence detection use the
     primary seed, exactly like the study matrix and the per-benchmark
-    loop; all seeds ride one batch of the optimized graph
-    (lane-parallel past the shard threshold) and the sequential base
-    results are derived from it, one simulation per seed total.
+    loop; all seeds ride one batch of the optimized graph and the
+    sequential base results are derived from it, one simulation per seed
+    total.
     """
     sync_epoch(epoch)
     spec = get_benchmark(name)
     graph_module, _report = _optimized_cell(name, level, unroll_factor)
     seed_list = seeds if seeds else (seed,)
-    graph_results = run_module_batch_auto(
+    graph_results = run_module_batch(
         graph_module, [spec.generate_inputs(s) for s in seed_list],
         engine=engine)
     detection = detect_sequences(graph_module, graph_results[0].profile,

@@ -23,8 +23,8 @@ Three things live here:
   instead.
 
 Worker processes receive their payloads by pickling, so mapped functions
-must be module-level and their arguments picklable; compiled-engine
-caches are stripped at the pickle boundary (see
+must be module-level and their arguments picklable; engine caches are
+stripped at the pickle boundary (see
 ``GraphModule.__getstate__``) and rebuilt lazily in each worker.
 """
 

@@ -45,7 +45,7 @@ from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.exec.pool import next_epoch, sync_epoch, worker_cached
 from repro.exec.scheduler import Task, run_tasks
-from repro.sim.machine import MachineResult, run_module_batch_auto
+from repro.sim.machine import MachineResult, run_module_batch
 from repro.suite.registry import get_benchmark
 from repro.suite.runner import (BenchmarkRun, compile_benchmark,
                                 run_benchmark, verify_semantics)
@@ -74,8 +74,8 @@ def _optimized_cell(name: str, level: int, unroll_factor: int):
 
     Every task of one (benchmark, level) cell that lands on this worker
     — the primary run and every seed shard — shares one optimize pass,
-    and the graph module it yields carries the engine's compiled-form
-    cache, so later tasks skip compilation/lowering/generation too.
+    and the graph module it yields carries the engine's generated-code
+    cache, so later tasks skip lowering and generation too.
     """
     return worker_cached(
         ("optimized", name, level, unroll_factor),
@@ -112,7 +112,7 @@ def _run_seed_shard(name: str, level: int, seeds: Tuple[int, ...],
     sync_epoch(epoch)
     spec = get_benchmark(name)
     graph_module, _report = _optimized_cell(name, level, unroll_factor)
-    results = run_module_batch_auto(
+    results = run_module_batch(
         graph_module, [spec.generate_inputs(s) for s in seeds],
         engine=engine)
     if reference is not None:

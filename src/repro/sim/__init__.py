@@ -10,15 +10,15 @@ optimized graph must produce bit-identical outputs).
 
 from repro.sim.machine import (DEFAULT_ENGINE, ENGINES, GraphInterpreter,
                                MachineResult, run_module, run_module_batch)
-from repro.sim.engine import CompiledEngine, CompiledModule, compile_module
+from repro.sim.codegen import CodegenEngine, GeneratedModule, generate_module
 from repro.sim.profile import ProfileData
 from repro.sim.memory import ArrayStorage
 
 __all__ = [
     "GraphInterpreter",
-    "CompiledEngine",
-    "CompiledModule",
-    "compile_module",
+    "CodegenEngine",
+    "GeneratedModule",
+    "generate_module",
     "MachineResult",
     "run_module",
     "run_module_batch",

@@ -1,11 +1,8 @@
-"""The exec-compiled codegen engine (the fourth tier).
+"""The exec-compiled codegen engine.
 
-The bytecode tier (:mod:`repro.sim.bytecode`) made most machine cycles
-one dispatch, but every word still pays the dispatch ladder plus a
-handful of list indexings (the word's operand slots, the flat register
-file).  This tier removes those too: :func:`generate_module` walks the
-*lowered words* produced by :func:`repro.sim.engine.lower_module` and
-emits one specialized Python **source function per graph** —
+:func:`generate_module` walks the *lowered words* produced by
+:func:`repro.sim.engine.lower_module` and emits one specialized Python
+**source function per graph** —
 
 * straight-line word runs become straight-line statements over *local
   variables* (``r3 = r1 + r2``): registers are locals, constants are
@@ -15,25 +12,28 @@ emits one specialized Python **source function per graph** —
 * control flow becomes ``while``/``if`` structure: forward fall-through
   jumps are merged away at generation time, and the remaining
   precomputed branch targets go through an O(log n) binary dispatch tree
-  over a block counter — a transfer costs a few integer compares
-  instead of one dispatch per word;
-* profile counting keeps the bytecode tier's contract — one counter per
-  *branch* edge, held in integer locals and folded into the shared
-  ``state.edge_hits`` arrays at frame exit, then reconstructed exactly
-  by the unchanged :meth:`_LoweredGraph.resolve_counters`.
+  over a block counter — a transfer costs a few integer compares;
+* profile counting is one counter per *branch* edge, held in integer
+  locals and folded into the shared ``state.edge_hits`` arrays at frame
+  exit, then reconstructed exactly by
+  :meth:`_LoweredGraph.resolve_counters`.
 
-The generated source is ``exec``-compiled once per module and cached on
-the module under the same memoized structural signature as the
-compiled/bytecode caches (validated by streaming, stripped at pickle
-boundaries by ``GraphModule.__getstate__`` and regenerated lazily per
-process).  Results are bit-identical to the other three engines — return
-value, memory, full node/edge/call profiles and error behavior — pinned
-by ``tests/test_codegen.py`` and the cross-engine fuzz harness in
-``tests/test_fuzz_engines.py``.
+Each graph's source is compiled on its own and ``exec``-uted once per
+module; the functions are cached on the module under the memoized
+structural signature of the lowered form (validated by streaming,
+stripped at pickle boundaries by ``GraphModule.__getstate__`` and
+regenerated lazily per process).  The source text itself is not kept in
+memory: it goes into the disk-cache entry, and :func:`emit_sources`
+re-emits it on demand.  Results are bit-identical to the reference
+interpreter — return value, memory, full node/edge/call profiles and
+error behavior — pinned by ``tests/test_codegen.py`` and the fuzz
+harness in ``tests/test_fuzz_engines.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
@@ -44,7 +44,7 @@ from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
                               RETREAD, TEST, _LoweredGraph, _UNDEF,
                               _payload_verified, _signature_matches,
                               lower_module, run_lowered_module)
-from repro.sim.machine import _MAX_CALL_DEPTH, MachineResult
+from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
 
 # -- word-layout tables -----------------------------------------------------------
@@ -120,14 +120,10 @@ class _FunctionEmitter:
     """Emits the Python source of one lowered graph."""
 
     def __init__(self, lg: _LoweredGraph, fn_name: str,
-                 fn_of_graph: Dict[str, str],
-                 safe_loads: frozenset = frozenset()):
+                 fn_of_graph: Dict[str, str]):
         self.lg = lg
         self.fn_name = fn_name
         self.fn_of_graph = fn_of_graph
-        #: ``id()``s of load words whose bounds proof allows dropping
-        #: the inline guard (see :mod:`repro.analysis.ranges`).
-        self.safe_loads = safe_loads
         self.lines: List[str] = []
         self.indent = 1
         #: objects that cannot be inlined as literals (operation function
@@ -235,12 +231,6 @@ class _FunctionEmitter:
         if op in _LOADS:
             index = self._operand(_LOADS[op], word[3])
             k = word[2]
-            if id(word) in self.safe_loads:
-                # Bounds proof carried in the payload: the index is a
-                # defined int provably inside [0, size), so the guard's
-                # then-branch is the only reachable arm.
-                self.emit(f"{r(word[1])} = a{k}.data[{index}]")
-                return
             self.emit(f"if 0 <= {index} < a{k}.size:")
             self.emit(f"    {r(word[1])} = a{k}.data[{index}]")
             self.emit("else:")
@@ -431,9 +421,9 @@ class _FunctionEmitter:
     # -- whole function --------------------------------------------------------------
 
     def _emit_prologue(self) -> List[int]:
-        """Frame setup mirroring the bytecode tier's ``_exec_graph``;
-        returns the counted-edge index list (empty when the function
-        raises before reaching the dispatch loop)."""
+        """Frame setup (arity, registers, arrays, counters); returns the
+        counted-edge index list (empty when the function raises before
+        reaching the dispatch loop)."""
         lg = self.lg
         name = lg.name
         self.emit("depth = state.depth")
@@ -535,79 +525,41 @@ class _FunctionEmitter:
         return "\n".join([header] + self.lines) + "\n"
 
 
-def bounds_artifacts(module: GraphModule, lowered: LoweredModule,
-                     ranges_on: bool):
-    """``(certificate, premises, per-graph safe word-id sets)`` for the
-    emitters, or ``(None, {}, {})`` when range analysis is off.
-
-    The safe sets are keyed by graph name and contain the ``id()`` of
-    every load word whose emission key is entirely proven SAFE, so both
-    emitters elide guards on exactly the certificate's claims."""
-    if not ranges_on:
-        return None, {}, {}
-    from repro.analysis import ranges as _ranges
-    mranges = _ranges.analyze_lowered(module, lowered)
-    bounds = _ranges.module_certificates(lowered, mranges)
-    safe_ids: Dict[str, frozenset] = {}
+def emit_sources(lowered: LoweredModule) -> Tuple[List[str],
+                                                  Dict[str, object]]:
+    """The Python source of every lowered graph, in graph order, plus the
+    non-literal constants the sources bind as default arguments."""
+    fn_of_graph = {name: f"_f{i}" for i, name in enumerate(lowered.graphs)}
+    consts: Dict[str, object] = {}
+    sources: List[str] = []
     for name, lg in lowered.graphs.items():
-        cert = bounds["graphs"].get(name)
-        indices = set() if cert is None else set(cert["safe"])
-        members = [w for w in lg.words if isinstance(w, list)]
-        safe_ids[name] = frozenset(id(members[i]) for i in indices)
-    return bounds, dict(bounds["premises"]), safe_ids
+        emitter = _FunctionEmitter(lg, fn_of_graph[name], fn_of_graph)
+        sources.append(emitter.build())
+        for i, obj in enumerate(emitter.objs):
+            consts[f"_{fn_of_graph[name]}_K{i}"] = obj
+    return sources, consts
+
+
+def _compile_sources(module: GraphModule, sources: Sequence[str]) -> tuple:
+    """One code object per graph source: a whole module's source in one
+    ``compile`` call leaves a large arena behind in the process's RSS."""
+    filename = f"<repro-codegen:{module.name}>"
+    return tuple(compile(source, filename, "exec") for source in sources)
 
 
 class GeneratedModule:
     """All graphs of one :class:`GraphModule` as exec-compiled functions.
 
-    ``lowered`` is the bytecode tier's :class:`LoweredModule` — the
-    generated functions execute its words' semantics, and its per-graph
-    profile-reconstruction tables (:meth:`_LoweredGraph.resolve_counters`)
-    are reused unchanged.  ``source`` keeps the emitted Python text for
-    inspection and tests.
-
-    With ``ranges_on`` (the default unless ``REPRO_RANGES=0``), the
-    range analysis runs over the lowered form and loads proven in
-    bounds are emitted unguarded; ``bounds`` then carries the proof
-    certificate for the payload and ``premises`` the global-scalar
-    values the proofs assume, validated at every run entry.
+    ``lowered`` is the :class:`LoweredModule` the functions were emitted
+    from; the run frame reuses its per-graph profile-reconstruction
+    tables (:meth:`_LoweredGraph.resolve_counters`) unchanged.  ``fns``
+    maps each graph name to its function.
     """
 
-    def __init__(self, module: GraphModule, ranges_on: bool = None):
-        if ranges_on is None:
-            from repro.analysis.ranges import ranges_enabled
-            ranges_on = ranges_enabled()
-        lowered = lower_module(module)
-        bounds, premises, safe_ids = bounds_artifacts(
-            module, lowered, ranges_on)
-        fn_of_graph = {name: f"_f{i}"
-                       for i, name in enumerate(lowered.graphs)}
-        consts: Dict[str, object] = {}
-        pieces: List[str] = []
-        for name, lg in lowered.graphs.items():
-            emitter = _FunctionEmitter(lg, fn_of_graph[name], fn_of_graph,
-                                       safe_ids.get(name, frozenset()))
-            pieces.append(emitter.build())
-            for i, obj in enumerate(emitter.objs):
-                consts[f"_{fn_of_graph[name]}_K{i}"] = obj
-        source = "\n".join(pieces)
-        code = compile(source, f"<repro-codegen:{module.name}>", "exec")
-        self._assemble(module, lowered, source, consts, code, bounds)
-
-    def _assemble(self, module: GraphModule, lowered: LoweredModule,
-                  source: str, consts: Dict[str, object], code,
-                  bounds=None) -> None:
-        """Exec *code* and wire the per-graph functions — the part both
-        fresh generation and a disk-cache load perform identically."""
+    def __init__(self, module: GraphModule, lowered: LoweredModule,
+                 consts: Dict[str, object], codes: Sequence) -> None:
         self.module = module
         self.lowered = lowered
-        self.source = source
-        self.consts = consts
-        self.bounds = bounds
-        self.premises = {} if not isinstance(bounds, dict) \
-            else dict(bounds.get("premises", {}))
-        self._ranges_on = bounds is not None
-        self._code = code
         self.fns: Dict[str, object] = {}
         namespace: Dict[str, object] = {
             "_UNDEF": _UNDEF,
@@ -616,7 +568,8 @@ class GeneratedModule:
             "G": {},
         }
         namespace.update(consts)
-        exec(code, namespace)
+        for code in codes:
+            exec(code, namespace)
         dispatch: Dict[str, object] = namespace["G"]  # type: ignore
         for i, name in enumerate(lowered.graphs):
             fn = namespace[f"_f{i}"]
@@ -624,89 +577,73 @@ class GeneratedModule:
             self.fns[name] = fn
         self._signature = lowered._signature
 
-    def disk_payload(self) -> Dict[str, object]:
-        """The disk-cache entry: lowered graphs (the run frame and the
-        profile-reconstruction tables need them), the emitted source,
-        its non-literal constants, and the marshalled code object so a
-        warm load skips parsing and compiling the source too.  The
-        marshal blob travels with its own checksum: ``marshal.loads``
-        is documented as unsafe on erroneous bytes (it may crash rather
-        than raise), so a load must be able to reject a damaged blob
-        *before* handing it to marshal."""
-        import hashlib
-        import marshal
-        blob = marshal.dumps(self._code)
-        return {"graphs": self.lowered.graphs, "source": self.source,
-                "consts": self.consts, "code": blob,
-                "code_sha": hashlib.sha256(blob).hexdigest(),
-                "bounds": self.bounds}
-
     @classmethod
     def from_payload(cls, module: GraphModule,
                      payload: Dict[str, object]) -> "GeneratedModule":
-        """Rebuild from a disk-cache entry, skipping lowering and source
-        emission (and, when the marshalled code verifies and loads,
-        compilation — a blob whose checksum does not match falls back
-        to compiling the stored source)."""
-        import hashlib
-        import marshal
+        """Rebuild from a disk-cache entry, skipping lowering, source
+        emission and (when the marshalled code objects verify and load)
+        compilation; a blob whose checksum does not match falls back to
+        compiling the stored sources."""
         lowered = LoweredModule.from_graphs(module, payload["graphs"])
-        source = payload["source"]
-        code = None
+        codes = None
         blob = payload.get("code")
         if isinstance(blob, bytes) and \
                 hashlib.sha256(blob).hexdigest() == payload.get("code_sha"):
             try:
-                code = marshal.loads(blob)
+                codes = marshal.loads(blob)
             except Exception:
-                code = None
-        if code is None:
-            code = compile(source, f"<repro-codegen:{module.name}>", "exec")
-        self = cls.__new__(cls)
-        self._assemble(module, lowered, source, payload["consts"], code,
-                       payload.get("bounds"))
-        return self
+                codes = None
+        if not isinstance(codes, tuple) or \
+                len(codes) != len(lowered.graphs):
+            codes = _compile_sources(module, payload["sources"])
+        return cls(module, lowered, payload["consts"], codes)
 
 
-def generate_module(module: GraphModule,
-                    ranges_on: bool = None) -> GeneratedModule:
+def _disk_payload(lowered: LoweredModule, sources: List[str],
+                  consts: Dict[str, object], codes: tuple
+                  ) -> Dict[str, object]:
+    """The disk-cache entry: lowered graphs (the run frame and the
+    profile-reconstruction tables need them), the emitted sources (read
+    by the verify-on-load gate), their non-literal constants, and the
+    marshalled code objects so a warm load skips parsing and compiling
+    too.  The marshal blob travels with its own checksum:
+    ``marshal.loads`` is documented as unsafe on erroneous bytes (it may
+    crash rather than raise), so a load must be able to reject a damaged
+    blob *before* handing it to marshal."""
+    blob = marshal.dumps(codes)
+    return {"graphs": lowered.graphs, "sources": tuple(sources),
+            "consts": consts, "code": blob,
+            "code_sha": hashlib.sha256(blob).hexdigest()}
+
+
+def generate_module(module: GraphModule) -> GeneratedModule:
     """Exec-compiled form of *module*, cached on the module itself.
 
-    Same cache protocol as :func:`~repro.sim.engine.compile_module` and
-    :func:`~repro.sim.engine.lower_module`: validated by streaming the
-    memoized structural signature, invalidated by any graph mutation,
-    stripped at pickle boundaries and regenerated lazily per process.
+    Same cache protocol as :func:`~repro.sim.engine.lower_module`:
+    validated by streaming the memoized structural signature,
+    invalidated by any graph mutation, stripped at pickle boundaries and
+    regenerated lazily per process.
 
     On an in-memory miss the disk tier (:mod:`repro.sim.diskcache`) is
     consulted under the module's structural digest: a hit skips the
     lowering walk, the source emission and (via the marshalled code
-    object) the compile, leaving only the ``exec`` of the pre-built
+    objects) the compile, leaving only the ``exec`` of the pre-built
     code.  The embedded lowered form also seeds ``_lowered_cache``, so
-    the codegen and bytecode tiers keep agreeing on one lowering per
-    module state.
+    the module keeps one lowering per module state.  A fresh generation
+    publishes exactly one entry.
     """
-    if ranges_on is None:
-        from repro.analysis.ranges import ranges_enabled
-        ranges_on = ranges_enabled()
     cached = module.__dict__.get("_codegen_cache")
-    if cached is not None and cached._ranges_on == ranges_on \
-            and _signature_matches(module, cached._signature):
+    if cached is not None and _signature_matches(module, cached._signature):
         return cached
     from repro.sim.diskcache import get_cache, module_digest
     cache = get_cache()
     digest = module_digest(module) if cache is not None else None
-    # Guard-eliminated and all-guarded artifacts live under distinct
-    # disk keys so flipping REPRO_RANGES (or a premise-violation
-    # fallback build) never serves the wrong variant.
-    store_key = None if digest is None \
-        else (digest if ranges_on else f"{digest}-noranges")
-    if store_key is not None:
-        payload = cache.load("codegen", store_key)
+    if digest is not None:
+        payload = cache.load("codegen", digest)
         if payload is not None and not _payload_verified(
-                module, "codegen", payload, cache, digest=store_key):
+                module, payload, cache, digest):
             payload = None
-        if payload is not None and \
-                (payload.get("bounds") is not None) == ranges_on:
+        if payload is not None:
             try:
                 generated = GeneratedModule.from_payload(module, payload)
             except Exception:
@@ -716,34 +653,24 @@ def generate_module(module: GraphModule,
                 module._codegen_cache = generated
                 module._lowered_cache = generated.lowered
                 return generated
+    lowered = lower_module(module)
+    sources, consts = emit_sources(lowered)
+    codes = _compile_sources(module, sources)
+    generated = GeneratedModule(module, lowered, consts, codes)
     if digest is not None:
-        # Resolve the lowered form under the already-computed digest so
-        # GeneratedModule's internal lower_module call is an in-memory
-        # hit rather than a second digest walk.
-        lower_module(module, _digest=digest)
-    generated = GeneratedModule(module, ranges_on=ranges_on)
-    if store_key is not None:
-        cache.store("codegen", store_key, generated.disk_payload())
+        cache.store("codegen", digest,
+                    _disk_payload(lowered, sources, consts, codes))
     module._codegen_cache = generated
     return generated
 
 
 class CodegenEngine:
-    """Drop-in replacement for :class:`BytecodeEngine` (codegen tier)."""
+    """Drop-in replacement for :class:`GraphInterpreter` (codegen)."""
 
     def __init__(self, module: GraphModule, max_cycles: int = 200_000_000):
         self.module = module
         self.max_cycles = max_cycles
         self.generated = generate_module(module)
-        self._guarded_cache: GeneratedModule = None
-
-    def _guarded(self) -> GeneratedModule:
-        """The all-guarded build, for runs whose inputs violate the
-        guard-elimination premises (lazily built, same lowering)."""
-        if self._guarded_cache is None:
-            self._guarded_cache = generate_module(self.module,
-                                                  ranges_on=False)
-        return self._guarded_cache
 
     def run_batch(self, inputs_list: Sequence[Optional[Dict[str, Sequence]]]
                   ) -> List[MachineResult]:
@@ -762,22 +689,28 @@ class CodegenEngine:
 
         The frame around the generated functions — globals/input
         binding, branch-only runtime counters, exact profile
-        reconstruction and the post-run cycle-limit check — is the run
-        contract shared with the bytecode tier
-        (:func:`~repro.sim.engine.run_lowered_module`)."""
-        gmod = self.generated
+        reconstruction and the post-run cycle-limit check — is
+        :func:`~repro.sim.engine.run_lowered_module`.
 
-        def call_entry(name, state):
-            fns = gmod.fns
-            if gmod.premises:
-                from repro.analysis.ranges import premises_hold
-                if not premises_hold(gmod.premises, state.globals):
-                    # Inputs overrode a premise scalar: the elided
-                    # guards are unproven for this run, so execute the
-                    # all-guarded build (bit-identical lowering, same
-                    # counters) instead.
-                    fns = self._guarded().fns
-            return fns[name]([], state)
-
-        return run_lowered_module(
-            self.module, gmod.lowered, self.max_cycles, inputs, call_entry)
+        The generated code counts cycles only at branches, back edges
+        and calls, so it sees a cycle-limit overrun late: possibly in
+        another function than the one running when the limit was
+        crossed, or only after a later fault.  A run that faults is
+        therefore replayed on the reference interpreter, which counts
+        every cycle; if the replay overruns the limit, its error is the
+        one raised.  Other faults keep the generated code's own error.
+        """
+        fns = self.generated.fns
+        try:
+            return run_lowered_module(
+                self.module, self.generated.lowered, self.max_cycles,
+                inputs, lambda name, state: fns[name]([], state))
+        except SimulationError as exc:
+            try:
+                GraphInterpreter(self.module, self.max_cycles).run(inputs)
+            except SimulationError as replayed:
+                if str(replayed).startswith("cycle limit"):
+                    raise replayed from None
+            except LookupError:
+                pass  # a malformed graph the interpreter cannot walk
+            raise exc

@@ -1,26 +1,25 @@
 """The on-disk compile-artifact cache (the cold-start tier).
 
-The in-memory caches (`compile_module` / `lower_module` /
-`generate_module`) make *repeated* runs of one module cheap, but they
-die with the process: every fresh CLI invocation and every pool worker
-re-lowers and re-generates from scratch.  This module adds the tier
-below them — a small content-addressed store on disk holding the
-bytecode tier's lowered words and the codegen tier's generated source,
-so a cold process whose module was ever compiled before skips the
-lowering walk and the source emission entirely.
+The in-memory caches (`lower_module` / `generate_module`) make
+*repeated* runs of one module cheap, but they die with the process:
+every fresh CLI invocation and every pool worker re-lowers and
+re-generates from scratch.  This module adds the tier below them — a
+small content-addressed store on disk holding one codegen entry per
+module (lowered words, generated sources and marshalled code objects),
+so a cold process whose module was ever generated before skips the
+lowering walk, the source emission and the compile entirely.
 
 Keying.  Entries are addressed by :func:`module_digest`, a SHA-256 over
 a canonical serialization of everything the lowered form depends on —
 graph names, entry nodes, parameters, local arrays, node ids, successor
 lists, and every instruction's opcode and operands — deliberately
 *excluding* process-local instruction uids, so two processes compiling
-the same source reach the same key.  The engine kind ("bytecode" / "codegen" / "lanes" —
-lane entries additionally suffix the digest with the lane count, since
-their generated source is width-specialized), the cache
-:data:`FORMAT_VERSION` and the interpreter's
-``cache_tag`` (the codegen entry embeds a marshalled code object, which
-is CPython-version-specific) all partition the namespace: any mismatch
-is a plain miss, never a crash.
+the same source reach the same key.  The entry kind (``"codegen"``, or
+``"result"`` for the whole-result tier below), the cache
+:data:`FORMAT_VERSION` and the interpreter's ``cache_tag`` (the codegen
+entry embeds marshalled code objects, which are CPython-version-specific)
+all partition the namespace: any mismatch is a plain miss, never a
+crash.
 
 Robustness rules, pinned by ``tests/test_diskcache.py``:
 
@@ -104,9 +103,10 @@ DISABLE_VALUE = "none"
 
 #: Bumped whenever the entry payload layout changes; older entries
 #: become plain misses.
-#: v2: codegen/lanes payloads gained the ``"bounds"`` proof-certificate
-#: entry (guard-eliminated loads + premises); v1 entries predate it.
-FORMAT_VERSION = 2
+#: v3: one codegen entry per module — per-graph ``"sources"`` and a
+#: marshalled tuple of per-graph code objects; no ``"bounds"``
+#: certificate, no ``bytecode``/``lanes`` kinds.
+FORMAT_VERSION = 3
 
 #: Marshalled code objects are interpreter-specific; the tag partitions
 #: entries per CPython version (e.g. ``cpython-311``).
@@ -122,19 +122,18 @@ def _source_token() -> str:
     Lowered words embed raw opcode numbers (assigned by a counter in
     ``engine.py``) and the codegen entry embeds generated source — both
     are artifacts of the *current* compiler code, not just the module
-    structure.  Folding a digest of the engine/bytecode/codegen sources
-    into the entry namespace turns any edit to them (an inserted
-    opcode, a changed emitter) into plain misses, instead of relying on
-    a hand-maintained :data:`FORMAT_VERSION` bump to avoid silently
+    structure.  Folding a digest of the engine/codegen sources into the
+    entry namespace turns any edit to them (an inserted opcode, a
+    changed emitter) into plain misses, instead of relying on a
+    hand-maintained :data:`FORMAT_VERSION` bump to avoid silently
     executing stale entries.
     """
     global _source_token_cache
     if _source_token_cache is None:
         h = hashlib.sha256()
         try:
-            from repro.analysis import ranges
-            from repro.sim import bytecode, codegen, engine, lanes
-            for mod in (engine, bytecode, codegen, lanes, ranges):
+            from repro.sim import codegen, engine
+            for mod in (engine, codegen):
                 with open(mod.__file__, "rb") as fh:
                     h.update(fh.read())
             _source_token_cache = h.hexdigest()[:12]
@@ -150,7 +149,7 @@ def result_source_token() -> str:
     """A short hash over every source a whole evaluation depends on.
 
     Whole results fold in the front end, the optimizer, pattern
-    detection, the cost model and all five engines — far more than the
+    detection, the cost model and both engines — far more than the
     engine/codegen sources :func:`_source_token` covers — so the result
     tier keys over a digest of the entire ``repro`` package: any source
     edit turns stored results into plain misses instead of ever serving
@@ -309,10 +308,9 @@ class DiskCache:
 
     ``hits`` / ``misses`` / ``stores`` / ``corrupt`` are
     :class:`collections.Counter` objects keyed by entry kind
-    (``"bytecode"`` / ``"codegen"`` / ``"lanes"``); tests and the
-    exploration
-    benchmarks read them to assert that warm runs actually skipped
-    lowering and generation.
+    (``"codegen"`` / ``"result"``); tests and the exploration benchmarks
+    read them to assert that warm runs actually skipped lowering and
+    generation.
     """
 
     def __init__(self, root: Path):

@@ -1,39 +1,25 @@
-"""The compiled execution engine.
+"""Lowering of program graphs to direct-threaded words.
 
 :class:`~repro.sim.machine.GraphInterpreter` walks the program graph with a
 ~30-arm opcode dispatch, ``isinstance`` operand checks and two dict mutations
-of profile bookkeeping for every node of every simulated cycle.  This module
-removes all of that from the hot loop by *pre-compiling* each graph into
-dispatch-free Python closures:
+of profile bookkeeping for every node of every simulated cycle.  The
+``codegen`` engine (:mod:`repro.sim.codegen`) removes all of that; this
+module is its first stage.  :func:`lower_module` flattens each graph into
+*words*: integer opcodes with pre-resolved register/array slot indices and
+inlined constants, successor edges baked into the jump words, and profile
+counting reduced to one counter per branch edge.  The generator then emits
+one Python function per lowered graph.
 
-* every :class:`~repro.ir.instr.Instruction` becomes a specialized closure
-  with its operand readers resolved at compile time — constants are inlined,
-  registers are pre-indexed into a flat list (no name-keyed dicts), array
-  storages are late-bound once per frame into a flat slot list;
-* every :class:`~repro.cfg.graph.Node` becomes one "step" closure that runs
-  its operation closures under the VLIW read/commit semantics and returns the
-  index of the control-flow edge it leaves through;
-* profile counting becomes flat per-graph integer arrays (``node_hits[i]``,
-  ``edge_hits[e]``) folded into a :class:`~repro.sim.profile.ProfileData`
-  once at the end of a run via :meth:`ProfileData.merge_arrays`.
-
-The compiled form is cached on the :class:`GraphModule` and invalidated by a
+The lowered form is cached on the :class:`GraphModule` and invalidated by a
 structural signature check, so repeated runs of the same module — the
 exploration loop measures every finalist ISA on the same re-sequentialized
-base — pay compilation once.
+base — pay lowering once.  :func:`run_lowered_module` is the run frame
+around the generated code: globals, inputs, counters, profile
+reconstruction and the cycle limit.
 
 The tree-walking interpreter is kept intact as the *reference* engine (the
 semantic oracle); differential tests assert the two produce bit-identical
 results, cycle counts included, on the whole DSP suite.
-
-This module also hosts the **bytecode compiler** (the lowering pass of the
-third engine tier): :func:`lower_module` flattens each graph into parallel
-arrays — integer opcodes with pre-resolved register/array slot indices and
-inlined constants in one flat code list, successor edges baked into the
-jump words — executed by the tight dispatch loop in
-:mod:`repro.sim.bytecode`.  Both compiled forms share the slot-assignment
-machinery (:class:`_FrameLayout`) and the structural-signature cache
-protocol, so either cache is invalidated by the same graph mutations.
 """
 
 from __future__ import annotations
@@ -47,7 +33,7 @@ from repro.cfg.graph import GraphModule, Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
-from repro.sim.machine import _MAX_CALL_DEPTH, MachineResult
+from repro.sim.machine import MachineResult
 from repro.sim.memory import ArrayStorage
 from repro.sim.profile import ProfileData
 from repro.sim.values import (INTRINSIC_IMPL, float_div, int_div, int_mod,
@@ -166,17 +152,15 @@ _UNARY_FN = {
 class _RunState:
     """Mutable state of one simulated run (shared across call frames)."""
 
-    __slots__ = ("globals", "cyc", "max_cycles", "depth",
-                 "node_hits", "edge_hits", "call_counts")
+    __slots__ = ("globals", "cyc", "max_cycles", "depth", "edge_hits",
+                 "call_counts")
 
     def __init__(self, globals_: Dict[str, ArrayStorage], max_cycles: int,
-                 node_hits: Dict[str, List[int]],
                  edge_hits: Dict[str, List[int]]):
         self.globals = globals_
         self.cyc = [0]  # shared cycle counter cell
         self.max_cycles = max_cycles
         self.depth = 0
-        self.node_hits = node_hits
         self.edge_hits = edge_hits
         self.call_counts: Dict[str, int] = {}
 
@@ -199,10 +183,10 @@ def _iter_instruction(ins: Instruction) -> Iterator:
 
 
 def _iter_signature(module: GraphModule) -> Iterator:
-    """Stream every item the compiled form depends on, compared with ``==``.
+    """Stream every item the lowered form depends on, compared with ``==``.
 
     Instruction objects compare by identity; operand tuples compare by value
-    (equal operands compile to identical closures), so in-place operand
+    (equal operands lower to identical words), so in-place operand
     rewrites, node edits and edge edits all miss the cache while repeated
     runs of an untouched module hit it.
     """
@@ -244,16 +228,15 @@ def _signature_matches(module: GraphModule, sig: List) -> bool:
     return next(cached, _SIG_END) is _SIG_END
 
 
-# -- graph compilation ------------------------------------------------------------
+# -- frame layout -----------------------------------------------------------------
 
 
 class _FrameLayout:
     """Flat slot assignment for one graph's frame.
 
-    Both compiled forms — the closure compiler and the bytecode lowerer —
-    resolve register and array names to integer slots through this shared
-    base, so the frame-construction plans (parameters, locals, late-bound
-    globals, missing-name placeholders) are built once and identically.
+    Resolves register and array names to integer slots and builds the
+    frame-construction plans (parameters, locals, late-bound globals,
+    missing-name placeholders) the generated prologue follows.
     """
 
     def __init__(self, graph: ProgramGraph, module: GraphModule):
@@ -323,529 +306,14 @@ class _FrameLayout:
         return param_plan, local_plan
 
 
-class _GraphCompiler(_FrameLayout):
-    """Compiles one :class:`ProgramGraph` into a :class:`_CompiledGraph`."""
-
-    def __init__(self, graph: ProgramGraph, module: GraphModule,
-                 cmod: "CompiledModule"):
-        super().__init__(graph, module)
-        self.cmod = cmod
-
-    # -- operand readers ----------------------------------------------------------
-
-    def scalar_reader(self, operand):
-        """Compile a ``(regs) -> value`` reader for one scalar operand."""
-        if isinstance(operand, Constant):
-            value = operand.value
-            return lambda regs: value
-        if isinstance(operand, VirtualReg):
-            i = self.reg_slot(operand.name)
-            return lambda regs: regs[i]
-
-        def unreadable(regs, _operand=operand):
-            raise SimulationError(f"cannot read operand {_operand!r}")
-        return unreadable
-
-    def checked_reader(self, operand):
-        """Like :meth:`scalar_reader` but rejects undefined registers with
-        the reference interpreter's error message (used where the value
-        would otherwise escape uninspected: returns and call arguments)."""
-        if isinstance(operand, VirtualReg):
-            i = self.reg_slot(operand.name)
-            name = operand.name
-
-            def read(regs):
-                value = regs[i]
-                if value is _UNDEF:
-                    raise SimulationError(
-                        f"read of undefined register {name!r}")
-                return value
-            return read
-        return self.scalar_reader(operand)
-
-    # -- value producers ----------------------------------------------------------
-
-    def compile_value(self, ins: Instruction):
-        """Compile a ``(regs, arr) -> value`` closure, or ``None`` when the
-        opcode does not produce a value (stores, calls, chains, nops)."""
-        op = ins.op
-        fn = _BINARY_FN.get(op)
-        if fn is not None:
-            return self._binary(fn, ins.srcs[0], ins.srcs[1])
-        fn = _UNARY_FN.get(op)
-        if fn is not None:
-            read = self.scalar_reader(ins.srcs[0])
-            return lambda regs, arr: fn(read(regs))
-        if op is Op.MOV or op is Op.FMOV:
-            src = ins.srcs[0]
-            if isinstance(src, Constant):
-                value = src.value
-                return lambda regs, arr: value
-            # A move never coerces its operand, so the _UNDEF sentinel
-            # would propagate silently; the checked reader keeps the
-            # reference interpreter's undefined-register error.
-            read = self.checked_reader(src)
-            return lambda regs, arr: read(regs)
-        if op is Op.LOAD or op is Op.FLOAD:
-            k = self.arr_slot(ins.array.name)
-            index = self.scalar_reader(ins.srcs[0])
-            return lambda regs, arr: arr[k].load(index(regs))
-        if op is Op.INTRIN:
-            return self._intrinsic(ins)
-        return None
-
-    def _binary(self, fn, lhs, rhs):
-        lhs_reg = isinstance(lhs, VirtualReg)
-        rhs_reg = isinstance(rhs, VirtualReg)
-        if lhs_reg and rhs_reg:
-            i = self.reg_slot(lhs.name)
-            j = self.reg_slot(rhs.name)
-            return lambda regs, arr: fn(regs[i], regs[j])
-        if lhs_reg and isinstance(rhs, Constant):
-            i = self.reg_slot(lhs.name)
-            b = rhs.value
-            return lambda regs, arr: fn(regs[i], b)
-        if isinstance(lhs, Constant) and rhs_reg:
-            a = lhs.value
-            j = self.reg_slot(rhs.name)
-            return lambda regs, arr: fn(a, regs[j])
-        # Constant/constant (kept runtime: division by zero must still raise
-        # only when executed) and malformed operands.
-        read_a = self.scalar_reader(lhs)
-        read_b = self.scalar_reader(rhs)
-        return lambda regs, arr: fn(read_a(regs), read_b(regs))
-
-    def _intrinsic(self, ins: Instruction):
-        impl = INTRINSIC_IMPL.get(ins.callee)
-        if impl is None:
-            callee = ins.callee
-
-            def unknown(regs, arr):
-                raise SimulationError(f"unknown intrinsic {callee!r}")
-            return unknown
-        readers = [self.scalar_reader(src) for src in ins.srcs]
-        if len(readers) == 1:
-            read = readers[0]
-            return lambda regs, arr: impl(read(regs))
-        if len(readers) == 2:
-            read_a, read_b = readers
-            return lambda regs, arr: impl(read_a(regs), read_b(regs))
-        return lambda regs, arr: impl(*(read(regs) for read in readers))
-
-    # -- whole-instruction execution ----------------------------------------------
-
-    def compile_exec(self, ins: Instruction):
-        """Compile ``(regs, arr, regw, stw) -> None`` deferring writes into
-        the pending lists — the general read-phase form."""
-        compute = self.compile_value(ins)
-        if compute is not None:
-            if ins.dest is not None:
-                d = self.reg_slot(ins.dest.name)
-
-                def run(regs, arr, regw, stw):
-                    regw.append((d, compute(regs, arr)))
-                return run
-
-            def run(regs, arr, regw, stw):
-                compute(regs, arr)
-            return run
-        op = ins.op
-        if op is Op.STORE or op is Op.FSTORE:
-            k = self.arr_slot(ins.array.name)
-            index = self.scalar_reader(ins.srcs[1])
-            value = self.scalar_reader(ins.srcs[0])
-
-            def run(regs, arr, regw, stw):
-                stw.append((arr[k], index(regs), value(regs)))
-            return run
-        if op is Op.CALL:
-            return self._call(ins)
-        if op is Op.CHAIN and getattr(ins, "parts", None) is not None:
-            imm = self.compile_immediate(ins)
-
-            def run(regs, arr, regw, stw):
-                imm(regs, arr)
-            return run
-        if op is Op.NOP:
-            def run(regs, arr, regw, stw):
-                pass
-            return run
-
-        def unexecutable(regs, arr, regw, stw, _ins=ins):
-            raise SimulationError(f"cannot execute {_ins}")
-        return unexecutable
-
-    def compile_immediate(self, ins: Instruction):
-        """Compile ``(regs, arr) -> None`` committing writes immediately —
-        the form chain parts execute in (operand forwarding)."""
-        compute = self.compile_value(ins)
-        if compute is not None:
-            if ins.dest is not None:
-                d = self.reg_slot(ins.dest.name)
-
-                def run(regs, arr):
-                    regs[d] = compute(regs, arr)
-                return run
-
-            def run(regs, arr):
-                compute(regs, arr)
-            return run
-        op = ins.op
-        if op is Op.STORE or op is Op.FSTORE:
-            k = self.arr_slot(ins.array.name)
-            index = self.scalar_reader(ins.srcs[1])
-            value = self.scalar_reader(ins.srcs[0])
-
-            def run(regs, arr):
-                arr[k].store(index(regs), value(regs))
-            return run
-        if op is Op.CHAIN and getattr(ins, "parts", None) is not None:
-            parts = [self.compile_immediate(part) for part in ins.parts]
-            if len(parts) == 2:
-                first, second = parts
-
-                def run(regs, arr):
-                    first(regs, arr)
-                    second(regs, arr)
-                return run
-            if len(parts) == 3:
-                first, second, third = parts
-
-                def run(regs, arr):
-                    first(regs, arr)
-                    second(regs, arr)
-                    third(regs, arr)
-                return run
-
-            def run(regs, arr):
-                for part in parts:
-                    part(regs, arr)
-            return run
-        if op is Op.NOP:
-            def run(regs, arr):
-                pass
-            return run
-        # Calls and anything exotic: run the general form, then commit —
-        # exactly the per-part commit the reference interpreter performs.
-        execute = self.compile_exec(ins)
-
-        def run(regs, arr):
-            regw: List = []
-            stw: List = []
-            execute(regs, arr, regw, stw)
-            for d, v in regw:
-                regs[d] = v
-            for storage, i, v in stw:
-                storage.store(i, v)
-        return run
-
-    def _call(self, ins: Instruction):
-        cmod = self.cmod
-        callee = ins.callee
-        getters = []
-        for src in ins.srcs:
-            if isinstance(src, ArraySymbol):
-                name = src.name
-                if name in self.arr_slots or name in self.module.global_arrays:
-                    k = self.arr_slot(name)
-                    getters.append(lambda regs, arr, _k=k: arr[_k])
-                else:
-                    def unbound(regs, arr, _name=name):
-                        raise SimulationError(
-                            f"array argument {_name!r} is not bound")
-                    getters.append(unbound)
-            else:
-                read = self.checked_reader(src)
-                getters.append(lambda regs, arr, _r=read: _r(regs))
-        d = self.reg_slot(ins.dest.name) if ins.dest is not None else None
-
-        def run(regs, arr, regw, stw):
-            target = cmod.graphs.get(callee)
-            if target is None:
-                raise SimulationError(
-                    f"call to unknown function {callee!r}")
-            args = [getter(regs, arr) for getter in getters]
-            value = _run_graph(cmod, target, args)
-            if d is not None:
-                regw.append((d, value))
-        return run
-
-    # -- node steps ---------------------------------------------------------------
-
-    def compile_step(self, nid: int, node: Node, edge_base: int):
-        """Compile one node into a ``(regs, arr) -> edge_index`` closure.
-
-        The step executes the node's read phase, commits register writes
-        then stores, and returns the index of the control-flow edge taken
-        (``-1`` means return; the return value is left in ``regs[0]``).
-        """
-        control = node.control
-        ops = node.ops
-
-        # Control compilation.
-        if control is not None and control.op is Op.RET:
-            if control.srcs:
-                read_ret = self.checked_reader(control.srcs[0])
-            else:
-                read_ret = lambda regs: None
-            return self._step_ret(ops, read_ret)
-        if control is not None and control.op is Op.BR:
-            taken = self._branch_taken(control.srcs[0])
-            edges = tuple(range(edge_base, edge_base + len(node.succs)))
-            return self._step_branch(ops, taken, edges)
-        if len(node.succs) == 1:
-            return self._step_fall(ops, edge_base)
-        fn_name = self.graph.name
-        n_succs = len(node.succs)
-
-        def bad_successors(regs, arr):
-            raise SimulationError(
-                f"{fn_name}: node {nid} has {n_succs} successors "
-                f"but no branch")
-        return bad_successors
-
-    def _branch_taken(self, operand):
-        """Compile the branch condition into a ``(regs) -> bool`` closure."""
-        if isinstance(operand, Constant):
-            taken = operand.value != 0
-            return lambda regs: taken
-        read = self.scalar_reader(operand)
-        return lambda regs: read(regs) != 0
-
-    def _classify(self, ops: Sequence[Instruction]):
-        """Split *ops* into (computes, dests) when every op is a pure value
-        producer with a destination; otherwise return ``None`` (the node
-        needs the general pending-write form)."""
-        computes = []
-        dests = []
-        for ins in ops:
-            if ins.op is Op.CHAIN or ins.dest is None:
-                return None
-            compute = self.compile_value(ins)
-            if compute is None:
-                return None
-            computes.append(compute)
-            dests.append(self.reg_slot(ins.dest.name))
-        return computes, dests
-
-    def _generic_execs(self, ops: Sequence[Instruction]):
-        return [self.compile_exec(ins) for ins in ops]
-
-    def _step_fall(self, ops, edge: int):
-        if not ops:
-            return lambda regs, arr: edge
-        if len(ops) == 1:
-            ins = ops[0]
-            if ins.op is Op.CHAIN and getattr(ins, "parts", None) is not None:
-                imm = self.compile_immediate(ins)
-
-                def step(regs, arr):
-                    imm(regs, arr)
-                    return edge
-                return step
-            if ins.op is Op.STORE or ins.op is Op.FSTORE:
-                k = self.arr_slot(ins.array.name)
-                index = self.scalar_reader(ins.srcs[1])
-                value = self.scalar_reader(ins.srcs[0])
-
-                def step(regs, arr):
-                    i = index(regs)
-                    v = value(regs)
-                    arr[k].store(i, v)
-                    return edge
-                return step
-        pure = self._classify(ops)
-        if pure is not None:
-            computes, dests = pure
-            if len(computes) == 1:
-                compute, = computes
-                d, = dests
-
-                def step(regs, arr):
-                    regs[d] = compute(regs, arr)
-                    return edge
-                return step
-            if len(computes) == 2:
-                c0, c1 = computes
-                d0, d1 = dests
-
-                def step(regs, arr):
-                    v0 = c0(regs, arr)
-                    v1 = c1(regs, arr)
-                    regs[d0] = v0
-                    regs[d1] = v1
-                    return edge
-                return step
-
-            def step(regs, arr):
-                values = [compute(regs, arr) for compute in computes]
-                for d, v in zip(dests, values):
-                    regs[d] = v
-                return edge
-            return step
-        execs = self._generic_execs(ops)
-
-        def step(regs, arr):
-            regw: List = []
-            stw: List = []
-            for execute in execs:
-                execute(regs, arr, regw, stw)
-            for d, v in regw:
-                regs[d] = v
-            for storage, i, v in stw:
-                storage.store(i, v)
-            return edge
-        return step
-
-    def _step_branch(self, ops, taken, edges: Tuple[int, ...]):
-        if not ops:
-            def step(regs, arr):
-                return edges[0] if taken(regs) else edges[1]
-            return step
-        pure = self._classify(ops)
-        if pure is not None:
-            computes, dests = pure
-            if len(computes) == 1:
-                compute, = computes
-                d, = dests
-
-                def step(regs, arr):
-                    v = compute(regs, arr)
-                    t = taken(regs)
-                    regs[d] = v
-                    return edges[0] if t else edges[1]
-                return step
-
-            def step(regs, arr):
-                values = [compute(regs, arr) for compute in computes]
-                t = taken(regs)
-                for d, v in zip(dests, values):
-                    regs[d] = v
-                return edges[0] if t else edges[1]
-            return step
-        execs = self._generic_execs(ops)
-
-        def step(regs, arr):
-            regw: List = []
-            stw: List = []
-            for execute in execs:
-                execute(regs, arr, regw, stw)
-            t = taken(regs)
-            for d, v in regw:
-                regs[d] = v
-            for storage, i, v in stw:
-                storage.store(i, v)
-            return edges[0] if t else edges[1]
-        return step
-
-    def _step_ret(self, ops, read_ret):
-        if not ops:
-            def step(regs, arr):
-                regs[0] = read_ret(regs)
-                return -1
-            return step
-        execs = self._generic_execs(ops)
-
-        def step(regs, arr):
-            regw: List = []
-            stw: List = []
-            for execute in execs:
-                execute(regs, arr, regw, stw)
-            value = read_ret(regs)
-            for d, v in regw:
-                regs[d] = v
-            for storage, i, v in stw:
-                storage.store(i, v)
-            regs[0] = value
-            return -1
-        return step
-
-
-class _CompiledGraph:
-    """One function graph compiled to closures."""
-
-    __slots__ = ("name", "param_plan", "local_plan", "global_plan",
-                 "missing_plan", "n_regs", "n_arrays", "n_params",
-                 "steps", "edge_dst", "edge_pairs", "node_ids", "entry_idx")
-
-    def __init__(self, graph: ProgramGraph, module: GraphModule,
-                 cmod: "CompiledModule"):
-        compiler = _GraphCompiler(graph, module, cmod)
-        self.name = graph.name
-        self.n_params = len(graph.params)
-        self.param_plan, self.local_plan = compiler.build_plans()
-
-        # Compile every node; edge indices are assigned in node order.
-        node_ids: List[int] = list(graph.nodes)
-        idx_of = {node_id: i for i, node_id in enumerate(node_ids)}
-        steps: List = []
-        edge_dst: List[int] = []
-        edge_pairs: List[Tuple[int, int]] = []
-        dangling: List[Tuple[int, int]] = []  # (edge index, missing node id)
-        for nid in node_ids:
-            node = graph.nodes[nid]
-            steps.append(compiler.compile_step(nid, node, len(edge_dst)))
-            for succ in node.succs:
-                edge_pairs.append((nid, succ))
-                dst = idx_of.get(succ)
-                if dst is None:
-                    dangling.append((len(edge_dst), succ))
-                    dst = -1
-                edge_dst.append(dst)
-        for edge_index, missing in dangling:
-            def bad_target(regs, arr, _missing=missing):
-                raise SimulationError(f"unknown node {_missing}")
-            edge_dst[edge_index] = len(steps)
-            steps.append(bad_target)
-
-        self.steps = steps
-        self.edge_dst = edge_dst
-        self.edge_pairs = edge_pairs
-        self.node_ids = node_ids
-        self.entry_idx = idx_of.get(graph.entry, -1)
-        self.global_plan = compiler.global_plan
-        self.missing_plan = compiler.missing_plan
-        self.n_regs = len(compiler.reg_slots) + 1
-        self.n_arrays = len(compiler.arr_slots)
-
-
-class CompiledModule:
-    """All graphs of one :class:`GraphModule` in compiled form."""
-
-    def __init__(self, module: GraphModule):
-        self.module = module
-        self.graphs: Dict[str, _CompiledGraph] = {}
-        self._state: Optional[_RunState] = None
-        for name, graph in module.graphs.items():
-            self.graphs[name] = _CompiledGraph(graph, module, self)
-        self._signature = _structure_signature(module)
-
-
-def compile_module(module: GraphModule) -> CompiledModule:
-    """Compiled form of *module*, cached on the module itself.
-
-    The cache is validated against a structural signature, so the
-    exploration loop's repeated runs reuse compilation while any graph
-    mutation (chain selection, optimizer passes) triggers a recompile.
-    """
-    cached = module.__dict__.get("_compiled_cache")
-    if cached is not None and _signature_matches(module, cached._signature):
-        return cached
-    compiled = CompiledModule(module)
-    module._compiled_cache = compiled
-    return compiled
-
-
 # -- bytecode lowering -------------------------------------------------------------
 #
-# The third engine tier lowers each graph into *direct-threaded words*:
-# every instruction is one flat list ``[opcode, operand, ...]`` whose
-# operands are pre-resolved register/array slot indices, inlined constants
-# and — for control transfers — direct references to the successor word,
-# so the dispatch loop in :mod:`repro.sim.bytecode` never touches a
-# program counter, a closure or a dict.  The lowering lives here so both
-# compiled forms share the slot machinery (:class:`_FrameLayout`), the
-# operation tables and the structural-signature cache protocol.
+# Each graph lowers into *direct-threaded words*: every instruction is one
+# flat list ``[opcode, operand, ...]`` whose operands are pre-resolved
+# register/array slot indices, inlined constants and — for control
+# transfers — direct references to the successor word.  The code generator
+# (:mod:`repro.sim.codegen`) walks these words and emits straight-line
+# Python over local variables.
 #
 # Conventions: register slots index the frame's flat ``regs`` list (slot 0
 # = return value).  Per-node scratch values live at *negative* indices —
@@ -906,7 +374,7 @@ LOAD = _op()         # d k i N
 LOADC = _op()        # d k ci N
 MOV_C = _op()        # d c N
 MOV_R = _op()        # d a name N  (undefined-register check, like the
-                     #              closure engine's checked MOV reader)
+                     #              reference interpreter's MOV read)
 BINF_RR = _op()      # d f a b N
 BINF_RC = _op()      # d f a c N
 BINF_CR = _op()      # d f c b N
@@ -1499,8 +967,8 @@ class _BytecodeLowerer(_FrameLayout):
         is_ret = control is not None and control.op is Op.RET
         is_br = control is not None and control.op is Op.BR
         if not is_ret and not is_br and len(succs) != 1:
-            # mirrors the closure engine: the malformed node raises before
-            # executing any of its operations
+            # the malformed node raises before executing any of its
+            # operations
             self._emit_error(
                 f"{self.graph.name}: node {nid} has {len(succs)} "
                 f"successors but no branch")
@@ -1595,7 +1063,7 @@ class _LoweredGraph:
             node_word[nid] = low.words[start]
 
         # Dangling edges jump to an "unknown node" stub counted on its own
-        # index, exactly like the closure engine's stub steps.
+        # index.
         stubs: Dict[int, Tuple[list, int]] = {}
         n_counters = len(node_ids)
         for word, slot, succ in low.patches:
@@ -1639,7 +1107,7 @@ class _LoweredGraph:
         self.missing_plan = low.missing_plan
         self.n_regs = len(low.reg_slots) + 1 + low.scratch_watermark
         self.n_arrays = len(low.arr_slots)
-        # Kept for the codegen tier: how many scratch (negative) slots
+        # Kept for the code generator: how many scratch (negative) slots
         # the generated source must declare as locals.
         self.scratch_watermark = low.scratch_watermark
         self._in_edges = in_edges
@@ -1650,14 +1118,14 @@ class _LoweredGraph:
     def __getstate__(self):
         """Pickle form with word references flattened to indices.
 
-        Words reference their successor words *directly* (that is what
-        makes the dispatch loop fast), which makes the raw object graph
-        both cyclic and as deeply nested as the longest straight-line
-        thread — default pickling would hit the recursion limit on any
-        non-trivial graph.  Word-reference operands (always ``list``
-        objects; every other operand kind is a scalar, string, tuple or
-        function) are replaced by their index into ``words`` and
-        restored by :meth:`__setstate__`.  The disk cache
+        Words reference their successor words *directly* (the code
+        generator follows them to lay out blocks), which makes the raw
+        object graph both cyclic and as deeply nested as the longest
+        straight-line thread — default pickling would hit the recursion
+        limit on any non-trivial graph.  Word-reference operands (always
+        ``list`` objects; every other operand kind is a scalar, string,
+        tuple or function) are replaced by their index into ``words``
+        and restored by :meth:`__setstate__`.  The disk cache
         (:mod:`repro.sim.diskcache`) relies on this round trip.
         """
         index = {id(word): i for i, word in enumerate(self.words)}
@@ -1756,10 +1224,8 @@ class LoweredModule:
         return lowered
 
 
-def _payload_verified(module, kind: str, payload, cache,
-                      n_lanes: Optional[int] = None,
-                      digest: Optional[str] = None) -> bool:
-    """The verify-on-load gate shared by every disk-cache load site.
+def _payload_verified(module, payload, cache, digest: str) -> bool:
+    """The verify-on-load gate of the codegen disk-cache entry.
 
     With ``REPRO_VERIFY`` unset this is free (one env lookup).  When
     set, the payload is statically checked against *module* before any
@@ -1767,85 +1233,44 @@ def _payload_verified(module, kind: str, payload, cache,
     payload is counted as ``rejected`` and read as a miss, exactly like
     a corrupt entry, and the caller regenerates.
 
-    A pass is memoized per ``(kind, digest)`` on the cache handle: the
-    digest keys the entry file, so a later load of the same key serves
-    the same bytes and a re-check could only repeat the verdict.  A
-    warm study therefore pays for each distinct artifact once per
-    process, not once per load.
+    A pass is memoized per digest on the cache handle: the digest keys
+    the entry file, so a later load of the same key serves the same
+    bytes and a re-check could only repeat the verdict.  A warm study
+    therefore pays for each distinct artifact once per process, not
+    once per load.
     """
     from repro.sim.diskcache import verify_on_load
     if not verify_on_load():
         return True
-    if digest is not None and (kind, digest) in cache.verified:
+    if ("codegen", digest) in cache.verified:
         return True
     try:
-        from repro.analysis import verify_codegen as _verifier
-        if kind == "bytecode":
-            result = _verifier.verify_bytecode_payload(module, payload)
-        elif kind == "codegen":
-            result = _verifier.verify_codegen_payload(module, payload)
-        elif kind == "lanes":
-            result = _verifier.verify_lanes_payload(module, payload,
-                                                    n_lanes)
-        else:
-            return True
-        ok = result.ok
+        from repro.analysis.verify_codegen import verify_codegen_payload
+        ok = verify_codegen_payload(module, payload).ok
     except Exception:
         ok = False
     if not ok:
-        cache.reject(kind)
-    elif digest is not None:
-        cache.verified.add((kind, digest))
+        cache.reject("codegen")
+    else:
+        cache.verified.add(("codegen", digest))
     return ok
 
 
-def lower_module(module: GraphModule,
-                 _digest: Optional[str] = None) -> LoweredModule:
+def lower_module(module: GraphModule) -> LoweredModule:
     """Bytecode form of *module*, cached on the module itself.
 
-    Same cache protocol as :func:`compile_module`: the lowered form is
-    validated against the memoized structural signature (streamed, never
-    rebuilt on a hit) and invalidated by any graph mutation; the cache is
-    stripped at pickle boundaries (``GraphModule.__getstate__``) and
-    rebuilt lazily in each worker process.
-
-    Below the in-memory cache sits the disk tier
-    (:mod:`repro.sim.diskcache`): on an in-memory miss the module's
-    structural digest is looked up on disk first, so a cold process —
-    a fresh pool worker, a new CLI invocation — whose module was ever
-    lowered before skips the lowering walk entirely.  A fresh lowering
-    is published back to disk for the next cold process.
-
-    ``_digest`` lets a caller that already computed the structural
-    digest for this exact module state (``generate_module``, whose
-    codegen entry shares the key) avoid a second digest walk.
+    The lowered form is validated against the memoized structural
+    signature (streamed, never rebuilt on a hit) and invalidated by any
+    graph mutation; the cache is stripped at pickle boundaries
+    (``GraphModule.__getstate__``) and rebuilt lazily in each worker
+    process.  The disk tier stores the lowered graphs inside the codegen
+    entry (:func:`repro.sim.codegen.generate_module`), whose load seeds
+    this cache.
     """
     cached = module.__dict__.get("_lowered_cache")
     if cached is not None and _signature_matches(module, cached._signature):
         return cached
-    # One cache handle for the whole miss: lookup, rebuild and store all
-    # hit the same directory even if REPRO_CACHE is repointed mid-call.
-    from repro.sim.diskcache import get_cache, module_digest
-    cache = get_cache()
-    digest = None
-    if cache is not None:
-        digest = _digest if _digest is not None else module_digest(module)
-        payload = cache.load("bytecode", digest)
-        if payload is not None and not _payload_verified(
-                module, "bytecode", payload, cache, digest=digest):
-            payload = None
-        if payload is not None:
-            try:
-                lowered = LoweredModule.from_graphs(module,
-                                                    payload["graphs"])
-            except Exception:
-                cache.unusable("bytecode")
-            else:
-                module._lowered_cache = lowered
-                return lowered
     lowered = LoweredModule(module)
-    if cache is not None:
-        cache.store("bytecode", digest, {"graphs": lowered.graphs})
     module._lowered_cache = lowered
     return lowered
 
@@ -1857,18 +1282,16 @@ def run_lowered_module(module: GraphModule, lmod: LoweredModule,
                        max_cycles: int,
                        inputs: Optional[Dict[str, Sequence]],
                        call_entry) -> MachineResult:
-    """Shared run frame of the word-executing tiers (bytecode, codegen).
+    """The run frame around the generated code.
 
-    Both tiers differ only in *how* the entry graph executes —
-    ``call_entry(entry_name, state)`` is the bytecode dispatch loop or
-    the generated function — while everything around it is one
-    contract: globals built from initializers and bound to *inputs*,
-    branch-only runtime counters sized per graph, node/edge profiles
-    reconstructed exactly via :meth:`_LoweredGraph.resolve_counters`,
-    and the sparse-in-run / exact-post-run cycle-limit check (a bounded
-    overrun that slips past the back-edge checks still aborts here, so
-    a run either completes within the limit on every engine or raises
-    on every engine).
+    ``call_entry(entry_name, state)`` runs the entry graph's generated
+    function; around it: globals built from initializers and bound to
+    *inputs*, branch-only runtime counters sized per graph, node/edge
+    profiles reconstructed exactly via
+    :meth:`_LoweredGraph.resolve_counters`, and the sparse-in-run /
+    exact-post-run cycle-limit check (a bounded overrun that slips past
+    the back-edge checks still aborts here, so a run either completes
+    within the limit or raises, exactly as on the reference engine).
     """
     globals_: Dict[str, ArrayStorage] = {}
     for name, symbol in module.global_arrays.items():
@@ -1883,7 +1306,7 @@ def run_lowered_module(module: GraphModule, lmod: LoweredModule,
 
     entry = module.entry
     state = _RunState(
-        globals_, max_cycles, {},
+        globals_, max_cycles,
         {name: [0] * len(lg.edge_pairs)
          for name, lg in lmod.graphs.items()})
     ret = call_entry(entry.name, state)
@@ -1903,144 +1326,3 @@ def run_lowered_module(module: GraphModule, lmod: LoweredModule,
             f"cycle limit ({max_cycles}) exceeded; "
             f"infinite loop in {entry.name!r}?")
     return MachineResult(ret, snapshot, profile)
-
-
-def _run_graph(cmod: CompiledModule, cg: _CompiledGraph, args: List):
-    state = cmod._state
-    depth = state.depth
-    if depth > _MAX_CALL_DEPTH:
-        raise SimulationError(
-            f"call depth exceeded in {cg.name!r} (runaway recursion?)")
-    state.call_counts[cg.name] = state.call_counts.get(cg.name, 0) + 1
-    if len(args) != cg.n_params:
-        raise SimulationError(
-            f"{cg.name!r} expects {cg.n_params} arguments, "
-            f"got {len(args)}")
-
-    regs: List = [_UNDEF] * cg.n_regs
-    arr: List = [None] * cg.n_arrays
-    for (is_reg, slot, name), value in zip(cg.param_plan, args):
-        if is_reg:
-            regs[slot] = value
-        else:
-            if not isinstance(value, ArrayStorage):
-                raise SimulationError(
-                    f"{cg.name!r}: array parameter {name!r} "
-                    f"bound to non-array {value!r}")
-            arr[slot] = value
-    for slot, symbol in cg.local_plan:
-        arr[slot] = ArrayStorage(symbol)
-    module_globals = state.globals
-    for slot, name in cg.global_plan:
-        arr[slot] = module_globals[name]
-    for slot, placeholder in cg.missing_plan:
-        arr[slot] = placeholder
-
-    idx = cg.entry_idx
-    if idx < 0:
-        raise SimulationError(f"{cg.name!r} has no entry node")
-    steps = cg.steps
-    edge_dst = cg.edge_dst
-    hits = state.node_hits[cg.name]
-    edge_hits = state.edge_hits[cg.name]
-    cyc = state.cyc
-    limit = state.max_cycles
-    state.depth = depth + 1
-    try:
-        while True:
-            count = cyc[0] + 1
-            cyc[0] = count
-            if count > limit:
-                raise SimulationError(
-                    f"cycle limit ({limit}) exceeded; "
-                    f"infinite loop in {cg.name!r}?")
-            hits[idx] += 1
-            edge = steps[idx](regs, arr)
-            if edge < 0:
-                return regs[0]
-            edge_hits[edge] += 1
-            idx = edge_dst[edge]
-    finally:
-        state.depth = depth
-
-
-class CompiledEngine:
-    """Drop-in replacement for :class:`GraphInterpreter` (compiled)."""
-
-    def __init__(self, module: GraphModule, max_cycles: int = 200_000_000):
-        self.module = module
-        self.max_cycles = max_cycles
-        self.compiled = compile_module(module)
-
-    def run_batch(self, inputs_list: Sequence[Optional[Dict[str, Sequence]]]
-                  ) -> List[MachineResult]:
-        """Run N input sets through the same closure-specialized program.
-
-        Compilation (and the structural-signature validation ``run_module``
-        pays on every call) happens once for the whole batch; each input
-        set then executes independently — fresh globals, fresh flat
-        profile counters folded into a fresh :class:`ProfileData` via
-        :meth:`ProfileData.merge_arrays` — so the results are bit-identical
-        to N independent :func:`~repro.sim.machine.run_module` calls.
-
-        The per-element initializer conversion (``int()``/``float()``
-        per entry, in :meth:`ArrayStorage.__init__`) is identical for
-        every seed, so it runs once here and each seed's storages are
-        filled from the converted snapshot.
-        """
-        module = self.module
-        template = [
-            (name, symbol,
-             ArrayStorage(symbol, module.array_initializers.get(name)).data)
-            for name, symbol in module.global_arrays.items()]
-        return [self._run(inputs, template) for inputs in inputs_list]
-
-    def run(self, inputs: Optional[Dict[str, Sequence]] = None
-            ) -> MachineResult:
-        """Execute ``main`` with globals bound to *inputs*."""
-        return self._run(inputs, None)
-
-    def _run(self, inputs: Optional[Dict[str, Sequence]],
-             template) -> MachineResult:
-        module = self.module
-        globals_: Dict[str, ArrayStorage] = {}
-        if template is None:
-            for name, symbol in module.global_arrays.items():
-                init = module.array_initializers.get(name)
-                globals_[name] = ArrayStorage(symbol, init)
-        else:
-            for name, symbol, data in template:
-                storage = ArrayStorage(symbol)
-                storage.data[:] = data
-                globals_[name] = storage
-        if inputs:
-            for name, values in inputs.items():
-                if name not in globals_:
-                    raise SimulationError(
-                        f"input {name!r} does not match any global array")
-                globals_[name].fill_from(values)
-
-        entry = module.entry
-        cmod = self.compiled
-        state = _RunState(
-            globals_, self.max_cycles,
-            {name: [0] * len(cg.steps)
-             for name, cg in cmod.graphs.items()},
-            {name: [0] * len(cg.edge_pairs)
-             for name, cg in cmod.graphs.items()})
-        previous = cmod._state
-        cmod._state = state
-        try:
-            ret = _run_graph(cmod, cmod.graphs[entry.name], [])
-        finally:
-            cmod._state = previous
-
-        snapshot = {name: storage.snapshot()
-                    for name, storage in globals_.items()}
-        profile = ProfileData()
-        for name, cg in cmod.graphs.items():
-            profile.merge_arrays(name, cg.node_ids, state.node_hits[name],
-                                 cg.edge_pairs, state.edge_hits[name])
-        for name, count in state.call_counts.items():
-            profile.call_counts[name] = count
-        return MachineResult(ret, snapshot, profile)

@@ -14,7 +14,6 @@ two roles:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -314,60 +313,27 @@ class GraphInterpreter:
         return self._run_graph(callee, args, depth + 1)
 
 
-#: Engines ``run_module`` can dispatch to.  ``"compiled"`` is the
-#: closure-specialized engine (:mod:`repro.sim.engine`); ``"bytecode"``
-#: lowers the compiled graphs further to flat opcode/operand arrays run by
-#: one dispatch loop (:mod:`repro.sim.bytecode`); ``"codegen"`` walks the
-#: lowered words and exec-compiles specialized Python source per graph
-#: (:mod:`repro.sim.codegen`); ``"lanes"`` exec-compiles a lane-parallel
-#: form that executes every seed of a batch in one pass
-#: (:mod:`repro.sim.lanes`); ``"reference"`` is the tree-walking
-#: :class:`GraphInterpreter`, kept as the semantic oracle the other
-#: engines are differentially tested against.
-ENGINES = ("compiled", "bytecode", "codegen", "lanes", "reference")
+#: Engines ``run_module`` can dispatch to.  ``"codegen"`` lowers each graph
+#: to flat words and exec-compiles specialized Python source per graph
+#: (:mod:`repro.sim.codegen`); ``"reference"`` is the tree-walking
+#: :class:`GraphInterpreter`, kept as the semantic oracle the codegen
+#: engine is differentially tested against.
+ENGINES = ("codegen", "reference")
 
-#: Environment variable overriding the default engine (CI runs the whole
-#: tier-1 suite under ``REPRO_ENGINE=bytecode``).
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-
-def _default_engine() -> str:
-    """The engine ``REPRO_ENGINE`` selects, or ``"compiled"``.
-
-    An invalid value is returned as-is rather than raised here: it
-    surfaces as a clean "unknown engine" error (naming the variable) on
-    the first simulation, inside the CLI's normal error handling,
-    instead of as an import-time traceback.
-    """
-    value = os.environ.get(ENGINE_ENV_VAR)
-    if value is None or not value.strip():
-        return "compiled"
-    return value.strip()
-
-
-#: Resolved once at import: the engine every unpinned simulation uses.
-#: (Like any default argument it is frozen at import time — CI sets
-#: ``REPRO_ENGINE`` before launching the process.)
-DEFAULT_ENGINE = _default_engine()
-
-
-def _unknown_engine(engine: str) -> SimulationError:
-    message = f"unknown engine {engine!r} (expected one of {ENGINES})"
-    if os.environ.get(ENGINE_ENV_VAR, "").strip() == engine:
-        message += f"; set via {ENGINE_ENV_VAR}"
-    return SimulationError(message)
+#: The engine every unpinned simulation uses.
+DEFAULT_ENGINE = "codegen"
 
 
 def ensure_engine(engine: str) -> str:
     """Validate an engine name *before* any expensive work starts.
 
     Entry points that fan out (the study executor, the exploration loop)
-    call this up front so a typo'd ``--engine`` / ``REPRO_ENGINE`` value
-    raises one clean, source-attributed error instead of failing deep
-    inside a worker process mid-run.
+    call this up front so a typo'd ``--engine`` value raises one clean
+    error instead of failing deep inside a worker process mid-run.
     """
     if engine not in ENGINES:
-        raise _unknown_engine(engine)
+        raise SimulationError(
+            f"unknown engine {engine!r} (expected one of {ENGINES})")
     return engine
 
 
@@ -377,26 +343,12 @@ def run_module(module: GraphModule,
                engine: str = DEFAULT_ENGINE) -> MachineResult:
     """Simulate *module* once on the selected *engine*.
 
-    Every engine produces bit-identical :class:`MachineResult`\\ s (return
-    value, memory state and profile); the compiled and bytecode engines
-    cache their compiled/lowered forms on the module, so repeated runs —
-    the exploration loop, the study matrix — only pay compilation once.
+    Both engines produce bit-identical :class:`MachineResult`\\ s (return
+    value, memory state and profile); the codegen engine caches its
+    generated form on the module, so repeated runs — the exploration
+    loop, the study matrix — only pay generation once.
     """
-    if engine == "compiled":
-        from repro.sim.engine import CompiledEngine
-        return CompiledEngine(module, max_cycles).run(inputs)
-    if engine == "bytecode":
-        from repro.sim.bytecode import BytecodeEngine
-        return BytecodeEngine(module, max_cycles).run(inputs)
-    if engine == "codegen":
-        from repro.sim.codegen import CodegenEngine
-        return CodegenEngine(module, max_cycles).run(inputs)
-    if engine == "lanes":
-        from repro.sim.lanes import LaneEngine
-        return LaneEngine(module, max_cycles).run(inputs)
-    if engine == "reference":
-        return GraphInterpreter(module, max_cycles).run(inputs)
-    raise _unknown_engine(engine)
+    return run_module_batch(module, [inputs], max_cycles, engine)[0]
 
 
 def run_module_batch(module: GraphModule,
@@ -405,52 +357,19 @@ def run_module_batch(module: GraphModule,
                      engine: str = DEFAULT_ENGINE) -> List[MachineResult]:
     """Simulate *module* on every input set of *inputs_list*, in order.
 
-    The multi-seed entry point: on the compiled and bytecode engines the
-    module is compiled/lowered (and its cache signature validated) once
-    for the whole batch rather than once per run, while every run still
-    gets fresh globals and a fresh profile.  Results are bit-identical to
-    calling :func:`run_module` once per input set, on any engine.
+    The multi-seed entry point: on the codegen engine the module is
+    generated (and its cache signature validated) once for the whole
+    batch rather than once per run, while every run still gets fresh
+    globals and a fresh profile.  Results are bit-identical to calling
+    :func:`run_module` once per input set, on either engine.
     """
-    if engine == "compiled":
-        from repro.sim.engine import CompiledEngine
-        return CompiledEngine(module, max_cycles).run_batch(inputs_list)
-    if engine == "bytecode":
-        from repro.sim.bytecode import BytecodeEngine
-        return BytecodeEngine(module, max_cycles).run_batch(inputs_list)
-    if engine == "codegen":
-        from repro.sim.codegen import CodegenEngine
-        return CodegenEngine(module, max_cycles).run_batch(inputs_list)
-    if engine == "lanes":
-        from repro.sim.lanes import LaneEngine
-        return LaneEngine(module, max_cycles).run_batch(inputs_list)
-    if engine == "reference":
+    if ensure_engine(engine) == "reference":
         return [GraphInterpreter(module, max_cycles).run(inputs)
                 for inputs in inputs_list]
-    raise _unknown_engine(engine)
+    from repro.sim.codegen import CodegenEngine
+    return CodegenEngine(module, max_cycles).run_batch(inputs_list)
 
 
-#: Batch size at which :func:`run_module_batch_auto` upgrades a per-seed
-#: engine to one lane-parallel pass.  Below this the lane emitter's
-#: width-specialized compile is not reliably amortized.
-LANE_SHARD_MIN = 8
-
-
-def run_module_batch_auto(module: GraphModule,
-                          inputs_list:
-                          Sequence[Optional[Dict[str, Sequence]]],
-                          max_cycles: int = 200_000_000,
-                          engine: str = DEFAULT_ENGINE
-                          ) -> List[MachineResult]:
-    """:func:`run_module_batch`, preferring one lane call on big shards.
-
-    Batches of at least :data:`LANE_SHARD_MIN` seeds on a per-seed
-    engine (compiled/bytecode/codegen) are executed as a single
-    lane-parallel pass instead — bit-identical results (every engine
-    agrees), integer-factor faster.  An explicit ``engine="lanes"``
-    stays lanes at any size, and ``"reference"`` is never upgraded: the
-    oracle must keep measuring what it is asked to measure.
-    """
-    if len(inputs_list) >= LANE_SHARD_MIN and \
-            engine in ("compiled", "bytecode", "codegen"):
-        engine = "lanes"
-    return run_module_batch(module, inputs_list, max_cycles, engine)
+# The benchmark harness's tracer wraps this name; it predates the merge of
+# the batch entry points and stays as an alias so traces keep resolving.
+run_module_batch_auto = run_module_batch

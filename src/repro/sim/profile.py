@@ -50,7 +50,7 @@ class ProfileData:
                      node_ids: Sequence[int], node_hits: Sequence[int],
                      edge_pairs: Sequence[Tuple[int, int]],
                      edge_hits: Sequence[int]) -> None:
-        """Fold the compiled engine's flat per-graph counters in one pass.
+        """Fold the codegen engine's flat per-graph counters in one pass.
 
         ``node_hits[i]`` is the execution count of ``node_ids[i]`` and
         ``edge_hits[i]`` the traversal count of ``edge_pairs[i]``.  Zero

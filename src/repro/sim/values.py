@@ -46,8 +46,8 @@ def shift_right(a: int, b: int) -> int:
     return a >> b
 
 
-# Named module-level functions, not lambdas: the bytecode/codegen
-# tiers inline these objects into lowered words and generated-source
+# Named module-level functions, not lambdas: lowering and code
+# generation inline these objects into lowered words and generated-source
 # constants, which the disk cache (sim/diskcache.py) pickles — and
 # pickle serializes functions by qualified name, which lambdas lack.
 

@@ -6,10 +6,9 @@ additionally check semantic preservation against the unoptimized program
 (the optimized graph must produce bit-identical outputs).
 
 A run may cover several input seeds at once (``seeds=``): the optimized
-graph is compiled to the simulator's closure-specialized form once and
-every seed's input set is batched through it
-(:func:`~repro.sim.machine.run_module_batch_auto`, which runs big
-batches as one lane-parallel pass).  The first seed is the
+graph is compiled to the simulator's generated form once and every
+seed's input set is batched through it
+(:func:`~repro.sim.machine.run_module_batch`).  The first seed is the
 *primary* — its result feeds sequence detection and the reported cycle
 count, keeping single-seed behavior unchanged — while every seed is held
 in ``seed_results`` and checked by the semantic oracle.
@@ -28,7 +27,7 @@ from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
 from repro.sim.machine import (DEFAULT_ENGINE, MachineResult, ensure_engine,
-                               run_module, run_module_batch_auto)
+                               run_module, run_module_batch)
 from repro.suite.registry import BenchmarkSpec
 
 #: ``check_against`` accepts the level-0 result for the primary seed or a
@@ -191,7 +190,7 @@ def run_benchmark(spec: BenchmarkSpec,
                                                unroll_factor=unroll_factor)
     if seeds:
         seed_list = tuple(seeds)
-        results = run_module_batch_auto(
+        results = run_module_batch(
             graph_module, [spec.generate_inputs(s) for s in seed_list],
             engine=engine)
     else:

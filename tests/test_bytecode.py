@@ -1,12 +1,14 @@
-"""Bytecode-engine tests: differential equivalence, caching, hardening.
+"""Lowered-form tests: persisted words, lowering cache, VLIW hazards.
 
-The bytecode tier (:mod:`repro.sim.bytecode`, lowered by
-:func:`repro.sim.engine.lower_module`) must be indistinguishable from both
-the closure-compiled engine and the tree-walking reference — return value,
-memory state and the *complete* profile (node, edge and call counts).  The
-differential harness here sweeps the whole 12-benchmark DSP suite at
-levels 0, 1 and 2, chained (post-``select_chains``) modules, multi-seed
-batches, and the study matrix under ``jobs=2``.
+:func:`repro.sim.engine.lower_module` flattens each graph into
+direct-threaded words, which the codegen engine emits Python from and the
+disk cache persists inside the codegen entry.  This file pins the lowered
+form: a module rebuilt from a pickled disk entry (lowered words plus
+marshalled code) is indistinguishable from the reference interpreter —
+return value, memory state and the *complete* profile — across the
+12-benchmark suite at levels 0, 1 and 2, on chained modules and in the
+study matrix; hand-built VLIW nodes exercise the read/commit discipline
+the lowering encodes; and the lowering cache follows every graph edit.
 """
 
 import pickle
@@ -25,9 +27,10 @@ from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import Constant, VirtualReg
 from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.engine import compile_module, lower_module
-from repro.sim.machine import (ENGINES, _default_engine, run_module,
-                               run_module_batch)
+from repro.sim import diskcache
+from repro.sim.codegen import generate_module
+from repro.sim.engine import lower_module
+from repro.sim.machine import ENGINES, run_module, run_module_batch
 from repro.suite.registry import all_benchmarks, get_benchmark
 from repro.suite.runner import compile_benchmark, run_benchmark
 
@@ -44,23 +47,42 @@ def assert_identical(expected, actual):
     assert actual.profile.call_counts == expected.profile.call_counts
 
 
+@pytest.fixture
+def disk(tmp_path, monkeypatch):
+    """A fresh, private disk cache for the test."""
+    monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(tmp_path))
+    diskcache.reset_cache_state()
+    yield diskcache.get_cache()
+    diskcache.reset_cache_state()
+
+
+def warm_clone(gm, cache):
+    """A pickled copy of *gm* (engine caches stripped) whose generated
+    form is served from the disk entry the original's generation wrote."""
+    generate_module(gm)
+    clone = pickle.loads(pickle.dumps(gm))
+    hits = cache.hits["codegen"]
+    generate_module(clone)
+    assert cache.hits["codegen"] == hits + 1, "the clone must load from disk"
+    return clone
+
+
 class TestSuiteDifferential:
-    """Every benchmark at every level: bytecode == compiled == reference."""
+    """Every benchmark at every level: disk-loaded words == reference."""
 
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("name", SUITE)
-    def test_levels(self, name, level):
+    def test_levels(self, name, level, disk):
         spec = get_benchmark(name)
         inputs = spec.generate_inputs(0)
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(level))
         reference = run_module(gm, inputs, engine="reference")
-        compiled = run_module(gm, inputs, engine="compiled")
-        bytecode = run_module(gm, inputs, engine="bytecode")
-        assert_identical(reference, bytecode)
-        assert_identical(compiled, bytecode)
+        clone = warm_clone(gm, disk)
+        assert_identical(reference, run_module(clone, inputs,
+                                               engine="codegen"))
 
     @pytest.mark.parametrize("name", SUITE)
-    def test_chained_sequential(self, name):
+    def test_chained_sequential(self, name, disk):
         """Fused-chain modules (Op.CHAIN commit semantics) agree too."""
         spec = get_benchmark(name)
         inputs = spec.generate_inputs(0)
@@ -75,22 +97,24 @@ class TestSuiteDifferential:
                     isa.add_chain(ChainedInstruction.from_sequence(pattern))
         fused = sequential.copy()
         select_chains(fused, isa)
-        assert_identical(run_module(fused, inputs, engine="compiled"),
-                         run_module(fused, inputs, engine="bytecode"))
+        reference = run_module(fused, inputs, engine="reference")
+        clone = warm_clone(fused, disk)
+        assert_identical(reference, run_module(clone, inputs,
+                                               engine="codegen"))
 
-    def test_benchmark_run_end_to_end(self):
-        """run_benchmark(engine="bytecode") matches compiled end to end,
-        detection included (it only consumes the identical profile)."""
+    def test_benchmark_run_end_to_end(self, disk):
+        """A cold and a warm run_benchmark agree end to end, detection
+        included (it only consumes the identical profile)."""
         spec = get_benchmark("sewha")
-        compiled = run_benchmark(spec, OptLevel.PIPELINED)
-        bytecode = run_benchmark(spec, OptLevel.PIPELINED,
-                                 engine="bytecode")
-        assert bytecode.cycles == compiled.cycles
-        assert_identical(compiled.machine_result, bytecode.machine_result)
-        assert bytecode.detection.total_ops == compiled.detection.total_ops
+        cold = run_benchmark(spec, OptLevel.PIPELINED)
+        hits = disk.hits["codegen"]
+        warm = run_benchmark(spec, OptLevel.PIPELINED)
+        assert disk.hits["codegen"] > hits
+        assert warm.cycles == cold.cycles
+        assert_identical(cold.machine_result, warm.machine_result)
+        assert warm.detection.total_ops == cold.detection.total_ops
         for length in (2, 3, 4, 5):
-            assert bytecode.detection.top(length) == \
-                compiled.detection.top(length)
+            assert warm.detection.top(length) == cold.detection.top(length)
 
 
 class TestBatchedSimulation:
@@ -106,84 +130,88 @@ class TestBatchedSimulation:
     @pytest.mark.parametrize("name", ("fir", "smooth", "sewha"))
     @pytest.mark.parametrize("level", LEVELS)
     def test_batch_matches_independent_runs(self, name, level):
+        """The reference engine's batch form against single codegen runs
+        (the codegen batch is pinned the other way round in
+        ``tests/test_codegen.py``)."""
         spec, gm = self._optimized(name, level)
         inputs = [spec.generate_inputs(seed) for seed in self.SEEDS]
-        batched = run_module_batch(gm, inputs, engine="bytecode")
-        singles = [run_module(gm, i, engine="compiled") for i in inputs]
+        batched = run_module_batch(gm, inputs, engine="reference")
+        singles = [run_module(gm, i, engine="codegen") for i in inputs]
         assert len(batched) == len(self.SEEDS)
         for one, many in zip(singles, batched):
             assert_identical(one, many)
 
     def test_batch_lowers_once(self, monkeypatch):
-        import repro.sim.bytecode as bytecode_mod
+        import repro.sim.codegen as codegen_mod
         spec, gm = self._optimized("fir")
         calls = []
-        real = bytecode_mod.lower_module
+        real = codegen_mod.lower_module
 
         def counting(module):
             calls.append(module)
             return real(module)
 
-        monkeypatch.setattr(bytecode_mod, "lower_module", counting)
+        monkeypatch.setattr(codegen_mod, "lower_module", counting)
+        monkeypatch.setenv(diskcache.CACHE_ENV_VAR, diskcache.DISABLE_VALUE)
         run_module_batch(gm, [spec.generate_inputs(s) for s in self.SEEDS],
-                         engine="bytecode")
+                         engine="codegen")
         assert len(calls) == 1, "a batch must pay lowering exactly once"
 
     def test_empty_batch(self):
         _spec, gm = self._optimized("fir")
-        assert run_module_batch(gm, [], engine="bytecode") == []
+        assert run_module_batch(gm, [], engine="reference") == []
 
 
 class TestStudyDifferential:
-    """The study matrix on the bytecode engine: serial == compiled-engine
-    study, and jobs=2 == jobs=1 (the exec scheduler with the new tier)."""
+    """The study matrix served from a warm disk cache: warm == cold, and
+    warm jobs=2 == warm jobs=1 (workers load the parent's entries)."""
 
     CONFIG = dict(benchmarks=("fir", "iir", "sewha"), seeds=(0, 1, 2))
 
     @pytest.fixture(scope="class")
-    def compiled_study(self):
+    def studies(self, tmp_path_factory):
         from repro.feedback.study import StudyConfig, run_study
-        return run_study(StudyConfig(jobs=1, engine="compiled",
-                                     **self.CONFIG))
+        mp = pytest.MonkeyPatch()
+        mp.setenv(diskcache.CACHE_ENV_VAR,
+                  str(tmp_path_factory.mktemp("study-cache")))
+        diskcache.reset_cache_state()
+        try:
+            cold = run_study(StudyConfig(jobs=1, **self.CONFIG))
+            hits = diskcache.get_cache().hits["codegen"]
+            warm = run_study(StudyConfig(jobs=1, **self.CONFIG))
+            assert diskcache.get_cache().hits["codegen"] > hits
+            parallel = run_study(StudyConfig(jobs=2, **self.CONFIG))
+        finally:
+            mp.undo()
+            diskcache.reset_cache_state()
+        return cold, warm, parallel
 
-    @pytest.fixture(scope="class")
-    def bytecode_study(self):
-        from repro.feedback.study import StudyConfig, run_study
-        return run_study(StudyConfig(jobs=1, engine="bytecode",
-                                     **self.CONFIG))
-
-    @pytest.fixture(scope="class")
-    def bytecode_parallel_study(self):
-        from repro.feedback.study import StudyConfig, run_study
-        return run_study(StudyConfig(jobs=2, engine="bytecode",
-                                     **self.CONFIG))
-
-    def test_engines_agree_across_matrix(self, compiled_study,
-                                         bytecode_study):
+    def test_engines_agree_across_matrix(self, studies):
+        cold, warm, _parallel = studies
         for name in self.CONFIG["benchmarks"]:
             for level in LEVELS:
-                ra = compiled_study.benchmark(name).run_at(level)
-                rb = bytecode_study.benchmark(name).run_at(level)
+                ra = cold.benchmark(name).run_at(level)
+                rb = warm.benchmark(name).run_at(level)
                 assert ra.seeds == rb.seeds
                 assert ra.cycles_by_seed() == rb.cycles_by_seed()
                 for sa, sb in zip(ra.seed_results, rb.seed_results):
                     assert_identical(sa, sb)
 
-    def test_jobs2_bit_identical(self, bytecode_study,
-                                 bytecode_parallel_study):
+    def test_jobs2_bit_identical(self, studies):
         from repro.reporting.tables import table2
+        _cold, warm, parallel = studies
         for name in self.CONFIG["benchmarks"]:
             for level in LEVELS:
-                ra = bytecode_study.benchmark(name).run_at(level)
-                rb = bytecode_parallel_study.benchmark(name).run_at(level)
+                ra = warm.benchmark(name).run_at(level)
+                rb = parallel.benchmark(name).run_at(level)
                 assert_identical(ra.machine_result, rb.machine_result)
                 for sa, sb in zip(ra.seed_results, rb.seed_results):
                     assert_identical(sa, sb)
-        assert table2(bytecode_parallel_study) == table2(bytecode_study)
+        assert table2(parallel) == table2(warm)
 
 
 class TestErrorParity:
-    """The bytecode engine raises the same SimulationErrors."""
+    """Both engines raise the same SimulationErrors."""
 
     def _all_raise(self, gm, inputs=None, match=None, max_cycles=None):
         for engine in ENGINES:
@@ -216,7 +244,7 @@ class TestErrorParity:
 
     def test_cycle_limit_bounded_overrun(self):
         """A *terminating* program that exceeds the limit must raise on
-        every engine.  The bytecode tier checks the limit sparsely while
+        every engine.  The lowered words check the limit sparsely while
         running (back-edges only), so this pins the exact post-run check
         that keeps complete-vs-abort decisions engine-invariant."""
         spec = get_benchmark("fir")
@@ -356,8 +384,8 @@ class TestVliwSemantics:
             assert run_module(gm, engine=engine).return_value == 7, engine
 
     def test_single_successor_branch_false_edge_raises(self):
-        """...and the bytecode tier raises a clean SimulationError when
-        the missing false edge is taken (the other engines crash with an
+        """...and the codegen engine raises a clean SimulationError when
+        the missing false edge is taken (the reference crashes with an
         IndexError there — a malformed graph either way)."""
         def build(graph):
             c = VirtualReg("%c")
@@ -370,10 +398,9 @@ class TestVliwSemantics:
             graph.add_edge(nbr.id, n2.id)
         gm = self._module(build)
         with pytest.raises(SimulationError, match="no false edge"):
-            run_module(gm, engine="bytecode")
-        for engine in ("reference", "compiled"):
-            with pytest.raises((SimulationError, IndexError)):
-                run_module(gm, engine=engine)
+            run_module(gm, engine="codegen")
+        with pytest.raises((SimulationError, IndexError)):
+            run_module(gm, engine="reference")
 
     def test_store_load_same_cycle(self):
         """A load in the same node as a store reads pre-cycle memory."""
@@ -410,15 +437,17 @@ class TestLoweredCache:
         gm = self._graphs()
         first = lower_module(gm)
         assert lower_module(gm) is first
-        run_module(gm, {"x": [1, 2, 3, 4]}, engine="bytecode")
+        run_module(gm, {"x": [1, 2, 3, 4]}, engine="codegen")
         assert lower_module(gm) is first
 
     def test_independent_of_compiled_cache(self):
+        """The generated-code cache sits on top of the lowering cache;
+        reading either leaves the other in place."""
         gm = self._graphs()
+        generated = generate_module(gm)
         lowered = lower_module(gm)
-        compiled = compile_module(gm)
-        assert lower_module(gm) is lowered
-        assert compile_module(gm) is compiled
+        assert generate_module(gm) is generated
+        assert lower_module(gm) is lowered is generated.lowered
 
     def test_cache_invalidated_by_node_edit(self):
         gm = self._graphs()
@@ -436,7 +465,7 @@ class TestLoweredCache:
                    if i.op is Op.ADD and i.dest is not None)
         ins.replace_uses({reg: Constant(7) for reg in ins.uses()})
         assert lower_module(gm) is not first
-        run_module(gm, {"x": [1, 2, 3, 4]}, engine="bytecode")
+        run_module(gm, {"x": [1, 2, 3, 4]}, engine="codegen")
 
     def test_cache_invalidated_by_edge_edit(self):
         gm = self._graphs()
@@ -455,68 +484,50 @@ class TestLoweredCache:
     def test_cache_stripped_on_pickle(self):
         gm = self._graphs()
         lower_module(gm)
-        compile_module(gm)
+        generate_module(gm)
         clone = pickle.loads(pickle.dumps(gm))
         assert "_lowered_cache" not in clone.__dict__
-        assert "_compiled_cache" not in clone.__dict__
+        assert "_codegen_cache" not in clone.__dict__
         # ...and the original keeps both caches.
         assert "_lowered_cache" in gm.__dict__
-        assert "_compiled_cache" in gm.__dict__
+        assert "_codegen_cache" in gm.__dict__
         # the clone still runs (it re-lowers lazily)
         assert run_module(clone, {"x": [1, 1, 1, 1]},
-                          engine="bytecode").return_value == 4
+                          engine="codegen").return_value == 4
 
 
 class TestCompiledCacheEdgeEdit:
-    """Satellite regression: the memoized-signature fast path must still
-    invalidate on in-place edge edits (the closure cache shares the
-    streaming validator with the lowered cache)."""
+    """Regression: the memoized-signature fast path must still invalidate
+    on in-place edge edits (the generated-code cache shares the streaming
+    validator with the lowered cache)."""
 
     def test_compiled_cache_invalidated_by_edge_edit(self):
         gm = build_module_graphs(compile_source(
             "int main() { int i; int s; s = 0;"
             " for (i = 0; i < 4; i++) { s += i; } return s; }", "t"))
-        first = compile_module(gm)
+        first = generate_module(gm)
         graph = gm.graphs["main"]
         nid, node = next((nid, n) for nid, n in graph.nodes.items()
                          if len(n.succs) == 1)
         graph.redirect_edge(nid, node.succs[0], nid)
-        assert compile_module(gm) is not first
+        assert generate_module(gm) is not first
 
 
 class TestEngineSelection:
-    def test_bytecode_engine_listed(self):
-        assert "bytecode" in ENGINES
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bytecode")
-        assert _default_engine() == "bytecode"
-        monkeypatch.setenv("REPRO_ENGINE", "")
-        assert _default_engine() == "compiled"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert _default_engine() == "compiled"
-
-    def test_env_var_invalid_surfaces_at_run(self, monkeypatch):
-        """An invalid REPRO_ENGINE is not an import-time crash: it raises
-        a clean unknown-engine error naming the variable on the first
-        simulation (inside the CLI's normal error handling)."""
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        assert _default_engine() == "turbo"
-        gm = build_module_graphs(
-            compile_source("int main() { return 1; }", "t"))
-        with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-            run_module(gm, engine=_default_engine())
-
-    def test_explore_runs_on_bytecode(self):
+    def test_explore_runs_on_bytecode(self, disk):
+        """The exploration loop measures the same designs from a warm
+        cache as from a cold one."""
         from repro.asip.explore import explore_designs
         spec = get_benchmark("sewha")
         module = compile_benchmark(spec)
         inputs = spec.generate_inputs(0)
-        compiled = explore_designs(module, inputs, area_budget=2500,
-                                   measure_top=2, engine="compiled")
-        bytecode = explore_designs(module, inputs, area_budget=2500,
-                                   measure_top=2, engine="bytecode")
-        assert [p.labels() for p in bytecode.measured] == \
-            [p.labels() for p in compiled.measured]
-        assert [p.speedup for p in bytecode.measured] == \
-            [p.speedup for p in compiled.measured]
+        cold = explore_designs(module, inputs, area_budget=2500,
+                               measure_top=2)
+        hits = disk.hits["codegen"]
+        warm = explore_designs(module, inputs, area_budget=2500,
+                               measure_top=2)
+        assert disk.hits["codegen"] > hits
+        assert [p.labels() for p in warm.measured] == \
+            [p.labels() for p in cold.measured]
+        assert [p.speedup for p in warm.measured] == \
+            [p.speedup for p in cold.measured]

@@ -27,10 +27,9 @@ class TestParser:
         args = build_parser().parse_args(["study", "--levels", "2,0,0"])
         assert args.levels == (0, 2)
 
-    def test_engine_choices_cover_all_five_tiers(self):
+    def test_engine_choices_cover_both_engines(self):
         from repro.sim.machine import ENGINES
-        assert set(ENGINES) == {"compiled", "bytecode", "codegen",
-                                "lanes", "reference"}
+        assert ENGINES == ("codegen", "reference")
         for engine in ENGINES:
             args = build_parser().parse_args(
                 ["study", "--engine", engine])
@@ -335,7 +334,7 @@ class TestCacheCommand:
         assert code == 0
         code, text = run_cli("cache", "show", "--cache-dir", cache_dir)
         assert code == 0
-        assert "bytecode" in text and "codegen" in text
+        assert "codegen" in text
         code, text = run_cli("cache", "clear", "--cache-dir", cache_dir)
         assert code == 0
         assert "removed" in text
@@ -375,7 +374,7 @@ class TestCacheCommand:
         try:
             cache = diskcache.get_cache()
             for _ in range(2):
-                assert cache.store("bytecode", "cd" * 32,
+                assert cache.store("codegen", "cd" * 32,
                                    lambda: None) is False
             code, text = run_cli("cache", "show")
             assert code == 0

@@ -1,7 +1,7 @@
 """Codegen-engine tests: differential equivalence, caching, hardening.
 
-The exec-compiled tier (:mod:`repro.sim.codegen`) must be
-indistinguishable from the other three engines — return value, memory
+The exec-compiled engine (:mod:`repro.sim.codegen`) must be
+indistinguishable from the reference interpreter — return value, memory
 state and the *complete* profile (node, edge and call counts).  The
 differential harness here sweeps the whole 12-benchmark DSP suite at
 levels 0, 1 and 2, chained (post-``select_chains``) modules, multi-seed
@@ -22,7 +22,7 @@ from repro.chaining.detect import detect_sequences
 from repro.errors import SimulationError
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.codegen import generate_module
+from repro.sim.codegen import emit_sources, generate_module
 from repro.sim.engine import lower_module
 from repro.sim.machine import (ENGINES, ensure_engine, run_module,
                                run_module_batch)
@@ -43,7 +43,7 @@ def assert_identical(expected, actual):
 
 
 class TestSuiteDifferential:
-    """Every benchmark at every level: codegen == bytecode == reference."""
+    """Every benchmark at every level: codegen == reference."""
 
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("name", SUITE)
@@ -52,10 +52,8 @@ class TestSuiteDifferential:
         inputs = spec.generate_inputs(0)
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(level))
         reference = run_module(gm, inputs, engine="reference")
-        bytecode = run_module(gm, inputs, engine="bytecode")
         codegen = run_module(gm, inputs, engine="codegen")
         assert_identical(reference, codegen)
-        assert_identical(bytecode, codegen)
 
     @pytest.mark.parametrize("name", SUITE)
     def test_chained_sequential(self, name):
@@ -73,22 +71,24 @@ class TestSuiteDifferential:
                     isa.add_chain(ChainedInstruction.from_sequence(pattern))
         fused = sequential.copy()
         select_chains(fused, isa)
-        assert_identical(run_module(fused, inputs, engine="compiled"),
+        assert_identical(run_module(fused, inputs, engine="reference"),
                          run_module(fused, inputs, engine="codegen"))
 
     def test_benchmark_run_end_to_end(self):
-        """run_benchmark(engine="codegen") matches compiled end to end,
-        detection included (it only consumes the identical profile)."""
+        """run_benchmark(engine="codegen") matches the reference end to
+        end, detection included (it only consumes the identical
+        profile)."""
         spec = get_benchmark("sewha")
-        compiled = run_benchmark(spec, OptLevel.PIPELINED)
+        reference = run_benchmark(spec, OptLevel.PIPELINED,
+                                  engine="reference")
         codegen = run_benchmark(spec, OptLevel.PIPELINED,
                                 engine="codegen")
-        assert codegen.cycles == compiled.cycles
-        assert_identical(compiled.machine_result, codegen.machine_result)
-        assert codegen.detection.total_ops == compiled.detection.total_ops
+        assert codegen.cycles == reference.cycles
+        assert_identical(reference.machine_result, codegen.machine_result)
+        assert codegen.detection.total_ops == reference.detection.total_ops
         for length in (2, 3, 4, 5):
             assert codegen.detection.top(length) == \
-                compiled.detection.top(length)
+                reference.detection.top(length)
 
 
 class TestBatchedSimulation:
@@ -107,7 +107,7 @@ class TestBatchedSimulation:
         spec, gm = self._optimized(name, level)
         inputs = [spec.generate_inputs(seed) for seed in self.SEEDS]
         batched = run_module_batch(gm, inputs, engine="codegen")
-        singles = [run_module(gm, i, engine="bytecode") for i in inputs]
+        singles = [run_module(gm, i, engine="reference") for i in inputs]
         assert len(batched) == len(self.SEEDS)
         for one, many in zip(singles, batched):
             assert_identical(one, many)
@@ -133,15 +133,15 @@ class TestBatchedSimulation:
 
 
 class TestStudyDifferential:
-    """The study matrix on the codegen engine: serial == bytecode-engine
-    study, and jobs=2 == jobs=1 (the exec scheduler with the new tier)."""
+    """The study matrix on the codegen engine: serial == reference-engine
+    study, and jobs=2 == jobs=1 (the exec scheduler)."""
 
     CONFIG = dict(benchmarks=("fir", "iir", "sewha"), seeds=(0, 1, 2))
 
     @pytest.fixture(scope="class")
-    def bytecode_study(self):
+    def reference_study(self):
         from repro.feedback.study import StudyConfig, run_study
-        return run_study(StudyConfig(jobs=1, engine="bytecode",
+        return run_study(StudyConfig(jobs=1, engine="reference",
                                      **self.CONFIG))
 
     @pytest.fixture(scope="class")
@@ -156,11 +156,11 @@ class TestStudyDifferential:
         return run_study(StudyConfig(jobs=2, engine="codegen",
                                      **self.CONFIG))
 
-    def test_engines_agree_across_matrix(self, bytecode_study,
+    def test_engines_agree_across_matrix(self, reference_study,
                                          codegen_study):
         for name in self.CONFIG["benchmarks"]:
             for level in LEVELS:
-                ra = bytecode_study.benchmark(name).run_at(level)
+                ra = reference_study.benchmark(name).run_at(level)
                 rb = codegen_study.benchmark(name).run_at(level)
                 assert ra.seeds == rb.seeds
                 assert ra.cycles_by_seed() == rb.cycles_by_seed()
@@ -214,8 +214,8 @@ class TestErrorParity:
 
     def test_cycle_limit_bounded_overrun(self):
         """A terminating program exceeding the limit raises on every
-        engine; the codegen tier checks sparsely (back-edges) and exactly
-        post-run, like the bytecode tier."""
+        engine; the codegen engine checks sparsely (back-edges) while
+        running and exactly post-run."""
         spec = get_benchmark("fir")
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel.NONE)
         inputs = spec.generate_inputs(0)
@@ -289,11 +289,11 @@ class TestGeneratedSource:
 
     def test_source_is_local_variable_code(self):
         gm = self._graphs()
-        generated = generate_module(gm)
-        assert "def _f0(" in generated.source
+        [source], _consts = emit_sources(generate_module(gm).lowered)
+        assert "def _f0(" in source
         # registers are locals, not list indexing
-        assert "regs[" not in generated.source
-        assert "while True:" in generated.source
+        assert "regs[" not in source
+        assert "while True:" in source
 
     def test_cache_reused_across_runs(self):
         gm = self._graphs()
@@ -303,8 +303,8 @@ class TestGeneratedSource:
         assert generate_module(gm) is first
 
     def test_cache_shares_the_lowered_form(self):
-        """Generation reuses (and caches) the bytecode tier's lowering —
-        one structural signature governs all three caches."""
+        """Generation reuses (and caches) the lowering — one structural
+        signature governs both caches."""
         gm = self._graphs()
         generated = generate_module(gm)
         assert lower_module(gm) is generated.lowered
@@ -340,11 +340,6 @@ class TestEngineSelection:
     def test_codegen_engine_listed(self):
         assert "codegen" in ENGINES
 
-    def test_env_var_selects_default(self, monkeypatch):
-        from repro.sim.machine import _default_engine
-        monkeypatch.setenv("REPRO_ENGINE", "codegen")
-        assert _default_engine() == "codegen"
-
     def test_ensure_engine_accepts_every_tier(self):
         for engine in ENGINES:
             assert ensure_engine(engine) == engine
@@ -358,11 +353,11 @@ class TestEngineSelection:
         spec = get_benchmark("sewha")
         module = compile_benchmark(spec)
         inputs = spec.generate_inputs(0)
-        compiled = explore_designs(module, inputs, area_budget=2500,
-                                   measure_top=2, engine="compiled")
+        reference = explore_designs(module, inputs, area_budget=2500,
+                                    measure_top=2, engine="reference")
         codegen = explore_designs(module, inputs, area_budget=2500,
                                   measure_top=2, engine="codegen")
         assert [p.labels() for p in codegen.measured] == \
-            [p.labels() for p in compiled.measured]
+            [p.labels() for p in reference.measured]
         assert [p.speedup for p in codegen.measured] == \
-            [p.speedup for p in compiled.measured]
+            [p.speedup for p in reference.measured]

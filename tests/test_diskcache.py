@@ -26,7 +26,6 @@ from repro.suite.runner import compile_benchmark
 
 SPEC = get_benchmark("sewha")
 INPUTS = SPEC.generate_inputs(0)
-DISK_ENGINES = ("bytecode", "codegen")  # the tiers the disk cache holds
 
 
 def fresh_graph_module(level=1):
@@ -95,13 +94,14 @@ class TestEquivalence:
                     fresh_graph_module(key[1]), INPUTS, engine=key[0]))
                 for key in reference}
         cache = get_cache()
-        assert cache.stores["bytecode"] == 3
-        assert cache.stores["codegen"] == 3
+        # one entry per module: the codegen entry carries the lowering
+        assert dict(cache.stores) == {"codegen": 3}
+        assert [kind for kind, _ in cache.entries()] == ["codegen"] * 3
         warm = {key: result_projection(run_module(
                     fresh_graph_module(key[1]), INPUTS, engine=key[0]))
                 for key in reference}
-        assert cache.hits["bytecode"] >= 3
-        assert cache.hits["codegen"] == 3
+        assert dict(cache.hits) == {"codegen": 3}
+        assert dict(cache.stores) == {"codegen": 3}
         assert not cache.corrupt
         assert cold == reference
         assert warm == reference
@@ -110,26 +110,23 @@ class TestEquivalence:
                                                     monkeypatch):
         from repro.sim import codegen as codegen_mod
         from repro.sim import engine as engine_mod
-        for engine in DISK_ENGINES:  # prime
-            run_module(fresh_graph_module(), INPUTS, engine=engine)
+        cold = result_projection(run_module(fresh_graph_module(), INPUTS))
 
         def refuse(*_args, **_kwargs):
             raise AssertionError(
-                "warm disk cache must skip lowering/generation")
+                "warm disk cache must skip lowering/generation/compiling")
         monkeypatch.setattr(engine_mod.LoweredModule, "__init__", refuse)
         monkeypatch.setattr(codegen_mod, "_FunctionEmitter", refuse)
-        before = dict(get_cache().hits)
-        warm = {engine: result_projection(run_module(
-                    fresh_graph_module(), INPUTS, engine=engine))
-                for engine in DISK_ENGINES}
-        assert warm["bytecode"] == warm["codegen"]
-        assert get_cache().hits["bytecode"] > before.get("bytecode", 0)
-        assert get_cache().hits["codegen"] > before.get("codegen", 0)
+        monkeypatch.setattr(codegen_mod, "_compile_sources", refuse)
+        before = get_cache().hits["codegen"]
+        warm = result_projection(run_module(fresh_graph_module(), INPUTS))
+        assert warm == cold
+        assert get_cache().hits["codegen"] == before + 1
 
     def test_cold_process_hits_warm_cache(self, cache_dir):
         # A genuinely cold interpreter: prime from one subprocess, then
-        # assert a second subprocess serves both tiers from disk and
-        # produces the same outputs.
+        # assert a second subprocess serves the module from disk and
+        # produces the reference engine's outputs.
         script = (
             "import os, sys\n"
             "from repro.opt.pipeline import OptLevel, optimize_module\n"
@@ -140,7 +137,7 @@ class TestEquivalence:
             "spec = get_benchmark('sewha')\n"
             "gm, _ = optimize_module(compile_benchmark(spec), OptLevel(1))\n"
             "res = [run_module(gm, spec.generate_inputs(0), engine=e)\n"
-            "       for e in ('bytecode', 'codegen')]\n"
+            "       for e in ('reference', 'codegen')]\n"
             "cache = get_cache()\n"
             "print(sorted(cache.hits.items()), res[0].cycles,\n"
             "      res[0].return_value == res[1].return_value\n"
@@ -157,17 +154,17 @@ class TestEquivalence:
         second_hits, cycles2, agree2 = outputs[1].rsplit(maxsplit=2)
         # First interpreter: everything generated, nothing served.
         assert first_hits == "[]"
-        # Second interpreter: both tiers served straight from disk.
-        assert second_hits == "[('bytecode', 1), ('codegen', 1)]"
+        # Second interpreter: served straight from disk.
+        assert second_hits == "[('codegen', 1)]"
         assert cycles == cycles2 and agree == "True" and agree2 == "True"
 
 
 class TestRobustness:
     def prime(self):
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
         cache = get_cache()
         digest = module_digest(fresh_graph_module())
-        path = cache.entry_path("bytecode", digest)
+        path = cache.entry_path("codegen", digest)
         assert path.is_file()
         return cache, digest, path
 
@@ -175,35 +172,35 @@ class TestRobustness:
         cache, digest, path = self.prime()
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 3])
-        assert cache.load("bytecode", digest) is None
-        assert cache.corrupt["bytecode"] == 1
+        assert cache.load("codegen", digest) is None
+        assert cache.corrupt["codegen"] == 1
         # The normal run path regenerates and rewrites the entry...
         result = run_module(fresh_graph_module(), INPUTS,
-                            engine="bytecode")
-        assert cache.stores["bytecode"] >= 2
+                            engine="codegen")
+        assert cache.stores["codegen"] >= 2
         # ...after which it is a valid hit again.
-        assert cache.load("bytecode", digest) is not None
+        assert cache.load("codegen", digest) is not None
         assert result_projection(result) == result_projection(
-            run_module(fresh_graph_module(), INPUTS, engine="bytecode"))
+            run_module(fresh_graph_module(), INPUTS, engine="codegen"))
 
     def test_garbage_entry_is_ignored(self, cache_dir):
         cache, digest, path = self.prime()
         path.write_bytes(b"not a pickle at all")
-        assert cache.load("bytecode", digest) is None
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
+        assert cache.load("codegen", digest) is None
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
 
     def test_version_mismatch_is_a_miss(self, cache_dir):
         cache, digest, path = self.prime()
         entry = pickle.loads(path.read_bytes())
         entry["version"] = FORMAT_VERSION + 1
         path.write_bytes(pickle.dumps(entry))
-        assert cache.load("bytecode", digest) is None
+        assert cache.load("codegen", digest) is None
 
     def test_digest_mismatch_is_a_miss(self, cache_dir):
         cache, digest, path = self.prime()
         other = "0" * len(digest)
-        path.rename(cache.entry_path("bytecode", other))
-        assert cache.load("bytecode", other) is None
+        path.rename(cache.entry_path("codegen", other))
+        assert cache.load("codegen", other) is None
 
     def test_corrupted_marshal_blob_falls_back_to_source(self, cache_dir):
         # marshal.loads may hard-crash on damaged bytes, so a blob whose
@@ -231,14 +228,14 @@ class TestRobustness:
         cache, digest, path = self.prime()
         monkeypatch.setattr(diskcache, "_source_token_cache",
                             "fedcba987654")
-        assert cache.load("bytecode", digest) is None
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
-        assert cache.entry_path("bytecode", digest).is_file()
+        assert cache.load("codegen", digest) is None
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
+        assert cache.entry_path("codegen", digest).is_file()
 
     def test_kind_mismatch_is_a_miss(self, cache_dir):
         cache, digest, path = self.prime()
-        path.rename(cache.entry_path("codegen", digest))
-        assert cache.load("codegen", digest) is None
+        path.rename(cache.entry_path(diskcache.RESULT_KIND, digest))
+        assert cache.load(diskcache.RESULT_KIND, digest) is None
 
     def test_concurrent_writers_publish_complete_entries(self, cache_dir):
         cache = DiskCache(cache_dir)
@@ -248,8 +245,8 @@ class TestRobustness:
         def hammer():
             try:
                 for _ in range(50):
-                    assert cache.store("bytecode", "k" * 64, payload)
-                    loaded = cache.load("bytecode", "k" * 64)
+                    assert cache.store("codegen", "k" * 64, payload)
+                    loaded = cache.load("codegen", "k" * 64)
                     # A reader racing the writers sees a *complete*
                     # entry (atomic rename), never a torn one.
                     assert loaded == payload
@@ -262,15 +259,15 @@ class TestRobustness:
         for t in threads:
             t.join()
         assert not errors
-        assert cache.load("bytecode", "k" * 64) == payload
+        assert cache.load("codegen", "k" * 64) == payload
         assert not list(cache_dir.glob("**/*.tmp"))
 
     def test_unpicklable_payload_counted_not_raised(self, cache_dir):
         cache = get_cache()
-        assert not cache.store("bytecode", "x" * 64,
+        assert not cache.store("codegen", "x" * 64,
                                {"fn": lambda: None})
-        assert cache.failures["bytecode"] == 1
-        assert cache.load("bytecode", "x" * 64) is None
+        assert cache.failures["codegen"] == 1
+        assert cache.load("codegen", "x" * 64) is None
 
     def test_intrinsic_heavy_benchmarks_are_cacheable(self, cache_dir):
         # dft's sin/cos intrinsics are inlined as function objects in the
@@ -279,12 +276,10 @@ class TestRobustness:
         # silently loses the disk tier.
         spec = get_benchmark("dft")
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(1))
-        for engine in DISK_ENGINES:
-            run_module(gm, spec.generate_inputs(0), engine=engine)
+        run_module(gm, spec.generate_inputs(0), engine="codegen")
         cache = get_cache()
         assert not cache.failures
-        assert cache.stores["bytecode"] == 1
-        assert cache.stores["codegen"] == 1
+        assert dict(cache.stores) == {"codegen": 1}
         gm2, _ = optimize_module(compile_benchmark(spec), OptLevel(1))
         warm = run_module(gm2, spec.generate_inputs(0), engine="codegen")
         assert cache.hits["codegen"] == 1
@@ -298,7 +293,7 @@ class TestRobustness:
         monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(blocked))
         diskcache.reset_cache_state()
         result = run_module(fresh_graph_module(), INPUTS,
-                            engine="bytecode")
+                            engine="codegen")
         assert result.cycles > 0  # simulation unaffected
         diskcache.reset_cache_state()
 
@@ -331,7 +326,7 @@ class TestLifecycle:
         # A cache root pointed at a shared directory: clear() may only
         # touch the cache's own v<digits> layout, never siblings that
         # happen to start with "v".
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
         bystander = cache_dir / "vendor"
         bystander.mkdir()
         (bystander / "keep.txt").write_text("precious")
@@ -340,22 +335,20 @@ class TestLifecycle:
 
     def test_entries_and_clear(self, cache_dir):
         for level in (0, 1):
-            for engine in DISK_ENGINES:
-                run_module(fresh_graph_module(level), INPUTS,
-                           engine=engine)
+            run_module(fresh_graph_module(level), INPUTS, engine="codegen")
         cache = get_cache()
         kinds = sorted(kind for kind, _ in cache.entries())
-        assert kinds == ["bytecode", "bytecode", "codegen", "codegen"]
-        assert cache.clear() == 4
+        assert kinds == ["codegen", "codegen"]
+        assert cache.clear() == 2
         assert list(cache.entries()) == []
         # clearing is idempotent and the tier keeps working afterwards
         assert cache.clear() == 0
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
         assert len(list(cache.entries())) == 1
 
     def test_worker_processes_share_the_cache(self, cache_dir):
         # A jobs=2 study on the codegen engine: pool workers inherit
-        # REPRO_CACHE and publish their lowered/generated forms, so the
+        # REPRO_CACHE and publish their generated forms, so the
         # parent-side cache directory fills up from worker processes.
         # The persistent pool snapshots the environment when its workers
         # fork, so it is recycled around this test's private directory.
@@ -366,7 +359,7 @@ class TestLifecycle:
             run_study(StudyConfig(benchmarks=("sewha", "dft"), jobs=2,
                                   engine="codegen"))
             kinds = {kind for kind, _ in get_cache().entries()}
-            assert kinds == {"bytecode", "codegen"}
+            assert kinds == {"codegen"}
         finally:
             shutdown_pool()
 
@@ -374,7 +367,7 @@ class TestLifecycle:
 class TestSizeCapEviction:
     """The LRU eviction pass (REPRO_CACHE_MAX_MB) and its accounting."""
 
-    def fill(self, cache, count, kind="bytecode", size=4096):
+    def fill(self, cache, count, kind="codegen", size=4096):
         digests = []
         for i in range(count):
             digest = f"{i:064x}"
@@ -391,16 +384,16 @@ class TestSizeCapEviction:
     def test_lru_order_oldest_first(self, cache_dir):
         cache = DiskCache(cache_dir)
         digests = self.fill(cache, 4)
-        self.backdate(cache, "bytecode", digests)
+        self.backdate(cache, "codegen", digests)
         entry_size = cache.entry_path(
-            "bytecode", digests[0]).stat().st_size
+            "codegen", digests[0]).stat().st_size
         evicted = cache.evict_to_cap(max_bytes=2 * entry_size)
         assert evicted == 2
         survivors = [d for d in digests
-                     if cache.entry_path("bytecode", d).exists()]
+                     if cache.entry_path("codegen", d).exists()]
         assert survivors == digests[2:]  # the two most recent
-        assert cache.evictions["bytecode"] == 2
-        assert cache.evicted_bytes["bytecode"] == 2 * entry_size
+        assert cache.evictions["codegen"] == 2
+        assert cache.evicted_bytes["codegen"] == 2 * entry_size
         assert cache.op_count["evict"] == 1
         assert cache.op_seconds["evict"] >= 0.0
         assert cache.total_bytes() <= 2 * entry_size
@@ -408,31 +401,31 @@ class TestSizeCapEviction:
     def test_hit_refreshes_recency(self, cache_dir):
         cache = DiskCache(cache_dir)
         digests = self.fill(cache, 2)
-        self.backdate(cache, "bytecode", digests)
+        self.backdate(cache, "codegen", digests)
         # digests[0] is the older entry, but a hit bumps its atime...
-        assert cache.load("bytecode", digests[0]) is not None
+        assert cache.load("codegen", digests[0]) is not None
         entry_size = cache.entry_path(
-            "bytecode", digests[0]).stat().st_size
+            "codegen", digests[0]).stat().st_size
         cache.evict_to_cap(max_bytes=entry_size)
         # ...so the *unread* entry is the LRU one and goes first.
-        assert cache.entry_path("bytecode", digests[0]).exists()
-        assert not cache.entry_path("bytecode", digests[1]).exists()
+        assert cache.entry_path("codegen", digests[0]).exists()
+        assert not cache.entry_path("codegen", digests[1]).exists()
 
     def test_pinned_entries_never_evicted(self, cache_dir):
         cache = DiskCache(cache_dir)
         digests = self.fill(cache, 3)
-        self.backdate(cache, "bytecode", digests)
-        cache.pin("bytecode", digests[0])
-        cache.pin("bytecode", digests[0])  # refcounted: two holders
-        assert cache.is_pinned("bytecode", digests[0])
+        self.backdate(cache, "codegen", digests)
+        cache.pin("codegen", digests[0])
+        cache.pin("codegen", digests[0])  # refcounted: two holders
+        assert cache.is_pinned("codegen", digests[0])
         assert cache.evict_to_cap(max_bytes=0) == 2
-        assert cache.entry_path("bytecode", digests[0]).exists()
-        cache.unpin("bytecode", digests[0])
-        assert cache.is_pinned("bytecode", digests[0])  # one holder left
-        cache.unpin("bytecode", digests[0])
-        assert not cache.is_pinned("bytecode", digests[0])
+        assert cache.entry_path("codegen", digests[0]).exists()
+        cache.unpin("codegen", digests[0])
+        assert cache.is_pinned("codegen", digests[0])  # one holder left
+        cache.unpin("codegen", digests[0])
+        assert not cache.is_pinned("codegen", digests[0])
         assert cache.evict_to_cap(max_bytes=0) == 1
-        assert not cache.entry_path("bytecode", digests[0]).exists()
+        assert not cache.entry_path("codegen", digests[0]).exists()
 
     def test_store_triggers_eviction_under_env_cap(self, cache_dir,
                                                    monkeypatch):
@@ -444,7 +437,7 @@ class TestSizeCapEviction:
         assert cache.total_bytes() <= cap
         assert sum(cache.evictions.values()) > 0
         # the freshest entry always survives its own store's eviction
-        assert cache.entry_path("bytecode", f"{11:064x}").exists()
+        assert cache.entry_path("codegen", f"{11:064x}").exists()
 
     def test_malformed_cap_is_uncapped_on_hot_path(self, cache_dir,
                                                    monkeypatch):
@@ -481,7 +474,7 @@ class TestStaleTmpSweep:
 
     def test_clear_reaps_tmp_files_of_any_age(self, cache_dir):
         cache = DiskCache(cache_dir)
-        run_module(fresh_graph_module(), INPUTS, engine="bytecode")
+        run_module(fresh_graph_module(), INPUTS, engine="codegen")
         live = get_cache()
         self.plant(live, age=0)
         assert live.clear() == 2  # one entry + one orphan
@@ -501,27 +494,27 @@ class TestCounterGuards:
     """unusable()/reject() can never drive the counters negative."""
 
     def seed_hit(self, cache):
-        assert cache.store("bytecode", "a" * 64, {"blob": 1})
-        assert cache.load("bytecode", "a" * 64) is not None
+        assert cache.store("codegen", "a" * 64, {"blob": 1})
+        assert cache.load("codegen", "a" * 64) is not None
 
     def test_reject_without_hit_is_a_counted_noop(self, cache_dir):
         cache = DiskCache(cache_dir)
-        assert cache.reject("bytecode") is False
-        assert cache.unusable("bytecode") is False
-        assert cache.hits["bytecode"] == 0
-        assert cache.rejected["bytecode"] == 0
-        assert cache.corrupt["bytecode"] == 0
+        assert cache.reject("codegen") is False
+        assert cache.unusable("codegen") is False
+        assert cache.hits["codegen"] == 0
+        assert cache.rejected["codegen"] == 0
+        assert cache.corrupt["codegen"] == 0
 
     def test_double_reject_stops_at_zero(self, cache_dir):
         cache = DiskCache(cache_dir)
         self.seed_hit(cache)
-        assert cache.reject("bytecode") is True
-        assert cache.hits["bytecode"] == 0
-        assert cache.rejected["bytecode"] == 1
-        assert cache.misses["bytecode"] == 1
+        assert cache.reject("codegen") is True
+        assert cache.hits["codegen"] == 0
+        assert cache.rejected["codegen"] == 1
+        assert cache.misses["codegen"] == 1
         # a second reclassification has no hit to convert
-        assert cache.reject("bytecode") is False
-        assert cache.unusable("bytecode") is False
+        assert cache.reject("codegen") is False
+        assert cache.unusable("codegen") is False
         snapshot = cache.stats_snapshot()
         for kind_stats in snapshot["kinds"].values():
             for value in kind_stats.values():
@@ -530,7 +523,7 @@ class TestCounterGuards:
     def test_snapshot_shape_and_nonnegativity(self, cache_dir):
         cache = DiskCache(cache_dir)
         self.seed_hit(cache)
-        cache.load("bytecode", "0" * 64)  # a miss
+        cache.load("codegen", "0" * 64)  # a miss
         cache.evict_to_cap(max_bytes=0)
         snapshot = cache.stats_snapshot()
         assert snapshot["root"] == str(cache_dir)

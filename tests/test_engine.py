@@ -1,11 +1,13 @@
-"""Compiled-engine tests: differential equivalence, caching, chain commits.
+"""Default-engine tests: differential equivalence, caching, chain commits.
 
-The compiled engine (:mod:`repro.sim.engine`) must be indistinguishable from
-the reference interpreter — return value, memory state and the *complete*
-profile (node, edge and call counts).  The differential tests here sweep the
-whole DSP suite at level 0 and level 1 (PIPELINED) and over chained
-(post-``select_chains``) sequential modules, so every opcode, the VLIW
-read/commit discipline, calls, and fused-chain forwarding are all covered.
+The default engine (``codegen``, :mod:`repro.sim.codegen`), reached through
+``run_module``'s default argument exactly as every unpinned caller reaches
+it, must be indistinguishable from the reference interpreter — return
+value, memory state and the *complete* profile (node, edge and call
+counts).  The differential tests here sweep the whole DSP suite at level 0
+and level 1 (PIPELINED) and over chained (post-``select_chains``)
+sequential modules, so every opcode, the VLIW read/commit discipline,
+calls, and fused-chain forwarding are all covered.
 """
 
 import pytest
@@ -23,8 +25,8 @@ from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.engine import CompiledEngine, compile_module
-from repro.sim.machine import run_module, run_module_batch
+from repro.sim.codegen import CodegenEngine, generate_module
+from repro.sim.machine import ENGINES, run_module, run_module_batch
 from repro.sim.profile import ProfileData
 from repro.suite.registry import all_benchmarks, get_benchmark
 from repro.suite.runner import compile_benchmark
@@ -32,20 +34,20 @@ from repro.suite.runner import compile_benchmark
 SUITE = [spec.name for spec in all_benchmarks()]
 
 
-def assert_identical(reference, compiled):
+def assert_identical(reference, default):
     """Bit-identical MachineResults, profile included."""
-    assert compiled.return_value == reference.return_value
-    assert compiled.globals_after == reference.globals_after
-    assert compiled.profile.node_counts == reference.profile.node_counts
-    assert compiled.profile.edge_counts == reference.profile.edge_counts
-    assert compiled.profile.call_counts == reference.profile.call_counts
+    assert default.return_value == reference.return_value
+    assert default.globals_after == reference.globals_after
+    assert default.profile.node_counts == reference.profile.node_counts
+    assert default.profile.edge_counts == reference.profile.edge_counts
+    assert default.profile.call_counts == reference.profile.call_counts
 
 
 def run_both(graph_module, inputs):
     reference = run_module(graph_module, inputs, engine="reference")
-    compiled = run_module(graph_module, inputs, engine="compiled")
-    assert_identical(reference, compiled)
-    return reference, compiled
+    default = run_module(graph_module, inputs)
+    assert_identical(reference, default)
+    return reference, default
 
 
 class TestSuiteDifferential:
@@ -107,42 +109,44 @@ class TestCompilationCache:
 
     def test_cache_reused_across_runs(self):
         gm = self._graphs()
-        first = compile_module(gm)
-        assert compile_module(gm) is first
+        first = generate_module(gm)
+        assert generate_module(gm) is first
         run_module(gm, {"x": [1, 2, 3, 4]})
-        assert compile_module(gm) is first
+        assert generate_module(gm) is first
 
     def test_cache_invalidated_by_node_edit(self):
         gm = self._graphs()
-        first = compile_module(gm)
+        first = generate_module(gm)
         graph = gm.graphs["main"]
         node = next(n for n in graph.nodes.values() if n.ops)
         node.ops.append(Instruction(Op.NOP))
-        assert compile_module(gm) is not first
+        assert generate_module(gm) is not first
 
     def test_cache_invalidated_by_operand_rewrite(self):
         gm = self._graphs()
-        first = compile_module(gm)
+        first = generate_module(gm)
         graph = gm.graphs["main"]
         ins = next(i for n in graph.nodes.values() for i in n.ops
                    if i.op is Op.ADD and i.dest is not None)
         ins.replace_uses({reg: Constant(7) for reg in ins.uses()})
-        second = compile_module(gm)
+        second = generate_module(gm)
         assert second is not first
-        # ...and the recompiled module reflects the rewrite.
-        run_module(gm, {"x": [1, 2, 3, 4]})
+        # ...and the regenerated module reflects the rewrite.
+        assert run_module(gm, {"x": [1, 2, 3, 4]}).return_value == \
+            run_module(gm, {"x": [1, 2, 3, 4]},
+                       engine="reference").return_value
 
     def test_copy_does_not_share_cache(self):
         gm = self._graphs()
-        compile_module(gm)
-        assert "_compiled_cache" not in gm.copy().__dict__
+        generate_module(gm)
+        assert "_codegen_cache" not in gm.copy().__dict__
 
 
 class TestErrorParity:
-    """The compiled engine raises the same SimulationErrors."""
+    """The default engine raises the same SimulationErrors."""
 
     def _both_raise(self, gm, inputs=None, match=None):
-        for engine in ("reference", "compiled"):
+        for engine in ENGINES:
             with pytest.raises(SimulationError, match=match):
                 run_module(gm, inputs, engine=engine)
 
@@ -159,7 +163,7 @@ class TestErrorParity:
     def test_cycle_limit(self):
         gm = build_module_graphs(compile_source(
             "int main() { while (1) { } return 0; }", "t"))
-        for engine in ("reference", "compiled"):
+        for engine in ENGINES:
             with pytest.raises(SimulationError, match="cycle limit"):
                 run_module(gm, max_cycles=500, engine=engine)
 
@@ -184,7 +188,7 @@ class TestErrorParity:
         self._both_raise(gm, match="undefined register")
 
     def test_undefined_register_move(self):
-        """A MOV never coerces its operand, so the compiled engine needs an
+        """A MOV never coerces its operand, so the generated code needs an
         explicit check to match the reference interpreter's raise."""
         graph = ProgramGraph("main", return_type="int")
         n0 = graph.new_node()
@@ -235,7 +239,7 @@ def _chain_module():
 class TestChainCommitSemantics:
     """Satellite: Op.CHAIN operand forwarding vs. pre-cycle reads."""
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_forwarding_and_precycle_reads(self, engine):
         result = run_module(_chain_module(), engine=engine)
         out = result.array("out")
@@ -324,7 +328,7 @@ class TestBatchedSimulation:
 
     @pytest.mark.parametrize("name", BENCHES)
     @pytest.mark.parametrize("level", (0, 1, 2))
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_batch_matches_independent_runs(self, name, level, engine):
         spec, gm = self._optimized(name, level)
         inputs = [spec.generate_inputs(seed) for seed in self.SEEDS]
@@ -338,11 +342,10 @@ class TestBatchedSimulation:
     def test_batch_engines_agree(self, name):
         spec, gm = self._optimized(name, 1)
         inputs = [spec.generate_inputs(seed) for seed in self.SEEDS]
-        for ref, comp in zip(run_module_batch(gm, inputs,
-                                              engine="reference"),
-                             run_module_batch(gm, inputs,
-                                              engine="compiled")):
-            assert_identical(ref, comp)
+        for ref, default in zip(run_module_batch(gm, inputs,
+                                                 engine="reference"),
+                                run_module_batch(gm, inputs)):
+            assert_identical(ref, default)
 
     def test_seeds_actually_vary_the_run(self):
         spec, gm = self._optimized("fir", 0)
@@ -353,18 +356,18 @@ class TestBatchedSimulation:
             "every seed must produce distinct outputs or the sweep is moot"
 
     def test_batch_compiles_once(self, monkeypatch):
-        import repro.sim.engine as engine_mod
+        import repro.sim.codegen as codegen_mod
         spec, gm = self._optimized("fir", 1)
         calls = []
-        real = engine_mod.compile_module
+        real = codegen_mod._compile_sources
 
-        def counting(module):
+        def counting(module, sources):
             calls.append(module)
-            return real(module)
+            return real(module, sources)
 
-        monkeypatch.setattr(engine_mod, "compile_module", counting)
-        run_module_batch(gm, [spec.generate_inputs(s) for s in self.SEEDS],
-                         engine="compiled")
+        monkeypatch.setattr(codegen_mod, "_compile_sources", counting)
+        monkeypatch.setenv("REPRO_CACHE", "none")
+        run_module_batch(gm, [spec.generate_inputs(s) for s in self.SEEDS])
         assert len(calls) == 1, "a batch must pay compilation exactly once"
 
     def test_empty_batch(self):
@@ -390,7 +393,7 @@ class TestCompiledEngineReuse:
     def test_engine_object_reusable_across_runs(self):
         spec = get_benchmark("sewha")
         gm = build_module_graphs(compile_benchmark(spec))
-        engine = CompiledEngine(gm)
+        engine = CodegenEngine(gm)
         first = engine.run(spec.generate_inputs(0))
         second = engine.run(spec.generate_inputs(0))
         assert first.return_value == second.return_value

@@ -35,7 +35,7 @@ from repro.feedback.study import (BenchmarkStudy, StudyConfig, StudyResult,
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel
 from repro.reporting.tables import table2, table3
-from repro.sim.engine import compile_module
+from repro.sim.codegen import generate_module
 from repro.suite.registry import all_benchmarks, get_benchmark
 from repro.suite.runner import compile_benchmark, run_benchmark
 
@@ -408,17 +408,18 @@ class TestPool:
 
 
 class TestPickleBoundary:
-    """Graph modules cross the pool boundary; compiled closures must not."""
+    """Graph modules cross the pool boundary; compiled functions must
+    not."""
 
     def test_compiled_cache_stripped_on_pickle(self):
         gm = build_module_graphs(compile_source(
             "int main() { return 41 + 1; }", "t"))
-        compile_module(gm)
-        assert "_compiled_cache" in gm.__dict__
+        generate_module(gm)
+        assert "_codegen_cache" in gm.__dict__
         clone = pickle.loads(pickle.dumps(gm))
-        assert "_compiled_cache" not in clone.__dict__
+        assert "_codegen_cache" not in clone.__dict__
         # ...and the original keeps its cache.
-        assert "_compiled_cache" in gm.__dict__
+        assert "_codegen_cache" in gm.__dict__
 
     def test_benchmark_run_round_trips(self):
         spec = get_benchmark("fir")
@@ -655,16 +656,6 @@ class TestInputValidation:
         monkeypatch.setattr(study_mod, "compile_benchmark", exploding)
         with pytest.raises(SimulationError, match="unknown engine"):
             run_study(StudyConfig(benchmarks=("fir",), engine="turbo"))
-
-    def test_invalid_engine_from_env_names_variable(self):
-        from repro.errors import SimulationError
-        from repro.sim.machine import ENGINE_ENV_VAR
-        os.environ[ENGINE_ENV_VAR] = "warp9"
-        try:
-            with pytest.raises(SimulationError, match=ENGINE_ENV_VAR):
-                run_study(StudyConfig(benchmarks=("fir",), engine="warp9"))
-        finally:
-            del os.environ[ENGINE_ENV_VAR]
 
     def test_invalid_engine_rejected_in_run_benchmark(self):
         from repro.errors import SimulationError

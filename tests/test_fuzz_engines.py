@@ -1,23 +1,25 @@
-"""Property-based differential fuzzing of the five simulation engines.
+"""Property-based differential fuzzing of the two simulation engines.
 
-With five engines that must stay bit-identical, per-PR hand-written
-differential tests stop scaling; this harness is the standing
-equivalence oracle.  A seeded generator emits random mini-C programs
-mixing the shapes the engines specialize on — arithmetic (including the
-C-truncation division/modulo and shifts), memory traffic, branches,
-nested loops and function calls — compiles each at optimization levels
-0/1/2 (so post-opt graphs with compaction, percolation and pipelining
-run too), and asserts that the reference interpreter, the compiled
-closure engine, the bytecode tier, the exec-compiled codegen tier and
-the lane-parallel tier produce identical outputs, cycle counts and
-fully resolved profiles.  Programs that fault must fault *identically*
-on every engine.  A cross-level leg checks the optimizer itself: on the
-reference interpreter, levels 1 and 2 must compute what level 0 computes.
+A seeded generator emits random mini-C programs mixing the shapes the
+engines specialize on — arithmetic (including the C-truncation
+division/modulo and shifts), memory traffic, branches, nested loops and
+function calls — compiles each at optimization levels 0/1/2 (so post-opt
+graphs with compaction, percolation and pipelining run too), and asserts
+that the reference interpreter and the exec-compiled codegen engine
+produce identical outputs, cycle counts and fully resolved profiles.
 
-The lane tier additionally runs every case at batch widths 2, 4 and 9:
-generated programs are closed (no external inputs), so every lane of
-any width must reproduce the single-seed reference outcome —
-per lane, including the fault message when the program traps.
+Programs that fault must fault *identically* — the same
+``SimulationError`` text — on both engines, and a share of the corpus is
+built to fault: a division whose divisor is read from a data array and is
+zero for some elements, an index read from a data array that lands past
+the end of its target, or a cycle limit below the program's run time.
+``test_corpus_faults`` keeps that share from silently dropping to zero.
+A cross-level leg checks the optimizer itself: on the reference
+interpreter, levels 1 and 2 must compute what level 0 computes.
+
+Generated programs are closed (no external inputs), so every seed of a
+multi-seed batch must reproduce the single-run reference outcome; the
+batch leg runs each case at widths 2, 4 and 9.
 
 The corpus is bounded for CI and deterministic (``REPRO_FUZZ_SEED``);
 set ``REPRO_FUZZ_CASES`` to widen it locally, e.g.::
@@ -27,20 +29,22 @@ set ``REPRO_FUZZ_CASES`` to widen it locally, e.g.::
 
 import os
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.lanes import LaneEngine
-from repro.sim.machine import ENGINES, run_module
+from repro.sim.machine import ENGINES, run_module, run_module_batch
 
 #: Cases per CI run; widen locally via the environment.
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "25"))
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "1995"))
 LEVELS = (0, 1, 2)
 LANE_WIDTHS = (2, 4, 9)
+#: Least share of the corpus whose level-0 run must fault.
+MIN_FAULT_SHARE = 0.10
 
 
 class ProgramGen:
@@ -49,17 +53,22 @@ class ProgramGen:
     Every program is closed (no external inputs): arrays are filled by a
     deterministic seeding loop, so a program's behavior is a pure
     function of its source and the engines can be compared on outputs
-    alone.  All loops have constant trip counts and all array indices
-    are loop variables bounded by the array size or literals inside it,
-    so generated programs terminate; faults (division traps cannot occur
-    by construction, but overflow-free index arithmetic is *not*
-    guaranteed under optimization) are tolerated as long as every engine
-    faults identically.
+    alone.  All loops have constant trip counts and the random body's
+    array indices are loop variables bounded by the array size or
+    literals inside it, so generated programs terminate.
+
+    A second generator, *frng*, decides the program's fault shape (see
+    :meth:`fault_site`); the random body draws only from *rng*, so the
+    fault shapes leave the rest of each program unchanged.
     """
 
-    def __init__(self, rng: random.Random, with_call: bool):
+    def __init__(self, rng: random.Random, with_call: bool,
+                 frng: Optional[random.Random] = None):
         self.rng = rng
+        self.frng = frng or random.Random(0)
         self.with_call = with_call
+        #: Cycle limit of the tight-limit shape; ``None`` otherwise.
+        self.max_cycles: Optional[int] = None
         self.arrays = []  # (name, size)
         self.scalars = []
         self.loop_depth = 0
@@ -183,6 +192,59 @@ class ProgramGen:
             else:
                 self.assign()
 
+    # -- fault shapes --------------------------------------------------------------
+
+    def fault_site(self):
+        """Declarations, seeding and statements of one fault shape.
+
+        The shape reads a data array ``d`` (``d[i] = i * m - c``, never
+        written by the random body) and folds what it computes into the
+        accumulator ``f``, which the checksum consumes, so no optimizer
+        level may drop it:
+
+        * ``div`` — ``f += s / (d[i] - K)`` in a loop; ``K`` equals one
+          ``d[i]`` the loop reaches, or none of them;
+        * ``oob`` — ``f += a[d[i] - K]`` in a loop, running off the end
+          of ``a`` for some ``m``, ``K`` and trip counts;
+        * ``limit`` — a cycle limit below the run time of most programs.
+
+        Returns ``(header, seeding, statements)`` source lines.
+        """
+        frng = self.frng
+        roll = frng.random()
+        if roll < 0.15:
+            shape = "div"
+        elif roll < 0.30:
+            shape = "oob"
+        elif roll < 0.40:
+            shape = "limit"
+        else:
+            return [], [], []
+        if shape == "limit":
+            self.max_cycles = frng.randint(40, 400)
+            return [], [], []
+        size = frng.randint(3, 8)
+        m, c = frng.randint(1, 4), frng.randint(0, 6)
+        trips = frng.randint(2, size)
+        header = [f"int d[{size}];"]
+        seeding = ["f = 0;",
+                   f"for (i0 = 0; i0 < {size}; i0++) {{",
+                   f"    d[i0] = (i0 * {m}) - {c};",
+                   "}"]
+        if shape == "div":
+            if frng.random() < 0.6:
+                k = frng.randrange(trips) * m - c
+            else:
+                k = size * m - c + frng.randint(1, 5)
+            value = f"({frng.choice(self.scalars)} + {frng.randint(1, 9)})"
+            body = f"    f = f + ({value} / (d[i0] - {k}));"
+        else:
+            name, target = frng.choice(self.arrays)
+            k = -c - frng.randrange(target)
+            body = f"    f = f + {name}[d[i0] - {k}];"
+        statements = [f"for (i0 = 0; i0 < {trips}; i0++) {{", body, "}"]
+        return header, seeding, statements
+
     # -- whole program -------------------------------------------------------------
 
     def generate(self) -> str:
@@ -190,7 +252,9 @@ class ProgramGen:
         self.arrays = [(f"a{i}", rng.randint(3, 9))
                        for i in range(rng.randint(1, 3))]
         self.scalars = [f"s{i}" for i in range(rng.randint(2, 4))]
+        fault_header, fault_seeding, fault_statements = self.fault_site()
         header = [f"int {name}[{size}];" for name, size in self.arrays]
+        header += fault_header
         if self.with_call:
             header.append(
                 "int helper(int x, int y) {\n"
@@ -198,6 +262,8 @@ class ProgramGen:
                 "}")
         body = self.lines
         self.emit("int chk;")
+        if fault_header:
+            self.emit("int f;")
         max_loops = 12  # upper bound on loop-var declarations
         for i in range(max_loops):
             self.emit(f"int i{i};")
@@ -212,8 +278,12 @@ class ProgramGen:
             self.emit(f"    {name}[{var}] = ({var} * "
                       f"{rng.randint(1, 7)}) - {rng.randint(0, 9)};")
             self.emit("}")
+        for line in fault_seeding:
+            self.emit(line)
         self.loop_vars = []
         self.block(budget=2)
+        for line in fault_statements:
+            self.emit(line)
         # checksum every array and scalar into the return value
         self.emit("chk = 0;")
         for name, size in self.arrays:
@@ -222,21 +292,40 @@ class ProgramGen:
             self.emit("}")
         for name in self.scalars:
             self.emit(f"chk = chk ^ {name};")
+        if fault_header:
+            self.emit("chk = chk ^ f;")
         self.emit("return chk;")
         assert self.next_loop <= max_loops
         return "\n".join(header
                          + ["int main() {"] + body + ["}"])
 
 
-def generate_case(case: int) -> str:
+class Case(NamedTuple):
+    source: str
+    #: Cycle limit the engines run this case under (``None``: default).
+    max_cycles: Optional[int]
+
+
+def generate_case(case: int) -> Case:
     rng = random.Random(BASE_SEED * 1_000_003 + case)
-    return ProgramGen(rng, with_call=case % 2 == 1).generate()
+    frng = random.Random(BASE_SEED * 7_919 + case)
+    gen = ProgramGen(rng, with_call=case % 2 == 1, frng=frng)
+    source = gen.generate()
+    return Case(source, gen.max_cycles)
 
 
-def run_one(gm, engine):
+def compile_case(case: int):
+    fuzz = generate_case(case)
+    module = compile_source(fuzz.source, f"fuzz{case}",
+                            filename=f"fuzz{case}.c")
+    return module, fuzz.max_cycles
+
+
+def run_one(gm, engine, max_cycles=None):
     """(outcome, payload): completed results or the identical fault."""
+    kwargs = {} if max_cycles is None else {"max_cycles": max_cycles}
     try:
-        result = run_module(gm, engine=engine)
+        result = run_module(gm, engine=engine, **kwargs)
     except SimulationError as exc:
         return ("error", str(exc))
     return ("ok", result)
@@ -264,11 +353,11 @@ def assert_outcome_matches(outcome, reference, ctx):
 
 @pytest.mark.parametrize("case", range(CASES))
 def test_engines_agree(case):
-    source = generate_case(case)
-    module = compile_source(source, f"fuzz{case}", filename=f"fuzz{case}.c")
+    module, max_cycles = compile_case(case)
     for level in LEVELS:
         gm, _ = optimize_module(module, OptLevel(level))
-        outcomes = {engine: run_one(gm, engine) for engine in ENGINES}
+        outcomes = {engine: run_one(gm, engine, max_cycles)
+                    for engine in ENGINES}
         reference = outcomes["reference"]
         for engine in ENGINES:
             assert_outcome_matches(outcomes[engine], reference,
@@ -277,17 +366,22 @@ def test_engines_agree(case):
 
 @pytest.mark.parametrize("case", range(CASES))
 def test_lanes_agree_at_every_width(case):
-    """Each lane of a 2/4/9-wide batch reproduces the single-seed
-    reference outcome bit for bit (programs are closed, so all lanes
-    share the one well-defined behavior — including faults)."""
-    source = generate_case(case)
-    module = compile_source(source, f"fuzz{case}", filename=f"fuzz{case}.c")
+    """Each run of a 2/4/9-wide codegen batch reproduces the single-run
+    reference outcome bit for bit (programs are closed, so all runs share
+    the one well-defined behavior; a faulting batch raises the fault of
+    its first run)."""
+    module, max_cycles = compile_case(case)
+    kwargs = {} if max_cycles is None else {"max_cycles": max_cycles}
     for level in LEVELS:
         gm, _ = optimize_module(module, OptLevel(level))
-        reference = run_one(gm, "reference")
+        reference = run_one(gm, "reference", max_cycles)
         for width in LANE_WIDTHS:
-            outcomes = LaneEngine(gm).run_batch_outcomes([None] * width)
-            assert len(outcomes) == width
+            try:
+                outcomes = [("ok", result) for result in run_module_batch(
+                    gm, [None] * width, engine="codegen", **kwargs)]
+                assert len(outcomes) == width
+            except SimulationError as exc:
+                outcomes = [("error", str(exc))]
             for lane, outcome in enumerate(outcomes):
                 assert_outcome_matches(
                     outcome, reference,
@@ -299,8 +393,7 @@ def test_levels_agree(case):
     """The optimizer preserves semantics: on the reference oracle, levels
     1 and 2 return the same value and leave the same memory as level 0,
     or all three levels fault (the fault's cycle may differ by level)."""
-    source = generate_case(case)
-    module = compile_source(source, f"fuzz{case}", filename=f"fuzz{case}.c")
+    module, _max_cycles = compile_case(case)
     outcomes = {
         level: run_one(optimize_module(module, OptLevel(level))[0],
                        "reference")
@@ -323,10 +416,26 @@ def test_generator_is_deterministic():
 
 def test_generator_covers_shapes():
     """Across the CI corpus the generator exercises every shape class
-    the engines specialize on (loops, branches, memory, calls)."""
-    sources = [generate_case(case) for case in range(max(CASES, 10))]
+    the engines specialize on (loops, branches, memory, calls) and every
+    fault shape."""
+    cases = [generate_case(case) for case in range(max(CASES, 25))]
+    sources = [fuzz.source for fuzz in cases]
     assert any("for (" in src for src in sources)
     assert any("while (" in src for src in sources)
     assert any("if (" in src for src in sources)
     assert any("helper(" in src for src in sources)
     assert all("[" in src for src in sources)
+    assert any("/ (d[i0] - " in src for src in sources)
+    assert any("[d[i0] - " in src for src in sources)
+    assert any(fuzz.max_cycles is not None for fuzz in cases)
+
+
+def test_corpus_faults():
+    """The fault-parity legs above are not vacuous: at least
+    :data:`MIN_FAULT_SHARE` of the corpus faults at level 0."""
+    faults = 0
+    for case in range(CASES):
+        module, max_cycles = compile_case(case)
+        gm, _ = optimize_module(module, OptLevel.NONE)
+        faults += run_one(gm, "reference", max_cycles)[0] == "error"
+    assert faults >= MIN_FAULT_SHARE * CASES, f"{faults} of {CASES}"

@@ -1,13 +1,13 @@
-"""Lane-engine tests: per-lane equivalence, divergence, faults, caching.
+"""Multi-seed batch tests: per-seed equivalence, divergence, faults, caching.
 
-The lane tier (:mod:`repro.sim.lanes`) runs every seed of a batch in one
-generated pass, so its contract is *per lane*: each lane's result —
-return value, memory, cycles, the fully resolved profile, and any fault
-— must be bit-identical to that lane's own sequential ``run_module``
-call on the reference oracle.  The differential harness here sweeps the
-12-benchmark suite at levels 0–2, programs whose lanes genuinely
-diverge at branches, and batches where some lanes fault mid-run while
-the rest complete; the fuzz harness in ``tests/test_fuzz_engines.py``
+A batch runs every seed of a study cell through one generated program
+(:func:`~repro.sim.machine.run_module_batch`); each seed is one *lane* of
+the batch.  The contract is per lane: each lane's result — return value,
+memory, cycles, the fully resolved profile, and any fault — must be
+bit-identical to that lane's own ``run_module`` call on the reference
+oracle.  The harness here sweeps the 12-benchmark suite at levels 0–2,
+programs whose lanes take different branch paths, and batches where some
+lanes fault while the rest complete; ``tests/test_fuzz_engines.py``
 extends the same per-lane oracle to generated corpora.
 """
 
@@ -20,9 +20,8 @@ from repro.errors import SimulationError
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim import diskcache
-from repro.sim.lanes import LaneEngine, generate_lane_module
-from repro.sim.machine import (ENGINES, LANE_SHARD_MIN, run_module,
-                               run_module_batch, run_module_batch_auto)
+from repro.sim.codegen import CodegenEngine, generate_module
+from repro.sim.machine import run_module, run_module_batch
 from repro.suite.registry import all_benchmarks, get_benchmark
 from repro.suite.runner import compile_benchmark
 
@@ -41,20 +40,30 @@ def assert_identical(expected, actual):
     assert actual.profile.call_counts == expected.profile.call_counts
 
 
-def reference_outcome(gm, inputs):
+def outcome(gm, inputs, engine):
     try:
-        return ("ok", run_module(gm, inputs, engine="reference"))
+        return ("ok", run_module(gm, inputs, engine=engine))
     except SimulationError as exc:
         return ("error", str(exc))
 
 
+def lane_outcomes(gm, inputs_list):
+    """Each lane's codegen outcome: ``("ok", result)`` or ``("error",
+    message)``.  A batch without faults runs as one batch."""
+    try:
+        return [("ok", result)
+                for result in run_module_batch(gm, inputs_list)]
+    except SimulationError:
+        return [outcome(gm, inputs, "codegen") for inputs in inputs_list]
+
+
 def assert_lanes_match_reference(gm, inputs_list):
     """Every lane of one batch == its own sequential reference run."""
-    outcomes = LaneEngine(gm).run_batch_outcomes(inputs_list)
+    outcomes = lane_outcomes(gm, inputs_list)
     assert len(outcomes) == len(inputs_list)
     for lane, (inputs, (kind, payload)) in enumerate(
             zip(inputs_list, outcomes)):
-        ref_kind, ref_payload = reference_outcome(gm, inputs)
+        ref_kind, ref_payload = outcome(gm, inputs, "reference")
         assert kind == ref_kind, (lane, payload)
         if kind == "error":
             assert payload == ref_payload, lane
@@ -84,18 +93,18 @@ class TestSuiteDifferential:
         spec = get_benchmark("fir")
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(2))
         inputs = spec.generate_inputs(0)
-        assert_identical(run_module(gm, inputs, engine="reference"),
-                         run_module(gm, inputs, engine="lanes"))
+        [single] = run_module_batch(gm, [inputs])
+        assert_identical(run_module(gm, inputs, engine="reference"), single)
 
     def test_empty_batch(self):
         spec = get_benchmark("fir")
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(0))
-        assert run_module_batch(gm, [], engine="lanes") == []
+        assert run_module_batch(gm, []) == []
 
 
 class TestDivergence:
-    """Lanes that take different branch paths split into groups; every
-    group's counters and outputs must still match per-lane runs."""
+    """Lanes that take different branch paths; every lane's counters and
+    outputs must still match its own run."""
 
     def _module(self, src):
         return build_module_graphs(compile_source(src, "t"))
@@ -121,12 +130,12 @@ class TestDivergence:
         gm = self._module(src)
         inputs_list = [{"n": [v]} for v in (0, 1, 5, 2, 9, 7, 3, 4, 6)]
         assert_lanes_match_reference(gm, inputs_list)
-        results = LaneEngine(gm).run_batch(inputs_list)
+        results = run_module_batch(gm, inputs_list)
         assert len({r.cycles for r in results}) > 1
 
     def test_divergence_inside_call(self):
-        """A callee that diverges per lane: post-call regrouping by lane
-        cycle count must keep the sparse counters exact."""
+        """A callee that diverges per lane: the branch-only counters of
+        caller and callee must still resolve exactly."""
         src = ("int n[2];"
                "int f(int k) { int s; int i; s = 1;"
                " for (i = 0; i < k; i++) { s += s; } return s; }"
@@ -140,7 +149,7 @@ class TestDivergence:
 
 class TestFaultParity:
     """A faulting lane raises its own sequential error message while the
-    other lanes of the batch complete bit-identically."""
+    other lanes complete bit-identically."""
 
     SRC = ("int a[4]; int idx[1];"
            "int main() { return a[idx[0]] + 1; }")
@@ -152,7 +161,7 @@ class TestFaultParity:
         gm = self._module()
         inputs_list = [{"a": [1, 2, 3, 4], "idx": [i]}
                        for i in (0, 2, 9, 1, 7, 3)]  # lanes 2 and 4 trap
-        outcomes = LaneEngine(gm).run_batch_outcomes(inputs_list)
+        outcomes = lane_outcomes(gm, inputs_list)
         kinds = [kind for kind, _ in outcomes]
         assert kinds == ["ok", "ok", "error", "ok", "error", "ok"]
         assert_lanes_match_reference(gm, inputs_list)
@@ -163,12 +172,12 @@ class TestFaultParity:
                        for i in (0, 9, 1, 7)]
         with pytest.raises(SimulationError,
                            match=r"load out of bounds: a\[9\]"):
-            run_module_batch(gm, inputs_list, engine="lanes")
+            run_module_batch(gm, inputs_list)
 
     def test_all_lanes_fault(self):
         gm = self._module()
         inputs_list = [{"a": [1, 2, 3, 4], "idx": [i]} for i in (8, 9)]
-        outcomes = LaneEngine(gm).run_batch_outcomes(inputs_list)
+        outcomes = lane_outcomes(gm, inputs_list)
         assert [kind for kind, _ in outcomes] == ["error", "error"]
         assert_lanes_match_reference(gm, inputs_list)
 
@@ -177,7 +186,7 @@ class TestFaultParity:
         inputs_list = [{"a": [1, 2, 3, 4], "idx": [0]},
                        {"bogus": [1]},
                        {"a": [5, 6, 7, 8], "idx": [1]}]
-        outcomes = LaneEngine(gm).run_batch_outcomes(inputs_list)
+        outcomes = lane_outcomes(gm, inputs_list)
         assert [kind for kind, _ in outcomes] == ["ok", "error", "ok"]
         assert "bogus" in outcomes[1][1]
         assert_lanes_match_reference(gm, inputs_list)
@@ -188,22 +197,22 @@ class TestFaultParity:
         inputs = spec.generate_inputs(0)
         true_cycles = run_module(gm, inputs).cycles
         with pytest.raises(SimulationError, match="cycle limit"):
-            LaneEngine(gm, max_cycles=true_cycles // 2).run_batch(
+            CodegenEngine(gm, max_cycles=true_cycles // 2).run_batch(
                 [inputs, spec.generate_inputs(1)])
-        results = LaneEngine(gm, max_cycles=true_cycles).run_batch(
+        results = CodegenEngine(gm, max_cycles=true_cycles).run_batch(
             [inputs])
         assert results[0].cycles == true_cycles
 
 
 class TestErrorParity:
-    """The generated lane code raises the same SimulationErrors as the
-    scalar engines, message for message."""
+    """Every lane of a batch raises the same SimulationError as the
+    reference engine, message for message."""
 
     def _outcomes(self, gm, lanes=3):
-        return LaneEngine(gm).run_batch_outcomes([None] * lanes)
+        return lane_outcomes(gm, [None] * lanes)
 
     def _assert_uniform_error(self, gm, fragment, exact=True):
-        ref = reference_outcome(gm, None)
+        ref = outcome(gm, None, "reference")
         assert ref[0] == "error" and fragment in ref[1]
         for kind, payload in self._outcomes(gm):
             assert kind == "error"
@@ -224,8 +233,8 @@ class TestErrorParity:
         self._assert_uniform_error(gm, "depth")
 
     def test_undefined_register_read(self):
-        # Arithmetic on _UNDEF raises through the sentinel's dunders on
-        # every compiled tier, which cannot name the register; match the
+        # Arithmetic on _UNDEF raises through the sentinel's dunders in
+        # generated code, which cannot name the register; match the
         # fragment like the other engines' suites do.
         from repro.cfg.graph import GraphModule, ProgramGraph
         from repro.ir.instr import Instruction
@@ -261,116 +270,69 @@ class TestErrorParity:
 
 
 class TestCaching:
-    """Lane modules cache per width in memory and on disk, invalidate on
-    module edits, and never cross a pickle boundary."""
+    """A batch of any width runs one generated module, which lives in
+    memory and on disk, invalidates on module edits, and never crosses a
+    pickle boundary."""
 
     def _graphs(self):
         return build_module_graphs(compile_source(
             "int x[4]; int main() { int i; int s; s = 0;"
             " for (i = 0; i < 4; i++) { s += x[i]; } return s; }", "t"))
 
-    def test_cache_partitioned_by_lane_count(self):
-        gm = self._graphs()
-        two = generate_lane_module(gm, 2)
-        four = generate_lane_module(gm, 4)
-        assert two is not four
-        assert generate_lane_module(gm, 2) is two
-        assert generate_lane_module(gm, 4) is four
-
     def test_batch_generates_once(self, monkeypatch):
-        import repro.sim.lanes as lanes_mod
+        import repro.sim.codegen as codegen_mod
         gm = self._graphs()
         calls = []
-        real = lanes_mod.generate_lane_module
+        real = codegen_mod.generate_module
 
-        def counting(module, n_lanes):
-            calls.append(n_lanes)
-            return real(module, n_lanes)
+        def counting(module):
+            calls.append(module)
+            return real(module)
 
-        monkeypatch.setattr(lanes_mod, "generate_lane_module", counting)
-        run_module_batch(gm, [{"x": [s, s, s, s]} for s in range(5)],
-                         engine="lanes")
-        assert calls == [5]
+        monkeypatch.setattr(codegen_mod, "generate_module", counting)
+        run_module_batch(gm, [{"x": [s, s, s, s]} for s in range(5)])
+        assert calls == [gm]
 
     def test_cache_invalidated_by_node_edit(self):
         from repro.ir.instr import Instruction
         from repro.ir.ops import Op
         gm = self._graphs()
-        first = generate_lane_module(gm, 3)
+        first = generate_module(gm)
         graph = gm.graphs["main"]
         node = next(n for n in graph.nodes.values() if n.ops)
         node.ops.append(Instruction(Op.NOP))
-        assert generate_lane_module(gm, 3) is not first
-        run_module_batch(gm, [{"x": [1, 2, 3, 4]}] * 1, engine="lanes")
+        assert generate_module(gm) is not first
+        run_module_batch(gm, [{"x": [1, 2, 3, 4]}] * 1)
 
     def test_cache_stripped_on_pickle(self):
         gm = self._graphs()
-        generate_lane_module(gm, 2)
+        generate_module(gm)
         clone = pickle.loads(pickle.dumps(gm))
-        assert "_lanes_cache" not in clone.__dict__
-        assert "_lanes_cache" in gm.__dict__
+        assert "_codegen_cache" not in clone.__dict__
+        assert "_codegen_cache" in gm.__dict__
         results = run_module_batch(
-            gm, [{"x": [1, 1, 1, 1]}, {"x": [2, 2, 2, 2]}], engine="lanes")
+            clone, [{"x": [1, 1, 1, 1]}, {"x": [2, 2, 2, 2]}])
         assert [r.return_value for r in results] == [4, 8]
 
     def test_copy_does_not_share_cache(self):
         gm = self._graphs()
-        generate_lane_module(gm, 2)
-        assert "_lanes_cache" not in gm.copy().__dict__
+        generate_module(gm)
+        assert "_codegen_cache" not in gm.copy().__dict__
 
-    def test_disk_entries_partitioned_by_lane_count(self, tmp_path,
-                                                    monkeypatch):
+    def test_one_disk_entry_for_every_width(self, tmp_path, monkeypatch):
         monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(tmp_path))
         diskcache.reset_cache_state()
         try:
             gm = self._graphs()
-            generate_lane_module(gm, 2)
-            generate_lane_module(gm, 4)
+            run_module_batch(gm, [{"x": [1, 2, 3, 4]}] * 2)
+            run_module_batch(gm, [{"x": [1, 2, 3, 4]}] * 4)
             cache = diskcache.get_cache()
-            assert cache.stores["lanes"] == 2
-            # a cold, structurally identical module hits both widths
+            assert dict(cache.stores) == {"codegen": 1}
+            # a cold, structurally identical module hits that entry
             cold = pickle.loads(pickle.dumps(gm))
-            generate_lane_module(cold, 2)
-            generate_lane_module(cold, 4)
-            assert cache.hits["lanes"] == 2
             results = run_module_batch(
-                cold, [{"x": [1, 2, 3, 4]}, {"x": [4, 3, 2, 1]}],
-                engine="lanes")
+                cold, [{"x": [1, 2, 3, 4]}, {"x": [4, 3, 2, 1]}])
+            assert cache.hits["codegen"] == 1
             assert [r.return_value for r in results] == [10, 10]
         finally:
             diskcache.reset_cache_state()
-
-
-class TestEngineSelection:
-    def test_lanes_engine_listed(self):
-        assert "lanes" in ENGINES
-
-    def test_auto_upgrade_at_shard_min(self, monkeypatch):
-        from repro.sim import machine
-        seen = []
-        real = machine.run_module_batch
-
-        def spy(module, inputs_list, max_cycles=200_000_000,
-                engine=machine.DEFAULT_ENGINE):
-            seen.append(engine)
-            return real(module, inputs_list, max_cycles, engine)
-
-        monkeypatch.setattr(machine, "run_module_batch", spy)
-        spec = get_benchmark("fir")
-        gm, _ = optimize_module(compile_benchmark(spec), OptLevel(0))
-        small = [spec.generate_inputs(s) for s in range(LANE_SHARD_MIN - 1)]
-        big = [spec.generate_inputs(s) for s in range(LANE_SHARD_MIN)]
-        run_module_batch_auto(gm, small, engine="compiled")
-        run_module_batch_auto(gm, big, engine="compiled")
-        run_module_batch_auto(gm, big, engine="reference")
-        assert seen == ["compiled", "lanes", "reference"]
-
-    def test_auto_upgrade_is_bit_identical(self):
-        spec = get_benchmark("sewha")
-        gm, _ = optimize_module(compile_benchmark(spec), OptLevel(1))
-        inputs_list = [spec.generate_inputs(s)
-                       for s in range(LANE_SHARD_MIN)]
-        upgraded = run_module_batch_auto(gm, inputs_list, engine="codegen")
-        for inputs, result in zip(inputs_list, upgraded):
-            assert_identical(run_module(gm, inputs, engine="reference"),
-                             result)

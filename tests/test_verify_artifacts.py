@@ -3,7 +3,7 @@
 Every test seeds one specific corruption — a lowered word, a generated
 source line, a disk-cache payload, a task graph — and asserts the
 verifier rejects it *naming the violated invariant*.  Positive tests pin
-that pristine artifacts of every tier pass with zero violations.
+that pristine artifacts pass with zero violations.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from repro.analysis.lint import lint_determinism, lint_source
 from repro.analysis.sweep import render_markdown, run_sweep, scan_cache_entries
 from repro.analysis.taskgraph import check_task_graph, verify_task_graph
 from repro.analysis.verify_codegen import (verify_generated_module,
-                                           verify_generated_source,
-                                           verify_lane_module)
-from repro.analysis.verify_lowered import (verify_compiled_module,
-                                           verify_graph,
-                                           verify_lowered_module)
+                                           verify_generated_source)
+from repro.analysis.verify_lowered import verify_graph, verify_lowered_module
 from repro.errors import IRError, ReproError
 from repro.frontend import compile_source
 from repro.ir.function import Function
@@ -36,9 +33,8 @@ from repro.ir.verify import verify_function
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim import engine as _eng
 from repro.sim import diskcache
-from repro.sim.codegen import generate_module
-from repro.sim.engine import compile_module, lower_module
-from repro.sim.lanes import generate_lane_module
+from repro.sim.codegen import emit_sources, generate_module
+from repro.sim.engine import lower_module
 
 # Same kernels as tests/conftest.py (duplicated here rather than imported:
 # `from conftest import ...` is ambiguous when the benchmark harness's
@@ -95,7 +91,7 @@ def _invariants(result: VerifyResult):
     return {v.invariant for v in result.violations}
 
 
-# -- positive: pristine artifacts pass every tier ----------------------------------
+# -- positive: pristine artifacts pass ---------------------------------------------
 
 
 class TestPristineArtifacts:
@@ -104,12 +100,10 @@ class TestPristineArtifacts:
         gm = _graph_module(level=level)
         for graph in gm.graphs.values():
             assert verify_graph(graph).ok
-        assert verify_compiled_module(gm, compile_module(gm)).ok
         lower_module(gm)
         lowered = verify_lowered_module(gm, gm._lowered_cache)
         assert lowered.ok and lowered.checks > 100
         assert verify_generated_module(gm, generate_module(gm)).ok
-        assert verify_lane_module(gm, generate_lane_module(gm, 4)).ok
 
     def test_int_kernel_clean(self):
         gm = _graph_module(INT_KERNEL_SOURCE, level=2)
@@ -238,8 +232,9 @@ class TestWordCFG:
 
 class TestCodegenSourceMutations:
     def _source_parts(self, gm):
-        gen = generate_module(gm)
-        return gen.lowered.graphs, gen.source, gen.consts
+        lowered = generate_module(gm).lowered
+        sources, consts = emit_sources(lowered)
+        return lowered.graphs, "\n".join(sources), consts
 
     def test_deleted_counter_writeback(self):
         gm = _graph_module()
@@ -248,8 +243,7 @@ class TestCodegenSourceMutations:
         idx = next(i for i, line in enumerate(lines)
                    if "eh[" in line and "+=" in line)
         mutated = "\n".join(lines[:idx] + lines[idx + 1:])
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "counter-writeback" in _invariants(result)
 
     def test_deleted_cycle_writeback(self):
@@ -257,8 +251,7 @@ class TestCodegenSourceMutations:
         graphs, source, consts = self._source_parts(gm)
         mutated = "\n".join(line for line in source.splitlines()
                             if line.strip() != "cyc[0] = n")
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "cycle-writeback" in _invariants(result)
 
     def test_deleted_limit_exit_writeback(self):
@@ -269,8 +262,7 @@ class TestCodegenSourceMutations:
         graphs, source, consts = self._source_parts(gm)
         mutated = source.replace("cyc[0] = n", "pass", 1)
         assert mutated != source
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "cycle-writeback" in _invariants(result)
 
     def test_disabled_bounds_guard(self):
@@ -278,8 +270,7 @@ class TestCodegenSourceMutations:
         graphs, source, consts = self._source_parts(gm)
         assert "if 0 <= " in source
         mutated = source.replace("if 0 <= ", "if True or 0 <= ", 1)
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "unguarded-load" in _invariants(result)
 
     def test_unbound_name(self):
@@ -288,8 +279,7 @@ class TestCodegenSourceMutations:
         assert "limit = state.max_cycles" in source
         mutated = source.replace("limit = state.max_cycles",
                                  "limit = missing_state.max_cycles", 1)
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "unbound-name" in _invariants(result)
 
     def test_unknown_const_default(self):
@@ -298,58 +288,22 @@ class TestCodegenSourceMutations:
         assert consts  # fir-like kernel folds constants
         key = sorted(consts)[0]
         broken = {k: v for k, v in consts.items() if k != key}
-        result = verify_generated_source(gm, graphs, source, broken,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, source, broken)
         assert "const-binding" in _invariants(result)
 
     def test_missing_function_def(self):
         gm = _graph_module()
         graphs, source, consts = self._source_parts(gm)
         mutated = source.replace("def _f0(", "def _g0(")
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=False)
+        result = verify_generated_source(gm, graphs, mutated, consts)
         assert "function-table" in _invariants(result)
 
     def test_syntax_error(self):
         gm = _graph_module()
         graphs, source, consts = self._source_parts(gm)
         result = verify_generated_source(gm, graphs, source + "\n  ):",
-                                         consts, lanes=False)
+                                         consts)
         assert "source-syntax" in _invariants(result)
-
-
-class TestLanesSourceMutations:
-    def _parts(self, gm, n_lanes=4):
-        lm = generate_lane_module(gm, n_lanes)
-        return lm.lowered.graphs, lm.source, lm.consts, lm.bounds
-
-    def test_deleted_counter_fold(self):
-        gm = _graph_module()
-        graphs, source, consts, bounds = self._parts(gm)
-        lines = source.splitlines()
-        idx = next(i for i, line in enumerate(lines)
-                   if "_a[" in line and "+=" in line)
-        mutated = "\n".join(lines[:idx] + lines[idx + 1:])
-        result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=True, n_lanes=4,
-                                         bounds=bounds)
-        assert "counter-fold" in _invariants(result)
-
-    def test_reconvergence_respects_block_starts(self):
-        gm = _graph_module()
-        graphs, source, consts, bounds = self._parts(gm)
-        clean = verify_generated_source(gm, graphs, source, consts,
-                                        lanes=True, n_lanes=4,
-                                        bounds=bounds)
-        assert clean.ok
-        # Pretend the emitter produced a single block: every branch
-        # postdominator now falls mid-block and must be flagged.
-        override = {name: [0] for name in graphs}
-        result = verify_generated_source(gm, graphs, source, consts,
-                                         lanes=True, n_lanes=4,
-                                         bounds=bounds,
-                                         starts_override=override)
-        assert "lanes-reconvergence" in _invariants(result)
 
 
 # -- disk cache: verify-on-load ----------------------------------------------------
@@ -391,10 +345,11 @@ class TestVerifyOnLoad:
         [path] = _entry_paths("codegen")
 
         def strip_writeback(payload):
-            lines = payload["source"].splitlines()
+            lines = payload["sources"][0].splitlines()
             idx = next(i for i, line in enumerate(lines)
                        if "eh[" in line and "+=" in line)
-            payload["source"] = "\n".join(lines[:idx] + lines[idx + 1:])
+            payload["sources"] = ("\n".join(lines[:idx] + lines[idx + 1:]),
+                                  *payload["sources"][1:])
 
         _rewrite(path, strip_writeback)
         diskcache.reset_cache_state()
@@ -405,10 +360,30 @@ class TestVerifyOnLoad:
         assert cache.stores["codegen"] == 1  # regenerated and re-stored
         assert verify_generated_module(gm, generated).ok
 
+    def test_unguarded_load_rejected(self, verified_cache):
+        """A stored source that reads array data without the bounds
+        guard is refused: no entry can reintroduce guard elision."""
+        generate_module(_graph_module())
+        [path] = _entry_paths("codegen")
+
+        def drop_guard(payload):
+            source = payload["sources"][0]
+            assert "if 0 <= " in source
+            payload["sources"] = (source.replace("if 0 <= ",
+                                                 "if True or 0 <= ", 1),
+                                  *payload["sources"][1:])
+
+        _rewrite(path, drop_guard)
+        diskcache.reset_cache_state()
+        generate_module(_graph_module())
+        cache = diskcache.get_cache()
+        assert cache.rejected["codegen"] == 1
+        assert cache.stores["codegen"] == 1
+
     def test_tampered_bytecode_word_rejected(self, verified_cache):
-        gm = _graph_module()
-        lower_module(gm)
-        [path] = _entry_paths("bytecode")
+        """The lowered words travel inside the codegen entry."""
+        generate_module(_graph_module())
+        [path] = _entry_paths("codegen")
 
         def corrupt_word(payload):
             name = sorted(payload["graphs"])[0]
@@ -422,86 +397,10 @@ class TestVerifyOnLoad:
         _rewrite(path, corrupt_word)
         diskcache.reset_cache_state()
         gm2 = _graph_module()
-        lower_module(gm2)
+        generate_module(gm2)
         cache = diskcache.get_cache()
-        assert cache.rejected["bytecode"] == 1
+        assert cache.rejected["codegen"] == 1
         assert verify_lowered_module(gm2, gm2._lowered_cache).ok
-
-    def test_stripped_bounds_certificate_rejected(self, verified_cache):
-        generated = generate_module(_graph_module())
-        assert generated.bounds is not None
-        [path] = _entry_paths("codegen")
-
-        def strip(payload):
-            assert payload["bounds"] is not None
-            payload["bounds"] = None
-
-        _rewrite(path, strip)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        # the unguarded loads now lack any proof: rejected, regenerated
-        assert cache.rejected["codegen"] == 1
-        assert cache.stores["codegen"] == 1
-        assert regenerated.bounds is not None
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_corrupted_bounds_certificate_rejected(self, verified_cache):
-        generate_module(_graph_module())
-        [path] = _entry_paths("codegen")
-
-        def shrink_claim(payload):
-            cert = next(cg for cg in payload["bounds"]["graphs"].values()
-                        if cg["envs"])
-            idx = sorted(cert["envs"])[0]
-            slot = sorted(cert["envs"][idx])[0]
-            # tighter than the flow supports: no longer inductive
-            cert["envs"][idx][slot] = [0, 0]
-
-        _rewrite(path, shrink_claim)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        assert cache.rejected["codegen"] == 1
-        assert cache.stores["codegen"] == 1
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_inflated_safe_set_rejected(self, verified_cache):
-        generate_module(_graph_module())
-        [path] = _entry_paths("codegen")
-
-        def claim_everything_safe(payload):
-            graphs = payload["graphs"]
-            for name, cg in payload["bounds"]["graphs"].items():
-                n = sum(1 for w in graphs[name].words
-                        if isinstance(w, list))
-                cg["safe"] = list(range(n))
-
-        _rewrite(path, claim_everything_safe)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        assert cache.rejected["codegen"] == 1
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_stripped_lane_bounds_rejected(self, verified_cache):
-        generate_lane_module(_graph_module(), 4)
-        [path] = _entry_paths("lanes")
-
-        def strip(payload):
-            assert payload["bounds"] is not None
-            payload["bounds"] = None
-
-        _rewrite(path, strip)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_lane_module(gm, 4)
-        cache = diskcache.get_cache()
-        assert cache.rejected["lanes"] == 1
-        assert verify_lane_module(gm, regenerated).ok
 
     def test_cache_scan_reports_corrupt_entry(self, verified_cache):
         generate_module(_graph_module())
@@ -510,7 +409,7 @@ class TestVerifyOnLoad:
         assert corrupt == 0 and well >= 1
 
         def garble(payload):
-            payload["source"] = "def _f0(:\n"
+            payload["sources"] = ("def _f0(:\n",)
 
         _rewrite(path, garble)
         well, corrupt, details = scan_cache_entries(diskcache.get_cache())
