@@ -15,15 +15,24 @@ are timed on the default matrix (12 benchmarks × levels 0/1/2):
   compiles each cell once for all seeds, against the same seeds run as
   independent single-seed cells.
 
+The three whole-matrix legs time *cold* studies: every round runs
+against its own empty disk cache (the default engine stores a codegen
+entry per module, so a shared cache would serve every round after the
+first) and a freshly spawned worker pool (pool workers snapshot
+``REPRO_CACHE`` when they fork).
+
 Run with ``--benchmark-json=bench_study.json`` (as CI does) to emit the
 same JSON shape as ``bench_engine.json`` for the perf trajectory.
 """
 
+import itertools
+
 import pytest
 
-from repro.exec.pool import available_cpus
+from repro.exec.pool import available_cpus, shutdown_pool
 from repro.feedback.study import StudyConfig, run_study
 from repro.opt.pipeline import OptLevel
+from repro.sim.diskcache import CACHE_ENV_VAR
 from repro.suite.registry import get_benchmark
 from repro.suite.runner import run_benchmark
 
@@ -37,9 +46,29 @@ def _assert_full_matrix(study):
             {OptLevel(level) for level in (0, 1, 2)}
 
 
-def test_study_serial(benchmark):
+@pytest.fixture()
+def cold_rounds(tmp_path, monkeypatch):
+    """``cold_rounds(config)``: a ``benchmark.pedantic`` setup hook that
+    gives each round an empty disk cache and no warm pool workers, and
+    passes *config* to the timed ``run_study``."""
+    counter = itertools.count()
+
+    def setup_for(config):
+        def setup():
+            monkeypatch.setenv(CACHE_ENV_VAR,
+                               str(tmp_path / f"round{next(counter)}"))
+            shutdown_pool()
+            return (config,), {}
+        return setup
+
+    yield setup_for
+    shutdown_pool()
+
+
+def test_study_serial(benchmark, cold_rounds):
     """The serial baseline: the denominator of the parallel speedup."""
-    study = benchmark.pedantic(run_study, args=(StudyConfig(jobs=1),),
+    study = benchmark.pedantic(run_study,
+                               setup=cold_rounds(StudyConfig(jobs=1)),
                                rounds=3, iterations=1)
     _assert_full_matrix(study)
 
@@ -60,20 +89,23 @@ def test_small_studies_repeated_parallel(benchmark):
     assert set(study.names()) == {"fir", "iir"}
 
 
-def test_study_parallel_jobs4(benchmark):
+def test_study_parallel_jobs4(benchmark, cold_rounds):
     """The full matrix on 4 workers (target: >= 2x over serial when the
-    hardware has the cores; ratio against ``test_study_serial``)."""
+    hardware has the cores; ratio against ``test_study_serial``).  Each
+    round pays the pool spin-up, as a cold ``repro study --jobs 4``
+    does."""
     if available_cpus() < 2:
         pytest.skip("single-CPU machine: a process pool cannot win")
-    study = benchmark.pedantic(run_study, args=(StudyConfig(jobs=4),),
+    study = benchmark.pedantic(run_study,
+                               setup=cold_rounds(StudyConfig(jobs=4)),
                                rounds=3, iterations=1)
     _assert_full_matrix(study)
 
 
-def test_study_multiseed_batched(benchmark):
+def test_study_multiseed_batched(benchmark, cold_rounds):
     """Five seeds per cell, batched: one compile per cell for all seeds."""
     study = benchmark.pedantic(
-        run_study, args=(StudyConfig(seeds=SEEDS),),
+        run_study, setup=cold_rounds(StudyConfig(seeds=SEEDS)),
         rounds=2, iterations=1)
     _assert_full_matrix(study)
     run = study.benchmark("edge").run_at(1)

@@ -59,7 +59,16 @@ def compute_liveness(graph: ProgramGraph,
     for nid in order:
         node = nodes[nid]
         preds = [position[p] for p in node.preds if p in position]
-        facts.append((nid, node.succs, preds, node.uses(), node.defs()))
+        # Node.uses()/defs() inlined: this loop runs per solve, per node.
+        use: Set[VirtualReg] = set()
+        defs: Set[VirtualReg] = set()
+        for ins in node.ops:
+            use.update(ins.uses())
+            if ins.dest is not None:
+                defs.add(ins.dest)
+        if node.control is not None:
+            use.update(node.control.uses())
+        facts.append((nid, node.succs, preds, use, defs))
     dirty = [True] * len(order)
     changed = True
     while changed:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir import ops as _ops
-from repro.ir.ops import Op
+from repro.ir.ops import LOAD_OPS, STORE_OPS, Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 
 _uid_counter = itertools.count(1)
@@ -178,11 +178,11 @@ class Instruction:
 
     @property
     def is_store(self) -> bool:
-        return _ops.is_store(self.op)
+        return self.op in STORE_OPS
 
     @property
     def is_load(self) -> bool:
-        return _ops.is_load(self.op)
+        return self.op in LOAD_OPS
 
     @property
     def is_call(self) -> bool:

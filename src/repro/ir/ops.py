@@ -266,14 +266,21 @@ def is_memory(op: Op) -> bool:
     return _KIND[op] is OpKind.MEMORY
 
 
+#: The store and load opcodes.  Tuples: an ``in`` test finds an enum
+#: member by identity, without calling the Python-level ``Enum.__hash__``
+#: a set lookup needs, so hot callers test membership inline.
+STORE_OPS = (Op.STORE, Op.FSTORE)
+LOAD_OPS = (Op.LOAD, Op.FLOAD)
+
+
 def is_store(op: Op) -> bool:
     """True for the two store opcodes."""
-    return op in (Op.STORE, Op.FSTORE)
+    return op in STORE_OPS
 
 
 def is_load(op: Op) -> bool:
     """True for the two load opcodes."""
-    return op in (Op.LOAD, Op.FLOAD)
+    return op in LOAD_OPS
 
 
 INT_BINARY = {

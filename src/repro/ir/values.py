@@ -15,16 +15,25 @@ them into graph edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VirtualReg:
+class VirtualReg(NamedTuple):
     """A typed virtual register.
 
     ``name`` is globally unique *within one function*.  ``is_float`` selects
     the register class — the datapath model keeps separate integer and
     floating-point register files, as the TMS320-class processors the paper
     targets do.
+
+    A named tuple rather than a frozen dataclass: registers are hashed and
+    compared hundreds of thousands of times per optimized study (use sets,
+    liveness sets, reader counts), and tuple hashing and equality run in C.
+    The hash is the one the dataclass had, ``hash((name, is_float))``, so
+    set iteration order is unchanged, and so are ``repr`` and ``str``.  A
+    register compares equal to the plain tuple ``(name, is_float)``; no
+    container mixes registers with such tuples.  It stays unequal to a
+    :class:`Constant` or :class:`ArraySymbol` with the same fields.
     """
 
     name: str

@@ -55,6 +55,7 @@ Two later additions share the same store:
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import pickle
 import sys
@@ -113,6 +114,11 @@ FORMAT_VERSION = 3
 _CACHE_TAG = getattr(sys.implementation, "cache_tag", None) or \
     "py%d%d" % sys.version_info[:2]
 
+#: Modules whose source text keys codegen entries (:func:`_source_token`);
+#: every class a stored payload pickles must come from one of them.
+SOURCE_TOKEN_MODULES = ("repro.sim.engine", "repro.sim.codegen",
+                        "repro.ir.values")
+
 _source_token_cache: Optional[str] = None
 
 
@@ -126,15 +132,18 @@ def _source_token() -> str:
     entry namespace turns any edit to them (an inserted opcode, a
     changed emitter) into plain misses, instead of relying on a
     hand-maintained :data:`FORMAT_VERSION` bump to avoid silently
-    executing stale entries.
+    executing stale entries.  ``ir/values.py`` is folded in too: the
+    lowered plans pickle its :class:`~repro.ir.values.ArraySymbol`
+    instances, so a change to an operand class must not meet entries
+    pickled under the old layout.
     """
     global _source_token_cache
     if _source_token_cache is None:
         h = hashlib.sha256()
         try:
-            from repro.sim import codegen, engine
-            for mod in (engine, codegen):
-                with open(mod.__file__, "rb") as fh:
+            for name in SOURCE_TOKEN_MODULES:
+                with open(importlib.import_module(name).__file__,
+                          "rb") as fh:
                     h.update(fh.read())
             _source_token_cache = h.hexdigest()[:12]
         except Exception:  # pragma: no cover - source not readable

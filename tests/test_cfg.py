@@ -176,6 +176,32 @@ class TestLiveness:
         names = {r.name for r in live_at_head}
         assert "s" in names and "i" in names
 
+    @pytest.mark.parametrize("bench", ["edge", "pse", "compress"])
+    def test_matches_round_robin_over_node_summaries(self, bench):
+        """The solver's inlined per-node use/def facts and its dirty-node
+        worklist reach the same fixpoint as a plain round-robin solve
+        over ``Node.uses()``/``Node.defs()``, on optimized graphs."""
+        from repro.opt.pipeline import OptLevel, optimize_module
+        from repro.suite.registry import get_benchmark
+        from repro.suite.runner import compile_benchmark
+        module, _ = optimize_module(
+            compile_benchmark(get_benchmark(bench)), OptLevel.RENAMED)
+        for graph in module.graphs.values():
+            info = compute_liveness(graph)
+            reachable = set(graph.rpo_order())
+            live_in = {nid: set() for nid in graph.nodes}
+            changed = True
+            while changed:
+                changed = False
+                for nid in reachable:
+                    node = graph.nodes[nid]
+                    out = set().union(*(live_in[s] for s in node.succs))
+                    new_in = node.uses() | (out - node.defs())
+                    if new_in != live_in[nid]:
+                        live_in[nid], changed = new_in, True
+            assert {n: info.live_in[n] for n in reachable} == \
+                {n: live_in[n] for n in reachable}
+
     def test_reaching_uses_finds_consumer(self):
         g = graph_of("int main() { int a; a = 2; return a * 3; }")
         consumers = reaching_uses(g)

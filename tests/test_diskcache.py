@@ -7,8 +7,10 @@ writers must never publish a torn file.  Everything here runs against a
 throwaway cache directory via ``REPRO_CACHE``.
 """
 
+import importlib
 import os
 import pickle
+import pickletools
 import subprocess
 import sys
 import threading
@@ -296,6 +298,74 @@ class TestRobustness:
                             engine="codegen")
         assert result.cycles > 0  # simulation unaffected
         diskcache.reset_cache_state()
+
+
+def pickled_globals(blob):
+    """``(module, name)`` of every global *blob* references, read with
+    :mod:`pickletools` without unpickling anything."""
+    found, memo, pushed, last = set(), {}, [], None
+    for op, arg, _ in pickletools.genops(blob):
+        if op.name in ("FRAME", "PROTO", "STOP"):
+            continue
+        if op.name == "MEMOIZE":
+            memo[len(memo)] = last
+            continue
+        if op.name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = last
+            continue
+        if op.name in ("GET", "BINGET", "LONG_BINGET"):
+            last = memo[arg]
+        elif op.name == "STACK_GLOBAL":  # module and name pushed before
+            found.add((pushed[-2], pushed[-1]))
+            last = None
+        elif op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+            last = None
+        else:
+            last = arg if isinstance(arg, str) else None
+        pushed.append(last)
+    return found
+
+
+class TestPayloadPickle:
+    """What a stored codegen entry needs in order to load.
+
+    The entry namespace is keyed by the source text of
+    :data:`~repro.sim.diskcache.SOURCE_TOKEN_MODULES`, so an entry may
+    pickle classes only from those modules: a class defined anywhere else
+    could change layout under an unchanged key and leave entries that
+    one side of the change cannot load.
+    """
+
+    @pytest.mark.parametrize("bench", ["sewha", "pse", "compress"])
+    def test_payload_classes_are_covered_by_source_token(self, cache_dir,
+                                                         bench):
+        spec = get_benchmark(bench)
+        gm, _ = optimize_module(compile_benchmark(spec), OptLevel.RENAMED)
+        run_module(gm, spec.generate_inputs(0), engine="codegen")
+        blob = get_cache().entry_path("codegen",
+                                      module_digest(gm)).read_bytes()
+        refs = pickled_globals(blob)
+        assert refs  # the scan sees the lowered-graph class at least
+        assert ("repro.ir.values", "VirtualReg") not in refs
+        for module, name in refs:
+            if module.split(".")[0] != "repro":
+                continue
+            obj = getattr(importlib.import_module(module), name)
+            if isinstance(obj, type):
+                assert module in diskcache.SOURCE_TOKEN_MODULES, \
+                    (module, name)
+
+    def test_scan_finds_every_global(self):
+        from repro.ir.values import ArraySymbol, VirtualReg
+        value = {"a": [ArraySymbol("x", 3), VirtualReg("r")],
+                 "b": (ArraySymbol("y", 1), importlib.import_module,
+                       VirtualReg("s"))}
+        want = {("repro.ir.values", "ArraySymbol"),
+                ("repro.ir.values", "VirtualReg"),
+                ("importlib", "import_module")}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickled_globals(pickle.dumps(value, protocol)) >= want
 
 
 class TestLifecycle:
