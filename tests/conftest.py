@@ -114,6 +114,18 @@ def mini_study():
     return run_study(config)
 
 
+@pytest.fixture(scope="session")
+def frontier_serial():
+    """The whole-suite frontier study up to budget 2600, serial.
+
+    Shared by the frontier tests and the suite-chain-table golden pin,
+    so the suite is swept and measured once per session.
+    """
+    from repro.feedback.study import FrontierStudyConfig, run_frontier_study
+    return run_frontier_study(
+        FrontierStudyConfig(max_budget=2600, jobs=1))
+
+
 def compile_and_run(source: str, inputs=None, level: int = 0,
                     name: str = "t"):
     """Compile mini-C, optimize at *level*, simulate, return MachineResult."""

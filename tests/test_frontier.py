@@ -34,7 +34,8 @@ SUITE = [spec.name for spec in all_benchmarks()]
 #: The pre-existing explore-study budget grid (tests/test_explore_study)
 #: — every cell of it must fall out of the frontier unchanged.
 GRID = (900, 1500, 2500)
-#: Sweep ceiling covering the whole grid with headroom.
+#: Sweep ceiling covering the whole grid with headroom: the ceiling of
+#: the shared ``frontier_serial`` fixture (tests/conftest.py).
 CEILING = 2600
 
 
@@ -54,12 +55,6 @@ def frontier_projection(study):
 
 
 @pytest.fixture(scope="module")
-def frontier_serial():
-    return run_frontier_study(
-        FrontierStudyConfig(max_budget=CEILING, jobs=1))
-
-
-@pytest.fixture(scope="module")
 def frontier_parallel():
     return run_frontier_study(
         FrontierStudyConfig(max_budget=CEILING, jobs=2))
@@ -73,6 +68,7 @@ def grid_study():
 
 class TestSuiteEquivalence:
     def test_covers_the_whole_suite(self, frontier_serial):
+        assert frontier_serial.config.max_budget == CEILING
         assert frontier_serial.names() == SUITE
         for name in SUITE:
             bench = frontier_serial.frontier(name)
