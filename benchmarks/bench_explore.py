@@ -22,7 +22,8 @@ are recorded in ``benchmarks/results/bench_explore.json``.
 
 import pytest
 
-from repro.asip.explore import Candidate, select_finalists
+from repro.asip.explore import (Candidate, frontier_sweep,
+                                select_finalists)
 from repro.exec.pool import available_cpus
 from repro.feedback.study import (ExplorationStudyConfig,
                                   FrontierStudyConfig,
@@ -201,12 +202,27 @@ def _synthetic_candidates(count=12):
 
 
 def test_select_finalists_enumeration(benchmark):
-    """The pure enumeration stage: 2^12 subsets per call.  PR 7 hoists
-    the ``estimate``/``area`` property reads out of the subset loops —
-    this leg pins the O(2^n) recompute from creeping back."""
+    """One budget's finalists from scratch: the 2^12-subset table
+    (``finalist_table``) plus the budget filter (``pick_finalists``) —
+    the per-cell cost ``explore-study`` pays.  The subset loops read
+    the hoisted ``estimate``/``area`` lists, never the properties; this
+    leg pins the O(2^n) property recompute from creeping back."""
     candidates = _synthetic_candidates()
     budget = sum(c.area for c in candidates) // 2
     combos = benchmark(select_finalists, candidates, budget, 4)
     assert combos
     for combo in combos:
         assert sum(candidates[i].area for i in combo) <= budget
+
+
+def test_frontier_sweep_synthetic_pool(benchmark):
+    """The whole sweep over the same 12-candidate pool: one ranked list
+    and one subset table per constant-candidate interval, then only the
+    budget filter at each of the interval's breakpoints."""
+    pool = _synthetic_candidates()
+    frontier = benchmark(frontier_sweep, pool, 8, 4)
+    assert len(frontier.segments) > len(pool)
+    for segment in frontier.segments:
+        for combo in segment.combos:
+            assert sum(pool[segment.candidate_indices[i]].area
+                       for i in combo) <= segment.budget

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import CostModel, DEFAULT_COST_MODEL
@@ -150,6 +151,68 @@ def rank_candidates(pool: Sequence[Candidate], area_budget: int,
     return candidates[:max_candidates]
 
 
+@dataclass(frozen=True)
+class FinalistTable:
+    """The budget-independent half of :func:`select_finalists`.
+
+    Built once per candidate list by :func:`finalist_table`: every
+    non-empty candidate-index subset as ``(-estimate, combo, area)``,
+    sorted ascending (best estimate first, ties broken by combo), plus
+    the greedy walk's value-density order.  Only the budget filter
+    depends on the budget, so one table answers every budget the list
+    is ranked for (:func:`pick_finalists`).
+    """
+
+    areas: Tuple[int, ...]
+    subsets: Tuple[Tuple[float, Tuple[int, ...], int], ...]
+    density_order: Tuple[int, ...]
+
+
+def finalist_table(candidates: Sequence[Candidate]) -> FinalistTable:
+    """Enumerate and sort every subset of *candidates* once."""
+    # ``estimate`` is an uncached property; the exhaustive enumeration
+    # below reads it O(2^n) times per candidate, so both it and the area
+    # are hoisted into plain lists once per call.
+    areas = [c.area for c in candidates]
+    estimates = [c.estimate for c in candidates]
+    estimate_of = estimates.__getitem__
+    area_of = areas.__getitem__
+    indices = range(len(candidates))
+    # Each estimate is the builtin ``sum`` over the combo's estimates in
+    # combo order — the same float additions as ``sum(estimates[i] for
+    # i in combo)``, whose rounding (and with it the tie order) is part
+    # of the pinned answer.  No two combos are equal, so the tuples sort
+    # by (-estimate, combo) alone, a total order: filtering the sorted
+    # list by a budget leaves the affordable subsets in exactly the
+    # order sorting only them would.
+    subsets = [(-sum(map(estimate_of, combo)), combo, sum(map(area_of, combo)))
+               for r in range(1, len(candidates) + 1)
+               for combo in itertools.combinations(indices, r)]
+    subsets.sort()
+    density_order = sorted(indices,
+                           key=lambda i: -estimates[i] / max(1, areas[i]))
+    return FinalistTable(tuple(areas), tuple(subsets), tuple(density_order))
+
+
+def pick_finalists(table: FinalistTable, area_budget: int,
+                   measure_top: int) -> List[Tuple[int, ...]]:
+    """One budget's finalists from a :func:`finalist_table`: the
+    greedy value-density pick plus the ``measure_top`` best affordable
+    subsets, in canonical order."""
+    areas = table.areas
+    greedy: List[int] = []
+    remaining = area_budget
+    for i in table.density_order:
+        if areas[i] <= remaining:
+            greedy.append(i)
+            remaining -= areas[i]
+    finalists = {tuple(sorted(greedy))} if greedy else set()
+    affordable = [combo for _, combo, area in table.subsets
+                  if area <= area_budget]
+    finalists.update(affordable[:measure_top])
+    return sorted(finalists)
+
+
 def select_finalists(candidates: Sequence[Candidate], area_budget: int,
                      measure_top: int) -> List[Tuple[int, ...]]:
     """The candidate-index subsets worth simulating, in canonical order.
@@ -160,32 +223,8 @@ def select_finalists(candidates: Sequence[Candidate], area_budget: int,
     value-density pick.  Deterministic in its inputs; the returned order
     is the order the measured design points appear in.
     """
-    # ``estimate`` is an uncached property; the exhaustive enumeration
-    # below reads it O(2^n) times per candidate, so both it and the area
-    # are hoisted into plain lists once per call.
-    areas = [c.area for c in candidates]
-    estimates = [c.estimate for c in candidates]
-    scored: List[Tuple[float, Tuple[int, ...]]] = []
-    indices = range(len(candidates))
-    for r in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(indices, r):
-            area = sum(areas[i] for i in combo)
-            if area > area_budget:
-                continue
-            estimate = sum(estimates[i] for i in combo)
-            scored.append((estimate, combo))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-
-    greedy: List[int] = []
-    remaining = area_budget
-    for i in sorted(indices, key=lambda i: -estimates[i] / max(1, areas[i])):
-        if areas[i] <= remaining:
-            greedy.append(i)
-            remaining -= areas[i]
-    finalists = {tuple(sorted(greedy))} if greedy else set()
-    for _, combo in scored[:measure_top]:
-        finalists.add(combo)
-    return sorted(finalists)
+    return pick_finalists(finalist_table(candidates), area_budget,
+                          measure_top)
 
 
 def explore_designs(module: Module,
@@ -253,7 +292,8 @@ def explore_designs(module: Module,
 # fixed — the finalist subsets (exhaustive enumeration *and* the greedy
 # value-density pick) change only where the budget crosses the summed
 # area of some candidate subset.  ``frontier_sweep`` walks those
-# breakpoints once, in increasing-area order, and emits one segment per
+# breakpoints once, in increasing-area order, enumerating each
+# constant-candidate interval's subsets once, and emits one segment per
 # distinct answer, so *any* budget query is a bisection into the
 # segment list instead of a fresh rank/select/measure pass.
 
@@ -299,7 +339,8 @@ class Frontier:
             raise AsipError(
                 f"budget {budget} is beyond this frontier's sweep limit "
                 f"({self.max_budget}); re-sweep with a higher max_budget")
-        at = bisect_right([s.budget for s in self.segments], budget) - 1
+        at = bisect_right(self.segments, budget,
+                          key=attrgetter("budget")) - 1
         return self.segments[at] if at >= 0 else None
 
     def candidates_at(self, budget: int) -> List[Candidate]:
@@ -350,9 +391,11 @@ def frontier_sweep(pool: Sequence[Candidate],
     change — candidate areas (the ranked list gains an entry) and, per
     constant-candidate interval, the subset-area sums of that interval's
     ranked list (an enumerated subset becomes affordable, or the greedy
-    walk's next density-ordered pick starts fitting).  Consecutive
-    breakpoints with identical answers coalesce, so the segment list is
-    the minimal piecewise-constant representation:
+    walk's next density-ordered pick starts fitting).  Each interval
+    ranks the pool once and builds one :func:`finalist_table`; its
+    breakpoints only re-run the budget filter (:func:`pick_finalists`).
+    Consecutive breakpoints with identical answers coalesce, so the
+    segment list is the minimal piecewise-constant representation:
     ``frontier.segment_at(B)`` reproduces ``rank_candidates(pool, B)``
     and ``select_finalists(..., B, ...)`` bit-identically for every
     budget ``B`` (pinned by the fuzz leg in ``tests/test_frontier.py``).
@@ -364,22 +407,23 @@ def frontier_sweep(pool: Sequence[Candidate],
     areas = sorted({c.area for c in pool})
     if max_budget is not None:
         areas = [area for area in areas if area <= max_budget]
-    breakpoints = set()
+    previous = None
     for i, area in enumerate(areas):
+        # Between this candidate area and the next one the ranked list
+        # is constant, so its subset table is too.
         hi = areas[i + 1] if i + 1 < len(areas) else None
         candidates = rank_candidates(pool, area, max_candidates)
-        breakpoints.add(area)
-        for total in _subset_sums([c.area for c in candidates], area, hi):
-            if max_budget is None or total <= max_budget:
-                breakpoints.add(total)
-    previous = None
-    for budget in sorted(breakpoints):
-        candidates = rank_candidates(pool, budget, max_candidates)
-        combos = tuple(select_finalists(candidates, budget, measure_top))
         indices = tuple(index_of[id(c)] for c in candidates)
-        if (indices, combos) == previous:
-            continue  # same answer as the previous breakpoint: coalesce
-        previous = (indices, combos)
-        frontier.segments.append(FrontierSegment(
-            budget=budget, candidate_indices=indices, combos=combos))
+        table = finalist_table(candidates)
+        budgets = {area}
+        for total in _subset_sums(table.areas, area, hi):
+            if max_budget is None or total <= max_budget:
+                budgets.add(total)
+        for budget in sorted(budgets):
+            combos = tuple(pick_finalists(table, budget, measure_top))
+            if (indices, combos) == previous:
+                continue  # same answer as the previous breakpoint: coalesce
+            previous = (indices, combos)
+            frontier.segments.append(FrontierSegment(
+                budget=budget, candidate_indices=indices, combos=combos))
     return frontier

@@ -8,14 +8,22 @@ optimization level, any ``jobs`` value, and any budget (a dense
 64-point grid and seeded random fuzz, not just the budgets someone
 thought to test).  Plus the cross-benchmark chain aggregation, the
 schedule shape, config validation and the Markdown report.
+
+The pure stages are checked against ``oracle_select_finalists``, a
+frozen copy of the brute-force finalist selection the sweep's shared
+subset table replaced, so the fuzz legs never compare the sweep with
+itself.
 """
 
+import itertools
 import random
+from typing import List, Sequence, Tuple
 
 import pytest
 
-from repro.asip.explore import (candidate_pool, frontier_sweep,
-                                rank_candidates, select_finalists)
+from repro.asip.explore import (Candidate, candidate_pool,
+                                frontier_sweep, rank_candidates,
+                                select_finalists)
 from repro.chaining.aggregate import (FrontierChain,
                                       combine_frontier_chains)
 from repro.errors import AsipError, ReproError
@@ -52,6 +60,61 @@ def frontier_projection(study):
         }
         for name, bench in study.benchmarks.items()
     }
+
+
+# The independent oracle: ``select_finalists`` exactly as it was before
+# the sweep shared one subset table across an interval's budgets
+# (brute force per call), kept verbatim apart from its name.
+def oracle_select_finalists(candidates: Sequence[Candidate],
+                            area_budget: int,
+                            measure_top: int) -> List[Tuple[int, ...]]:
+    """The candidate-index subsets worth simulating, in canonical order.
+
+    Stage 1 of the paper loop: exhaustive enumeration under the additive
+    estimate (exact for the estimator on these small candidate lists),
+    keeping the ``measure_top`` best subsets plus the greedy
+    value-density pick.  Deterministic in its inputs; the returned order
+    is the order the measured design points appear in.
+    """
+    # ``estimate`` is an uncached property; the exhaustive enumeration
+    # below reads it O(2^n) times per candidate, so both it and the area
+    # are hoisted into plain lists once per call.
+    areas = [c.area for c in candidates]
+    estimates = [c.estimate for c in candidates]
+    scored: List[Tuple[float, Tuple[int, ...]]] = []
+    indices = range(len(candidates))
+    for r in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(indices, r):
+            area = sum(areas[i] for i in combo)
+            if area > area_budget:
+                continue
+            estimate = sum(estimates[i] for i in combo)
+            scored.append((estimate, combo))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+
+    greedy: List[int] = []
+    remaining = area_budget
+    for i in sorted(indices, key=lambda i: -estimates[i] / max(1, areas[i])):
+        if areas[i] <= remaining:
+            greedy.append(i)
+            remaining -= areas[i]
+    finalists = {tuple(sorted(greedy))} if greedy else set()
+    for _, combo in scored[:measure_top]:
+        finalists.add(combo)
+    return sorted(finalists)
+
+
+def synthetic_pool(rng, size):
+    """A pool built to tie: few distinct frequencies (0.1/0.2/0.3 sum
+    with float rounding), cycles saved and areas, so many subsets share
+    an estimate or an area and the order falls back to the combo."""
+    return [
+        Candidate(pattern=("add",) * rng.choice((1, 2)) + (f"p{i}",),
+                  frequency=rng.choice((0.1, 0.2, 0.3, 1.0, 2.0)),
+                  area=rng.choice((100, 100, 150, 200, 250)),
+                  cycles_saved=rng.choice((1, 2)))
+        for i in range(size)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +284,26 @@ class TestFuzzQueries:
                 expected = rank_candidates(pool, budget, 8)
                 assert frontier.candidates_at(budget) == expected, \
                     (name, budget)
-                combos = select_finalists(expected, budget, 4)
+                combos = oracle_select_finalists(expected, budget, 4)
+                assert select_finalists(expected, budget, 4) == combos, \
+                    (name, budget)
                 segment = frontier.segment_at(budget)
                 if segment is None:
                     assert not combos, (name, budget)
                 else:
                     assert list(segment.combos) == combos, (name, budget)
+
+    @pytest.mark.parametrize("measure_top", (0, 1, 4, 2 ** 8 + 1))
+    def test_select_finalists_matches_oracle(self, pools, measure_top):
+        rng = random.Random(measure_top)
+        for name, pool in pools.items():
+            ceiling = sum(c.area for c in pool)
+            for _ in range(60):
+                budget = rng.randint(1, ceiling)
+                candidates = rank_candidates(pool, budget, 8)
+                assert select_finalists(candidates, budget, measure_top) \
+                    == oracle_select_finalists(candidates, budget,
+                                               measure_top), (name, budget)
 
     def test_bounded_sweep_matches_unbounded_within_ceiling(self, pools):
         rng = random.Random(99)
@@ -251,6 +328,72 @@ class TestFuzzQueries:
             for a, b in zip(frontier.segments, frontier.segments[1:]):
                 assert (a.candidate_indices, a.combos) != \
                     (b.candidate_indices, b.combos)
+
+
+class TestSyntheticOracle:
+    """The shared subset table against the oracle on pools built to
+    tie: equal estimates and equal areas, where only the combo breaks
+    the order, every ``measure_top`` regime and budgets below every
+    candidate area."""
+
+    SIZES = (1, 3, 6, 9)
+    #: 0, 1, a typical value, and more than every subset of 9 candidates.
+    MEASURE_TOPS = (0, 1, 4, 2 ** 9 + 1)
+
+    def test_ties_exist(self):
+        pool = synthetic_pool(random.Random(0), 9)
+        estimates = [c.estimate for c in pool]
+        areas = [c.area for c in pool]
+        assert len(set(estimates)) < len(estimates)
+        assert len(set(areas)) < len(areas)
+
+    @pytest.mark.parametrize("measure_top", MEASURE_TOPS)
+    def test_select_finalists_matches_oracle(self, measure_top):
+        rng = random.Random(7 + measure_top)
+        for size in self.SIZES:
+            for _ in range(5):
+                candidates = synthetic_pool(rng, size)
+                total = sum(c.area for c in candidates)
+                budgets = [rng.randint(0, total + 50) for _ in range(40)]
+                budgets += [0, min(c.area for c in candidates) - 1, total]
+                for budget in budgets:
+                    assert select_finalists(candidates, budget,
+                                            measure_top) == \
+                        oracle_select_finalists(candidates, budget,
+                                                measure_top), \
+                        (size, budget)
+
+    def test_budget_below_every_area_selects_nothing(self):
+        rng = random.Random(3)
+        for size in self.SIZES:
+            candidates = synthetic_pool(rng, size)
+            below = min(c.area for c in candidates) - 1
+            for measure_top in self.MEASURE_TOPS:
+                assert select_finalists(candidates, below, measure_top) \
+                    == oracle_select_finalists(candidates, below,
+                                               measure_top) == []
+
+    @pytest.mark.parametrize("measure_top", MEASURE_TOPS)
+    @pytest.mark.parametrize("max_candidates", (1, 5, 8))
+    def test_sweep_matches_oracle(self, measure_top, max_candidates):
+        rng = random.Random(1000 * max_candidates + measure_top)
+        for _ in range(3):
+            pool = synthetic_pool(rng, 9)
+            frontier = frontier_sweep(pool, max_candidates=max_candidates,
+                                      measure_top=measure_top)
+            ceiling = sum(c.area for c in pool) + 100
+            budgets = [rng.randint(0, ceiling) for _ in range(120)]
+            budgets += frontier.breakpoints()
+            for budget in budgets:
+                expected = rank_candidates(pool, budget, max_candidates)
+                assert frontier.candidates_at(budget) == expected, budget
+                combos = oracle_select_finalists(expected, budget,
+                                                 measure_top)
+                segment = frontier.segment_at(budget)
+                if segment is None:
+                    assert not expected and not combos, budget
+                else:
+                    assert list(segment.combos) == combos, budget
 
 
 class TestMultiSeed:
