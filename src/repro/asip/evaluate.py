@@ -6,21 +6,30 @@
    compiler" of Figure 1);
 2. re-sequentialize the schedule for the single-issue ASIP;
 3. simulate **without** chains — the base processor's cycle count;
-4. select chains and simulate **with** them — the ASIP's cycle count,
-   charging multi-cycle chains their extra issue cycles;
+4. select chains — :func:`~repro.asip.select.select_chains` returns a
+   fused module built alongside the base one, which it leaves unchanged
+   — and simulate **with** them: the ASIP's cycle count, charging
+   multi-cycle chains their extra issue cycles;
 5. verify both runs produce bit-identical outputs (a failed check would
    mean the selector broke the program — it raises, never under-reports).
+
+Steps 4 and 5 depend on the chain set only through the fused program it
+selects.  Chain sets that fuse the same sites (:func:`distinct_programs`
+finds them) fuse the same program, so the exploration loops simulate and
+check each distinct fused program once and give every chain set of the
+group that evaluation with its own extension area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import CostModel, DEFAULT_COST_MODEL
 from repro.asip.isa import InstructionSet
 from repro.asip.resequence import resequence_module
-from repro.asip.select import FusedInstruction, SelectionStats, select_chains
+from repro.asip.select import (ChainMatcher, FusedInstruction,
+                               SelectionStats, select_chains, site_key)
 from repro.cfg.graph import GraphModule
 from repro.errors import AsipError
 from repro.ir.module import Module
@@ -93,8 +102,7 @@ def evaluate_on_sequential(seq_module: GraphModule, isa: InstructionSet,
     if base_result is None:
         base_result = run_module(seq_module, inputs, engine=engine)
 
-    fused_module = seq_module.copy()
-    stats = select_chains(fused_module, isa)
+    fused_module, stats = select_chains(seq_module, isa)
     fused_result = run_module(fused_module, inputs, engine=engine)
 
     if fused_result.globals_after != base_result.globals_after \
@@ -127,7 +135,7 @@ def evaluate_on_sequential_batch(seq_module: GraphModule,
     The multi-seed form of :func:`evaluate_on_sequential`: chains are
     selected once (selection is input-independent) and every input set
     is batched through the fused program, so an N-seed finalist pays one
-    module copy and one compile instead of N.  Element *i* of the result
+    selection and one compile instead of N.  Element *i* of the result
     is bit-identical to ``evaluate_on_sequential(seq_module, isa,
     inputs_list[i], ..., base_result=base_results[i])``.
     """
@@ -139,8 +147,7 @@ def evaluate_on_sequential_batch(seq_module: GraphModule,
         raise AsipError(
             f"base results cover {len(base_results)} runs but the batch "
             f"has {len(inputs_list)} input sets")
-    fused_module = seq_module.copy()
-    stats = select_chains(fused_module, isa)
+    fused_module, stats = select_chains(seq_module, isa)
     fused_results = run_module_batch(fused_module, inputs_list,
                                      engine=engine)
     evaluations = []
@@ -160,6 +167,18 @@ def evaluate_on_sequential_batch(seq_module: GraphModule,
             chain_issues=chain_issues,
         ))
     return tuple(evaluations)
+
+
+def distinct_programs(seq_module: GraphModule,
+                      isas: Sequence[InstructionSet]) -> List[int]:
+    """For each ISA of *isas*, the index of the first one that fuses
+    *seq_module* into the same program — its own index if none before it
+    does.  Equal indices share one fused program, hence one simulation
+    and one output check on any inputs."""
+    matcher = ChainMatcher(seq_module)
+    first: Dict[Tuple, int] = {}
+    return [first.setdefault(site_key(matcher.match(isa)), i)
+            for i, isa in enumerate(isas)]
 
 
 def merge_evaluations(evaluations: Sequence[AsipEvaluation]

@@ -11,8 +11,9 @@ that maximizes measured speedup:
    small, so exhaustive enumeration with the additive estimate is exact for
    the estimator), keep the top few plus the greedy value-density pick;
 4. *measure* each finalist with
-   :func:`~repro.asip.evaluate.evaluate_on_sequential` and return the
-   measured winner.
+   :func:`~repro.asip.evaluate.evaluate_on_sequential` — once per
+   distinct fused program, since finalists whose extra chains never
+   match fuse the same program — and return the measured winner.
 
 This is deliberately a two-stage estimate-then-measure loop: the estimate
 is optimistic (it ignores overlap between candidates — an op fused into one
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import CostModel, DEFAULT_COST_MODEL
-from repro.asip.evaluate import AsipEvaluation, evaluate_on_sequential
+from repro.asip.evaluate import (AsipEvaluation, distinct_programs,
+                                 evaluate_on_sequential)
 from repro.asip.isa import ChainedInstruction, InstructionSet
 from repro.asip.resequence import resequence_module
 from repro.chaining.detect import detect_sequences
@@ -106,14 +108,11 @@ def _isa_for(patterns: Sequence[SequenceName],
     return isa
 
 
-def _measure_finalist(task) -> Tuple[InstructionSet, AsipEvaluation]:
+def _measure_finalist(task) -> AsipEvaluation:
     """Measure one finalist ISA (module-level: runs in pool workers)."""
-    sequential, patterns, inputs, cost, base_result, engine = task
-    isa = _isa_for(patterns, cost)
-    evaluation = evaluate_on_sequential(sequential, isa, inputs, cost,
-                                        base_result=base_result,
-                                        engine=engine)
-    return isa, evaluation
+    sequential, isa, inputs, cost, base_result, engine = task
+    return evaluate_on_sequential(sequential, isa, inputs, cost,
+                                  base_result=base_result, engine=engine)
 
 
 # -- the estimate-then-measure stages, exposed for the suite-wide executor --------
@@ -268,18 +267,23 @@ def explore_designs(module: Module,
     # shares the same unchained base processor, so simulate it exactly once
     # and hand the cached result to each evaluation; the codegen engine
     # additionally reuses the base module's generated code across finalists.
-    # With jobs > 1 the finalists are measured on a process pool.
+    # Finalists that fuse the same program share one measurement, taken
+    # on the first of them.  With jobs > 1 the distinct programs are
+    # measured on a process pool.
     sequential = resequence_module(graph_module)
     base_result = run_module(sequential, inputs, engine=engine)
-    patterns = [tuple(candidates[idx].pattern for idx in combo)
-                for combo in combos]
-    measured = parallel_map(
+    isas = [_isa_for([candidates[idx].pattern for idx in combo], cost)
+            for combo in combos]
+    firsts = distinct_programs(sequential, isas)
+    distinct = sorted(set(firsts))
+    measured = dict(zip(distinct, parallel_map(
         _measure_finalist,
-        [(sequential, pats, inputs, cost, base_result, engine)
-         for pats in patterns],
-        jobs=jobs)
-    for isa, evaluation in measured:
-        result.measured.append(DesignPoint(isa=isa, evaluation=evaluation))
+        [(sequential, isas[i], inputs, cost, base_result, engine)
+         for i in distinct],
+        jobs=jobs)))
+    for isa, first in zip(isas, firsts):
+        result.measured.append(DesignPoint(isa=isa, evaluation=replace(
+            measured[first], extension_area=isa.extension_area())))
     return result
 
 

@@ -1,9 +1,16 @@
 """Chain-aware instruction selection.
 
-Rewrites a *sequential* program graph (one operation per node — either the
-level-0 graph or a re-sequentialized optimized schedule from
-:mod:`repro.asip.resequence`), fusing runs of nodes that match a chained
-instruction's pattern into a single :class:`FusedInstruction` node.
+Builds a fused copy of a *sequential* program graph (one operation per
+node — either the level-0 graph or a re-sequentialized optimized schedule
+from :mod:`repro.asip.resequence`) in which runs of nodes that match a
+chained instruction's pattern become a single :class:`FusedInstruction`
+node.  Selection is two steps, and neither mutates its input:
+:class:`ChainMatcher` finds the runs on the unchanged graph (once set up
+for a module, for any number of chain sets), and
+:func:`build_fused` builds the fused module from them, sharing every
+unfused instruction with the input.  :func:`site_key` names the fused
+program a match produces, so callers can tell two chain sets that fuse
+the same program apart from ones that do not.
 
 Matching rules:
 
@@ -22,12 +29,14 @@ file write ports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.asip.isa import ChainedInstruction, InstructionSet
+from repro.chaining.sequence import SequenceName
 from repro.cfg.graph import GraphModule, Node, ProgramGraph
-from repro.errors import AsipError
+from repro.errors import AsipError, IRError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 
@@ -85,86 +94,172 @@ class SelectionStats:
         return sum(self.sites.values())
 
 
+#: One fused site: (function, node run head-first, chain), in fusion order.
+Site = Tuple[str, Tuple[int, ...], ChainedInstruction]
+
+
+class ChainMatcher:
+    """Matches chain sets against one sequential module, which it never
+    changes; the walk order is worked out once and serves every chain set.
+
+    Walks each graph in reverse postorder and tries a chain set's chains
+    longest-first at every node, greedily.  A node already fused into
+    an earlier run (its head or any later node) cannot start or join
+    another, so the walk over the unchanged graph accepts exactly the
+    runs that rewriting the graph after each match would: only the head
+    and the tail's successors of a fused run change, and neither change
+    lets a later run through (a fused head matches no pattern, and the
+    tail's successors keep their predecessor count).
+    """
+
+    def __init__(self, module: GraphModule):
+        self.module = module
+        # Per graph, in reverse postorder, the nodes that could start a
+        # chain (one operation, no control) with that operation's class.
+        self._starts: Dict[str, List[Tuple[int, str]]] = {}
+        for name, graph in module.graphs.items():
+            starts = []
+            for nid in graph.rpo_order():
+                node = graph.nodes[nid]
+                if node.control is None and len(node.ops) == 1:
+                    chain_class = node.ops[0].chain_class
+                    if chain_class is not None:
+                        starts.append((nid, chain_class))
+            self._starts[name] = starts
+
+    def match(self, isa: InstructionSet) -> Tuple[Site, ...]:
+        """Every run selection fuses for *isa*, in fusion order."""
+        # Longest-first, then ISA order, per head class: a node is tried
+        # only against the chains its own operation could start.
+        by_head: Dict[str, List[ChainedInstruction]] = {}
+        for chain in sorted(isa.chains, key=lambda c: -c.length):
+            by_head.setdefault(chain.pattern[0], []).append(chain)
+        sites: List[Site] = []
+        for name, graph in self.module.graphs.items():
+            nodes = graph.nodes
+            taken: Set[int] = set()
+            for nid, chain_class in self._starts[name]:
+                if nid in taken:
+                    continue
+                for chain in by_head.get(chain_class, ()):
+                    run = _match_at(nodes, nid, chain.pattern, taken)
+                    if run is None:
+                        continue
+                    taken.update(run)
+                    sites.append((name, run, chain))
+                    break
+        return tuple(sites)
+
+
+def site_key(sites: Sequence[Site]
+             ) -> Tuple[Tuple[str, int, SequenceName], ...]:
+    """``(function, head node, pattern)`` per site: equal keys on one
+    module mean equal fused programs (the head and the pattern's length
+    fix the run; only the pattern of a chain reaches the program)."""
+    return tuple((name, run[0], chain.pattern) for name, run, chain in sites)
+
+
 def select_chains(module: GraphModule, isa: InstructionSet
-                  ) -> SelectionStats:
+                  ) -> Tuple[GraphModule, SelectionStats]:
     """Fuse every match of *isa*'s chains in every graph of *module*.
 
-    Mutates *module* in place and returns :class:`SelectionStats`.
+    Returns the fused module and its :class:`SelectionStats`; *module*
+    is left unchanged and shares every unfused instruction with the
+    fused module.
     """
+    sites = ChainMatcher(module).match(isa)
     stats = SelectionStats()
-    chains = sorted(isa.chains, key=lambda c: -c.length)
-    for graph in module.graphs.values():
-        _select_in_graph(graph, chains, stats)
-    return stats
+    for _name, run, chain in sites:
+        key = tuple(chain.pattern)
+        stats.sites[key] = stats.sites.get(key, 0) + 1
+        stats.nodes_removed += len(run) - 1
+    return build_fused(module, sites), stats
 
 
-def _select_in_graph(graph: ProgramGraph,
-                     chains: List[ChainedInstruction],
-                     stats: SelectionStats) -> None:
-    for nid in graph.rpo_order():
-        if nid not in graph.nodes:
-            continue  # consumed by an earlier fusion
-        for chain in chains:
-            run = _match_at(graph, nid, chain.pattern)
-            if run is None:
-                continue
-            _fuse_run(graph, run, chain)
-            key = tuple(chain.pattern)
-            stats.sites[key] = stats.sites.get(key, 0) + 1
-            stats.nodes_removed += len(run) - 1
-            break  # node rewritten; move on
-
-
-def _match_at(graph: ProgramGraph, start: int,
-              pattern: Sequence[str]) -> Optional[List[int]]:
-    """Try to match *pattern* on the node run starting at *start*."""
+def _match_at(nodes: Dict[int, Node], start: int, pattern: Sequence[str],
+              taken: Set[int]) -> Optional[Tuple[int, ...]]:
+    """Match the rest of *pattern* on the node run from *start*, whose
+    single operation is of class ``pattern[0]``, touching no node of
+    *taken*.  (A fused node never matches: its ``CHAIN`` opcode has no
+    chain class.)"""
     run = [start]
-    node = graph.nodes[start]
-    if node.control is not None or len(node.ops) != 1:
-        return None
-    op = node.ops[0]
-    if isinstance(op, FusedInstruction) or op.chain_class != pattern[0]:
-        return None
-    producer = op
+    node = nodes[start]
+    producer = node.ops[0]
     for want in pattern[1:]:
         if len(node.succs) != 1:
             return None
         nxt_id = node.succs[0]
         if nxt_id in run:
             return None  # would wrap around a cycle onto itself
-        nxt = graph.nodes[nxt_id]
+        if nxt_id in taken:
+            return None  # already part of an earlier run
+        nxt = nodes[nxt_id]
         if nxt.control is not None or len(nxt.ops) != 1:
             return None
         if len(nxt.preds) != 1:
             return None  # something jumps into the middle of the chain
         consumer = nxt.ops[0]
-        if isinstance(consumer, FusedInstruction) \
-                or consumer.chain_class != want:
+        if consumer.chain_class != want:
             return None
         if producer.dest is None or producer.dest not in consumer.uses():
             return None
         run.append(nxt_id)
         node = nxt
         producer = consumer
-    return run
+    return tuple(run)
 
 
-def _fuse_run(graph: ProgramGraph, run: List[int],
-              chain: ChainedInstruction) -> None:
-    head = graph.nodes[run[0]]
-    tail = graph.nodes[run[-1]]
-    parts = [graph.nodes[nid].ops[0] for nid in run]
-    fused = FusedInstruction(chain, parts)
-    head.ops = [fused]
-    tail_succs = list(tail.succs)
-    # Unlink the interior of the run and reconnect head -> tail successors.
-    for prev, cur in zip(run, run[1:]):
-        graph.remove_edge(prev, cur)
-    for nid in run[1:]:
-        node = graph.nodes[nid]
-        node.ops = []
-        for succ in list(node.succs):
-            graph.remove_edge(nid, succ)
-        graph.remove_node(nid)
-    for succ in tail_succs:
-        graph.add_edge(run[0], succ)
+def build_fused(module: GraphModule, sites: Sequence[Site]) -> GraphModule:
+    """*module* with every site of *sites* fused, in site order.
+
+    Every node is a fresh :class:`Node`, but unfused instructions are
+    *module*'s own objects.  Each run's head takes a
+    :class:`FusedInstruction` and the tail's successors; the rest of the
+    run is dropped; each successor of the tail swaps the tail for the
+    head at the end of its predecessor list.
+    """
+    runs: Dict[str, List[Tuple[Tuple[int, ...], ChainedInstruction]]] = {}
+    for name, run, chain in sites:
+        runs.setdefault(name, []).append((run, chain))
+    graphs = {name: _build_graph(graph, runs.get(name, ()))
+              for name, graph in module.graphs.items()}
+    return GraphModule(module.name, graphs, module.global_arrays,
+                       module.array_initializers, module.global_scalars)
+
+
+def _build_graph(graph: ProgramGraph,
+                 runs: Sequence[Tuple[Tuple[int, ...], ChainedInstruction]]
+                 ) -> ProgramGraph:
+    dup = ProgramGraph(graph.name, graph.params, graph.local_arrays,
+                       graph.return_type)
+    dup._ids = itertools.count(max(graph.nodes) + 1 if graph.nodes else 0)
+    dropped: Set[int] = set()
+    for run, _chain in runs:
+        if graph.entry in run[1:]:
+            raise IRError("cannot remove the entry node")
+        dropped.update(run[1:])
+    nodes = dup.nodes
+    for nid, node in graph.nodes.items():
+        if nid in dropped:
+            continue
+        twin = Node(nid)
+        twin.ops = list(node.ops)
+        twin.control = node.control
+        twin.succs = list(node.succs)
+        twin.preds = list(node.preds)
+        nodes[nid] = twin
+    dup.entry = graph.entry
+    for run, chain in runs:
+        head_id, tail_id = run[0], run[-1]
+        head = nodes[head_id]
+        head.ops = [FusedInstruction(
+            chain, [graph.nodes[nid].ops[0] for nid in run])]
+        # The tail is untouched by earlier runs (it was never fused), so
+        # its successors are still the base graph's.
+        tail_succs = graph.nodes[tail_id].succs
+        for succ in tail_succs:
+            nodes[succ].preds.remove(tail_id)
+        for succ in tail_succs:
+            nodes[succ].preds.append(head_id)
+        head.succs = list(tail_succs)
+    return dup

@@ -25,7 +25,8 @@ persistent pool the study executor uses:
   the same pure helpers the per-benchmark loop uses
   (:func:`~repro.asip.explore.rank_candidates` /
   :func:`~repro.asip.explore.select_finalists`) and measures each
-  finalist ISA against the shipped base-processor results;
+  finalist ISA against the shipped base-processor results, simulating
+  each distinct fused program once;
 * multi-seed configurations **shard by seed** exactly like study cells
   (:func:`repro.exec.study.shard_seeds`): each shard measures every
   finalist on its contiguous seed slice against the matching slice of
@@ -46,10 +47,12 @@ to running ``explore_designs`` per benchmark, pinned by
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import DEFAULT_COST_MODEL
-from repro.asip.evaluate import (AsipEvaluation, evaluate_on_sequential,
+from repro.asip.evaluate import (AsipEvaluation, distinct_programs,
+                                 evaluate_on_sequential,
                                  evaluate_on_sequential_batch,
                                  merge_evaluations)
 from repro.asip.explore import (DesignPoint, ExplorationResult, _isa_for,
@@ -154,7 +157,10 @@ def _measure_pattern_sets(name: str, level: int,
     cell measures its finalist subsets, a frontier chunk measures its
     slice of the deduplicated breakpoint chain sets — same inputs, same
     base results, same ``(isa, per-seed evaluations)`` tuples out, in
-    the order given.
+    the order given.  Chain sets that fuse the same program
+    (:func:`~repro.asip.evaluate.distinct_programs`) are simulated and
+    output-checked once, at the first of them; the rest take that
+    evaluation with their own extension area.
     """
     sequential, _mapping = _sequential_module(name, level, unroll_factor)
     spec = get_benchmark(name)
@@ -165,11 +171,17 @@ def _measure_pattern_sets(name: str, level: int,
         inputs = spec.generate_inputs(seed)
     else:
         inputs_list = [spec.generate_inputs(s) for s in shard]
-    measured = []
-    for patterns in pattern_sets:
-        isa = _isa_for(patterns, cost)
-        if shard is None:
-            evals: Tuple[AsipEvaluation, ...] = (evaluate_on_sequential(
+    isas = [_isa_for(patterns, cost) for patterns in pattern_sets]
+    measured: List[Tuple] = []
+    firsts = distinct_programs(sequential, isas)
+    for i, (isa, first) in enumerate(zip(isas, firsts)):
+        evals: Tuple[AsipEvaluation, ...]
+        if first != i:
+            evals = tuple(
+                replace(evaluation, extension_area=isa.extension_area())
+                for evaluation in measured[first][1])
+        elif shard is None:
+            evals = (evaluate_on_sequential(
                 sequential, isa, inputs, cost,
                 base_result=base_results[0], engine=engine),)
         else:
@@ -319,9 +331,13 @@ def execute_exploration_study(config, jobs: int,
 # of one measurement task per (budget, shard) cell, each benchmark gets
 # one *frontier task* — gated on the same base task — that walks the
 # candidate pool once (:func:`~repro.asip.explore.frontier_sweep`), and
-# the deduplicated breakpoint chain sets fan out as measurement chunks:
-# every distinct chain set on the frontier is measured exactly once per
-# seed shard, however many budgets it answers.
+# the deduplicated breakpoint chain sets fan out as measurement chunks.
+# Every distinct chain set on the frontier is evaluated once per seed
+# shard, however many budgets it answers, and within a chunk every
+# distinct *fused program* is simulated once: chain sets whose extra
+# chains never match, or whose sites are already taken, fuse the same
+# program as another set (320 chain sets, 104 programs, on the
+# benchmark harness's 6-benchmark subset at seed 0).
 
 
 def _frontier_stage(max_candidates: int, measure_top: int,

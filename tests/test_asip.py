@@ -7,7 +7,8 @@ from repro.asip.evaluate import evaluate_isa, evaluate_on_sequential
 from repro.asip.explore import explore_designs
 from repro.asip.isa import ChainedInstruction, InstructionSet
 from repro.asip.resequence import resequence_module
-from repro.asip.select import FusedInstruction, select_chains
+from repro.asip.select import (FusedInstruction, SelectionStats,
+                               select_chains)
 from repro.cfg.build import build_module_graphs
 from repro.errors import AsipError
 from repro.frontend import compile_source
@@ -140,8 +141,7 @@ class TestSelection:
         seq = self._sequential(MAC_SRC)
         isa = InstructionSet()
         isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
-        fused = seq.copy()
-        stats = select_chains(fused, isa)
+        _fused, stats = select_chains(seq, isa)
         assert stats.sites.get(("multiply", "add"), 0) >= 1
         assert stats.nodes_removed >= 1
 
@@ -149,8 +149,7 @@ class TestSelection:
         seq = self._sequential(MAC_SRC)
         isa = InstructionSet()
         isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
-        fused = seq.copy()
-        select_chains(fused, isa)
+        fused, _stats = select_chains(seq, isa)
         base = run_module(seq, MAC_INPUTS)
         chained = run_module(fused, MAC_INPUTS)
         assert chained.globals_after == base.globals_after
@@ -162,8 +161,7 @@ class TestSelection:
         isa.add_chain(ChainedInstruction("ma", ("multiply", "add")))
         isa.add_chain(ChainedInstruction("lma",
                                          ("load", "multiply", "add")))
-        fused = seq.copy()
-        stats = select_chains(fused, isa)
+        _fused, stats = select_chains(seq, isa)
         if ("load", "multiply", "add") in stats.sites:
             assert stats.sites[("load", "multiply", "add")] >= 1
 
@@ -171,8 +169,7 @@ class TestSelection:
         seq = self._sequential(MAC_SRC)
         isa = InstructionSet()
         isa.add_chain(ChainedInstruction("weird", ("divide", "divide")))
-        fused = seq.copy()
-        stats = select_chains(fused, isa)
+        _fused, stats = select_chains(seq, isa)
         assert stats.total_sites == 0
         assert stats.nodes_removed == 0
 
@@ -180,8 +177,7 @@ class TestSelection:
         seq = self._sequential(MAC_SRC)
         isa = InstructionSet()
         isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
-        fused = seq.copy()
-        select_chains(fused, isa)
+        fused, _stats = select_chains(seq, isa)
         fused_ops = [ins for g in fused.graphs.values()
                      for n in g.nodes.values() for ins in n.ops
                      if isinstance(ins, FusedInstruction)]
@@ -246,3 +242,195 @@ class TestExploration:
         result = explore_designs(module, MAC_INPUTS, area_budget=0)
         assert result.candidates == []
         assert result.best is None
+
+
+# The independent oracle: chain selection exactly as it was when it
+# rewrote a deep copy of the module in place, kept verbatim apart from
+# the names.  ``select_chains`` now matches on the unchanged graph and
+# builds the fused module from the matches; the legs below hold the two
+# to the same fused programs.
+def oracle_select_chains(module, isa):
+    """Fuse every match of *isa*'s chains in every graph of *module*.
+
+    Mutates *module* in place and returns :class:`SelectionStats`.
+    """
+    stats = SelectionStats()
+    chains = sorted(isa.chains, key=lambda c: -c.length)
+    for graph in module.graphs.values():
+        _oracle_select_in_graph(graph, chains, stats)
+    return stats
+
+
+def _oracle_select_in_graph(graph, chains, stats):
+    for nid in graph.rpo_order():
+        if nid not in graph.nodes:
+            continue  # consumed by an earlier fusion
+        for chain in chains:
+            run = _oracle_match_at(graph, nid, chain.pattern)
+            if run is None:
+                continue
+            _oracle_fuse_run(graph, run, chain)
+            key = tuple(chain.pattern)
+            stats.sites[key] = stats.sites.get(key, 0) + 1
+            stats.nodes_removed += len(run) - 1
+            break  # node rewritten; move on
+
+
+def _oracle_match_at(graph, start, pattern):
+    """Try to match *pattern* on the node run starting at *start*."""
+    run = [start]
+    node = graph.nodes[start]
+    if node.control is not None or len(node.ops) != 1:
+        return None
+    op = node.ops[0]
+    if isinstance(op, FusedInstruction) or op.chain_class != pattern[0]:
+        return None
+    producer = op
+    for want in pattern[1:]:
+        if len(node.succs) != 1:
+            return None
+        nxt_id = node.succs[0]
+        if nxt_id in run:
+            return None  # would wrap around a cycle onto itself
+        nxt = graph.nodes[nxt_id]
+        if nxt.control is not None or len(nxt.ops) != 1:
+            return None
+        if len(nxt.preds) != 1:
+            return None  # something jumps into the middle of the chain
+        consumer = nxt.ops[0]
+        if isinstance(consumer, FusedInstruction) \
+                or consumer.chain_class != want:
+            return None
+        if producer.dest is None or producer.dest not in consumer.uses():
+            return None
+        run.append(nxt_id)
+        node = nxt
+        producer = consumer
+    return run
+
+
+def _oracle_fuse_run(graph, run, chain):
+    head = graph.nodes[run[0]]
+    tail = graph.nodes[run[-1]]
+    parts = [graph.nodes[nid].ops[0] for nid in run]
+    fused = FusedInstruction(chain, parts)
+    head.ops = [fused]
+    tail_succs = list(tail.succs)
+    # Unlink the interior of the run and reconnect head -> tail successors.
+    for prev, cur in zip(run, run[1:]):
+        graph.remove_edge(prev, cur)
+    for nid in run[1:]:
+        node = graph.nodes[nid]
+        node.ops = []
+        for succ in list(node.succs):
+            graph.remove_edge(nid, succ)
+        graph.remove_node(nid)
+    for succ in tail_succs:
+        graph.add_edge(run[0], succ)
+
+
+def _edges(module):
+    """Every node's successor and predecessor lists, in node order."""
+    return [(name, nid, list(node.succs), list(node.preds))
+            for name, graph in module.graphs.items()
+            for nid, node in graph.nodes.items()]
+
+
+def _chain_isa(patterns):
+    isa = InstructionSet()
+    for pattern in patterns:
+        isa.add_chain(ChainedInstruction.from_sequence(pattern))
+    return isa
+
+
+class TestSelectionOracle:
+    """The non-mutating matcher + builder against the frozen in-place
+    selection: every benchmark at levels 0/1/2, with the full candidate
+    pool and 25 seeded random chain subsets (random order too, which
+    decides ties between equal-length chains) — ~900 chain sets."""
+
+    SUBSETS = 25
+
+    @pytest.mark.parametrize("level", (0, 1, 2))
+    def test_matches_in_place_selection(self, level):
+        import random
+
+        from repro.asip.explore import candidate_pool
+        from repro.chaining.detect import detect_sequences
+        from repro.sim.diskcache import module_digest
+        from repro.suite.registry import all_benchmarks
+        from repro.suite.runner import compile_benchmark
+
+        rng = random.Random(level)
+        checked = 0
+        for spec in all_benchmarks():
+            gm, _ = optimize_module(compile_benchmark(spec),
+                                    OptLevel(level))
+            profile = run_module(gm, spec.generate_inputs(0)).profile
+            detection = detect_sequences(gm, profile, (2, 3))
+            pool = [c.pattern for c in
+                    candidate_pool(detection, DEFAULT_COST_MODEL)]
+            assert pool, spec.name
+            seq = resequence_module(gm)
+            base_digest = module_digest(seq)
+            base_edges = _edges(seq)
+            pattern_sets = [pool] + [
+                rng.sample(pool, rng.randint(1, len(pool)))
+                for _ in range(self.SUBSETS)]
+            for patterns in pattern_sets:
+                isa = _chain_isa(patterns)
+                expected = seq.copy()
+                expected_stats = oracle_select_chains(expected, isa)
+                fused, stats = select_chains(seq, isa)
+                assert stats == expected_stats, (spec.name, patterns)
+                assert module_digest(fused) == module_digest(expected), \
+                    (spec.name, patterns)
+                assert _edges(fused) == _edges(expected), \
+                    (spec.name, patterns)
+                assert module_digest(seq) == base_digest, spec.name
+                assert _edges(seq) == base_edges, spec.name
+                checked += 1
+        assert checked == 12 * (self.SUBSETS + 1)
+
+    def test_unfused_instructions_shared(self):
+        seq = TestSelection()._sequential(MAC_SRC)
+        isa = InstructionSet()
+        isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
+        fused, stats = select_chains(seq, isa)
+        assert stats.total_sites >= 1
+        base_ops = {id(ins) for g in seq.graphs.values()
+                    for n in g.nodes.values() for ins in n.ops}
+        for graph in fused.graphs.values():
+            for node in graph.nodes.values():
+                for ins in node.ops:
+                    parts = ins.parts if isinstance(ins, FusedInstruction) \
+                        else [ins]
+                    assert all(id(p) in base_ops for p in parts)
+
+    def test_entry_as_run_interior_rejected(self):
+        """A run whose interior is the graph entry cannot drop that node:
+        selection raises ``IRError``, as removing the entry always has."""
+        from repro.cfg.graph import GraphModule, ProgramGraph
+        from repro.errors import IRError
+        from repro.ir.instr import Instruction
+        from repro.ir.ops import Op
+        from repro.ir.values import Constant, VirtualReg
+
+        def module():
+            a, b = VirtualReg("a"), VirtualReg("b")
+            graph = ProgramGraph("main", return_type="int")
+            entry = graph.new_node()  # b = a + 1, reached only from mul
+            entry.ops = [Instruction(Op.ADD, b, (a, Constant(1)))]
+            mul = graph.new_node()    # a = b * 3, jumps back to the entry
+            mul.ops = [Instruction(Op.MUL, a, (b, Constant(3)))]
+            graph.entry = entry.id
+            graph.add_edge(entry.id, mul.id)
+            graph.add_edge(mul.id, entry.id)
+            return GraphModule("t", {"main": graph}, {}, {}, {})
+
+        isa = InstructionSet()
+        isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
+        with pytest.raises(IRError, match="entry"):
+            oracle_select_chains(module(), isa)
+        with pytest.raises(IRError, match="entry"):
+            select_chains(module(), isa)

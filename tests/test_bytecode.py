@@ -95,8 +95,7 @@ class TestSuiteDifferential:
             for pattern, _freq in detection.top(length, limit=1):
                 if isa.find(pattern) is None:
                     isa.add_chain(ChainedInstruction.from_sequence(pattern))
-        fused = sequential.copy()
-        select_chains(fused, isa)
+        fused, _stats = select_chains(sequential, isa)
         reference = run_module(fused, inputs, engine="reference")
         clone = warm_clone(fused, disk)
         assert_identical(reference, run_module(clone, inputs,

@@ -80,8 +80,7 @@ class TestSuiteDifferential:
             for pattern, _freq in detection.top(length, limit=1):
                 if isa.find(pattern) is None:
                     isa.add_chain(ChainedInstruction.from_sequence(pattern))
-        fused = sequential.copy()
-        stats = select_chains(fused, isa)
+        fused, stats = select_chains(sequential, isa)
         if isa.chains:
             assert stats.total_sites > 0, \
                 f"{name}: no chain fused; test covers nothing"

@@ -307,3 +307,108 @@ class TestDiskCacheIntegration:
         assert cache.hits["codegen"] >= stores_after_cold
         assert cache.stores["codegen"] == stores_after_cold
         diskcache.reset_cache_state()
+
+
+class TestDistinctPrograms:
+    """Chain sets that fuse the same program share one measurement.
+
+    Every frontier design of the benchmark harness's 6-benchmark subset
+    at seed 0: an equal site key must mean an equal fused program, and
+    the measurement kernel (which simulates each distinct program once)
+    must answer exactly what measuring every design on its own does."""
+
+    SUBSET = ("iir", "smooth", "sewha", "feowf", "flatten", "dft")
+    LEVEL = 1
+
+    @pytest.fixture(scope="class")
+    def frontier_work(self):
+        from repro.asip.explore import _isa_for, frontier_sweep
+        from repro.asip.cost import DEFAULT_COST_MODEL
+        from repro.exec.explore import _explore_base, _sequential_module
+        work = {}
+        for name in self.SUBSET:
+            pool, base_results, _total_ops = _explore_base(
+                name, self.LEVEL, (2, 3), 0, None, 2, "codegen")
+            pattern_sets = frontier_sweep(pool).pattern_sets()
+            sequential, _mapping = _sequential_module(name, self.LEVEL, 2)
+            isas = [_isa_for(patterns, DEFAULT_COST_MODEL)
+                    for patterns in pattern_sets]
+            work[name] = (pattern_sets, isas, sequential, base_results)
+        return work
+
+    def test_equal_site_key_means_equal_program(self, frontier_work):
+        from repro.asip.evaluate import distinct_programs
+        from repro.asip.select import (ChainMatcher, select_chains,
+                                       site_key)
+        from repro.sim.diskcache import module_digest
+        designs = programs = 0
+        for name, (_sets, isas, sequential, _base) in frontier_work.items():
+            digest_of = {}
+            for isa in isas:
+                key = site_key(ChainMatcher(sequential).match(isa))
+                fused, _stats = select_chains(sequential, isa)
+                assert digest_of.setdefault(key, module_digest(fused)) \
+                    == module_digest(fused), (name, isa)
+            firsts = distinct_programs(sequential, isas)
+            assert len(set(firsts)) == len(digest_of), name
+            designs += len(isas)
+            programs += len(digest_of)
+        # Two thirds of the frontier's chain sets repeat a program.
+        assert (designs, programs) == (320, 104)
+
+    def test_kernel_matches_per_design_evaluation(self, frontier_work):
+        from repro.asip.evaluate import evaluate_on_sequential
+        from repro.exec.explore import _measure_pattern_sets
+        for name, (sets, isas, sequential, base) in frontier_work.items():
+            spec = get_benchmark(name)
+            measured = _measure_pattern_sets(
+                name, self.LEVEL, None, 0, 2, "codegen", sets, base)
+            assert len(measured) == len(isas), name
+            inputs = spec.generate_inputs(0)
+            for (isa, (evaluation,)), expected_isa in zip(measured, isas):
+                assert isa == expected_isa, name
+                assert evaluation == evaluate_on_sequential(
+                    sequential, isa, inputs, base_result=base[0]), \
+                    (name, isa)
+
+    def test_never_matching_chain_keeps_own_area(self, frontier_work):
+        """A chain set plus a chain that never matches fuses the same
+        program: one simulation, two areas — and the batched multi-seed
+        kernel path shares the same way."""
+        from repro.asip.evaluate import (distinct_programs,
+                                         evaluate_on_sequential_batch)
+        from repro.asip.explore import _isa_for
+        from repro.asip.cost import DEFAULT_COST_MODEL
+        from repro.exec.explore import (_derived_base_result,
+                                        _measure_pattern_sets,
+                                        _sequential_module)
+        from repro.exec.study import _optimized_cell
+        from repro.sim.machine import run_module_batch
+        name = "sewha"
+        sets, _isas, sequential, _base = frontier_work[name]
+        never = ("divide", "divide")
+        assert all(never not in patterns for patterns in sets)
+        pair = [sets[0], sets[0] + (never,)]
+        isas = [_isa_for(patterns, DEFAULT_COST_MODEL) for patterns in pair]
+        assert distinct_programs(sequential, isas) == [0, 0]
+        assert isas[0].extension_area() < isas[1].extension_area()
+
+        seeds = (0, 1)
+        spec = get_benchmark(name)
+        graph_module, _ = _optimized_cell(name, self.LEVEL, 2)
+        _seq, mapping = _sequential_module(name, self.LEVEL, 2)
+        inputs_list = [spec.generate_inputs(s) for s in seeds]
+        base = tuple(
+            _derived_base_result(result, mapping, "main")
+            for result in run_module_batch(graph_module, inputs_list))
+        measured = _measure_pattern_sets(name, self.LEVEL, seeds, 0, 2,
+                                         "codegen", pair, base)
+        for (isa, evals), expected_isa in zip(measured, isas):
+            assert evals == evaluate_on_sequential_batch(
+                sequential, expected_isa, inputs_list, base_results=base)
+            assert all(e.extension_area == expected_isa.extension_area()
+                       for e in evals)
+        first, second = (evals for _isa, evals in measured)
+        assert first[0].selection.total_sites > 0
+        assert [e.chained_cycles for e in first] \
+            == [e.chained_cycles for e in second]

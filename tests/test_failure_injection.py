@@ -122,17 +122,19 @@ class TestEvaluatorOracle:
         isa = InstructionSet()
         isa.add_chain(ChainedInstruction("mac", ("multiply", "add")))
 
-        original_fuse = select_mod._fuse_run
+        original_build = select_mod.build_fused
 
-        def sabotaged(graph, run, chain):
-            original_fuse(graph, run, chain)
-            # Drop the last part of the freshly fused instruction.
-            head = graph.nodes[run[0]]
-            head.ops[0].parts.pop()
-            head.ops[0].chain = ChainedInstruction(
-                chain.name, chain.pattern[:-1] + ("add",))
+        def sabotaged(module, sites):
+            fused = original_build(module, sites)
+            for name, run, chain in sites:
+                # Drop the last part of the freshly fused instruction.
+                head = fused.graphs[name].nodes[run[0]]
+                head.ops[0].parts.pop()
+                head.ops[0].chain = ChainedInstruction(
+                    chain.name, chain.pattern[:-1] + ("add",))
+            return fused
 
-        select_mod._fuse_run = sabotaged
+        select_mod.build_fused = sabotaged
         try:
             # Either the output comparison (AsipError) or the simulator's
             # undefined-register guard must reject the broken binary.
@@ -140,7 +142,63 @@ class TestEvaluatorOracle:
             with pytest.raises((AsipError, SimulationError)):
                 evaluate_on_sequential(sequential, isa, INPUTS)
         finally:
-            select_mod._fuse_run = original_fuse
+            select_mod.build_fused = original_build
+
+    def test_diverging_program_fails_its_whole_group(self, monkeypatch):
+        """The measurement kernel simulates each distinct fused program
+        once.  A program whose outputs diverge must raise ``AsipError``
+        at the first chain set that fuses it, so no later chain set of
+        the same program is handed an evaluation — and the kernel
+        returns nothing at all."""
+        from repro.asip import evaluate as evaluate_mod
+        from repro.asip.cost import DEFAULT_COST_MODEL
+        from repro.asip.explore import _isa_for
+        from repro.asip.select import (ChainMatcher, FusedInstruction,
+                                       site_key)
+        from repro.exec import explore as explore_mod
+
+        name, level = "sewha", 1
+        pool, base_results, _ops = explore_mod._explore_base(
+            name, level, (2, 3), 0, None, 2, "codegen")
+        sequential, _mapping = explore_mod._sequential_module(name, level, 2)
+        matcher = ChainMatcher(sequential)
+        fusing = [c.pattern for c in pool
+                  if matcher.match(_isa_for([c.pattern], DEFAULT_COST_MODEL))]
+        good, bad = fusing[:2]
+        never = ("divide", "divide")
+        pattern_sets = [(good,), (good, never), (bad,), (bad, never)]
+        keys = [site_key(matcher.match(_isa_for(p, DEFAULT_COST_MODEL)))
+                for p in pattern_sets]
+        assert keys[0] == keys[1] != keys[2] == keys[3]
+
+        real_run = evaluate_mod.run_module
+
+        def diverging_run(module, *args, **kwargs):
+            result = real_run(module, *args, **kwargs)
+            fused = {tuple(ins.chain.pattern)
+                     for graph in module.graphs.values()
+                     for node in graph.nodes.values() for ins in node.ops
+                     if isinstance(ins, FusedInstruction)}
+            if bad in fused:
+                array = next(iter(result.globals_after.values()))
+                array[0] += 1
+            return result
+
+        evaluated = []
+        real_evaluate = explore_mod.evaluate_on_sequential
+
+        def recording_evaluate(seq, isa, *args, **kwargs):
+            evaluated.append(tuple(isa.patterns()))
+            return real_evaluate(seq, isa, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "run_module", diverging_run)
+        monkeypatch.setattr(explore_mod, "evaluate_on_sequential",
+                            recording_evaluate)
+        with pytest.raises(AsipError, match="diverged"):
+            explore_mod._measure_pattern_sets(
+                name, level, None, 0, 2, "codegen", pattern_sets,
+                base_results)
+        assert evaluated == [(good,), (bad,)]
 
 
 class TestSimulatorGuards:
