@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.graph import ProgramGraph
-from repro.cfg.dataflow import compute_liveness
+from repro.cfg.dataflow import RegisterBits, live_in_masks, live_out_mask
 from repro.errors import OptimizationError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
@@ -256,20 +256,25 @@ def dead_code_elimination(graph: ProgramGraph) -> int:
     """Remove pure operations whose destination is dead.
 
     Iterates liveness to fixpoint (removing one layer of dead code can kill
-    another).  Stores, calls and control are never removed.  Returns the
-    total number of deleted operations.
+    another).  Stores, calls and control are never removed.  A node
+    unreachable from the entry has nothing live out, so its pure
+    operations all go.  Returns the total number of deleted operations.
     """
     total = 0
+    bits = RegisterBits()
     while True:
-        liveness = compute_liveness(graph)
+        order = graph.rpo_order()
+        live_in = live_in_masks(graph, order, bits)
+        reachable = set(order)
         removed = 0
         for nid, node in graph.nodes.items():
-            live_out = liveness.live_out[nid]
+            live_out = (live_out_mask(graph, nid, live_in)
+                        if nid in reachable else 0)
             survivors = []
             for ins in node.ops:
                 if ins.dest is None or ins.has_side_effects or ins.is_call:
                     survivors.append(ins)
-                elif ins.dest in live_out:
+                elif bits.get(ins.dest, 0) & live_out:
                     survivors.append(ins)
                 else:
                     removed += 1

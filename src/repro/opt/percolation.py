@@ -46,17 +46,24 @@ on three invariants: calls never move (and no move creates one), so the
 set of nodes holding a call is computed once per :func:`compact_graph`;
 :meth:`Instruction.uses <repro.ir.instr.Instruction.uses>` is memoized on
 the identity of the ``srcs`` tuple, which every operand rewrite replaces;
-and liveness is recomputed exactly at every pass start, then only grown
+and liveness is solved exactly at every pass start, then only grown
 within the pass as ops move up.  The reverse postorder is reused while no
 node is deleted, since moves never touch edges, and rule 5 counts the
 readers of each register per node visit instead of rescanning the node.
-The per-register and per-op checks run in C: registers are named tuples
-(tuple hashing and equality), and opcode tests are ``in`` tests against
-tuples, which find an enum member by identity without calling
-``Enum.__hash__``.  On a shared 2-vCPU VM (CPython 3.11.7) that took a
-cold ``study --seed 100`` from 1.91 s to 1.60 s median wall time
-(``perfbench/run.py``, 10 alternating pairs, 10/10 wins, parent IQR
-0.07 s), with the same moves and schedules.
+Liveness and the register facts are bit masks over one
+:class:`~repro.cfg.dataflow.RegisterBits` numbering per graph: a pass
+solves :func:`~repro.cfg.dataflow.live_in_masks` once, which also hands
+back every node's def mask (the OR of the bits its ops write).  Rules 2
+and 3 are then one AND each against the target's def mask, and rule 4 one
+AND per other successor; only rule 7 still scans the target's ops.  The
+def masks stay exact as ops move: a target ORs in what it receives, and a
+node an op leaves is recomputed from the ops that remain (unreachable
+predecessors, which may be targets, have masks too).  Opcode tests are
+``in`` tests against tuples, which find an enum member by identity
+without calling ``Enum.__hash__``.  On a shared 2-vCPU VM (CPython
+3.11.7) the masks took a cold ``study --seed 100`` from 1.58 s to 1.46 s
+median wall time (``perfbench/run.py``, 10 alternating pairs, 10/10
+wins, parent IQR 0.04 s), with the same moves and schedules.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cfg.dataflow import compute_liveness
+from repro.cfg.dataflow import RegisterBits, def_mask, live_in_masks
 from repro.cfg.graph import Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
@@ -102,14 +109,16 @@ def _node_has_call(node: Node) -> bool:
     return any(ins.op is Op.CALL for ins in node.ops)
 
 
-def _check_target(op: Instruction, op_uses: Set[VirtualReg], mem: bool,
-                  unsafe: bool, target: Node, other_succs: List[int],
-                  live_in: Dict[int, Set[VirtualReg]],
+def _check_target(use_mask: int, dest_bit: int, op: Instruction, mem: bool,
+                  unsafe: bool, target: Node, target_defs: int,
+                  other_succs: List[int], live_in: Dict[int, int],
                   max_width: Optional[int]) -> str:
     """Classify hoisting *op* into *target* (rules 2-4, 6, 7).
 
-    *op_uses*, *mem* (a load or store) and *unsafe* (trapping or a store)
-    are the op's own facts, computed once for all targets; *other_succs*
+    *use_mask* and *dest_bit* are the op's sources and destination as
+    register bits, *mem* (a load or store) and *unsafe* (trapping or a
+    store) its other facts, all computed once for all targets;
+    *target_defs* is the def mask of the target's ops, and *other_succs*
     are the target's successors other than the source node, so a
     non-empty list makes the hoist speculative.  Rule 1 and the renaming
     legality are the caller's.
@@ -118,24 +127,18 @@ def _check_target(op: Instruction, op_uses: Set[VirtualReg], mem: bool,
         return _BLOCKED
     if unsafe and other_succs:
         return _BLOCKED
-
-    dest = op.dest
-    verdict = _LEGAL
-    for existing in target.ops:
-        written = existing.dest
-        if written is not None:
-            if written in op_uses:
-                return _BLOCKED  # true dependence
-            if written == dest:
-                verdict = _RENAME  # output dependence: renaming can fix it
-        if mem and memory_conflict(op, existing):
-            return _BLOCKED
-
-    if dest is not None and verdict is _LEGAL:
-        for succ in other_succs:
-            if dest in live_in[succ]:
-                return _RENAME
-    return verdict
+    if target_defs & use_mask:
+        return _BLOCKED  # true dependence
+    if mem:
+        for existing in target.ops:
+            if memory_conflict(op, existing):
+                return _BLOCKED
+    if target_defs & dest_bit:
+        return _RENAME  # output dependence: renaming can fix it
+    for succ in other_succs:
+        if live_in[succ] & dest_bit:
+            return _RENAME
+    return _LEGAL
 
 
 def compact_graph(graph: ProgramGraph, rename: bool = False,
@@ -147,6 +150,7 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
     without it, level 1.  Returns :class:`CompactionStats`.
     """
     stats = CompactionStats()
+    bits = RegisterBits()
     # Calls never move and no move creates one, so this holds all run.
     call_nodes = {nid for nid, node in graph.nodes.items()
                   if _node_has_call(node)}
@@ -157,8 +161,8 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
             # Moves never touch edges, so the order survives every pass
             # that deletes no node.
             order = graph.rpo_order()
-        made_progress = _compaction_pass(graph, order, call_nodes, rename,
-                                         max_width, stats)
+        made_progress = _compaction_pass(graph, order, call_nodes, bits,
+                                         rename, max_width, stats)
         deleted = delete_empty_nodes(graph)
         stats.deleted_nodes += deleted
         if deleted:
@@ -169,11 +173,12 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
 
 
 def _compaction_pass(graph: ProgramGraph, order: List[int],
-                     call_nodes: Set[int], rename: bool,
+                     call_nodes: Set[int], bits: RegisterBits, rename: bool,
                      max_width: Optional[int],
                      stats: CompactionStats) -> bool:
     nodes = graph.nodes
-    live_in = compute_liveness(graph, order).live_in
+    def_masks: Dict[int, int] = {}
+    live_in = live_in_masks(graph, order, bits, def_masks)
     rpo_index = {nid: i for i, nid in enumerate(order)}
     moved_any = False
 
@@ -209,12 +214,16 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
             if store and any(memory_conflict(op, other)
                              for other in node.ops if other is not op):
                 continue
-            op_uses = set(uses)
+            use_mask = 0
+            for reg in uses:
+                use_mask |= bits[reg]
+            dest_bit = 0 if dest is None else bits[dest]
             mem = store or op.is_load
             unsafe = store or op.op in TRAPPING_OPS
             needs_rename = False
             for target, other_succs in targets:
-                verdict = _check_target(op, op_uses, mem, unsafe, target,
+                verdict = _check_target(use_mask, dest_bit, op, mem, unsafe,
+                                        target, def_masks[target.id],
                                         other_succs, live_in, max_width)
                 if verdict is _BLOCKED:
                     break
@@ -230,16 +239,17 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
                 for reg in uses:
                     readers[reg] -= 1
                 if needs_rename:
-                    _hoist_renamed(graph, op, node, targets, live_in,
-                                   readers, stats)
+                    _hoist_renamed(graph, op, node, targets, bits, live_in,
+                                   def_masks, readers, stats)
                 else:
                     node.ops.remove(op)
+                    def_masks[nid] = def_mask(node.ops, bits)
                     first = True
                     for target, _ in targets:
                         target.ops.append(op if first else op.clone())
+                        def_masks[target.id] |= dest_bit
                         first = False
-                    if dest is not None:
-                        live_in[nid].add(dest)
+                    live_in[nid] |= dest_bit
                     stats.moves += 1
                     stats.copies += len(preds) - 1
                 moved_any = True
@@ -248,21 +258,27 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
 
 def _hoist_renamed(graph: ProgramGraph, op: Instruction, node: Node,
                    targets: List[Tuple[Node, List[int]]],
-                   live_in: Dict[int, Set[VirtualReg]],
+                   bits: RegisterBits, live_in: Dict[int, int],
+                   def_masks: Dict[int, int],
                    readers: Dict[VirtualReg, int],
                    stats: CompactionStats) -> None:
-    """Hoist ``r' = op ...`` into every target, leave ``mov dest, r'``."""
+    """Hoist ``r' = op ...`` into every target, leave ``mov dest, r'``.
+
+    The node keeps writing ``dest``, so only the targets' def masks change.
+    """
     fresh = graph.new_temp(op.dest.is_float)
+    fresh_bit = bits[fresh]
     for target, _ in targets:
         clone = op.clone()
         clone.dest = fresh
         target.ops.append(clone)
+        def_masks[target.id] |= fresh_bit
     mov_op = Op.FMOV if op.dest.is_float else Op.MOV
     index = node.ops.index(op)
     node.ops[index] = Instruction(
         mov_op, dest=op.dest, srcs=(fresh,),
         origin=op.origin, loc=op.loc)
-    live_in[node.id].add(fresh)
+    live_in[node.id] |= fresh_bit
     readers[fresh] = readers.get(fresh, 0) + 1
     stats.renames += 1
     stats.copies += len(targets) - 1

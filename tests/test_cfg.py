@@ -1,16 +1,91 @@
 """Program-graph construction and analysis tests."""
 
+from typing import List, Optional, Set
+
 import pytest
 
 from repro.cfg.build import build_graph, build_module_graphs
-from repro.cfg.dataflow import compute_liveness, reaching_uses
+from repro.cfg.dataflow import (LivenessInfo, RegisterBits, compute_liveness,
+                                live_in_masks, reaching_uses)
 from repro.cfg.dominators import compute_dominators, immediate_dominators
 from repro.cfg.graph import ProgramGraph
 from repro.cfg.linearize import format_graph, schedule_stats
 from repro.cfg.loops import find_natural_loops
 from repro.frontend import compile_source
+from repro.ir.instr import Instruction
 from repro.ir.ops import Op
-from repro.ir.values import VirtualReg
+from repro.ir.values import Constant, VirtualReg
+
+
+# The set-based liveness solver the bit-mask one replaced, frozen verbatim
+# as the oracle the bit-mask solver is held to (here and, at every solve
+# during optimization, in tests/test_percolation.py).
+def oracle_compute_liveness(graph: ProgramGraph,
+                            rpo: Optional[List[int]] = None) -> LivenessInfo:
+    """Classic backward worklist liveness over VLIW nodes.
+
+    Within a node all reads happen before all writes, so a register both
+    read and written by the same node is *used* (its incoming value matters):
+    ``use(n) = reads(n)``, ``def(n) = writes(n)``,
+    ``live_in = use ∪ (live_out − def)``.
+
+    *rpo* is the graph's current :meth:`~ProgramGraph.rpo_order`, for
+    callers that already hold it; only nodes reachable from the entry are
+    solved, the rest keep empty sets.
+    """
+    nodes = graph.nodes
+    info = LivenessInfo(
+        live_in={nid: set() for nid in nodes},
+        live_out={nid: set() for nid in nodes},
+    )
+    live_in = info.live_in
+    live_out = info.live_out
+    # Iterate to fixpoint in reverse RPO for fast convergence, revisiting
+    # only nodes with a successor whose live_in changed since their last
+    # visit.  Every update is monotone from the empty sets, so this is the
+    # same least fixpoint a full round-robin reaches.
+    order = list(reversed(graph.rpo_order() if rpo is None else rpo))
+    position = {nid: i for i, nid in enumerate(order)}
+    facts = []
+    for nid in order:
+        node = nodes[nid]
+        preds = [position[p] for p in node.preds if p in position]
+        # Node.uses()/defs() inlined: this loop runs per solve, per node.
+        use: Set[VirtualReg] = set()
+        defs: Set[VirtualReg] = set()
+        for ins in node.ops:
+            use.update(ins.uses())
+            if ins.dest is not None:
+                defs.add(ins.dest)
+        if node.control is not None:
+            use.update(node.control.uses())
+        facts.append((nid, node.succs, preds, use, defs))
+    dirty = [True] * len(order)
+    changed = True
+    while changed:
+        changed = False
+        for i, (nid, succs, preds, use, defs) in enumerate(facts):
+            if not dirty[i]:
+                continue
+            dirty[i] = False
+            out: Set[VirtualReg] = set()
+            for succ in succs:
+                out |= live_in[succ]
+            live_out[nid] = out
+            new_in = use | (out - defs)
+            if new_in != live_in[nid]:
+                live_in[nid] = new_in
+                for p in preds:
+                    dirty[p] = True
+                    changed = changed or p <= i
+    return info
+
+
+def decode_masks(masks, bits):
+    """``{node: set of registers}`` from bit masks numbered by *bits*."""
+    regs = {bit: reg for reg, bit in bits.items()}
+    return {nid: {reg for bit, reg in regs.items() if mask & bit}
+            for nid, mask in masks.items()}
 
 
 def graph_of(source, fn="main"):
@@ -201,6 +276,53 @@ class TestLiveness:
                         live_in[nid], changed = new_in, True
             assert {n: info.live_in[n] for n in reachable} == \
                 {n: live_in[n] for n in reachable}
+
+    @pytest.mark.parametrize("src", [LOOP_SRC, DIAMOND_SRC, NESTED_SRC],
+                             ids=["loop", "diamond", "nested"])
+    def test_decoder_matches_frozen_set_solver(self, src):
+        g = graph_of(src)
+        info = compute_liveness(g)
+        want = oracle_compute_liveness(g)
+        assert info.live_in == want.live_in
+        assert info.live_out == want.live_out
+
+    def test_unreachable_nodes_stay_empty(self):
+        g = ProgramGraph("f")
+        entry, dead = g.new_node(), g.new_node()
+        a, b = VirtualReg("a"), VirtualReg("b")
+        entry.control = Instruction(Op.RET, srcs=(a,))
+        # dead -> entry: its successor has a live-in, but dead is never
+        # solved, so both of its sets stay empty.
+        dead.ops.append(Instruction(Op.ADD, dest=b, srcs=(a, a)))
+        g.add_edge(dead.id, entry.id)
+        g.entry = entry.id
+        info = compute_liveness(g)
+        want = oracle_compute_liveness(g)
+        assert info.live_in == want.live_in == {entry.id: {a}, dead.id: set()}
+        assert info.live_out == want.live_out == {entry.id: set(),
+                                                  dead.id: set()}
+
+    def test_masks_fill_def_masks_of_every_node(self):
+        g = ProgramGraph("f")
+        entry, dead = g.new_node(), g.new_node()
+        a, b = VirtualReg("a"), VirtualReg("b")
+        entry.ops.append(Instruction(Op.MOV, dest=a, srcs=(Constant(1),)))
+        entry.control = Instruction(Op.RET, srcs=(a,))
+        dead.ops.append(Instruction(Op.MOV, dest=b, srcs=(Constant(2),)))
+        g.add_edge(dead.id, entry.id)
+        g.entry = entry.id
+        bits = RegisterBits()
+        defs = {}
+        live_in = live_in_masks(g, g.rpo_order(), bits, defs)
+        # The return reads a before the node's own write lands.
+        assert live_in == {entry.id: bits[a], dead.id: 0}
+        assert defs == {entry.id: bits[a], dead.id: bits[b]}
+
+    def test_register_bits_number_on_first_lookup(self):
+        bits = RegisterBits()
+        a, b = VirtualReg("a"), VirtualReg("b", True)
+        assert (bits[b], bits[a], bits[b]) == (1, 2, 1)
+        assert bits.get(VirtualReg("c"), 0) == 0 and len(bits) == 2
 
     def test_reaching_uses_finds_consumer(self):
         g = graph_of("int main() { int a; a = 2; return a * 3; }")

@@ -3,15 +3,55 @@
 import pytest
 
 from repro.cfg.build import build_graph
+from repro.cfg.graph import ProgramGraph
 from repro.frontend import compile_source
+from repro.ir.instr import Instruction
 from repro.ir.ops import Op
-from repro.ir.values import Constant
+from repro.ir.values import Constant, VirtualReg
 from repro.opt.classic import (coalesce_moves, constant_fold,
                                copy_propagate, dead_code_elimination,
                                run_cleanups, straight_chains)
 from repro.sim.machine import run_module
 from repro.cfg.build import build_module_graphs
 from repro.opt.pipeline import OptLevel, optimize_module
+
+from tests.test_cfg import oracle_compute_liveness
+
+
+# The set-based DCE the bit-mask one replaced, frozen verbatim (over the
+# frozen set-based liveness solver) as its oracle; tests/test_percolation.py
+# holds every DCE call of a full optimization to it.
+def oracle_dead_code_elimination(graph: ProgramGraph) -> int:
+    """Remove pure operations whose destination is dead.
+
+    Iterates liveness to fixpoint (removing one layer of dead code can kill
+    another).  Stores, calls and control are never removed.  Returns the
+    total number of deleted operations.
+    """
+    total = 0
+    while True:
+        liveness = oracle_compute_liveness(graph)
+        removed = 0
+        for nid, node in graph.nodes.items():
+            live_out = liveness.live_out[nid]
+            survivors = []
+            for ins in node.ops:
+                if ins.dest is None or ins.has_side_effects or ins.is_call:
+                    survivors.append(ins)
+                elif ins.dest in live_out:
+                    survivors.append(ins)
+                else:
+                    removed += 1
+            node.ops = survivors
+        total += removed
+        if removed == 0:
+            return total
+
+
+def node_ops(graph):
+    """``{node: rendered ops}``: what DCE decides, uid-free."""
+    return {nid: [str(ins) for ins in node.ops]
+            for nid, node in graph.nodes.items()}
 
 
 def graph_of(source):
@@ -175,6 +215,34 @@ class TestDCE:
         """)
         dead_code_elimination(g)
         assert count(g, Op.ADD) >= 2  # i increment and s accumulation
+
+
+    def test_pure_op_in_unreachable_node_removed(self):
+        g = ProgramGraph("f")
+        entry, dead = g.new_node(), g.new_node()
+        a, b = VirtualReg("a"), VirtualReg("b")
+        entry.control = Instruction(Op.RET, srcs=(a,))
+        # a is live into the successor, but nothing is live out of a node
+        # the entry never reaches.
+        dead.ops.append(Instruction(Op.MOV, dest=a, srcs=(Constant(1),)))
+        dead.ops.append(Instruction(Op.ADD, dest=b, srcs=(a, a)))
+        g.add_edge(dead.id, entry.id)
+        g.entry = entry.id
+        twin = g.copy()
+        assert dead_code_elimination(g) == 2
+        assert oracle_dead_code_elimination(twin) == 2
+        assert node_ops(g) == node_ops(twin) == {entry.id: [], dead.id: []}
+
+    @pytest.mark.parametrize("src", [
+        "int main() { int a; int b; a = 1; b = a * 2; return a; }",
+        "int main() { int i; int s; int t; s = 0; t = 0;"
+        " for (i = 0; i < 4; i++) { s = s + i; t = t + s; } return s; }",
+    ], ids=["straight", "loop"])
+    def test_matches_frozen_set_dce(self, src):
+        g, _ = graph_of(src)
+        twin = g.copy()
+        assert dead_code_elimination(g) == oracle_dead_code_elimination(twin)
+        assert node_ops(g) == node_ops(twin)
 
 
 class TestRunCleanups:
