@@ -5,8 +5,8 @@ exploration; this file watches the two paths PR 5 added:
 
 * **the exploration study** — the full 12-benchmark design-space matrix
   behind ``python -m repro explore-study``, serial vs ``jobs=4`` on the
-  persistent pool (per-benchmark base simulation gating its budget
-  cells).  As with ``bench_study.py``, the parallel ratio is asserted
+  persistent pool (one task per benchmark runs its base simulation
+  and every budget's measurements).  As with ``bench_study.py``, the parallel ratio is asserted
   nowhere — it depends on core count — but both shapes assert the full
   matrix and identical-by-construction results;
 * **the compile-artifact disk cache** — cold-process module setup
@@ -56,8 +56,8 @@ def test_exploration_study_serial(benchmark):
 
 
 def test_exploration_study_parallel(benchmark):
-    """The matrix on four workers: base tasks fan out immediately, each
-    benchmark's budget cells follow its base."""
+    """The matrix on four workers: one task per benchmark, all of them
+    ready at once, each covering every budget of its benchmark."""
     if available_cpus() < 2:
         pytest.skip("single-CPU machine: a process pool cannot win")
     study = benchmark.pedantic(

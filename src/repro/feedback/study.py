@@ -8,9 +8,9 @@ outputs (semantic preservation oracle), run sequence detection at lengths
 An *exploration study* (:func:`run_exploration_study`) is the design-
 space counterpart: the full benchmark × area-budget matrix of the
 paper's estimate-then-measure ASIP loop, executed by
-:mod:`repro.exec.explore` on the same persistent pool (per-benchmark
-base simulation first, then that benchmark's budget cells fan out), with
-``jobs=N`` bit-identical to ``jobs=1`` and to per-benchmark
+:mod:`repro.exec.explore` on the same persistent pool (one task per
+benchmark runs its base simulation and every budget's measurements),
+with ``jobs=N`` bit-identical to ``jobs=1`` and to per-benchmark
 :func:`~repro.asip.explore.explore_designs` calls.
 """
 
@@ -118,8 +118,8 @@ class ExplorationStudyConfig:
     #: Input seeds every design point is measured on; ``None`` keeps the
     #: single-seed behavior (``seed``).  The first entry is primary
     #: (it feeds profiling and sequence detection); measured speedups
-    #: aggregate cycle totals over all seeds.  Large seed lists shard
-    #: across workers like study cells.
+    #: aggregate cycle totals over all seeds.  Every seed of a
+    #: benchmark runs in that benchmark's one task.
     seeds: Optional[Tuple[int, ...]] = None
     unroll_factor: int = 2
     max_candidates: int = 8
@@ -509,8 +509,9 @@ def run_study(config: StudyConfig = StudyConfig(),
     return result
 
 
-#: ``progress(benchmark, stage)`` for exploration studies; stage is
-#: ``"base"`` or ``"budget N"``.
+#: ``progress(benchmark, stage)`` for exploration and frontier studies:
+#: one call as each benchmark's task starts, with stage
+#: ``"budgets N,M,..."`` (the study's budgets) or ``"frontier"``.
 ExploreProgressFn = Callable[[str, str], None]
 
 
@@ -524,11 +525,13 @@ def run_exploration_study(
     :class:`~repro.asip.explore.ExplorationResult` a standalone
     ``explore_designs(module, inputs, area_budget=budget, ...)`` call
     would (multi-seed configurations aggregate each design point's
-    cycles over all seeds), but the matrix runs as dependency tasks on
-    the persistent worker pool: each benchmark's base-processor
-    simulation gates its budget cells, different benchmarks proceed
-    independently, and large seed lists shard across workers.  Results
-    are bit-identical for any ``jobs`` value.
+    cycles over all seeds), but the matrix runs on the persistent
+    worker pool as one task per benchmark: it simulates the base
+    processor once per seed, then measures the union of every budget's
+    finalist chain sets, simulating each distinct fused program once
+    however many budgets share it.  Different benchmarks run in
+    parallel; ``jobs`` sizes the pool.  Results are bit-identical for
+    any ``jobs`` value.
 
     The whole-result tier and ``stats`` behave exactly as on
     :func:`run_study`.
@@ -558,11 +561,12 @@ def run_frontier_study(
 
     Where :func:`run_exploration_study` re-ranks the candidate pool per
     budget cell, this walks each benchmark's pool once in breakpoint
-    order, measures each distinct finalist chain set exactly once (per
-    seed shard), and returns a :class:`FrontierResult` whose
-    ``result_at(name, budget)`` answers *any* budget by bisection —
-    bit-identical to the ``explore-study`` cell for that budget (pinned
-    by ``tests/test_frontier.py``).  Results are identical for any
+    order, measures each distinct finalist chain set exactly once on
+    all seeds (one task per benchmark, like
+    :func:`run_exploration_study`), and returns a
+    :class:`FrontierResult` whose ``result_at(name, budget)`` answers
+    *any* budget by bisection — bit-identical to the ``explore-study``
+    cell for that budget (pinned by ``tests/test_frontier.py``).  Results are identical for any
     ``jobs`` value.
 
     The whole-result tier and ``stats`` behave exactly as on

@@ -5,9 +5,12 @@ paper's per-benchmark ``explore_designs`` loop yourself: same candidate
 rankings, same finalist subsets, same measured cycle counts and chain
 issues, for every benchmark and every budget — and identical for any
 ``jobs`` value.  The harness pins all of it over the full 12-benchmark
-suite (the acceptance bar for the executor), plus seed sharding,
-scheduling shape, config validation and the warm-disk-cache fast path.
+suite (the acceptance bar for the executor), plus multi-seed
+aggregation, the one-task-per-benchmark schedule and its cross-budget
+program sharing, config validation and the warm-disk-cache fast path.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -136,7 +139,7 @@ class TestMultiSeed:
 
     @pytest.fixture(scope="class")
     def sharded(self):
-        # 5 seeds and jobs=3 forces seed sharding (>= SEED_SHARD_MIN).
+        # 5 seeds on 3 workers: each benchmark's task batches them all.
         return run_exploration_study(ExplorationStudyConfig(
             benchmarks=self.NAMES, budgets=(BUDGET,), seeds=self.SEEDS,
             jobs=3))
@@ -181,33 +184,28 @@ class TestMultiSeed:
 
 class TestScheduleShape:
     def test_base_gates_budget_cells(self):
+        """A benchmark's base and every budget cell share one task: one
+        task per benchmark, placed by name, with nothing to wait on."""
         from repro.exec.explore import build_exploration_schedule
         config = ExplorationStudyConfig(benchmarks=("fir", "iir"),
                                         budgets=(1500, 2500))
         tasks = build_exploration_schedule(config, ["fir", "iir"])
-        by_key = {task.key: task for task in tasks}
-        assert set(by_key) == {
-            ("base", "fir"), ("base", "iir"),
-            ("fin", "fir", 1500, 0), ("fin", "fir", 2500, 0),
-            ("fin", "iir", 1500, 0), ("fin", "iir", 2500, 0)}
-        for key, task in by_key.items():
-            assert task.affinity == key[1]
-            if key[0] == "fin":
-                assert task.deps == (("base", key[1]),)
-            else:
-                assert task.deps == ()
+        assert [task.key for task in tasks] == ["fir", "iir"]
+        for task in tasks:
+            assert task.affinity == task.key
+            assert task.deps == ()
 
-    def test_seed_shards_multiply_measurement_tasks(self):
-        from repro.exec.explore import build_exploration_schedule
-        config = ExplorationStudyConfig(benchmarks=("fir",),
-                                        budgets=(2500,),
-                                        seeds=(0, 1, 2, 3, 4))
-        tasks = build_exploration_schedule(config, ["fir"], jobs=3)
-        fins = [t for t in tasks if t.key[0] == "fin"]
-        assert [t.key[3] for t in fins] == [0, 1, 2]
-        # jobs=1 keeps the batch whole.
-        tasks = build_exploration_schedule(config, ["fir"], jobs=1)
-        assert sum(t.key[0] == "fin" for t in tasks) == 1
+    def test_same_schedule_for_any_jobs_and_seed_count(self):
+        from repro.exec.scheduler import ScheduleStats
+        for seeds in (None, (0, 1, 2, 3, 4)):
+            config = ExplorationStudyConfig(benchmarks=("sewha", "dft"),
+                                            budgets=(1500,), seeds=seeds)
+            for jobs in (1, 2):
+                stats = ScheduleStats()
+                run_exploration_study(replace(config, jobs=jobs),
+                                      stats=stats)
+                assert sorted(stats.order) == ["dft", "sewha"]
+                assert stats.executed == 2
 
     def test_progress_reports_base_then_budgets(self):
         events = []
@@ -215,8 +213,90 @@ class TestScheduleShape:
             ExplorationStudyConfig(benchmarks=("sewha",),
                                    budgets=(1500, 2500)),
             progress=lambda name, stage: events.append((name, stage)))
-        assert events == [("sewha", "base"), ("sewha", "budget 1500"),
-                          ("sewha", "budget 2500")]
+        assert events == [("sewha", "budgets 1500,2500")]
+
+
+class TestCrossBudgetDedup:
+    """One task per benchmark measures every budget's finalists at once,
+    so a fused program two budgets share is simulated once."""
+
+    SUBSET = ("iir", "smooth", "sewha", "feowf", "flatten", "dft")
+    BUDGETS = (1000, 2500, 5000)
+    SEEDS = tuple(range(8))
+
+    def test_one_simulation_per_distinct_program(self, monkeypatch):
+        from repro.asip import evaluate as evaluate_mod
+        from repro.asip.select import ChainMatcher, site_key
+        from repro.exec import explore as explore_mod
+        calls = []
+        real = explore_mod.evaluate_on_sequential_batch
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explore_mod, "evaluate_on_sequential_batch",
+                            counting)
+        study = run_exploration_study(ExplorationStudyConfig(
+            benchmarks=self.SUBSET, budgets=self.BUDGETS, seeds=self.SEEDS,
+            jobs=1))
+
+        programs = 0
+        for name in self.SUBSET:
+            sequential, _ = explore_mod._sequential_module(name, 1, 2)
+            matcher = ChainMatcher(sequential)
+            programs += len({
+                site_key(matcher.match(point.isa))
+                for budget in self.BUDGETS
+                for point in study.exploration(name, budget).measured})
+        # Per-(benchmark, budget) dedup simulated 49 programs here.
+        assert len(calls) == programs == 37
+
+        # Every cell still answers what the per-benchmark loop does:
+        # the primary seed's candidates and finalists, each measured on
+        # its own (a real base simulation, no sharing) over all seeds.
+        for name in self.SUBSET:
+            spec = get_benchmark(name)
+            module = compile_benchmark(spec)
+            sequential, _ = explore_mod._sequential_module(name, 1, 2)
+            inputs_list = [spec.generate_inputs(s) for s in self.SEEDS]
+            for budget in self.BUDGETS:
+                solo = explore_designs(module, spec.generate_inputs(0),
+                                       area_budget=budget,
+                                       level=OptLevel(1))
+                cell = study.exploration(name, budget)
+                assert exploration_projection(solo)["candidates"] == \
+                    exploration_projection(cell)["candidates"]
+                assert [p.labels() for p in solo.measured] == \
+                    [p.labels() for p in cell.measured]
+                for point in cell.measured:
+                    alone = merge_evaluations(
+                        evaluate_mod.evaluate_on_sequential_batch(
+                            sequential, point.isa, inputs_list))
+                    assert evaluation_projection(point.evaluation) == \
+                        evaluation_projection(alone), (name, budget)
+
+
+class TestSharedInputs:
+    """Each benchmark's task generates its seeds' inputs once and hands
+    the same dicts to the base batch and to every fused batch, so a
+    simulation must never write to its inputs."""
+
+    SEEDS = (0, 1)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_batch_leaves_inputs_unchanged(self, level):
+        from repro.asip.resequence import resequence_module
+        from repro.opt.pipeline import optimize_module
+        from repro.sim.machine import run_module_batch
+        for spec in all_benchmarks():
+            gm, _ = optimize_module(compile_benchmark(spec), OptLevel(level))
+            inputs_list = [spec.generate_inputs(s) for s in self.SEEDS]
+            for module in (gm, resequence_module(gm)):
+                run_module_batch(module, inputs_list)
+                assert inputs_list == [spec.generate_inputs(s)
+                                       for s in self.SEEDS], \
+                    (spec.name, level)
 
 
 class TestStageHelpers:
@@ -327,8 +407,8 @@ class TestDistinctPrograms:
         from repro.exec.explore import _explore_base, _sequential_module
         work = {}
         for name in self.SUBSET:
-            pool, base_results, _total_ops = _explore_base(
-                name, self.LEVEL, (2, 3), 0, None, 2, "codegen")
+            pool, _total_ops, _inputs, base_results = _explore_base(
+                name, self.LEVEL, (2, 3), (0,), 2, "codegen")
             pattern_sets = frontier_sweep(pool).pattern_sets()
             sequential, _mapping = _sequential_module(name, self.LEVEL, 2)
             isas = [_isa_for(patterns, DEFAULT_COST_MODEL)
@@ -361,10 +441,10 @@ class TestDistinctPrograms:
         from repro.exec.explore import _measure_pattern_sets
         for name, (sets, isas, sequential, base) in frontier_work.items():
             spec = get_benchmark(name)
-            measured = _measure_pattern_sets(
-                name, self.LEVEL, None, 0, 2, "codegen", sets, base)
-            assert len(measured) == len(isas), name
             inputs = spec.generate_inputs(0)
+            measured = _measure_pattern_sets(sequential, sets, [inputs],
+                                             base, "codegen")
+            assert len(measured) == len(isas), name
             for (isa, (evaluation,)), expected_isa in zip(measured, isas):
                 assert isa == expected_isa, name
                 assert evaluation == evaluate_on_sequential(
@@ -401,8 +481,8 @@ class TestDistinctPrograms:
         base = tuple(
             _derived_base_result(result, mapping, "main")
             for result in run_module_batch(graph_module, inputs_list))
-        measured = _measure_pattern_sets(name, self.LEVEL, seeds, 0, 2,
-                                         "codegen", pair, base)
+        measured = _measure_pattern_sets(sequential, pair, inputs_list,
+                                         base, "codegen")
         for (isa, evals), expected_isa in zip(measured, isas):
             assert evals == evaluate_on_sequential_batch(
                 sequential, expected_isa, inputs_list, base_results=base)

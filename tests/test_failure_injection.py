@@ -37,6 +37,27 @@ def _graphs():
     return build_module_graphs(compile_source(SRC, "t"))
 
 
+def _diverge_on(monkeypatch, pattern):
+    """Make every simulation of a fused program that contains a *pattern*
+    chain report a wrong return value, as a broken selector would."""
+    from repro.asip import evaluate as evaluate_mod
+    from repro.asip.select import FusedInstruction
+    real_batch = evaluate_mod.run_module_batch
+
+    def diverging_batch(module, *args, **kwargs):
+        results = real_batch(module, *args, **kwargs)
+        fused = {tuple(ins.chain.pattern)
+                 for graph in module.graphs.values()
+                 for node in graph.nodes.values() for ins in node.ops
+                 if isinstance(ins, FusedInstruction)}
+        if pattern in fused:
+            for result in results:
+                result.return_value = (result.return_value or 0) + 1
+        return results
+
+    monkeypatch.setattr(evaluate_mod, "run_module_batch", diverging_batch)
+
+
 class TestRunnerOracle:
     def test_runner_rejects_diverging_run(self):
         spec = get_benchmark("sewha")
@@ -150,16 +171,14 @@ class TestEvaluatorOracle:
         at the first chain set that fuses it, so no later chain set of
         the same program is handed an evaluation — and the kernel
         returns nothing at all."""
-        from repro.asip import evaluate as evaluate_mod
         from repro.asip.cost import DEFAULT_COST_MODEL
         from repro.asip.explore import _isa_for
-        from repro.asip.select import (ChainMatcher, FusedInstruction,
-                                       site_key)
+        from repro.asip.select import ChainMatcher, site_key
         from repro.exec import explore as explore_mod
 
         name, level = "sewha", 1
-        pool, base_results, _ops = explore_mod._explore_base(
-            name, level, (2, 3), 0, None, 2, "codegen")
+        pool, _ops, inputs_list, base_results = explore_mod._explore_base(
+            name, level, (2, 3), (0,), 2, "codegen")
         sequential, _mapping = explore_mod._sequential_module(name, level, 2)
         matcher = ChainMatcher(sequential)
         fusing = [c.pattern for c in pool
@@ -171,34 +190,50 @@ class TestEvaluatorOracle:
                 for p in pattern_sets]
         assert keys[0] == keys[1] != keys[2] == keys[3]
 
-        real_run = evaluate_mod.run_module
-
-        def diverging_run(module, *args, **kwargs):
-            result = real_run(module, *args, **kwargs)
-            fused = {tuple(ins.chain.pattern)
-                     for graph in module.graphs.values()
-                     for node in graph.nodes.values() for ins in node.ops
-                     if isinstance(ins, FusedInstruction)}
-            if bad in fused:
-                array = next(iter(result.globals_after.values()))
-                array[0] += 1
-            return result
-
         evaluated = []
-        real_evaluate = explore_mod.evaluate_on_sequential
+        real_evaluate = explore_mod.evaluate_on_sequential_batch
 
         def recording_evaluate(seq, isa, *args, **kwargs):
             evaluated.append(tuple(isa.patterns()))
             return real_evaluate(seq, isa, *args, **kwargs)
 
-        monkeypatch.setattr(evaluate_mod, "run_module", diverging_run)
-        monkeypatch.setattr(explore_mod, "evaluate_on_sequential",
+        _diverge_on(monkeypatch, bad)
+        monkeypatch.setattr(explore_mod, "evaluate_on_sequential_batch",
                             recording_evaluate)
         with pytest.raises(AsipError, match="diverged"):
             explore_mod._measure_pattern_sets(
-                name, level, None, 0, 2, "codegen", pattern_sets,
-                base_results)
+                sequential, pattern_sets, inputs_list, base_results,
+                "codegen")
         assert evaluated == [(good,), (bad,)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("frontier", [False, True],
+                             ids=["budgets", "frontier"])
+    def test_diverging_program_fails_the_study(self, monkeypatch, jobs,
+                                               frontier):
+        """The same divergence raises out of both study entry points,
+        through the per-benchmark task — in this process at ``jobs=1``
+        and from a pool worker at ``jobs=2``."""
+        from repro.exec import pool as pool_mod
+        from repro.feedback.study import (ExplorationStudyConfig,
+                                          FrontierStudyConfig,
+                                          run_exploration_study,
+                                          run_frontier_study)
+        _diverge_on(monkeypatch, ("add", "compare"))
+        names = ("sewha", "dft")  # two tasks: jobs=2 uses the pool
+        # Workers fork from this process, so only a pool started after
+        # the patch runs the diverging simulator.
+        pool_mod.shutdown_pool()
+        try:
+            with pytest.raises(AsipError, match="diverged"):
+                if frontier:
+                    run_frontier_study(FrontierStudyConfig(
+                        benchmarks=names, max_budget=1200, jobs=jobs))
+                else:
+                    run_exploration_study(ExplorationStudyConfig(
+                        benchmarks=names, budgets=(2500,), jobs=jobs))
+        finally:
+            pool_mod.shutdown_pool()
 
 
 class TestSimulatorGuards:

@@ -402,8 +402,7 @@ class TestMultiSeed:
     CEIL = 1200
 
     def test_sharded_identical_to_serial(self):
-        # 5 seeds and jobs=3 forces seed sharding *and* chunked
-        # measurement fan-out.
+        # 5 seeds on 3 workers: each benchmark's task batches them all.
         sharded = run_frontier_study(FrontierStudyConfig(
             benchmarks=self.NAMES, seeds=self.SEEDS,
             max_budget=self.CEIL, jobs=3))
@@ -416,59 +415,36 @@ class TestMultiSeed:
 
 class TestScheduleShape:
     def test_base_gates_frontier_gates_chunks(self):
+        """The base stage, the sweep and every measurement of a
+        benchmark share one task: one per benchmark, placed by name,
+        with nothing to wait on."""
         from repro.exec.explore import build_frontier_schedule
         config = FrontierStudyConfig(benchmarks=("fir", "iir"),
                                      max_budget=2000)
-        tasks = build_frontier_schedule(config, ["fir", "iir"], jobs=2)
-        by_key = {task.key: task for task in tasks}
-        assert set(by_key) == {
-            ("base", "fir"), ("base", "iir"),
-            ("frontier", "fir"), ("frontier", "iir"),
-            ("fchunk", "fir", 0, 0), ("fchunk", "fir", 1, 0),
-            ("fchunk", "iir", 0, 0), ("fchunk", "iir", 1, 0)}
-        for key, task in by_key.items():
-            assert task.affinity == key[1]
-            if key[0] == "base":
-                assert task.deps == ()
-            elif key[0] == "frontier":
-                assert task.deps == (("base", key[1]),)
-            else:
-                assert task.deps == (("base", key[1]),
-                                     ("frontier", key[1]))
+        tasks = build_frontier_schedule(config, ["fir", "iir"])
+        assert [task.key for task in tasks] == ["fir", "iir"]
+        for task in tasks:
+            assert task.affinity == task.key
+            assert task.deps == ()
 
-    def test_serial_schedule_is_one_chunk(self):
-        from repro.exec.explore import build_frontier_schedule
-        config = FrontierStudyConfig(benchmarks=("fir",))
-        tasks = build_frontier_schedule(config, ["fir"], jobs=1)
-        assert sum(t.key[0] == "fchunk" for t in tasks) == 1
-
-    def test_seed_shards_multiply_chunks(self):
-        from repro.exec.explore import build_frontier_schedule
-        config = FrontierStudyConfig(benchmarks=("fir",),
-                                     seeds=(0, 1, 2, 3, 4))
-        tasks = build_frontier_schedule(config, ["fir"], jobs=3)
-        chunks = [t.key for t in tasks if t.key[0] == "fchunk"]
-        # 3 measurement chunks x 3 seed shards.
-        assert chunks == [("fchunk", "fir", c, j)
-                          for c in range(3) for j in range(3)]
-
-    def test_chunk_bounds_partition(self):
-        from repro.exec.explore import _chunk_bounds
-        for count in range(0, 23):
-            for chunks in range(1, 6):
-                bounds = _chunk_bounds(count, chunks)
-                assert len(bounds) == chunks
-                assert bounds[0][0] == 0 and bounds[-1][1] == count
-                for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                    assert hi == lo
+    def test_same_schedule_for_any_jobs_and_seed_count(self):
+        from dataclasses import replace
+        from repro.exec.scheduler import ScheduleStats
+        for seeds in (None, (0, 1, 2, 3, 4)):
+            config = FrontierStudyConfig(benchmarks=("sewha", "dft"),
+                                         seeds=seeds, max_budget=1200)
+            for jobs in (1, 3):
+                stats = ScheduleStats()
+                run_frontier_study(replace(config, jobs=jobs), stats=stats)
+                assert sorted(stats.order) == ["dft", "sewha"]
+                assert stats.executed == 2
 
     def test_progress_reports_base_frontier_measure(self):
         events = []
         run_frontier_study(
             FrontierStudyConfig(benchmarks=("sewha",), max_budget=1200),
             progress=lambda name, stage: events.append((name, stage)))
-        assert events == [("sewha", "base"), ("sewha", "frontier"),
-                          ("sewha", "measure")]
+        assert events == [("sewha", "frontier")]
 
 
 class TestValidation:
