@@ -1,12 +1,13 @@
-"""CI gate: exploration outputs do not depend on the worker count.
+"""CI gate: study and exploration outputs do not depend on the worker count.
 
-The benchmark harness pins seed 0's output digest of the ``explore-seeds``
-workload (run at ``--jobs 2``) and of the ``frontier`` workload (run at
-``--jobs 1``).  This script runs each of those exact configurations with
-the other worker count -- ``explore-seeds`` at ``--jobs 1``, ``frontier``
-at ``--jobs 2`` -- as ``python -m repro ... --json``, hashes the JSON with
-the harness's own ``output_digest`` and exits non-zero unless both match
-the pinned digests in ``perfbench/digests.json``.
+The benchmark harness pins seed 0's output digest of the ``study`` and
+``frontier`` workloads (run at ``--jobs 1``) and of the ``explore-seeds``
+workload (run at ``--jobs 2``).  This script runs each of those exact
+configurations with the other worker count -- ``study`` and ``frontier``
+at ``--jobs 2``, ``explore-seeds`` at ``--jobs 1`` -- as ``python -m repro
+... --json``, hashes the JSON with the harness's own ``output_digest`` and
+exits non-zero unless all three match the pinned digests in
+``perfbench/digests.json``.
 
     python3 .github/scripts/jobs_invariance.py
 """
@@ -26,7 +27,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, output_digest, scrubbed_env  # noqa: E402
 
 #: workload -> the worker count it is re-run at (the other one).
-SWAPPED_JOBS = {"explore-seeds": "1", "frontier": "2"}
+SWAPPED_JOBS = {"study": "2", "explore-seeds": "1", "frontier": "2"}
 SEED = 0
 
 

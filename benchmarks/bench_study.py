@@ -5,12 +5,13 @@ throughput; this file watches the *study* — the full benchmark×level
 matrix behind every table, figure and report.  Three execution shapes
 are timed on the default matrix (12 benchmarks × levels 0/1/2):
 
-* **serial** — ``run_study(jobs=1)``, the PR-1 baseline path;
-* **parallel** — ``run_study(jobs=4)``, the exec scheduler fanning the
-  matrix over a process pool (level 0 first per benchmark, then levels
-  1/2).  On a >= 4-core machine the target is a >= 2x wall-time win over
-  serial; on fewer cores the pool only adds overhead, so the ratio is
-  reported rather than asserted (see ``available_cpus``);
+* **serial** — ``run_study(jobs=1)``: the one task per benchmark, run
+  in this process;
+* **parallel** — ``run_study(jobs=4)``: the same tasks on a 4-worker
+  process pool (each task runs its benchmark's levels 0, 1, 2 in
+  order).  On a >= 4-core machine the target is a >= 2x wall-time win
+  over serial; on fewer cores the pool only adds overhead, so the ratio
+  is reported rather than asserted (see ``available_cpus``);
 * **batched** — multi-seed runs through ``run_module_batch``, which
   compiles each cell once for all seeds, against the same seeds run as
   independent single-seed cells.
@@ -103,7 +104,8 @@ def test_study_parallel_jobs4(benchmark, cold_rounds):
 
 
 def test_study_multiseed_batched(benchmark, cold_rounds):
-    """Five seeds per cell, batched: one compile per cell for all seeds."""
+    """Five seeds per (benchmark, level), batched: one compile per level
+    for all seeds, every seed in its benchmark's one task."""
     study = benchmark.pedantic(
         run_study, setup=cold_rounds(StudyConfig(seeds=SEEDS)),
         rounds=2, iterations=1)

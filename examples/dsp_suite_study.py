@@ -33,8 +33,8 @@ def main(argv):
     print(f"Running the study on {suite} at levels 0/1/2 "
           f"(each level verified against level 0)...")
     study = run_study(config,
-                      progress=lambda name, level:
-                      print(f"  {name} @ level {level}"))
+                      progress=lambda name, stage:
+                      print(f"  {name} @ {stage}"))
     print(f"done in {time.time() - started:.1f}s\n")
 
     for artifact in (table2(study),

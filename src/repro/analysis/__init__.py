@@ -1,11 +1,11 @@
-"""Static verification of lowered artifacts, generated source and task graphs.
+"""Static verification of lowered artifacts and generated source.
 
 The two engines are pinned bit-identical *dynamically* by the differential
 and fuzz suites, which execute every artifact.  This package is the static
 counterpart: it proves a lowered bytecode stream, a generated codegen
-source, a disk-cache payload or an exec task graph well-formed
-*without running it*, the way LLVM's IR verifier or Cranelift's CFG validator
-gate every pass with a machine-checked invariant sweep.
+source or a disk-cache payload well-formed *without running it*, the way
+LLVM's IR verifier or Cranelift's CFG validator gate every pass with a
+machine-checked invariant sweep.
 
 Submodules
 ----------
@@ -24,9 +24,6 @@ Submodules
 ``ranges``
     Interval analysis over the lowered words: classifies every array
     access SAFE / UNKNOWN / UNSAFE for ``repro verify --ranges``.
-``taskgraph``
-    Validates exec :class:`Task` graphs before submission (cycles with the
-    named cycle, dangling deps, duplicate keys, affinity hints).
 ``lint``
     An AST determinism lint over ``sim/`` and ``exec/`` source that bans
     unordered set iteration and unsorted filesystem enumeration.
@@ -35,8 +32,8 @@ Submodules
     ``repro verify`` Markdown summary.
 
 Only this module and the dataclasses below are imported eagerly; submodules
-pull in the simulator lazily so that cheap consumers (the exec scheduler,
-the CLI parser) do not pay the import cost.
+pull in the simulator lazily so that cheap consumers (the CLI parser) do
+not pay the import cost.
 """
 
 from __future__ import annotations

@@ -394,8 +394,8 @@ def cmd_study(args, out) -> int:
     from repro.reporting.tables import table2
 
     study = run_study(_study_config(args),
-                      progress=lambda name, level:
-                      print(f"  {name} @ level {level}", file=out))
+                      progress=lambda name, stage:
+                      print(f"  {name} @ {stage}", file=out))
     print(file=out)
     print(table2(study), file=out)
     if args.json:

@@ -4,8 +4,9 @@
 :func:`repro.feedback.study.run_frontier_study` land here.  The paper's
 exploration loop (:func:`repro.asip.explore.explore_designs`) is
 estimate-then-measure for *one* benchmark and *one* area budget; this
-module runs every benchmark's whole exploration as **one task** on the
-same persistent pool the study executor uses.  The task:
+module runs every benchmark's whole exploration as **one task**, through
+the same :func:`~repro.exec.study.run_per_benchmark` the study matrix
+uses.  The task:
 
 * optimizes the benchmark at the study level, generates each seed's
   inputs once, runs *one* simulation batch over every seed, detects
@@ -55,24 +56,11 @@ from repro.asip.explore import (DesignPoint, ExplorationResult, _isa_for,
 from repro.asip.resequence import resequence_module_mapped
 from repro.chaining.detect import detect_sequences
 from repro.errors import SimulationError
-from repro.exec.pool import next_epoch, sync_epoch, worker_cached
-from repro.exec.scheduler import Task, run_tasks
-from repro.exec.study import _optimized_cell
+from repro.exec.study import optimized_module, run_per_benchmark
 from repro.opt.pipeline import OptLevel
 from repro.sim.machine import MachineResult, run_module_batch
 from repro.sim.profile import ProfileData
 from repro.suite.registry import get_benchmark
-
-
-def _sequential_module(name: str, level: int, unroll_factor: int):
-    """The benchmark's re-sequentialized optimized module plus its node
-    expansion map, memoized per process (the base-processor program
-    every finalist is measured against; shares the study executor's
-    per-worker optimize memo)."""
-    def build():
-        graph_module, _report = _optimized_cell(name, level, unroll_factor)
-        return resequence_module_mapped(graph_module)
-    return worker_cached(("sequential", name, level, unroll_factor), build)
 
 
 def _derived_base_result(graph_result: MachineResult, mapping,
@@ -112,28 +100,29 @@ def _explore_base(name: str, level: int, lengths: Tuple[int, ...],
                   seeds: Tuple[int, ...], unroll_factor: int, engine: str):
     """One benchmark's budget-independent stage.
 
-    Returns ``(candidate pool, total dynamic ops, inputs, per-seed
-    base-processor results)``: the pool every budget ranks, the
-    benchmark's share of suite execution the cross-benchmark aggregation
-    weights by, and the inputs and base results every measurement runs
+    Returns ``(candidate pool, total dynamic ops, re-sequentialized
+    module, inputs, per-seed base-processor results)``: the pool every
+    budget ranks, the benchmark's share of suite execution the
+    cross-benchmark aggregation weights by, and the base-processor
+    program with the inputs and base results every measurement runs
     against.  Profiling and sequence detection use the primary (first)
     seed, exactly like the study matrix and the per-benchmark loop; all
     seeds ride one batch of the optimized graph and the sequential base
     results are derived from it, one simulation per seed total.
     """
     spec = get_benchmark(name)
-    graph_module, _report = _optimized_cell(name, level, unroll_factor)
+    graph_module, _report = optimized_module(name, level, unroll_factor)
     inputs_list = [spec.generate_inputs(s) for s in seeds]
     graph_results = run_module_batch(graph_module, inputs_list,
                                      engine=engine)
     detection = detect_sequences(graph_module, graph_results[0].profile,
                                  lengths)
     pool = candidate_pool(detection, DEFAULT_COST_MODEL)
-    _sequential, mapping = _sequential_module(name, level, unroll_factor)
+    sequential, mapping = resequence_module_mapped(graph_module)
     base_results = tuple(
         _derived_base_result(result, mapping, graph_module.entry.name)
         for result in graph_results)
-    return pool, detection.total_ops, inputs_list, base_results
+    return pool, detection.total_ops, sequential, inputs_list, base_results
 
 
 def _measure_pattern_sets(sequential, pattern_sets: Sequence[Tuple],
@@ -194,8 +183,7 @@ def _frontier_to_measure(max_candidates: int, measure_top: int,
 
 def _explore_benchmark(name: str, level: int, lengths: Tuple[int, ...],
                        seeds: Tuple[int, ...], unroll_factor: int,
-                       engine: str, to_measure: Callable,
-                       epoch: Optional[int] = None):
+                       engine: str, to_measure: Callable):
     """One benchmark's whole exploration (module-level: runs in pool
     workers).
 
@@ -205,11 +193,9 @@ def _explore_benchmark(name: str, level: int, lengths: Tuple[int, ...],
     Returns ``(answer, total dynamic ops, designs)``, where *designs*
     maps each chain set to its design point, evaluated on all *seeds*.
     """
-    sync_epoch(epoch)
-    pool, total_ops, inputs_list, base_results = _explore_base(
+    pool, total_ops, sequential, inputs_list, base_results = _explore_base(
         name, level, lengths, seeds, unroll_factor, engine)
     answer, pattern_sets = to_measure(pool)
-    sequential, _mapping = _sequential_module(name, level, unroll_factor)
     measured = _measure_pattern_sets(sequential, pattern_sets, inputs_list,
                                      base_results, engine)
     designs = {
@@ -218,47 +204,16 @@ def _explore_benchmark(name: str, level: int, lengths: Tuple[int, ...],
     return answer, total_ops, designs
 
 
-def _schedule(config, names: Sequence[str], to_measure: Callable,
-              epoch: Optional[int]) -> List[Task]:
-    """One :func:`_explore_benchmark` task per benchmark, keyed and
-    placed by its name, with no dependencies."""
-    level = int(OptLevel(config.level))
-    seeds = config.seeds or (config.seed,)
-    return [Task(key=name, fn=_explore_benchmark,
-                 args=(name, level, config.lengths, seeds,
-                       config.unroll_factor, config.engine, to_measure,
-                       epoch),
-                 affinity=name)
-            for name in dict.fromkeys(names)]
-
-
-def _run(config, schedule, jobs: int, progress, stage: str, stats):
-    """Resolve the benchmark names, run one task per benchmark and
-    return ``(names, results by name)``."""
-    from repro.suite.registry import all_benchmarks
-
-    names = (list(dict.fromkeys(config.benchmarks))
-             if config.benchmarks is not None
-             else [spec.name for spec in all_benchmarks()])
-    for name in names:  # fail on unknown names before any worker spawns
-        get_benchmark(name)
-    on_start = None
-    if progress is not None:
-        def on_start(name):
-            progress(name, stage)
-    results = run_tasks(schedule(config, names, epoch=next_epoch()),
-                        jobs=jobs, on_start=on_start, stats=stats)
-    return names, results
-
-
-def build_exploration_schedule(config, names: Sequence[str],
-                               epoch: Optional[int] = None) -> List[Task]:
-    """The task list for one exploration study (importable for tests):
-    one task per benchmark, valid on any worker count."""
-    budgets = tuple(dict.fromkeys(config.budgets))
-    return _schedule(config, names, partial(
-        _budgets_to_measure, budgets, config.max_candidates,
-        config.measure_top), epoch)
+def _run(config, to_measure: Callable, jobs: int, progress, stage: str,
+         stats):
+    """One :func:`_explore_benchmark` task per benchmark; returns
+    ``(names, results by name)``."""
+    return run_per_benchmark(
+        config.benchmarks, _explore_benchmark,
+        (int(OptLevel(config.level)), config.lengths,
+         config.seeds or (config.seed,), config.unroll_factor,
+         config.engine, to_measure),
+        jobs, progress, stage, stats)
 
 
 def execute_exploration_study(config, jobs: int,
@@ -267,13 +222,15 @@ def execute_exploration_study(config, jobs: int,
                               stats=None):
     """Run the benchmark × budget matrix on *jobs* workers; see
     :func:`repro.feedback.study.run_exploration_study` for the public
-    entry point (and :data:`repro.feedback.study.ExploreProgressFn` for
-    the progress-callback contract).  ``stats`` collects scheduler
-    accounting (see :func:`repro.exec.study.execute_study`)."""
+    entry point (and :data:`repro.feedback.study.ProgressFn` for the
+    progress-callback contract).  ``stats`` collects scheduler
+    accounting (see :func:`repro.exec.study.run_per_benchmark`)."""
     from repro.feedback.study import ExplorationStudyResult
 
     budgets = list(dict.fromkeys(config.budgets))
-    names, cells = _run(config, build_exploration_schedule, jobs, progress,
+    to_measure = partial(_budgets_to_measure, tuple(budgets),
+                         config.max_candidates, config.measure_top)
+    names, cells = _run(config, to_measure, jobs, progress,
                         "budgets " + ",".join(map(str, budgets)), stats)
     result = ExplorationStudyResult(config=config)
     for name in names:
@@ -297,15 +254,6 @@ def execute_exploration_study(config, jobs: int,
 # the benchmark harness's 6-benchmark subset at seed 0).
 
 
-def build_frontier_schedule(config, names: Sequence[str],
-                            epoch: Optional[int] = None) -> List[Task]:
-    """The task list for one frontier study (importable for tests): one
-    task per benchmark, valid on any worker count."""
-    return _schedule(config, names, partial(
-        _frontier_to_measure, config.max_candidates, config.measure_top,
-        config.max_budget), epoch)
-
-
 def execute_frontier_study(config, jobs: int,
                            progress: Optional[
                                Callable[[str, str], None]] = None,
@@ -313,11 +261,14 @@ def execute_frontier_study(config, jobs: int,
     """Run one frontier sweep + breakpoint measurements per benchmark
     on *jobs* workers; see :func:`repro.feedback.study.
     run_frontier_study` for the public entry point.  ``stats`` collects
-    scheduler accounting (see :func:`repro.exec.study.execute_study`)."""
+    scheduler accounting (see :func:`repro.exec.study.
+    run_per_benchmark`)."""
     from repro.feedback.study import BenchmarkFrontier, FrontierResult
 
-    names, cells = _run(config, build_frontier_schedule, jobs, progress,
-                        "frontier", stats)
+    to_measure = partial(_frontier_to_measure, config.max_candidates,
+                         config.measure_top, config.max_budget)
+    names, cells = _run(config, to_measure, jobs, progress, "frontier",
+                        stats)
     result = FrontierResult(config=config)
     for name in names:
         frontier, total_ops, designs = cells[name]

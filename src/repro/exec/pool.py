@@ -6,7 +6,7 @@ Three things live here:
   ``None`` (defer to the ``REPRO_JOBS`` environment variable, default 1),
   ``0`` (one worker per available core) or a positive worker count.
   Parallelism is strictly opt-in: with no knob and no environment
-  variable, everything runs on today's serial code paths.
+  variable, every task runs in the calling process.
 * **the persistent pool** — worker processes are created lazily on the
   first parallel operation and *reused* across subsequent ones
   (:func:`get_pool`), so repeated ``run_study``/``explore_designs``
@@ -19,8 +19,7 @@ Three things live here:
   measurements).  Maps of :data:`PARALLEL_MIN_ITEMS` items or fewer run
   serially: for tiny fan-outs the pickling round-trips alone cost more
   than the work, and the serial path is byte-identical.
-  Dependency-carrying work goes through :mod:`repro.exec.scheduler`
-  instead.
+  Per-benchmark tasks go through :mod:`repro.exec.scheduler` instead.
 
 Worker processes receive their payloads by pickling, so mapped functions
 must be module-level and their arguments picklable; engine caches are
@@ -34,8 +33,7 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
-    TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, TypeVar
 
 from repro.errors import ReproError
 
@@ -52,7 +50,7 @@ R = TypeVar("R")
 
 
 def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
+    """CPUs this process may actually run on (its scheduler CPU mask)."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
@@ -62,7 +60,7 @@ def available_cpus() -> int:
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a ``jobs=`` knob to a concrete worker count (>= 1).
 
-    ``None`` defers to ``$REPRO_JOBS`` (absent -> 1, the serial path);
+    ``None`` defers to ``$REPRO_JOBS`` (absent -> 1, no pool);
     ``0`` — on the knob or in the variable — means every available core.
     Errors name the environment variable when the value came from it, so
     a CI misconfiguration is diagnosable from the message alone.
@@ -84,71 +82,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs == 0:
         return available_cpus()
     return jobs
-
-
-# -- the per-worker derivation cache -----------------------------------------------
-
-_worker_cache: Dict[Hashable, object] = {}
-
-
-def worker_cached(key: Hashable, factory: Callable[[], T]) -> T:
-    """Per-process memo for deterministic derivations.
-
-    Lives in whichever process calls it: pool workers each keep their own
-    copy (it is *not* shipped across the pickle boundary), the serial
-    path uses the parent's.  The study executor routes every cell's
-    front-end compile through here keyed by benchmark name, so a worker
-    that already compiled ``edge`` for level 0 reuses that module for
-    levels 1 and 2 — the scheduler's affinity-aware placement makes that
-    the common case — exactly like the serial loop's one-compile-per-
-    benchmark sharing.  Only derivations that are pure functions of the
-    key belong here; the cache is never invalidated, only cleared with
-    :func:`clear_worker_cache`.
-    """
-    try:
-        return _worker_cache[key]  # type: ignore[return-value]
-    except KeyError:
-        value = factory()
-        _worker_cache[key] = value
-        return value
-
-
-def clear_worker_cache() -> None:
-    """Drop every memoized derivation (tests; otherwise never needed)."""
-    _worker_cache.clear()
-
-
-# Epoch plumbing: every executor-level operation (a study, an exploration
-# study) runs under one *epoch* — a counter the parent bumps per
-# operation and ships inside each task's arguments.  A process seeing a
-# new epoch drops its memo first, so within one operation every cell
-# still shares compiles, while long-lived pool workers never accumulate
-# derivations across operations (a pool that served the whole suite used
-# to keep every benchmark's front end alive forever).
-
-_worker_epoch: Optional[int] = None
-_epoch_counter = 0
-
-
-def next_epoch() -> int:
-    """A fresh epoch token (parent-side, one per executor operation)."""
-    global _epoch_counter
-    _epoch_counter += 1
-    return _epoch_counter
-
-
-def sync_epoch(epoch: Optional[int]) -> None:
-    """Align this process's memo with *epoch* (worker-side, per task).
-
-    The first task of a new epoch to reach a process clears that
-    process's memo; same-epoch tasks are no-ops.  Runs identically in
-    pool workers and in the parent (the serial scheduler path), so
-    memo growth is bounded the same way on every execution shape.
-    """
-    global _worker_epoch
-    if epoch is not None and epoch != _worker_epoch:
-        _worker_cache.clear()
-        _worker_epoch = epoch
 
 
 # -- the persistent pool -----------------------------------------------------------

@@ -1,20 +1,14 @@
-"""Dependency-aware task scheduling over a process pool.
+"""Task execution over the persistent process pool.
 
-The study matrix is not embarrassingly parallel: levels 1 and 2 of a
-benchmark are verified against level 0's outputs (the semantic oracle),
-so each benchmark's level-0 task must complete before its other levels
-fan out, while different benchmarks are fully independent.  This module
-provides the small generic scheduler that encodes exactly that shape:
+Every executor (the study matrix, the exploration and frontier studies)
+runs one independent task per benchmark, so the scheduler is small:
 
-* a :class:`Task` names a module-level function, its arguments, the keys
-  of the tasks it depends on, and an optional ``bind`` hook that runs *in
-  the parent* once the dependencies finish, turning their results into
-  additional arguments (how a level-1 task receives the level-0 oracle);
-* :func:`run_tasks` executes a task set either serially (``jobs=1`` —
-  deterministic first-ready order, no pool, no pickling) or on the
-  persistent worker pool (:func:`repro.exec.pool.get_pool` — spawned
-  once, reused across studies), submitting each task the moment its
-  dependencies are satisfied.
+* a :class:`Task` names a module-level function and its arguments;
+* :func:`run_tasks` executes a task list either serially (``jobs=1`` —
+  declaration order, no pool, no pickling) or on the persistent worker
+  pool (:func:`repro.exec.pool.get_pool` — spawned once, reused across
+  studies), submitting tasks in declaration order with at most ``jobs``
+  in flight.
 
 Results are returned keyed by task, so callers reassemble outputs in
 their own canonical order — completion order never leaks into results,
@@ -23,12 +17,12 @@ which is what keeps ``jobs=N`` bit-identical to ``jobs=1``.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.analysis.taskgraph import check_task_graph
 from repro.errors import ReproError
 from repro.exec.pool import discard_broken_pool, get_pool, resolve_jobs
 
@@ -38,32 +32,12 @@ class Task:
     """One schedulable unit of work.
 
     ``fn(*args)`` runs in a worker process when ``jobs > 1``, so ``fn``
-    must be a module-level callable and ``args`` picklable.  ``bind``
-    (optional) runs in the parent right before submission and may extend
-    the arguments with dependency results: ``bind(args, results)`` where
-    ``results`` maps every dependency key to its finished result.
-
-    ``affinity`` (optional) groups tasks that profit from running in the
-    same worker process (shared per-worker caches, e.g. one front-end
-    compile per benchmark).  It is a *placement hint*, never a
-    correctness requirement: when a task completes, the scheduler
-    prefers submitting a ready task with the same affinity next — the
-    worker that just freed is the one most likely to pick it up — but
-    any worker may run any task.
+    must be a module-level callable and ``args`` picklable.
     """
 
     key: Hashable
     fn: Callable
     args: Tuple = ()
-    deps: Tuple[Hashable, ...] = ()
-    bind: Optional[Callable[[Tuple, Dict[Hashable, object]], Tuple]] = None
-    affinity: Optional[Hashable] = None
-
-    def final_args(self, results: Dict[Hashable, object]) -> Tuple:
-        if self.bind is None:
-            return self.args
-        return self.bind(
-            self.args, {dep: results[dep] for dep in self.deps})
 
 
 @dataclass
@@ -75,55 +49,43 @@ class ScheduleStats:
     order: list = field(default_factory=list)  # submission order of keys
 
 
-def _validate(tasks: Sequence[Task]) -> None:
-    # Full up-front structural validation — duplicate keys, dangling
-    # deps, and dependency cycles reported with the named cycle — so a
-    # bad schedule fails before any task runs (see analysis.taskgraph).
-    check_task_graph(tasks)
-
-
 def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None,
               on_start: Optional[Callable[[Hashable], None]] = None,
               stats: Optional[ScheduleStats] = None
               ) -> Dict[Hashable, object]:
-    """Execute *tasks* respecting dependencies; return results by key.
+    """Execute *tasks*; return results by key.
 
     ``on_start(key)`` fires in the parent when a task is picked for
     execution (serial) or submitted to the pool (parallel).  A task
     exception propagates to the caller; outstanding parallel work is
-    cancelled or drained first.  A dependency cycle raises
-    :class:`~repro.errors.ReproError`.
+    cancelled or drained first.  Duplicate keys raise
+    :class:`~repro.errors.ReproError` before any task runs.
     """
-    _validate(tasks)
+    seen = set()
+    for task in tasks:
+        if task.key in seen:
+            raise ReproError(f"duplicate task key {task.key!r}")
+        seen.add(task.key)
     jobs = resolve_jobs(jobs)
     if stats is None:
         stats = ScheduleStats()
     results: Dict[Hashable, object] = {}
 
+    def start(task: Task) -> None:
+        if on_start is not None:
+            on_start(task.key)
+        stats.order.append(task.key)
+        stats.executed += 1
+
     if jobs <= 1 or len(tasks) <= 1:
-        pending = list(tasks)
-        while pending:
-            ready_at = next(
-                (i for i, task in enumerate(pending)
-                 if all(dep in results for dep in task.deps)), None)
-            if ready_at is None:
-                raise ReproError("dependency cycle in schedule")
-            task = pending.pop(ready_at)
-            if on_start is not None:
-                on_start(task.key)
-            stats.order.append(task.key)
-            stats.executed += 1
+        for task in tasks:
+            start(task)
             stats.max_in_flight = max(stats.max_in_flight, 1)
-            results[task.key] = task.fn(*task.final_args(results))
+            results[task.key] = task.fn(*task.args)
         return results
 
-    by_key = {task.key: task for task in tasks}
-    waiting = list(tasks)
+    waiting = deque(tasks)
     in_flight: Dict = {}  # future -> key
-    #: affinity of the most recently completed task — the freed worker
-    #: is the likeliest to pick up the next submission, so a ready task
-    #: with the same affinity goes first (see :class:`Task`).
-    preferred: Optional[Hashable] = None
     # The persistent pool outlives this call: repeated studies reuse the
     # same warm workers instead of paying spin-up per run_tasks call.
     # The in-flight cap below bounds parallelism to *jobs* regardless of
@@ -131,39 +93,16 @@ def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None,
     pool = get_pool(jobs)
     try:
         while waiting or in_flight:
-            submitted = True
-            while submitted and len(in_flight) < jobs:
-                submitted = False
-                chosen = None
-                for i, task in enumerate(waiting):
-                    if all(dep in results for dep in task.deps):
-                        if chosen is None:
-                            chosen = i
-                        if preferred is not None \
-                                and task.affinity == preferred:
-                            chosen = i
-                            break
-                if chosen is not None:
-                    task = waiting.pop(chosen)
-                    if on_start is not None:
-                        on_start(task.key)
-                    stats.order.append(task.key)
-                    stats.executed += 1
-                    future = pool.submit(
-                        task.fn, *task.final_args(results))
-                    in_flight[future] = task.key
-                    submitted = True
+            while waiting and len(in_flight) < jobs:
+                task = waiting.popleft()
+                start(task)
+                in_flight[pool.submit(task.fn, *task.args)] = task.key
             stats.max_in_flight = max(stats.max_in_flight,
                                       len(in_flight))
-            if not in_flight:
-                raise ReproError("dependency cycle in schedule")
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 key = in_flight.pop(future)
                 results[key] = future.result()  # re-raises task errors
-                completed = by_key[key]
-                if completed.affinity is not None:
-                    preferred = completed.affinity
     except BrokenProcessPool:
         for future in in_flight:
             future.cancel()
@@ -178,7 +117,4 @@ def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None,
         # (the old per-call executor's `with` exit waited the same way).
         wait(in_flight)
         raise
-    # Not every key resolvable means leftover waiting tasks formed a cycle;
-    # the in-flight check above already caught that, so here all are done.
-    assert len(results) == len(by_key)
     return results

@@ -3,13 +3,14 @@
 A *study* is: for each selected benchmark, run optimization levels 0/1/2,
 profile each on the Table-1 inputs, verify levels 1/2 against level 0's
 outputs (semantic preservation oracle), run sequence detection at lengths
-2–5, and keep everything for the reporting layer.
+2–5, and keep everything for the reporting layer.  :mod:`repro.exec.study`
+runs it as one task per benchmark, with ``jobs`` sizing the pool.
 
 An *exploration study* (:func:`run_exploration_study`) is the design-
 space counterpart: the full benchmark × area-budget matrix of the
 paper's estimate-then-measure ASIP loop, executed by
-:mod:`repro.exec.explore` on the same persistent pool (one task per
-benchmark runs its base simulation and every budget's measurements),
+:mod:`repro.exec.explore` the same way (one task per benchmark runs
+its base simulation and every budget's measurements),
 with ``jobs=N`` bit-identical to ``jobs=1`` and to per-benchmark
 :func:`~repro.asip.explore.explore_designs` calls.
 """
@@ -27,8 +28,8 @@ from repro.chaining.detect import DEFAULT_LENGTHS, DetectionResult
 from repro.errors import ReproError
 from repro.opt.pipeline import OptLevel
 from repro.sim.machine import DEFAULT_ENGINE
-from repro.suite.registry import BenchmarkSpec, all_benchmarks, get_benchmark
-from repro.suite.runner import BenchmarkRun, compile_benchmark, run_benchmark
+from repro.suite.registry import BenchmarkSpec, get_benchmark, selected_names
+from repro.suite.runner import BenchmarkRun
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class StudyConfig:
     #: single-seed behavior (``seed``).  The first entry is primary.
     seeds: Optional[Tuple[int, ...]] = None
     #: Worker processes for the benchmark×level matrix.  ``None`` defers
-    #: to ``$REPRO_JOBS`` (default 1 = today's serial path, guaranteed
-    #: bit-identical); ``0`` means one worker per core.
+    #: to ``$REPRO_JOBS`` (default 1: every task in this process); ``0``
+    #: means one worker per core; any value bit-identical.
     jobs: Optional[int] = None
 
 
@@ -310,7 +311,11 @@ class FrontierResult:
         return rows
 
 
-ProgressFn = Callable[[str, int], None]
+#: ``progress(benchmark, stage)``: one call as each benchmark's task
+#: starts, with stage ``"levels 0,1,2"`` (a study's levels),
+#: ``"budgets N,M,..."`` (an exploration study's budgets) or
+#: ``"frontier"``.
+ProgressFn = Callable[[str, str], None]
 
 
 # -- front-loaded validation -------------------------------------------------------
@@ -396,13 +401,10 @@ def result_request_key(op: str, config) -> str:
     from repro.sim.diskcache import result_source_token
     fields = dataclasses.asdict(config)
     fields.pop("jobs", None)
-    names = (list(dict.fromkeys(config.benchmarks))
-             if config.benchmarks is not None
-             else [spec.name for spec in all_benchmarks()])
     fields["benchmarks"] = [
         (name,
          hashlib.sha256(get_benchmark(name).source.encode()).hexdigest())
-        for name in names]
+        for name in selected_names(config.benchmarks)]
     blob = f"{op}|{result_source_token()}|{sorted(fields.items())!r}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -448,20 +450,22 @@ def run_study(config: StudyConfig = StudyConfig(),
               stats=None) -> StudyResult:
     """Execute the study described by *config*.
 
-    With an effective ``jobs`` of 1 (the default) this is the serial
-    reference path.  ``jobs > 1`` dispatches the benchmark×level matrix
-    to :func:`repro.exec.study.execute_study`, which schedules cells on a
-    process pool (level 0 first per benchmark — it is the semantic
-    oracle — then levels 1/2 fan out) and produces bit-identical results.
+    Every ``jobs`` value takes the same path,
+    :func:`repro.exec.study.execute_study`: one task per benchmark runs
+    its levels in ascending order, level 0 first as the semantic oracle
+    of levels 1/2; ``jobs`` only sizes the worker pool, and results are
+    bit-identical for any value.  ``progress(name, "levels 0,1,2")``
+    fires as each benchmark's task starts.
 
     With the whole-result tier on (:data:`~repro.sim.diskcache.
     RESULT_ENV_VAR`), a repeat of a previously answered config returns
     the stored result from disk — no compile, no simulation; ``progress``
     does not fire on such a hit.  ``stats`` (a
     :class:`~repro.exec.scheduler.ScheduleStats`) collects scheduler
-    accounting on the parallel path.
+    accounting.
     """
     from repro.exec.pool import resolve_jobs
+    from repro.exec.study import execute_study
     validate_study_config(config)
     cache, key = _result_tier("study", config)
     if cache is not None:
@@ -469,55 +473,16 @@ def run_study(config: StudyConfig = StudyConfig(),
         if cached is not None:
             cached.config = config  # the stored twin differs in jobs only
             return cached
-    jobs = resolve_jobs(config.jobs)
-    if jobs > 1:
-        from repro.exec.study import execute_study
-        result = execute_study(config, jobs=jobs, progress=progress,
-                               stats=stats)
-        if cache is not None:
-            _store_result(cache, key, result)
-        return result
-
-    names = (list(config.benchmarks) if config.benchmarks is not None
-             else [spec.name for spec in all_benchmarks()])
-    result = StudyResult(config=config)
-    for name in names:
-        spec = get_benchmark(name)
-        module = compile_benchmark(spec)
-        study = BenchmarkStudy(spec=spec)
-        reference = None
-        for level in sorted(config.levels):
-            if progress is not None:
-                progress(name, level)
-            run = run_benchmark(
-                spec, OptLevel(level),
-                lengths=config.lengths,
-                seed=config.seed,
-                seeds=config.seeds,
-                unroll_factor=config.unroll_factor,
-                check_against=reference if config.verify else None,
-                module=module,
-                engine=config.engine,
-            )
-            if level == 0 and config.verify:
-                reference = (run.seed_results if len(run.seeds) > 1
-                             else run.machine_result)
-            study.runs[OptLevel(level)] = run
-        result.benchmarks[name] = study
+    result = execute_study(config, jobs=resolve_jobs(config.jobs),
+                           progress=progress, stats=stats)
     if cache is not None:
         _store_result(cache, key, result)
     return result
 
 
-#: ``progress(benchmark, stage)`` for exploration and frontier studies:
-#: one call as each benchmark's task starts, with stage
-#: ``"budgets N,M,..."`` (the study's budgets) or ``"frontier"``.
-ExploreProgressFn = Callable[[str, str], None]
-
-
 def run_exploration_study(
         config: ExplorationStudyConfig = ExplorationStudyConfig(),
-        progress: Optional[ExploreProgressFn] = None,
+        progress: Optional[ProgressFn] = None,
         stats=None) -> ExplorationStudyResult:
     """Execute the suite-wide design-space exploration.
 
@@ -555,7 +520,7 @@ def run_exploration_study(
 
 def run_frontier_study(
         config: FrontierStudyConfig = FrontierStudyConfig(),
-        progress: Optional[ExploreProgressFn] = None,
+        progress: Optional[ProgressFn] = None,
         stats=None) -> FrontierResult:
     """Execute one incremental Pareto-frontier sweep per benchmark.
 

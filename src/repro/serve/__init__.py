@@ -3,8 +3,8 @@
 ``python -m repro serve --socket PATH`` (or ``--port N``) starts a
 long-lived daemon that answers analyze / study / explore /
 explore-study / frontier requests as JSON lines over a local socket —
-the warm-process home the persistent worker pool, the per-worker
-compile memos and the disk cache were built for.  See
+the warm-process home the persistent worker pool and the disk cache
+were built for.  See
 :mod:`repro.serve.protocol` for the wire format,
 :mod:`repro.serve.daemon` for the server (in-flight request
 deduplication, the whole-result cache tier, status accounting) and

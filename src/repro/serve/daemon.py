@@ -4,8 +4,7 @@ An asyncio front end over the toolchain: requests arrive as JSON lines
 (:mod:`repro.serve.protocol`), are validated on the event loop, and are
 evaluated on **one** dedicated executor thread — evaluations are
 CPU-bound and the toolchain's process-global state (the persistent
-worker pool, its epoch counter, the per-worker compile memos, the disk-
-cache handle) is built for one driver at a time.  Parallelism across
+worker pool, the disk-cache handle) is built for one driver at a time.  Parallelism across
 cores comes from each evaluation's own ``jobs`` knob fanning out onto
 the process pool, not from overlapping evaluations; the loop itself
 stays free to answer ``status``, coalesce duplicates and take new

@@ -9,7 +9,7 @@ output array names).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.suite.programs import ALL_PROGRAMS
@@ -78,3 +78,14 @@ def get_benchmark(name: str) -> BenchmarkSpec:
 
 def all_benchmarks() -> List[BenchmarkSpec]:
     return [_REGISTRY[name] for name in BENCHMARK_ORDER]
+
+
+def selected_names(names: Optional[Sequence[str]]) -> List[str]:
+    """*names* in first-seen order without repeats, or the whole suite in
+    Table-1 order for ``None``; an unknown name raises before any work."""
+    if names is None:
+        return benchmark_names()
+    names = list(dict.fromkeys(names))
+    for name in names:
+        get_benchmark(name)
+    return names

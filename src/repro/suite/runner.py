@@ -168,8 +168,8 @@ def run_benchmark(spec: BenchmarkSpec,
     :class:`~repro.errors.OptimizationError`.  Pass a pre-compiled
     ``module`` to skip the front end when running several levels, or a
     pre-optimized ``optimized=(graph_module, report)`` pair to skip the
-    optimizer too (the study executor's per-worker memo).  ``engine``
-    selects the simulation engine (see
+    optimizer too (the study executor optimizes each level itself).
+    ``engine`` selects the simulation engine (see
     :func:`~repro.sim.machine.run_module`).  ``seeds`` batches several
     input seeds through one compiled program; it overrides ``seed`` and
     its first entry becomes the primary result.
@@ -179,7 +179,7 @@ def run_benchmark(spec: BenchmarkSpec,
     seeds = validate_seeds(seeds)
     if optimized is not None:
         # The caller holds the optimized pair already (the study
-        # executor's per-worker memo); compiling the front end here
+        # executor's per-benchmark task); compiling the front end here
         # would be pure waste — ``module`` stays ``None`` on the run
         # unless the caller supplied one.
         graph_module, report = optimized

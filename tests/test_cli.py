@@ -226,6 +226,17 @@ class TestAnalyze:
         assert names_a == names_b
 
 
+class TestStudy:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_progress_line_per_benchmark(self, jobs):
+        code, text = run_cli("study", "--benchmarks", "sewha,dft",
+                             "--levels", "0,1", "--jobs", jobs)
+        assert code == 0
+        progress = [line for line in text.splitlines() if " @ " in line]
+        assert sorted(progress) == ["  dft @ levels 0,1",
+                                    "  sewha @ levels 0,1"]
+
+
 class TestExplore:
     def test_explore_sewha(self):
         code, text = run_cli("explore", "sewha", "--budget", "1500")

@@ -633,7 +633,7 @@ class TestResultTier:
         cache = get_cache()
         assert cache.stores[diskcache.RESULT_KIND] == 1
         # The repeat is served whole from disk: no run_benchmark calls.
-        import repro.feedback.study as study_mod
+        import repro.exec.study as study_mod
 
         def boom(*_a, **_k):
             raise AssertionError("result-tier hit must not simulate")

@@ -1,8 +1,9 @@
 """Differential harness for the study executor: parallel == serial == ref.
 
-Every reported number flows through ``run_study``, so the parallel
-executor must be *indistinguishable* from the serial path, which in turn
-must be indistinguishable from the PR-1 baseline loop (compile once per
+Every reported number flows through ``run_study``, so its tasks run on a
+worker pool (``jobs=2``) must be *indistinguishable* from the same tasks
+run in this process (``jobs=1``), which in turn must be
+indistinguishable from the PR-1 baseline loop (compile once per
 benchmark, level 0 as semantic oracle, levels ascending).  The harness
 pins, for every suite benchmark at every level:
 
@@ -15,8 +16,9 @@ pins, for every suite benchmark at every level:
   (even two serial runs in one process) and are deliberately excluded;
 * the rendered paper artifacts (Tables 2/3), end to end.
 
-Scheduler semantics (dependency order, cycle detection, error
-propagation) and the ``jobs`` knob resolution are unit-tested below.
+Scheduler semantics (declaration order, duplicate keys, error
+propagation), the one-task-per-benchmark schedule and the ``jobs`` knob
+resolution are unit-tested below.
 """
 
 import os
@@ -196,16 +198,19 @@ class TestProgressReporting:
     def test_parallel_progress_covers_matrix(self):
         seen = []
         run_study(StudyConfig(benchmarks=("fir", "iir"), jobs=2),
-                  progress=lambda name, level: seen.append((name, level)))
-        assert sorted(seen) == sorted(
-            (name, level) for name in ("fir", "iir") for level in LEVELS)
+                  progress=lambda name, stage: seen.append((name, stage)))
+        # one event per benchmark task, naming every level it runs
+        assert sorted(seen) == [("fir", "levels 0,1,2"),
+                                ("iir", "levels 0,1,2")]
 
     def test_parallel_oracle_ordering(self):
         seen = []
-        run_study(StudyConfig(benchmarks=("fir",), jobs=2),
-                  progress=lambda name, level: seen.append(level))
-        # level 0 is the semantic oracle: it must start first.
-        assert seen[0] == 0
+        study = run_study(StudyConfig(benchmarks=("fir",), levels=(2, 0, 1),
+                                      jobs=2),
+                          progress=lambda name, stage: seen.append(stage))
+        # level 0 is the semantic oracle: the task runs it first.
+        assert seen == ["levels 0,1,2"]
+        assert list(study.benchmark("fir").runs) == [0, 1, 2]
 
 
 # -- scheduler unit tests ----------------------------------------------------------
@@ -236,55 +241,36 @@ def _slow_sentinel(path):
 
 
 class TestScheduler:
-    def _diamond(self):
-        # a -> (b, c) -> d ; bind threads dependency results as args.
-        return [
-            Task("a", _double, (1,)),
-            Task("b", _add, (10,), deps=("a",),
-                 bind=lambda args, res: args + (res["a"],)),
-            Task("c", _add, (100,), deps=("a",),
-                 bind=lambda args, res: args + (res["a"],)),
-            Task("d", _add, (), deps=("b", "c"),
-                 bind=lambda args, res: (res["b"], res["c"])),
-        ]
+    def _tasks(self):
+        return [Task("a", _double, (1,)), Task("b", _add, (10, 2)),
+                Task("c", _add, (100,)), Task("d", _add, ())]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_diamond_dependency_results(self, jobs):
-        results = run_tasks(self._diamond(), jobs=jobs)
-        assert results == {"a": 2, "b": 12, "c": 102, "d": 114}
+    def test_results_keyed_by_task(self, jobs):
+        stats = ScheduleStats()
+        results = run_tasks(self._tasks(), jobs=jobs, stats=stats)
+        assert results == {"a": 2, "b": 12, "c": 100, "d": 0}
+        # submission follows declaration order on any worker count
+        assert stats.order == ["a", "b", "c", "d"]
+        assert stats.max_in_flight == jobs
 
     def test_serial_respects_declaration_order(self):
         stats = ScheduleStats()
-        run_tasks(self._diamond(), jobs=1, stats=stats)
+        run_tasks(self._tasks(), jobs=1, stats=stats)
         assert stats.order == ["a", "b", "c", "d"]
         assert stats.executed == 4
 
-    def test_dependency_fires_before_dependent(self):
-        stats = ScheduleStats()
-        run_tasks(self._diamond(), jobs=2, stats=stats)
-        assert stats.order.index("a") < stats.order.index("b")
-        assert stats.order.index("a") < stats.order.index("c")
-        assert stats.order.index("d") == 3
-
     def test_on_start_fires_per_task(self):
         started = []
-        run_tasks(self._diamond(), jobs=2, on_start=started.append)
-        assert sorted(started) == ["a", "b", "c", "d"]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cycle_detected(self, jobs):
-        tasks = [Task("a", _double, (1,), deps=("b",)),
-                 Task("b", _double, (1,), deps=("a",))]
-        with pytest.raises(ReproError, match="cycle"):
-            run_tasks(tasks, jobs=jobs)
+        run_tasks(self._tasks(), jobs=2, on_start=started.append)
+        assert started == ["a", "b", "c", "d"]
 
     def test_duplicate_keys_rejected(self):
+        ran = []
         with pytest.raises(ReproError, match="duplicate"):
-            run_tasks([Task("a", _double, (1,)), Task("a", _double, (2,))])
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ReproError, match="unknown task"):
-            run_tasks([Task("a", _double, (1,), deps=("ghost",))])
+            run_tasks([Task("ok", ran.append, ("x",)),
+                       Task("a", _double, (1,)), Task("a", _double, (2,))])
+        assert ran == []  # rejected before any task ran
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_error_propagates(self, jobs):
@@ -441,8 +427,8 @@ class TestStudyConfigErrors:
             run_study(StudyConfig(benchmarks=("fir",), jobs=-1))
 
     def test_duplicate_benchmarks_and_levels_match_serial(self):
-        # The serial loop re-runs duplicate cells and keeps the last by
-        # dict overwrite; the scheduler collapses them — same result.
+        # Duplicate names and levels collapse to one task per benchmark
+        # and one run per level, on any worker count.
         config = dict(benchmarks=("fir", "fir", "iir"), levels=(1, 1, 0))
         serial = run_study(StudyConfig(jobs=1, **config))
         parallel = run_study(StudyConfig(jobs=2, **config))
@@ -453,8 +439,31 @@ class TestStudyConfigErrors:
                     serial.benchmark(name).run_at(level),
                     parallel.benchmark(name).run_at(level))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_name_fails_before_any_compile(self, jobs, monkeypatch):
+        """Every name is checked before the first task starts, so an
+        unknown one costs no compile or simulation of the names before
+        it.  Compiles are counted at ``compile_source``, which every
+        copy of ``compile_benchmark`` calls."""
+        import repro.suite.runner as runner_mod
+        compiles = []
+        real = runner_mod.compile_source
 
-# -- PR-4 executor upgrades: shared compiles, sharding, recovery, validation -------
+        def counting(*args, **kwargs):
+            compiles.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_source", counting)
+        with pytest.raises(ReproError, match="unknown benchmark 'nope'"):
+            run_study(StudyConfig(benchmarks=("fir", "nope"), jobs=jobs))
+        assert compiles == []
+        # ...and a repeated name is one task: one compile.
+        run_study(StudyConfig(benchmarks=("fir", "fir"), levels=(0,),
+                              jobs=1))
+        assert compiles == ["fir"]
+
+
+# -- many seeds, schedule shape, recovery, validation -------------------------------
 
 
 def _crash_worker(_item):
@@ -474,17 +483,11 @@ def _crash_once(args):
     os._exit(13)
 
 
-def _cached_probe(key):
-    from repro.exec.pool import worker_cached
-    first = worker_cached(key, object)
-    second = worker_cached(key, object)
-    return first is second
-
-
 class TestSeedSharding:
-    """Large multi-seed cells shard across workers, bit-identically."""
+    """A many-seed study runs every seed in its benchmark's one task
+    and stays bit-identical to ``jobs=1``."""
 
-    SEEDS = tuple(range(6))  # >= SEED_SHARD_MIN: the sharded path
+    SEEDS = tuple(range(6))
     CONFIG = dict(benchmarks=("fir", "sewha"), seeds=SEEDS)
 
     @pytest.fixture(scope="class")
@@ -494,27 +497,6 @@ class TestSeedSharding:
     @pytest.fixture(scope="class")
     def sharded(self):
         return run_study(StudyConfig(jobs=3, **self.CONFIG))
-
-    def test_schedule_contains_shard_tasks(self):
-        from repro.exec.study import build_schedule
-        tasks = build_schedule(StudyConfig(**self.CONFIG),
-                               ["fir", "sewha"], jobs=3)
-        shard_keys = [t.key for t in tasks if len(t.key) == 3]
-        assert shard_keys, "a 6-seed cell on 3 workers must shard"
-        # every shard of a non-oracle level depends on the matching
-        # level-0 shard, never on the whole cell
-        for task in tasks:
-            if len(task.key) == 3 and task.key[1] != 0:
-                assert task.deps == ((task.key[0], 0, task.key[2]),)
-
-    def test_shard_seeds_partitions_in_order(self):
-        from repro.exec.study import shard_seeds
-        shards = shard_seeds(self.SEEDS, 3)
-        assert len(shards) == 3
-        assert tuple(s for shard in shards for s in shard) == self.SEEDS
-        assert shard_seeds(self.SEEDS, 1) == [self.SEEDS]
-        assert shard_seeds((0, 1), 4) == [(0, 1)]  # below the minimum
-        assert shard_seeds(None, 4) == [None]
 
     def test_bit_identical_to_serial(self, serial, sharded):
         for name in self.CONFIG["benchmarks"]:
@@ -532,45 +514,32 @@ class TestSeedSharding:
         assert table2(sharded) == table2(serial)
 
     def test_progress_fires_once_per_cell(self):
+        # the cell is the benchmark's task: one event, whatever the seeds
         seen = []
         run_study(StudyConfig(jobs=3, **self.CONFIG),
-                  progress=lambda name, level: seen.append((name, level)))
-        assert sorted(seen) == sorted(
-            (name, level) for name in self.CONFIG["benchmarks"]
-            for level in LEVELS)
+                  progress=lambda name, stage: seen.append((name, stage)))
+        assert sorted(seen) == [(name, "levels 0,1,2")
+                                for name in self.CONFIG["benchmarks"]]
 
 
-class TestWorkerCompileCache:
-    """One front-end compile per benchmark per process."""
+class TestScheduleShape:
+    """One dependency-free task per benchmark, on every path."""
 
-    def test_worker_cached_memoizes(self):
-        from repro.exec.pool import clear_worker_cache, worker_cached
-        clear_worker_cache()
-        calls = []
+    def test_same_schedule_for_any_jobs_and_seed_count(self):
+        names = ["fir", "sewha", "iir"]
+        for seeds in (None, (0, 1, 2, 3, 4)):
+            for jobs in (1, 2, 3):
+                stats = ScheduleStats()
+                run_study(StudyConfig(benchmarks=tuple(names) + ("fir",),
+                                      levels=(0, 1), seeds=seeds,
+                                      jobs=jobs), stats=stats)
+                assert stats.order == names
+                assert stats.executed == len(names)
 
-        def factory():
-            calls.append(1)
-            return "module"
-
-        assert worker_cached(("frontend", "x"), factory) == "module"
-        assert worker_cached(("frontend", "x"), factory) == "module"
-        assert len(calls) == 1
-        clear_worker_cache()
-
-    def test_memo_lives_inside_the_worker(self):
-        # the memo must be per-process (it is never pickled across), so
-        # a worker probing its own cache twice sees one entry
-        results = parallel_map(_cached_probe,
-                               [("probe", i) for i in range(8)], jobs=2)
-        assert all(results)
-
-    def test_cells_share_the_frontend_compile(self, monkeypatch):
-        """In one process, every cell of a benchmark reuses one front-end
-        compile — the serial path's per-benchmark sharing, now in the
-        executor too."""
+    def test_levels_share_the_frontend_compile(self, monkeypatch):
+        """Every level of a benchmark reuses its task's one front-end
+        compile."""
         import repro.exec.study as study_mod
-        from repro.exec.pool import clear_worker_cache
-        clear_worker_cache()
         compiles = []
         real = study_mod.compile_benchmark
 
@@ -579,19 +548,9 @@ class TestWorkerCompileCache:
             return real(spec)
 
         monkeypatch.setattr(study_mod, "compile_benchmark", counting)
-        config = StudyConfig(benchmarks=("fir", "iir"), jobs=1)
-        from repro.exec.study import execute_study
-        execute_study(config, jobs=1)
-        assert sorted(compiles) == ["fir", "iir"], \
+        run_study(StudyConfig(benchmarks=("fir", "iir"), jobs=1))
+        assert compiles == ["fir", "iir"], \
             "three levels per benchmark must share one compile"
-        clear_worker_cache()
-
-    def test_affinity_groups_benchmark_cells(self):
-        from repro.exec.study import build_schedule
-        tasks = build_schedule(StudyConfig(benchmarks=("fir", "iir")),
-                               ["fir", "iir"])
-        for task in tasks:
-            assert task.affinity == task.key[0]
 
 
 class TestBrokenPoolRecovery:
@@ -647,7 +606,7 @@ class TestInputValidation:
     """Satellite fix: misconfiguration raises clearly, up front."""
 
     def test_invalid_engine_rejected_before_any_work(self, monkeypatch):
-        import repro.feedback.study as study_mod
+        import repro.exec.study as study_mod
         from repro.errors import SimulationError
 
         def exploding(*_a, **_k):
@@ -720,49 +679,6 @@ class TestPoolResizeFailure:
         assert replacement is not original
         assert replacement.submit(int, "7").result() == 7  # actually alive
         pool_mod.shutdown_pool()
-
-
-class TestWorkerCacheEpochs:
-    """Satellite fix: the per-worker memo is bounded per operation."""
-
-    def test_same_epoch_keeps_memo_new_epoch_clears_it(self):
-        from repro.exec.pool import (clear_worker_cache, next_epoch,
-                                     sync_epoch, worker_cached)
-        clear_worker_cache()
-        first = next_epoch()
-        sync_epoch(first)
-        assert worker_cached("epoch-probe", lambda: "a") == "a"
-        sync_epoch(first)  # same operation: memo survives
-        assert worker_cached("epoch-probe", lambda: "b") == "a"
-        sync_epoch(next_epoch())  # next operation: memo dropped
-        assert worker_cached("epoch-probe", lambda: "c") == "c"
-        clear_worker_cache()
-
-    def test_none_epoch_is_a_no_op(self):
-        from repro.exec.pool import (clear_worker_cache, sync_epoch,
-                                     worker_cached)
-        clear_worker_cache()
-        assert worker_cached("noop-probe", lambda: 1) == 1
-        sync_epoch(None)
-        assert worker_cached("noop-probe", lambda: 2) == 1
-        clear_worker_cache()
-
-    def test_studies_do_not_accumulate_memo_entries(self):
-        # Two serial studies through the executor: the second study's
-        # epoch clears the first's derivations, so the memo holds one
-        # study's worth of entries, not the union of every study ever.
-        from repro.exec import pool as p
-        from repro.exec.study import execute_study
-        p.clear_worker_cache()
-        execute_study(StudyConfig(benchmarks=("fir",), jobs=1), jobs=1)
-        after_first = set(p._worker_cache)
-        execute_study(StudyConfig(benchmarks=("iir",), jobs=1), jobs=1)
-        after_second = set(p._worker_cache)
-        assert any(key[1] == "fir" for key in after_first)
-        assert all(key[1] != "fir" for key in after_second), \
-            "the first study's compiles must not outlive it"
-        assert any(key[1] == "iir" for key in after_second)
-        p.clear_worker_cache()
 
 
 class TestOptimizedSkipsFrontend:

@@ -17,7 +17,9 @@ import pytest
 from repro.asip.evaluate import merge_evaluations
 from repro.asip.explore import (candidate_pool, explore_designs,
                                 rank_candidates, select_finalists)
+from repro.asip.resequence import resequence_module
 from repro.errors import ReproError
+from repro.exec.study import optimized_module
 from repro.feedback.study import (ExplorationStudyConfig,
                                   ExplorationStudyResult,
                                   run_exploration_study)
@@ -163,7 +165,6 @@ class TestMultiSeed:
         # fold of independently-computed per-seed evaluations of the
         # same ISA: cycle totals sum, chain issues sum, area unchanged.
         from repro.asip.evaluate import evaluate_on_sequential
-        from repro.asip.resequence import resequence_module
         from repro.opt.pipeline import optimize_module
         spec = get_benchmark("sewha")
         gm, _ = optimize_module(compile_benchmark(spec), OptLevel(1))
@@ -185,15 +186,14 @@ class TestMultiSeed:
 class TestScheduleShape:
     def test_base_gates_budget_cells(self):
         """A benchmark's base and every budget cell share one task: one
-        task per benchmark, placed by name, with nothing to wait on."""
-        from repro.exec.explore import build_exploration_schedule
-        config = ExplorationStudyConfig(benchmarks=("fir", "iir"),
-                                        budgets=(1500, 2500))
-        tasks = build_exploration_schedule(config, ["fir", "iir"])
-        assert [task.key for task in tasks] == ["fir", "iir"]
-        for task in tasks:
-            assert task.affinity == task.key
-            assert task.deps == ()
+        task per distinct benchmark, keyed by name, in request order."""
+        from repro.exec.scheduler import ScheduleStats
+        stats = ScheduleStats()
+        run_exploration_study(ExplorationStudyConfig(
+            benchmarks=("sewha", "dft", "sewha"), budgets=(1500, 2500),
+            jobs=1), stats=stats)
+        assert stats.order == ["sewha", "dft"]
+        assert stats.executed == 2
 
     def test_same_schedule_for_any_jobs_and_seed_count(self):
         from repro.exec.scheduler import ScheduleStats
@@ -241,10 +241,12 @@ class TestCrossBudgetDedup:
             benchmarks=self.SUBSET, budgets=self.BUDGETS, seeds=self.SEEDS,
             jobs=1))
 
+        sequentials = {
+            name: resequence_module(optimized_module(name, 1, 2)[0])
+            for name in self.SUBSET}
         programs = 0
         for name in self.SUBSET:
-            sequential, _ = explore_mod._sequential_module(name, 1, 2)
-            matcher = ChainMatcher(sequential)
+            matcher = ChainMatcher(sequentials[name])
             programs += len({
                 site_key(matcher.match(point.isa))
                 for budget in self.BUDGETS
@@ -258,7 +260,7 @@ class TestCrossBudgetDedup:
         for name in self.SUBSET:
             spec = get_benchmark(name)
             module = compile_benchmark(spec)
-            sequential, _ = explore_mod._sequential_module(name, 1, 2)
+            sequential = sequentials[name]
             inputs_list = [spec.generate_inputs(s) for s in self.SEEDS]
             for budget in self.BUDGETS:
                 solo = explore_designs(module, spec.generate_inputs(0),
@@ -286,7 +288,6 @@ class TestSharedInputs:
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_batch_leaves_inputs_unchanged(self, level):
-        from repro.asip.resequence import resequence_module
         from repro.opt.pipeline import optimize_module
         from repro.sim.machine import run_module_batch
         for spec in all_benchmarks():
@@ -404,13 +405,12 @@ class TestDistinctPrograms:
     def frontier_work(self):
         from repro.asip.explore import _isa_for, frontier_sweep
         from repro.asip.cost import DEFAULT_COST_MODEL
-        from repro.exec.explore import _explore_base, _sequential_module
+        from repro.exec.explore import _explore_base
         work = {}
         for name in self.SUBSET:
-            pool, _total_ops, _inputs, base_results = _explore_base(
-                name, self.LEVEL, (2, 3), (0,), 2, "codegen")
+            pool, _total_ops, sequential, _inputs, base_results = \
+                _explore_base(name, self.LEVEL, (2, 3), (0,), 2, "codegen")
             pattern_sets = frontier_sweep(pool).pattern_sets()
-            sequential, _mapping = _sequential_module(name, self.LEVEL, 2)
             isas = [_isa_for(patterns, DEFAULT_COST_MODEL)
                     for patterns in pattern_sets]
             work[name] = (pattern_sets, isas, sequential, base_results)
@@ -459,13 +459,14 @@ class TestDistinctPrograms:
                                          evaluate_on_sequential_batch)
         from repro.asip.explore import _isa_for
         from repro.asip.cost import DEFAULT_COST_MODEL
+        from repro.asip.resequence import resequence_module_mapped
         from repro.exec.explore import (_derived_base_result,
-                                        _measure_pattern_sets,
-                                        _sequential_module)
-        from repro.exec.study import _optimized_cell
+                                        _measure_pattern_sets)
         from repro.sim.machine import run_module_batch
         name = "sewha"
-        sets, _isas, sequential, _base = frontier_work[name]
+        sets, _isas, _sequential, _base = frontier_work[name]
+        graph_module, _ = optimized_module(name, self.LEVEL, 2)
+        sequential, mapping = resequence_module_mapped(graph_module)
         never = ("divide", "divide")
         assert all(never not in patterns for patterns in sets)
         pair = [sets[0], sets[0] + (never,)]
@@ -475,8 +476,6 @@ class TestDistinctPrograms:
 
         seeds = (0, 1)
         spec = get_benchmark(name)
-        graph_module, _ = _optimized_cell(name, self.LEVEL, 2)
-        _seq, mapping = _sequential_module(name, self.LEVEL, 2)
         inputs_list = [spec.generate_inputs(s) for s in seeds]
         base = tuple(
             _derived_base_result(result, mapping, "main")

@@ -71,6 +71,44 @@ class TestRunnerOracle:
                           lengths=(2,),
                           check_against=reference.machine_result)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_level_fails_the_study(self, monkeypatch, jobs):
+        """A level-1 program whose outputs diverge from level 0's must
+        raise out of ``run_study``: the oracle check runs inside each
+        benchmark's task — in this process at ``jobs=1`` and in a pool
+        worker at ``jobs=2``."""
+        import repro.exec.study as study_mod
+        import repro.suite.runner as runner_mod
+        from repro.exec import pool as pool_mod
+        from repro.feedback.study import StudyConfig, run_study
+        real_optimize = study_mod.optimize_module
+        real_run = runner_mod.run_module
+        broken = set()  # ids of the level-1 graph modules
+
+        def optimize(module, level, **kwargs):
+            graph_module, report = real_optimize(module, level, **kwargs)
+            if OptLevel(level) == OptLevel(1):
+                broken.add(id(graph_module))
+            return graph_module, report
+
+        def run(graph_module, inputs, **kwargs):
+            result = real_run(graph_module, inputs, **kwargs)
+            if id(graph_module) in broken:
+                result.return_value = (result.return_value or 0) + 1
+            return result
+
+        monkeypatch.setattr(study_mod, "optimize_module", optimize)
+        monkeypatch.setattr(runner_mod, "run_module", run)
+        # Workers fork from this process, so only a pool started after
+        # the patch runs the diverging simulator.
+        pool_mod.shutdown_pool()
+        try:
+            with pytest.raises(OptimizationError, match="level-1"):
+                run_study(StudyConfig(benchmarks=("sewha", "dft"),
+                                      jobs=jobs))
+        finally:
+            pool_mod.shutdown_pool()
+
 
 class TestSimulatorAsOracle:
     def test_illegal_hoist_changes_outputs(self):
@@ -177,9 +215,9 @@ class TestEvaluatorOracle:
         from repro.exec import explore as explore_mod
 
         name, level = "sewha", 1
-        pool, _ops, inputs_list, base_results = explore_mod._explore_base(
-            name, level, (2, 3), (0,), 2, "codegen")
-        sequential, _mapping = explore_mod._sequential_module(name, level, 2)
+        pool, _ops, sequential, inputs_list, base_results = \
+            explore_mod._explore_base(name, level, (2, 3), (0,), 2,
+                                      "codegen")
         matcher = ChainMatcher(sequential)
         fusing = [c.pattern for c in pool
                   if matcher.match(_isa_for([c.pattern], DEFAULT_COST_MODEL))]

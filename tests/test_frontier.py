@@ -416,16 +416,15 @@ class TestMultiSeed:
 class TestScheduleShape:
     def test_base_gates_frontier_gates_chunks(self):
         """The base stage, the sweep and every measurement of a
-        benchmark share one task: one per benchmark, placed by name,
-        with nothing to wait on."""
-        from repro.exec.explore import build_frontier_schedule
-        config = FrontierStudyConfig(benchmarks=("fir", "iir"),
-                                     max_budget=2000)
-        tasks = build_frontier_schedule(config, ["fir", "iir"])
-        assert [task.key for task in tasks] == ["fir", "iir"]
-        for task in tasks:
-            assert task.affinity == task.key
-            assert task.deps == ()
+        benchmark share one task: one per distinct benchmark, keyed by
+        name, in request order."""
+        from repro.exec.scheduler import ScheduleStats
+        stats = ScheduleStats()
+        run_frontier_study(FrontierStudyConfig(
+            benchmarks=("sewha", "dft", "sewha"), max_budget=1200,
+            jobs=1), stats=stats)
+        assert stats.order == ["sewha", "dft"]
+        assert stats.executed == 2
 
     def test_same_schedule_for_any_jobs_and_seed_count(self):
         from dataclasses import replace

@@ -1,7 +1,7 @@
 """Mutation tests for the static artifact verifier (``repro.analysis``).
 
 Every test seeds one specific corruption — a lowered word, a generated
-source line, a disk-cache payload, a task graph — and asserts the
+source line, a disk-cache payload — and asserts the
 verifier rejects it *naming the violated invariant*.  Positive tests pin
 that pristine artifacts pass with zero violations.
 """
@@ -18,11 +18,10 @@ from repro.analysis.cfg import (build_word_cfg, immediate_dominators,
                                 immediate_postdominators, verify_words)
 from repro.analysis.lint import lint_determinism, lint_source
 from repro.analysis.sweep import render_markdown, run_sweep, scan_cache_entries
-from repro.analysis.taskgraph import check_task_graph, verify_task_graph
 from repro.analysis.verify_codegen import (verify_generated_module,
                                            verify_generated_source)
 from repro.analysis.verify_lowered import verify_graph, verify_lowered_module
-from repro.errors import IRError, ReproError
+from repro.errors import IRError
 from repro.frontend import compile_source
 from repro.ir.function import Function
 from repro.ir.instr import Instruction
@@ -415,62 +414,6 @@ class TestVerifyOnLoad:
         well, corrupt, details = scan_cache_entries(diskcache.get_cache())
         assert corrupt == 1
         assert any("source-syntax" in d for d in details)
-
-
-# -- task graphs -------------------------------------------------------------------
-
-
-def _noop(*args):
-    return args
-
-
-class TestTaskGraph:
-    def test_cycle_named(self):
-        from repro.exec.scheduler import Task
-        tasks = [Task("a", _noop, deps=("c",)),
-                 Task("b", _noop, deps=("a",)),
-                 Task("c", _noop, deps=("b",))]
-        result = verify_task_graph(tasks)
-        assert "dependency-cycle" in _invariants(result)
-        detail = next(v.detail for v in result.violations
-                      if v.invariant == "dependency-cycle")
-        assert "->" in detail
-        with pytest.raises(ReproError,
-                           match="dependency cycle in schedule"):
-            check_task_graph(tasks)
-
-    def test_unknown_dep_and_duplicates(self):
-        from repro.exec.scheduler import Task
-        result = verify_task_graph([Task("a", _noop, deps=("zz",)),
-                                    Task("a", _noop)])
-        invs = _invariants(result)
-        assert "unknown-dep" in invs and "duplicate-task-key" in invs
-
-    def test_affinity_hints(self):
-        from repro.exec.scheduler import Task
-        tasks = [Task("a", _noop, affinity="fir"),
-                 Task("b", _noop, affinity="ghost")]
-        result = verify_task_graph(tasks, affinities=["fir"])
-        assert "unknown-affinity" in _invariants(result)
-        assert verify_task_graph(tasks).ok  # hints unchecked without list
-
-    def test_run_tasks_rejects_cycle_before_execution(self):
-        from repro.exec.scheduler import Task, run_tasks
-        ran = []
-        tasks = [Task("ok", ran.append, ("x",)),
-                 Task("a", _noop, deps=("b",)),
-                 Task("b", _noop, deps=("a",))]
-        with pytest.raises(ReproError,
-                           match="dependency cycle in schedule"):
-            run_tasks(tasks, jobs=1)
-        assert ran == []  # validation happened before any task ran
-
-    def test_run_tasks_names_cycle_members(self):
-        from repro.exec.scheduler import Task, run_tasks
-        tasks = [Task("lvl0", _noop, deps=("lvl1",)),
-                 Task("lvl1", _noop, deps=("lvl0",))]
-        with pytest.raises(ReproError, match="lvl0"):
-            run_tasks(tasks, jobs=1)
 
 
 # -- IR call sites -----------------------------------------------------------------
