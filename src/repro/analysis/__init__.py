@@ -2,7 +2,7 @@
 
 The two engines are pinned bit-identical *dynamically* by the differential
 and fuzz suites, which execute every artifact.  This package is the static
-counterpart: it proves a lowered bytecode stream, a generated codegen
+counterpart: it proves a lowered word list, a generated codegen
 source or a disk-cache payload well-formed *without running it*, the way
 LLVM's IR verifier or Cranelift's CFG validator gate every pass with a
 machine-checked invariant sweep.
@@ -10,13 +10,13 @@ machine-checked invariant sweep.
 Submodules
 ----------
 ``cfg``
-    Reconstructs the control-flow graph over the direct-threaded words
-    emitted by ``lower_module`` (reachability, dominators, immediate
-    postdominators) and checks per-word layout invariants.
+    Reconstructs the control-flow graph over the words emitted by
+    ``lower_module`` (successors, predecessors, reachability) and checks
+    per-word layout invariants.
 ``verify_lowered``
     Cross-checks a :class:`_LoweredGraph` against its source
-    :class:`ProgramGraph`: edge tables, branch-counter coverage, fused
-    op+jump consistency, frame plans.
+    :class:`ProgramGraph`: edge tables, branch-counter coverage, one
+    jump word per derived edge, frame plans.
 ``verify_codegen``
     Parses generated codegen source with :mod:`ast` and checks definite
     assignment, counter write-back discipline, load bounds guards and

@@ -1,21 +1,19 @@
-"""CFG reconstruction and invariant checks over direct-threaded words.
+"""CFG reconstruction and invariant checks over lowered words.
 
-``lower_module`` emits each graph as a flat list of *words* whose trailing
-operand directly references the successor word (that is what makes the
-dispatch loop fast).  This module re-derives the control-flow structure of
-that artifact — successors, reachability, dominators, immediate
-postdominators — purely from the words, and checks the per-word layout
-invariants every executing tier relies on:
+``lower_module`` emits each graph as a flat list of *words* executed in
+list order: a word that is not a control transfer falls through to the
+next one, and ``J``/``JB``/``BR`` name their targets by word index.  This
+module re-derives the control-flow structure of that artifact —
+successors, predecessors, reachability — purely from the words, and
+checks the per-word layout invariants the code generator relies on:
 
 * every word matches its opcode's operand layout (arity and operand kinds);
 * register/array slot operands stay inside the frame the plans declare
   (named slots ``1..named``, scratch slots ``-watermark..-1``, array slots
   ``0..n_arrays-1``);
 * branch-counter operands index the edge table;
-* every successor reference resolves to a member word (dead refs into
-  foreign objects are exactly what a tampered cache entry looks like);
-* every non-terminal word threads to the word appended immediately after
-  it, and no thread dangles on a ``None`` placeholder (missing terminator).
+* every jump target and the entry are indices into the word list;
+* the last word does not fall through (a missing terminator).
 
 The checks never execute a word; they only read the artifact.
 """
@@ -23,11 +21,11 @@ The checks never execute a word; they only read the artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.analysis import VerifyResult
 from repro.sim import engine as _eng
-from repro.sim.codegen import _is_terminal, _jump_slots
+from repro.sim.engine import JUMP_SLOTS, TERMINAL_OPS
 
 # -- per-opcode operand layouts ----------------------------------------------------
 #
@@ -35,7 +33,7 @@ from repro.sim.codegen import _is_terminal, _jump_slots
 #   r  register slot (named ``1..named`` or scratch ``-watermark..-1``)
 #   k  array slot (``0..n_arrays-1``)
 #   e  branch-edge counter index (``0..len(edge_pairs)-1``)
-#   c  inline constant (any scalar)
+#   c  inline constant (an int or float)
 #   n  name string
 #   m  message string
 #   f  inlined function object
@@ -43,31 +41,23 @@ from repro.sim.codegen import _is_terminal, _jump_slots
 #   D  optional destination register slot (``None`` for void calls)
 #   S  intrinsic operand-spec tuple
 #   C  call argument-spec tuple
-#   W  jump-target word reference
-#   N  threaded fall-through word reference (always the trailing slot of a
-#      non-terminal word)
+#   W  jump-target word index
 
-_LAYOUTS: Dict[int, str] = {
-    _eng.ADD_RR_J: "rrrW", _eng.LOAD_J: "rkrW", _eng.BR: "reWeW",
-    _eng.ADD_RC_J: "rrcW", _eng.J: "W", _eng.JB: "W",
-    _eng.BINF_RC_J: "rfrcW", _eng.MUL_RC_J: "rrcW", _eng.SUB_RC_J: "rrcW",
-    _eng.MUL_RR_J: "rrrW", _eng.SUB_RR_J: "rrrW", _eng.STORE_J: "krrW",
-    _eng.MOV_C_J: "rcW", _eng.MOV_R_J: "rrnW", _eng.LOADC_J: "rkcW",
-    _eng.BINF_RR_J: "rfrrW", _eng.BINF_CR_J: "rfcrW",
-    _eng.STORE_CI_J: "krcW", _eng.NEG_J: "rrW", _eng.UNF_J: "rfrW",
-    _eng.CP: "rrN", _eng.CP2: "rrrrN", _eng.TEST: "rrN",
-    _eng.ADD_RR: "rrrN", _eng.ADD_RC: "rrcN", _eng.SUB_RR: "rrrN",
-    _eng.SUB_RC: "rrcN", _eng.MUL_RR: "rrrN", _eng.MUL_RC: "rrcN",
-    _eng.LOAD: "rkrN", _eng.LOADC: "rkcN", _eng.MOV_C: "rcN",
-    _eng.MOV_R: "rrnN",
-    _eng.BINF_RR: "rfrrN", _eng.BINF_RC: "rfrcN", _eng.BINF_CR: "rfcrN",
-    _eng.BINF_CC: "rfccN",
-    _eng.NEG: "rrN", _eng.UNF: "rfrN", _eng.UNFC: "rfcN",
-    _eng.ST_RR: "krrN", _eng.ST_RC: "krcN", _eng.ST_CR: "kcrN",
-    _eng.ST_CC: "kccN",
-    _eng.STD_SS: "krrN", _eng.STD_SC: "krcN", _eng.STD_CS: "kcrN",
-    _eng.STD_CC: "kccN",
-    _eng.RETREAD: "rrnN", _eng.INTRN: "rfSN", _eng.CALL: "xDCN",
+_LAYOUTS = {
+    _eng.BR: "reWeW", _eng.J: "W", _eng.JB: "W",
+    _eng.CP: "rr", _eng.CP2: "rrrr", _eng.TEST: "rr",
+    _eng.ADD_RR: "rrr", _eng.ADD_RC: "rrc", _eng.SUB_RR: "rrr",
+    _eng.SUB_RC: "rrc", _eng.MUL_RR: "rrr", _eng.MUL_RC: "rrc",
+    _eng.LOAD: "rkr", _eng.LOADC: "rkc", _eng.MOV_C: "rc",
+    _eng.MOV_R: "rrn",
+    _eng.BINF_RR: "rfrr", _eng.BINF_RC: "rfrc", _eng.BINF_CR: "rfcr",
+    _eng.BINF_CC: "rfcc",
+    _eng.NEG: "rr", _eng.UNF: "rfr", _eng.UNFC: "rfc",
+    _eng.ST_RR: "krr", _eng.ST_RC: "krc", _eng.ST_CR: "kcr",
+    _eng.ST_CC: "kcc",
+    _eng.STD_SS: "krr", _eng.STD_SC: "krc", _eng.STD_CS: "kcr",
+    _eng.STD_CC: "kcc",
+    _eng.RETREAD: "rrn", _eng.INTRN: "rfS", _eng.CALL: "xDC",
     _eng.RET_R: "rn", _eng.RET_C: "c", _eng.RET_N: "", _eng.RET_S: "r",
     _eng.ERROR: "m",
 }
@@ -79,9 +69,14 @@ def _is_reg_slot(value, named: int, watermark: int) -> bool:
     return 1 <= value <= named or -watermark <= value <= -1
 
 
+def _is_word_index(value, n_words: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and 0 <= value < n_words
+
+
 def _is_degenerate_br(word: list) -> bool:
     """A single-successor branch: both counter operands share one edge and
-    the false leg jumps straight to an inline (non-member) error word."""
+    the false leg jumps to the error word emitted right after it."""
     return word[0] == _eng.BR and len(word) == 6 and word[2] == word[4]
 
 
@@ -95,18 +90,18 @@ def verify_words(lg) -> VerifyResult:
     named = lg.n_regs - 1 - lg.scratch_watermark
     watermark = lg.scratch_watermark
     n_edges = len(lg.edge_pairs)
-    members = {id(word) for word in lg.words if isinstance(word, list)}
-    index_of = {id(word): i for i, word in enumerate(lg.words)
-                if isinstance(word, list)}
+    words = lg.words
+    n_words = len(words)
 
     result.check(named >= 0 and watermark >= 0 and lg.n_regs >= 1,
                  "frame-size",
                  f"n_regs={lg.n_regs} watermark={watermark}", name)
     result.check(
-        lg.entry_word is None or id(lg.entry_word) in members,
-        "entry-ref", "entry word is not a member of the word list", name)
+        lg.entry_word is None or _is_word_index(lg.entry_word, n_words),
+        "entry-ref", f"entry word {lg.entry_word!r} is not an index into "
+        f"the word list", name)
 
-    for i, word in enumerate(lg.words):
+    for i, word in enumerate(words):
         where = f"word {i}"
         if not result.check(isinstance(word, list) and len(word) >= 1,
                             "word-shape", f"{where} is not a word", name):
@@ -121,7 +116,6 @@ def verify_words(lg) -> VerifyResult:
                 f"{where} (op {op}) has {len(word) - 1} operands, "
                 f"layout {layout!r} wants {len(layout)}", name):
             continue
-        degenerate = _is_degenerate_br(word)
         for slot, kind in enumerate(layout, start=1):
             value = word[slot]
             if kind == "r":
@@ -142,36 +136,11 @@ def verify_words(lg) -> VerifyResult:
                     "edge-index-range",
                     f"{where} slot {slot}: edge counter {value!r} outside "
                     f"[0, {n_edges})", name)
-            elif kind in ("W", "N"):
-                if value is None:
-                    result.check(False, "missing-terminator",
-                                 f"{where} slot {slot}: unresolved "
-                                 f"successor (dangling thread)", name)
-                    continue
-                is_member = id(value) in members
-                if kind == "W" and slot == 5 and degenerate:
-                    # the inline error word of a degenerate branch is the
-                    # one legitimate non-member reference
-                    result.check(
-                        is_member or (isinstance(value, list)
-                                      and len(value) == 2
-                                      and value[0] == _eng.ERROR
-                                      and isinstance(value[1], str)),
-                        "successor-ref",
-                        f"{where} slot {slot}: degenerate-branch false leg "
-                        f"is not an error word", name)
-                    continue
-                if not result.check(
-                        is_member, "successor-ref",
-                        f"{where} slot {slot}: successor is not a member "
-                        f"word of this graph", name):
-                    continue
-                if kind == "N":
-                    result.check(
-                        index_of[id(value)] == i + 1,
-                        "fall-through-threading",
-                        f"{where}: fall-through threads to word "
-                        f"{index_of[id(value)]}, expected {i + 1}", name)
+            elif kind == "W":
+                result.check(
+                    _is_word_index(value, n_words), "successor-ref",
+                    f"{where} slot {slot}: jump target {value!r} is not an "
+                    f"index into the word list", name)
             elif kind in ("n", "m", "x"):
                 result.check(isinstance(value, str), "name-operand",
                              f"{where} slot {slot}: expected a name string, "
@@ -199,22 +168,29 @@ def verify_words(lg) -> VerifyResult:
                     "call-spec",
                     f"{where} slot {slot}: malformed call argument spec "
                     f"{value!r}", name)
-            else:  # kind == "c": any scalar, but never a word reference
-                result.check(not isinstance(value, list), "const-operand",
-                             f"{where} slot {slot}: constant operand is a "
-                             f"word reference", name)
-        if op == _eng.BR and not degenerate:
-            result.check(word[4] == word[2] + 1, "branch-counter-pair",
-                         f"{where}: branch counters ({word[2]}, {word[4]}) "
-                         f"are not consecutive edges", name)
-        if degenerate:
-            target = word[5]
-            result.check(
-                isinstance(target, list) and len(target) == 2
-                and target[0] == _eng.ERROR,
-                "degenerate-branch",
-                f"{where}: single-successor branch false leg must be an "
-                f"error word", name)
+            else:  # kind == "c"
+                result.check(isinstance(value, (int, float)),
+                             "const-operand",
+                             f"{where} slot {slot}: constant operand "
+                             f"{value!r} is not a number", name)
+        if op == _eng.BR:
+            if not _is_degenerate_br(word):
+                result.check(word[4] == word[2] + 1, "branch-counter-pair",
+                             f"{where}: branch counters ({word[2]}, "
+                             f"{word[4]}) are not consecutive edges", name)
+            else:
+                after = words[i + 1] if i + 1 < n_words else None
+                result.check(
+                    word[5] == i + 1 and isinstance(after, list)
+                    and after[:1] == [_eng.ERROR],
+                    "degenerate-branch",
+                    f"{where}: single-successor branch false leg must be "
+                    f"the error word after it", name)
+    last = words[-1] if words else None
+    if isinstance(last, list) and last:
+        result.check(last[0] in TERMINAL_OPS, "missing-terminator",
+                     f"the last word ({n_words - 1}) falls through past "
+                     f"the end of the word list", name)
     return result
 
 
@@ -263,11 +239,9 @@ def _call_specs_ok(specs, named: int, watermark: int, n_arrays: int) -> bool:
 
 @dataclass
 class WordCFG:
-    """The control-flow graph over one graph's words.
+    """The control-flow graph over one graph's words (``lg.words``).
 
-    ``words`` extends ``lg.words`` with any inline degenerate-branch error
-    words, so every reachable word has an index.  ``entry`` is ``-1`` for a
-    graph with no entry node.
+    ``entry`` is ``-1`` for a graph with no (valid) entry word.
     """
 
     words: List[list]
@@ -281,40 +255,32 @@ class WordCFG:
         return len(self.words)
 
 
-def word_successor_slots(word: list) -> tuple:
-    """Operand slots of *word* that hold successor word references."""
+def word_successors(word: list, i: int) -> List[int]:
+    """Successor word indices of *word*, the word at index *i*: its jump
+    targets for a control transfer, none for a return or error word, and
+    ``i + 1`` for every other word."""
     op = word[0]
-    if _is_terminal(op):
-        return _jump_slots(word)
-    return (len(word) - 1,)
+    if op not in TERMINAL_OPS:
+        return [i + 1]
+    return [word[slot] for slot in JUMP_SLOTS.get(op, ())]
 
 
 def build_word_cfg(lg) -> WordCFG:
     """Reconstruct the CFG over *lg*'s words.
 
-    Successor references that do not resolve to a known word are dropped
+    Successors that are not indices into the word list are dropped
     (``verify_words`` reports them); the CFG is still built so downstream
     analyses degrade gracefully on a corrupt artifact.
     """
-    words: List[list] = [w for w in lg.words if isinstance(w, list)]
-    index_of = {id(word): i for i, word in enumerate(words)}
-    # Inline degenerate-branch error words are real CFG nodes too.
-    for word in list(words):
-        if word and _is_degenerate_br(word):
-            target = word[5]
-            if isinstance(target, list) and id(target) not in index_of:
-                index_of[id(target)] = len(words)
-                words.append(target)
-
+    words: List[list] = lg.words
+    n = len(words)
     succs: List[List[int]] = []
-    for word in words:
+    for i, word in enumerate(words):
         out: List[int] = []
-        if word and word[0] in _LAYOUTS \
+        if isinstance(word, list) and word and word[0] in _LAYOUTS \
                 and len(word) == len(_LAYOUTS[word[0]]) + 1:
-            for slot in word_successor_slots(word):
-                target = word[slot]
-                if isinstance(target, list) and id(target) in index_of:
-                    out.append(index_of[id(target)])
+            out = [v for v in word_successors(word, i)
+                   if _is_word_index(v, n)]
         succs.append(out)
 
     preds: List[List[int]] = [[] for _ in words]
@@ -322,10 +288,7 @@ def build_word_cfg(lg) -> WordCFG:
         for v in out:
             preds[v].append(u)
 
-    entry = -1
-    if lg.entry_word is not None and id(lg.entry_word) in index_of:
-        entry = index_of[id(lg.entry_word)]
-
+    entry = lg.entry_word if _is_word_index(lg.entry_word, n) else -1
     reachable: Set[int] = set()
     if entry >= 0:
         stack = [entry]
@@ -340,99 +303,8 @@ def build_word_cfg(lg) -> WordCFG:
                    reachable=reachable)
 
 
-# -- dominators / postdominators ---------------------------------------------------
-
-
-def _compute_idoms(n: int, succs: List[List[int]],
-                   entry: int) -> List[Optional[int]]:
-    """Cooper-Harvey-Kennedy immediate dominators; ``None`` = unreachable.
-
-    ``idom[entry] == entry`` by convention.
-    """
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in succs[u]:
-            preds[v].append(u)
-
-    # Iterative postorder DFS from the entry.
-    order: List[int] = []
-    seen = [False] * n
-    seen[entry] = True
-    stack = [(entry, iter(succs[entry]))]
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for v in it:
-            if not seen[v]:
-                seen[v] = True
-                stack.append((v, iter(succs[v])))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-            stack.pop()
-    po_num = {node: i for i, node in enumerate(order)}
-    rpo = list(reversed(order))
-
-    idom: List[Optional[int]] = [None] * n
-    idom[entry] = entry
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while po_num[a] < po_num[b]:
-                a = idom[a]
-            while po_num[b] < po_num[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo:
-            if node == entry:
-                continue
-            new = None
-            for p in preds[node]:
-                if idom[p] is None:
-                    continue
-                new = p if new is None else intersect(p, new)
-            if new is not None and idom[node] != new:
-                idom[node] = new
-                changed = True
-    return idom
-
-
-def immediate_dominators(cfg: WordCFG) -> List[Optional[int]]:
-    """Per-word immediate dominator (``None`` for unreachable words)."""
-    if cfg.entry < 0 or not cfg.words:
-        return [None] * cfg.n
-    return _compute_idoms(cfg.n, cfg.succs, cfg.entry)
-
-
-def immediate_postdominators(cfg: WordCFG) -> List[Optional[int]]:
-    """Per-word immediate postdominator.
-
-    Computed as dominators of the reversed CFG rooted at a virtual exit
-    that collects every word with no successors (returns and error words).
-    ``None`` means the word's only postdominator is the virtual exit — its
-    two branch legs return separately — or the word cannot reach an exit
-    at all (an all-fall-through loop).
-    """
-    n = cfg.n
-    if n == 0:
-        return []
-    rev: List[List[int]] = [[] for _ in range(n + 1)]
-    for u in range(n):
-        if not cfg.succs[u]:
-            rev[n].append(u)
-        for v in cfg.succs[u]:
-            rev[v].append(u)
-    idom = _compute_idoms(n + 1, rev, n)
-    return [None if d is None or d == n else d for d in idom[:n]]
-
-
 def dead_words(lg, cfg: Optional[WordCFG] = None) -> List[int]:
-    """Indices of member words unreachable from the entry word."""
+    """Indices of words unreachable from the entry word."""
     if cfg is None:
         cfg = build_word_cfg(lg)
     if cfg.entry < 0:

@@ -35,10 +35,9 @@ import operator
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import build_word_cfg, word_successor_slots
+from repro.analysis.cfg import build_word_cfg
 from repro.sim import engine as _eng
-from repro.sim.codegen import (_BINF, _MOV_CONSTS, _MOV_REGS, _RETS,
-                               _STORES, _STORES_D)
+from repro.sim.codegen import _BINF, _RETS, _STORES, _STORES_D
 from repro.sim.values import int_div, int_mod, shift_left, shift_right
 
 # -- the interval domain -----------------------------------------------------------
@@ -128,10 +127,7 @@ def _int_const(value) -> Optional[int]:
 
 # -- word decoding -----------------------------------------------------------------
 
-#: Fused op -> its canonical un-fused form (same operand layout).
-_CANON = {fused: base for base, fused in _eng._FUSED_FORM.items()}
-
-#: Canonical arithmetic opcodes with interval transfer: op -> (fn, kinds).
+#: Arithmetic opcodes with interval transfer: op -> (fn, kinds).
 _ARITH = {
     _eng.ADD_RR: (_add_iv, "rr"), _eng.ADD_RC: (_add_iv, "rc"),
     _eng.SUB_RR: (_sub_iv, "rr"), _eng.SUB_RC: (_sub_iv, "rc"),
@@ -158,8 +154,8 @@ _LOAD_KIND = {_eng.LOAD: "r", _eng.LOADC: "c"}
 
 
 def _word_reg_writes(word: list) -> Tuple[int, ...]:
-    """Register slots a canonical-form word writes."""
-    op = _CANON.get(word[0], word[0])
+    """Register slots a word writes."""
+    op = word[0]
     if op in (_eng.BR, _eng.J, _eng.JB, _eng.ERROR) or op in _RETS \
             or op in _STORES or op in _STORES_D:
         return ()
@@ -174,7 +170,7 @@ def _access_of(word: list) -> Optional[Tuple[str, int, str, object]]:
     """``(kind, array_slot, index_kind, index_payload)`` of a subscripted
     access word, or ``None``.  ``kind`` is ``"load"``/``"store"``;
     ``index_kind`` is ``"r"`` (register slot) or ``"c"`` (constant)."""
-    op = _CANON.get(word[0], word[0])
+    op = word[0]
     if op in _LOAD_KIND:
         return ("load", word[2], _LOAD_KIND[op], word[3])
     if op in _STORES:
@@ -212,7 +208,7 @@ def _iv_of(env: Dict[int, Tuple], kind: str, payload) -> Optional[Tuple]:
 def _transfer(word: list, env: Dict[int, Tuple], ctx: _Ctx
               ) -> Dict[int, Tuple]:
     """Environment after one non-branch word (input env is not mutated)."""
-    op = _CANON.get(word[0], word[0])
+    op = word[0]
     arith = _ARITH.get(op)
     out = dict(env)
     if arith is not None:
@@ -269,14 +265,14 @@ def _transfer(word: list, env: Dict[int, Tuple], ctx: _Ctx
             ctx.used_premises.add(gname)
             out[word[1]] = (value, value)
         return out
-    if op in _MOV_CONSTS:
+    if op == _eng.MOV_C:
         c = _int_const(word[2])
         if c is not None:
             out[word[1]] = (c, c)
         else:
             out.pop(word[1], None)
         return out
-    if op in _MOV_REGS or op == _eng.RETREAD or op == _eng.CP:
+    if op in (_eng.MOV_R, _eng.RETREAD, _eng.CP):
         iv = env.get(word[2])
         if iv is not None:
             out[word[1]] = iv
@@ -352,7 +348,7 @@ def _branch_predicate(words: List[list], preds: List[List[int]],
         if target not in writes:
             path.append(cur)
             continue
-        op = _CANON.get(word[0], word[0])
+        op = word[0]
         if op == _eng.CP and word[1] == target:
             target = word[2]
             path.append(cur)
@@ -573,15 +569,13 @@ def stable_global_scalars(module, graphs) -> Dict[str, int]:
     for lg in graphs.values():
         global_of = dict(lg.global_plan)
         for word in lg.words:
-            if not isinstance(word, list):
-                continue
             acc = _access_of(word)
             if acc is not None and acc[0] == "store":
                 gname = global_of.get(acc[1])
                 if gname is not None:
                     candidates.pop(gname, None)
                 continue
-            if _CANON.get(word[0], word[0]) == _eng.CALL:
+            if word[0] == _eng.CALL:
                 for spec in word[3]:
                     if spec[0] == 2:
                         gname = global_of.get(spec[1])
@@ -627,7 +621,6 @@ def _env_leq(a: Dict[int, Tuple], b: Dict[int, Tuple]) -> bool:
 
 
 def _flow(words: List[list], idx: int, env: Dict[int, Tuple], ctx: _Ctx,
-          index_of: Dict[int, int],
           predicates: Dict[int, Optional[Tuple]]
           ) -> List[Tuple[int, Optional[Dict[int, Tuple]]]]:
     """``(successor index, env)`` pairs out of one word; a ``None`` env
@@ -636,23 +629,13 @@ def _flow(words: List[list], idx: int, env: Dict[int, Tuple], ctx: _Ctx,
     op = word[0]
     if op == _eng.BR:
         pred = predicates.get(idx)
-        out = []
-        for slot, taken in ((3, True), (5, False)):
-            target = word[slot]
-            tgt_idx = index_of.get(id(target))
-            if tgt_idx is not None:
-                out.append((tgt_idx, _refine(env, pred, taken)))
-        return out
+        return [(word[3], _refine(env, pred, True)),
+                (word[5], _refine(env, pred, False))]
     if op in _RETS or op == _eng.ERROR:
         return []
     if op == _eng.J or op == _eng.JB:
-        target = index_of.get(id(word[1]))
-        return [] if target is None else [(target, env)]
-    succ_slot = word_successor_slots(word)
-    target = index_of.get(id(word[succ_slot[0]])) if succ_slot else None
-    if target is None:
-        return []
-    return [(target, _transfer(word, env, ctx))]
+        return [(word[1], env)]
+    return [(idx + 1, _transfer(word, env, ctx))]
 
 
 def _rpo(n: int, succs: List[List[int]], entry: int) -> List[int]:
@@ -679,7 +662,6 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
     """Run the interval fixpoint over one lowered graph."""
     cfg = build_word_cfg(lg)
     words = cfg.words
-    index_of = {id(word): i for i, word in enumerate(words)}
     lengths = array_lengths(lg, module)
     global_of = dict(lg.global_plan)
     scalar_slots = {slot: (gname, scalar_values[gname])
@@ -710,8 +692,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
         steps += 1
         u = work.popleft()
         queued.discard(u)
-        for v, env_v in _flow(words, u, in_env[u], ctx, index_of,
-                              predicates):
+        for v, env_v in _flow(words, u, in_env[u], ctx, predicates):
             if env_v is None or v not in rpo_num:
                 continue
             cur = in_env.get(v)
@@ -744,7 +725,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
         for u in cfg.preds[v]:
             if u not in in_env:
                 continue
-            for tgt, env_v in _flow(words, u, in_env[u], ctx, index_of,
+            for tgt, env_v in _flow(words, u, in_env[u], ctx,
                                     predicates):
                 if tgt != v or env_v is None:
                     continue
@@ -755,11 +736,9 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
 
     names = _array_names(lg)
     proofs: List[BoundsProof] = []
-    member_count = len([w for w in lg.words if isinstance(w, list)])
-    for i in range(member_count):
+    for i, word in enumerate(words):
         if i not in in_env:
             continue
-        word = words[i]
         acc = _access_of(word)
         if acc is None:
             continue
@@ -775,10 +754,9 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
                                   _classify(index, length)))
 
     ret = None
-    for i in range(member_count):
+    for i, word in enumerate(words):
         if i not in in_env:
             continue
-        word = words[i]
         op = word[0]
         if op not in _RETS:
             continue
@@ -829,9 +807,7 @@ def _call_order(graphs) -> List[str]:
     for name, lg in graphs.items():
         out: Set[str] = set()
         for word in lg.words:
-            if isinstance(word, list) \
-                    and _CANON.get(word[0], word[0]) == _eng.CALL \
-                    and isinstance(word[1], str) and word[1] in graphs:
+            if word[0] == _eng.CALL and word[1] in graphs:
                 out.add(word[1])
         callees[name] = out
     order: List[str] = []

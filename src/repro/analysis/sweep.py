@@ -4,7 +4,7 @@ For every benchmark x optimization level, each engine's artifacts are
 built and checked statically:
 
 * **reference** — the :class:`ProgramGraph` structure itself;
-* **codegen**   — the direct-threaded words against the graph, then the
+* **codegen**   — the lowered words against the graph, then the
   exec-compiled source's AST (:func:`verify_generated_module`).
 
 The result renders as a Markdown table of checks passed per

@@ -9,15 +9,15 @@ the :class:`ProgramGraph` it claims to lower — without executing a word:
 * branch-counter coverage is exactly bijective with what
   :meth:`_LoweredGraph.resolve_counters` expects: the counted-edge set
   (every edge that is neither derived nor zero-class) is carried by branch
-  words exactly once each, every fused op+jump word accounts for exactly
+  words exactly once each, every ``J``/``JB`` word accounts for exactly
   one derived edge, and the profile-reconstruction tables (``_in_edges``,
   ``_derived_out``, ``_derived_in_count``, ``_edge_dst_idx``) cover every
   non-zero edge exactly once with consistent endpoints;
 * all counted edges into one destination node branch to the same target
   word, and edges into the entry node target the entry word;
 * when every graph node is reachable, every word is reachable in the
-  reconstructed word CFG (dead words are how a mispatched successor
-  reference shows up).
+  reconstructed word CFG (dead words are how a mispatched jump target
+  shows up).
 
 ``verify_lowered_module`` runs the per-word layout checks
 (:func:`repro.analysis.cfg.verify_words`) plus the cross-checks above for
@@ -36,7 +36,7 @@ from repro.ir.values import VirtualReg
 from repro.sim import engine as _eng
 
 #: Opcodes that consume one derived (fall-through/jump) edge each.
-_DERIVED_EDGE_OPS = frozenset({_eng.J, _eng.JB} | set(_eng._FUSED_FORM.values()))
+_DERIVED_EDGE_OPS = frozenset({_eng.J, _eng.JB})
 
 
 def verify_graph(graph) -> VerifyResult:
@@ -236,7 +236,7 @@ def verify_lowered_graph(graph, lg,
 
     # -- counter coverage: branch words vs. the counted-edge set -------------------
     br_counters: List[int] = []
-    target_of: Dict[int, list] = {}
+    target_of: Dict[int, int] = {}
     jump_words = 0
     for word in lg.words:
         if not isinstance(word, list) or not word:
@@ -254,7 +254,7 @@ def verify_lowered_graph(graph, lg,
                 continue
             dst_idx = lg._edge_dst_idx[e]
             prev = target_of.setdefault(dst_idx, target)
-            result.check(prev is target, "branch-target",
+            result.check(prev == target, "branch-target",
                          f"counted edges into counter {dst_idx} branch to "
                          f"different target words", name)
     result.check(
@@ -262,11 +262,11 @@ def verify_lowered_graph(graph, lg,
         f"branch words carry counters {sorted(br_counters)}, the edge "
         f"classes imply {sorted(counted)} — coverage is not bijective",
         name)
-    result.check(jump_words == len(derived), "fused-edge-count",
-                 f"{jump_words} jump/fused words for {len(derived)} "
+    result.check(jump_words == len(derived), "jump-edge-count",
+                 f"{jump_words} jump words for {len(derived)} "
                  f"derived edges", name)
     if lg.entry_idx in target_of and lg.entry_word is not None:
-        result.check(target_of[lg.entry_idx] is lg.entry_word,
+        result.check(target_of[lg.entry_idx] == lg.entry_word,
                      "branch-target",
                      "counted edges into the entry node do not target the "
                      "entry word", name)

@@ -40,18 +40,17 @@ from repro.errors import SimulationError
 from repro.cfg.graph import GraphModule
 from repro.sim import engine as _eng
 from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
-                              LoweredModule, RET_C, RET_N, RET_R, RET_S,
-                              RETREAD, TEST, _LoweredGraph, _UNDEF,
-                              _payload_verified, _signature_matches,
-                              lower_module, run_lowered_module)
+                              JUMP_SLOTS, LoweredModule, RET_C, RET_N,
+                              RET_R, RET_S, RETREAD, TERMINAL_OPS, TEST,
+                              _LoweredGraph, _UNDEF, _payload_verified,
+                              _signature_matches, lower_module,
+                              run_lowered_module)
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
 
 # -- word-layout tables -----------------------------------------------------------
 #
-# Derived from the opcode layouts in :mod:`repro.sim.engine`; fused
-# (``*_J``) forms share their base form's operand layout, the jump target
-# in the trailing slot is handled by the block walker.
+# Derived from the opcode layouts in :mod:`repro.sim.engine`.
 
 #: inline binary forms: opcode -> (infix operator, operand kinds), where
 #: kind "r" is a register slot and "c" an inlined constant.
@@ -59,9 +58,6 @@ _BINOPS = {
     _eng.ADD_RR: ("+", "rr"), _eng.ADD_RC: ("+", "rc"),
     _eng.SUB_RR: ("-", "rr"), _eng.SUB_RC: ("-", "rc"),
     _eng.MUL_RR: ("*", "rr"), _eng.MUL_RC: ("*", "rc"),
-    _eng.ADD_RR_J: ("+", "rr"), _eng.ADD_RC_J: ("+", "rc"),
-    _eng.SUB_RR_J: ("-", "rr"), _eng.SUB_RC_J: ("-", "rc"),
-    _eng.MUL_RR_J: ("*", "rr"), _eng.MUL_RC_J: ("*", "rc"),
 }
 
 #: function-calling binary forms: opcode -> operand kinds after the
@@ -69,19 +65,16 @@ _BINOPS = {
 _BINF = {
     _eng.BINF_RR: "rr", _eng.BINF_RC: "rc", _eng.BINF_CR: "cr",
     _eng.BINF_CC: "cc",
-    _eng.BINF_RR_J: "rr", _eng.BINF_RC_J: "rc", _eng.BINF_CR_J: "cr",
 }
 
 #: loads: opcode -> index kind.
-_LOADS = {_eng.LOAD: "r", _eng.LOADC: "c",
-          _eng.LOAD_J: "r", _eng.LOADC_J: "c"}
+_LOADS = {_eng.LOAD: "r", _eng.LOADC: "c"}
 
 #: direct stores: opcode -> (value kind @ word[2], index kind @ word[3]);
 #: the call made is ``storage.store(index, value)``.
 _STORES = {
     _eng.ST_RR: ("r", "r"), _eng.ST_RC: ("r", "c"),
     _eng.ST_CR: ("c", "r"), _eng.ST_CC: ("c", "c"),
-    _eng.STORE_J: ("r", "r"), _eng.STORE_CI_J: ("r", "c"),
 }
 
 #: deferred store commits: opcode -> (index kind @ word[2], value kind
@@ -91,29 +84,7 @@ _STORES_D = {
     _eng.STD_CS: ("c", "r"), _eng.STD_CC: ("c", "c"),
 }
 
-_MOV_CONSTS = {_eng.MOV_C, _eng.MOV_C_J}
-_MOV_REGS = {_eng.MOV_R, _eng.MOV_R_J}
-_NEGS = {_eng.NEG, _eng.NEG_J}
-_UNFS = {_eng.UNF, _eng.UNF_J}
 _RETS = {RET_R, RET_C, RET_N, RET_S}
-
-
-def _is_terminal(op: int) -> bool:
-    """True for words that end the straight-line thread (fused jumps,
-    control transfers, returns, errors)."""
-    return op < CP or op in _RETS or op == ERROR
-
-
-def _jump_slots(word: list) -> Tuple[int, ...]:
-    """Operand slots of *word* holding successor-word references."""
-    op = word[0]
-    if op == J or op == JB:
-        return (1,)
-    if op == BR:
-        return (3, 5)
-    if op < CP:  # fused op+jump forms: the trailing slot
-        return (len(word) - 1,)
-    return ()
 
 
 class _FunctionEmitter:
@@ -187,26 +158,24 @@ class _FunctionEmitter:
         """Split the word list into labeled blocks.
 
         A word starts a block when it is the entry or the target of any
-        jump — except a single forward fall (a ``J`` or fused jump from
-        the immediately preceding word with no other reference), which
-        merges into its predecessor's straight line.
+        jump — except a single forward fall (a ``J`` from the immediately
+        preceding word with no other reference), which merges into its
+        predecessor's straight line.
         """
         words = self.lg.words
-        index_of = {id(w): i for i, w in enumerate(words)}
         refs: Dict[int, List[Tuple[int, int]]] = {}  # target -> [(src, op)]
         for i, word in enumerate(words):
-            for slot in _jump_slots(word):
-                target = index_of[id(word[slot])]
-                refs.setdefault(target, []).append((i, word[0]))
-        entry = index_of[id(self.lg.entry_word)]
+            for slot in JUMP_SLOTS.get(word[0], ()):
+                refs.setdefault(word[slot], []).append((i, word[0]))
+        entry = self.lg.entry_word
         starts = {entry}
         for target, sources in refs.items():
             if len(sources) == 1 and target != entry:
                 src, op = sources[0]
-                if target == src + 1 and op != BR and op != JB:
+                if target == src + 1 and op == J:
                     continue  # adjacent forward fall: merged away
             starts.add(target)
-        return words, index_of, sorted(starts), entry
+        return words, sorted(starts), entry
 
     # -- per-word statement emission -----------------------------------------------
 
@@ -248,19 +217,19 @@ class _FunctionEmitter:
             value = self._operand(vkind, word[3])
             self.emit(f"a{word[1]}.store({index}, {value})")
             return
-        if op in _MOV_CONSTS:
+        if op == _eng.MOV_C:
             self.emit(f"{r(word[1])} = {self._const(word[2])}")
             return
-        if op in _MOV_REGS:
+        if op == _eng.MOV_R:
             message = f"read of undefined register {word[3]!r}"
             self.emit(f"if {r(word[2])} is _UNDEF:")
             self.emit(f"    raise SimulationError({message!r})")
             self.emit(f"{r(word[1])} = {r(word[2])}")
             return
-        if op in _NEGS:
+        if op == _eng.NEG:
             self.emit(f"{r(word[1])} = -{r(word[2])}")
             return
-        if op in _UNFS:
+        if op == _eng.UNF:
             self.emit(f"{r(word[1])} = {self._k(word[2])}({r(word[3])})")
             return
         if op == _eng.UNFC:
@@ -357,14 +326,13 @@ class _FunctionEmitter:
 
     # -- block + dispatch emission ---------------------------------------------------
 
-    def _emit_block(self, start: int, words, index_of,
-                    starts_set: Set[int], ordinal_of: Dict[int, int],
-                    counted: List[int]) -> None:
+    def _emit_block(self, start: int, words, starts_set: Set[int],
+                    ordinal_of: Dict[int, int], counted: List[int]) -> None:
         k = start
         while True:
             word = words[k]
             op = word[0]
-            if not _is_terminal(op):
+            if op not in TERMINAL_OPS:
                 self._emit_stmt(word)
                 k += 1
                 continue
@@ -376,25 +344,20 @@ class _FunctionEmitter:
                 return
             if op == BR:
                 self._emit_limit_check()
-                t_true = ordinal_of[index_of[id(word[3])]]
-                t_false = ordinal_of[index_of[id(word[5])]]
                 self.emit(f"if {self._r(word[1])} != 0:")
                 self.emit(f"    e{word[2]} += 1")
-                self.emit(f"    pc = {t_true}")
+                self.emit(f"    pc = {ordinal_of[word[3]]}")
                 self.emit("else:")
                 self.emit(f"    e{word[4]} += 1")
-                self.emit(f"    pc = {t_false}")
+                self.emit(f"    pc = {ordinal_of[word[5]]}")
                 self.emit("continue")
                 return
             if op == JB:
                 self._emit_limit_check()
-                self.emit(f"pc = {ordinal_of[index_of[id(word[1])]]}")
+                self.emit(f"pc = {ordinal_of[word[1]]}")
                 self.emit("continue")
                 return
-            # J or a fused op+jump word.
-            if op != J:
-                self._emit_stmt(word)
-            target = index_of[id(word[_jump_slots(word)[0]])]
+            target = word[1]  # J
             if target == k + 1 and target not in starts_set:
                 k = target  # merged forward fall: keep the straight line
                 continue
@@ -487,7 +450,7 @@ class _FunctionEmitter:
         lg = self.lg
         counted = self._emit_prologue()
         if lg.entry_word is not None:
-            words, index_of, starts, entry = self._analyze()
+            words, starts, entry = self._analyze()
             starts_set = set(starts)
             ordinal_of = {idx: i for i, idx in enumerate(starts)}
             blocks: Dict[int, List[str]] = {}
@@ -495,8 +458,8 @@ class _FunctionEmitter:
             for idx in starts:
                 self.lines = []
                 self.indent = 0
-                self._emit_block(idx, words, index_of, starts_set,
-                                 ordinal_of, counted)
+                self._emit_block(idx, words, starts_set, ordinal_of,
+                                 counted)
                 blocks[ordinal_of[idx]] = self.lines
             self.lines = saved
             self.indent = 1

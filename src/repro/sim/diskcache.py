@@ -107,7 +107,9 @@ DISABLE_VALUE = "none"
 #: v3: one codegen entry per module — per-graph ``"sources"`` and a
 #: marshalled tuple of per-graph code objects; no ``"bounds"``
 #: certificate, no ``bytecode``/``lanes`` kinds.
-FORMAT_VERSION = 3
+#: v4: lowered graphs pickle by default — flat word lists whose jump
+#: targets and entry are word indices, with no fused op+jump opcodes.
+FORMAT_VERSION = 4
 
 #: Marshalled code objects are interpreter-specific; the tag partitions
 #: entries per CPython version (e.g. ``cpython-311``).

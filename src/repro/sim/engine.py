@@ -1,21 +1,23 @@
-"""Lowering of program graphs to direct-threaded words.
+"""Lowering of program graphs to flat word lists.
 
 :class:`~repro.sim.machine.GraphInterpreter` walks the program graph with a
 ~30-arm opcode dispatch, ``isinstance`` operand checks and two dict mutations
 of profile bookkeeping for every node of every simulated cycle.  The
 ``codegen`` engine (:mod:`repro.sim.codegen`) removes all of that; this
-module is its first stage.  :func:`lower_module` flattens each graph into
-*words*: integer opcodes with pre-resolved register/array slot indices and
-inlined constants, successor edges baked into the jump words, and profile
+module is its first stage.  :func:`lower_module` flattens each graph into a
+list of *words*: integer opcodes with pre-resolved register/array slot
+indices and inlined constants, executed in list order, with explicit
+``J``/``JB``/``BR`` words naming their targets by word index, and profile
 counting reduced to one counter per branch edge.  The generator then emits
 one Python function per lowered graph.
 
 The lowered form is cached on the :class:`GraphModule` and invalidated by a
 structural signature check, so repeated runs of the same module — the
 exploration loop measures every finalist ISA on the same re-sequentialized
-base — pay lowering once.  :func:`run_lowered_module` is the run frame
-around the generated code: globals, inputs, counters, profile
-reconstruction and the cycle limit.
+base — pay lowering once.  Words hold no references to other words, so
+the lowered form pickles as is into the disk-cache entry.
+:func:`run_lowered_module` is the run frame around the generated code:
+globals, inputs, counters, profile reconstruction and the cycle limit.
 
 The tree-walking interpreter is kept intact as the *reference* engine (the
 semantic oracle); differential tests assert the two produce bit-identical
@@ -306,12 +308,14 @@ class _FrameLayout:
         return param_plan, local_plan
 
 
-# -- bytecode lowering -------------------------------------------------------------
+# -- lowering to words -------------------------------------------------------------
 #
-# Each graph lowers into *direct-threaded words*: every instruction is one
-# flat list ``[opcode, operand, ...]`` whose operands are pre-resolved
-# register/array slot indices, inlined constants and — for control
-# transfers — direct references to the successor word.  The code generator
+# Each graph lowers into a flat list of *words*: every instruction is one
+# list ``[opcode, operand, ...]`` whose operands are pre-resolved
+# register/array slot indices and inlined constants.  Words execute in
+# list order: a word that is not a control transfer falls through to the
+# word after it, and the transfers (``J``, ``JB``, ``BR``) name their
+# targets by index into the list.  The code generator
 # (:mod:`repro.sim.codegen`) walks these words and emits straight-line
 # Python over local variables.
 #
@@ -333,75 +337,60 @@ def _op() -> int:
     return next(_opcode_ids)
 
 
-# Fused forms — one operation plus the fall-through jump, the dominant
-# node shape of level-0 graphs: one dispatch and zero Python calls per
-# machine cycle.  The ladder compares opcodes sequentially, so these are
-# declared hottest-first.  The trailing operand of every word is the
-# successor word (for fused/jump forms: the jump target).
-ADD_RR_J = _op()     # d a b T
-LOAD_J = _op()       # d k i T
+# Control transfers; ``T`` is a target word index.
 BR = _op()           # c e0 T0 e1 T1
-ADD_RC_J = _op()     # d a c T
 J = _op()            # T      (forward jump: no cycle-limit check)
 JB = _op()           # T      (backward jump: bumps + checks the limit)
-BINF_RC_J = _op()    # d f a c T
-MUL_RC_J = _op()     # d a c T
-SUB_RC_J = _op()     # d a c T
-MUL_RR_J = _op()     # d a b T
-SUB_RR_J = _op()     # d a b T
-STORE_J = _op()      # k v i T
-MOV_C_J = _op()      # d c T
-MOV_R_J = _op()      # d a name T
-LOADC_J = _op()      # d k ci T
-BINF_RR_J = _op()    # d f a b T
-BINF_CR_J = _op()    # d f c b T
-STORE_CI_J = _op()   # k v ci T
-NEG_J = _op()        # d a T
-UNF_J = _op()        # d f a T
 # Deferred-node plumbing (VLIW nodes whose writes must commit after
 # reads and cannot be statically reordered).
-CP = _op()           # d s N        regs[d] = regs[s]
-CP2 = _op()          # d1 s1 d2 s2 N
-TEST = _op()         # s c N        regs[s] = regs[c] != 0 (pre-commit)
-# Un-fused value forms (multi-operation nodes).
-ADD_RR = _op()       # d a b N
-ADD_RC = _op()       # d a c N
-SUB_RR = _op()       # d a b N
-SUB_RC = _op()       # d a c N
-MUL_RR = _op()       # d a b N
-MUL_RC = _op()       # d a c N
-LOAD = _op()         # d k i N
-LOADC = _op()        # d k ci N
-MOV_C = _op()        # d c N
-MOV_R = _op()        # d a name N  (undefined-register check, like the
-                     #              reference interpreter's MOV read)
-BINF_RR = _op()      # d f a b N
-BINF_RC = _op()      # d f a c N
-BINF_CR = _op()      # d f c b N
-BINF_CC = _op()      # d f c1 c2 N (kept runtime: div-by-zero raises only
-                     #              when executed)
-NEG = _op()          # d a N
-UNF = _op()          # d f a N
-UNFC = _op()         # d f c N
+CP = _op()           # d s          regs[d] = regs[s]
+CP2 = _op()          # d1 s1 d2 s2
+TEST = _op()         # s c          regs[s] = regs[c] != 0 (pre-commit)
+# Value forms.
+ADD_RR = _op()       # d a b
+ADD_RC = _op()       # d a c
+SUB_RR = _op()       # d a b
+SUB_RC = _op()       # d a c
+MUL_RR = _op()       # d a b
+MUL_RC = _op()       # d a c
+LOAD = _op()         # d k i
+LOADC = _op()        # d k ci
+MOV_C = _op()        # d c
+MOV_R = _op()        # d a name  (undefined-register check, like the
+                     #            reference interpreter's MOV read)
+BINF_RR = _op()      # d f a b
+BINF_RC = _op()      # d f a c
+BINF_CR = _op()      # d f c b
+BINF_CC = _op()      # d f c1 c2 (kept runtime: div-by-zero raises only
+                     #            when executed)
+NEG = _op()          # d a
+UNF = _op()          # d f a
+UNFC = _op()         # d f c
 # Stores: value spec x index spec (R = register slot, C = inline const).
-ST_RR = _op()        # k v i N
-ST_RC = _op()        # k v ci N
-ST_CR = _op()        # k cv i N
-ST_CC = _op()        # k cv ci N
+ST_RR = _op()        # k v i
+ST_RC = _op()        # k v ci
+ST_CR = _op()        # k cv i
+ST_CC = _op()        # k cv ci
 # Deferred store commits (operands pre-captured in scratch or inline).
-STD_SS = _op()       # k i v N
-STD_SC = _op()       # k i cv N
-STD_CS = _op()       # k ci v N
-STD_CC = _op()       # k ci cv N
-RETREAD = _op()      # s r name N  (pre-commit checked read of the return
-                     #              register)
-INTRN = _op()        # d f specs N (generic intrinsic)
-CALL = _op()         # callee dspec specs N
+STD_SS = _op()       # k i v
+STD_SC = _op()       # k i cv
+STD_CS = _op()       # k ci v
+STD_CC = _op()       # k ci cv
+RETREAD = _op()      # s r name  (pre-commit checked read of the return
+                     #            register)
+INTRN = _op()        # d f specs (generic intrinsic)
+CALL = _op()         # callee dspec specs
 RET_R = _op()        # r name
 RET_C = _op()        # c
 RET_N = _op()        # -
 RET_S = _op()        # s
 ERROR = _op()        # message     raise SimulationError(message)
+
+#: Operand slots holding target word indices, per control transfer.
+JUMP_SLOTS = {J: (1,), JB: (1,), BR: (3, 5)}
+
+#: Words that do not fall through to the next word.
+TERMINAL_OPS = frozenset({BR, J, JB, RET_R, RET_C, RET_N, RET_S, ERROR})
 
 #: Binary opcodes with dedicated inline arms: op -> (RR form, RC form,
 #: commutative).  Commutative const/reg operands fold into the RC form;
@@ -416,32 +405,18 @@ _SPEC_BINARY = {
     Op.FMUL: (MUL_RR, MUL_RC, True),
 }
 
-#: Un-fused opcode -> its fused-with-fall-jump form (same word layout:
-#: the trailing next-word slot becomes the jump target).
-_FUSED_FORM = {
-    ADD_RR: ADD_RR_J, ADD_RC: ADD_RC_J,
-    SUB_RR: SUB_RR_J, SUB_RC: SUB_RC_J,
-    MUL_RR: MUL_RR_J, MUL_RC: MUL_RC_J,
-    LOAD: LOAD_J, LOADC: LOADC_J,
-    MOV_C: MOV_C_J, MOV_R: MOV_R_J,
-    BINF_RR: BINF_RR_J, BINF_RC: BINF_RC_J, BINF_CR: BINF_CR_J,
-    NEG: NEG_J, UNF: UNF_J,
-    ST_RR: STORE_J, ST_RC: STORE_CI_J,
-}
-
 #: Edge classes for profile reconstruction.
 _EDGE_ZERO = 0      # never jumped (error nodes, const-branch untaken)
 _EDGE_COUNTED = 1   # branch edges: runtime counter
 _EDGE_DERIVED = 2   # fall/jump edges: count == source node's count
 
 
-class _BytecodeLowerer(_FrameLayout):
-    """Lowers one :class:`ProgramGraph` into direct-threaded words."""
+class _WordLowerer(_FrameLayout):
+    """Lowers one :class:`ProgramGraph` into a flat word list."""
 
     def __init__(self, graph: ProgramGraph, module: GraphModule,
-                 lmod: "LoweredModule", idx_of: Dict[int, int]):
+                 idx_of: Dict[int, int]):
         super().__init__(graph, module)
-        self.lmod = lmod
         self.idx_of = idx_of
         self._node_idx = -1
         self.words: List[list] = []
@@ -451,20 +426,10 @@ class _BytecodeLowerer(_FrameLayout):
         self.patches: List[Tuple[list, int, int]] = []
         self.scratch_watermark = 0
         self._scratch_used = 0
-        self._pending: Optional[list] = None
 
     # -- word emission -------------------------------------------------------------
 
-    def _emit(self, word: list, terminal: bool = False) -> list:
-        """Append *word*, threading the previous word's next-slot to it.
-
-        Non-terminal words carry a trailing ``None`` placeholder that the
-        *next* emitted word fills; terminal words (jumps, returns, errors)
-        end the thread."""
-        pending = self._pending
-        if pending is not None:
-            pending[-1] = word
-        self._pending = None if terminal else word
+    def _emit(self, word: list) -> list:
         self.words.append(word)
         return word
 
@@ -479,7 +444,7 @@ class _BytecodeLowerer(_FrameLayout):
         # raises on every engine (the abort point inside an aborted run
         # may differ; aborted runs discard all results everywhere).
         opcode = JB if self._is_backward(succ) else J
-        word = self._emit([opcode, None], terminal=True)
+        word = self._emit([opcode, None])
         self.patches.append((word, 1, succ))
         self.edge_class[edge_index] = _EDGE_DERIVED
 
@@ -498,7 +463,7 @@ class _BytecodeLowerer(_FrameLayout):
     # -- per-operation emission ----------------------------------------------------
 
     def _emit_error(self, message: str) -> int:
-        self._emit([ERROR, message], terminal=True)
+        self._emit([ERROR, message])
         return 1
 
     def _emit_binary(self, op: Op, fn, lhs, rhs, d: int) -> int:
@@ -514,23 +479,23 @@ class _BytecodeLowerer(_FrameLayout):
         if lhs_reg and rhs_reg:
             a, b = self.reg_slot(lhs.name), self.reg_slot(rhs.name)
             if spec is not None:
-                self._emit([spec[0], d, a, b, None])
+                self._emit([spec[0], d, a, b])
             else:
-                self._emit([BINF_RR, d, fn, a, b, None])
+                self._emit([BINF_RR, d, fn, a, b])
         elif lhs_reg:
             a = self.reg_slot(lhs.name)
             if spec is not None:
-                self._emit([spec[1], d, a, rhs.value, None])
+                self._emit([spec[1], d, a, rhs.value])
             else:
-                self._emit([BINF_RC, d, fn, a, rhs.value, None])
+                self._emit([BINF_RC, d, fn, a, rhs.value])
         elif rhs_reg:
             b = self.reg_slot(rhs.name)
             if spec is not None and spec[2]:
-                self._emit([spec[1], d, b, lhs.value, None])
+                self._emit([spec[1], d, b, lhs.value])
             else:
-                self._emit([BINF_CR, d, fn, lhs.value, b, None])
+                self._emit([BINF_CR, d, fn, lhs.value, b])
         else:
-            self._emit([BINF_CC, d, fn, lhs.value, rhs.value, None])
+            self._emit([BINF_CC, d, fn, lhs.value, rhs.value])
         return 1
 
     def _emit_value(self, ins: Instruction, d: int) -> Optional[int]:
@@ -545,22 +510,21 @@ class _BytecodeLowerer(_FrameLayout):
             src = ins.srcs[0]
             if isinstance(src, VirtualReg):
                 if op is Op.NEG or op is Op.FNEG:
-                    self._emit([NEG, d, self.reg_slot(src.name), None])
+                    self._emit([NEG, d, self.reg_slot(src.name)])
                 else:
-                    self._emit([UNF, d, fn, self.reg_slot(src.name), None])
+                    self._emit([UNF, d, fn, self.reg_slot(src.name)])
                 return 1
             if isinstance(src, Constant):
-                self._emit([UNFC, d, fn, src.value, None])
+                self._emit([UNFC, d, fn, src.value])
                 return 1
             return self._emit_error(f"cannot read operand {src!r}")
         if op is Op.MOV or op is Op.FMOV:
             src = ins.srcs[0]
             if isinstance(src, Constant):
-                self._emit([MOV_C, d, src.value, None])
+                self._emit([MOV_C, d, src.value])
                 return 1
             if isinstance(src, VirtualReg):
-                self._emit([MOV_R, d, self.reg_slot(src.name), src.name,
-                            None])
+                self._emit([MOV_R, d, self.reg_slot(src.name), src.name])
                 return 1
             return self._emit_error(f"cannot read operand {src!r}")
         if op is Op.LOAD or op is Op.FLOAD:
@@ -570,10 +534,10 @@ class _BytecodeLowerer(_FrameLayout):
             k = self.arr_slot(name)
             index = ins.srcs[0]
             if isinstance(index, VirtualReg):
-                self._emit([LOAD, d, k, self.reg_slot(index.name), None])
+                self._emit([LOAD, d, k, self.reg_slot(index.name)])
                 return 1
             if isinstance(index, Constant):
-                self._emit([LOADC, d, k, index.value, None])
+                self._emit([LOADC, d, k, index.value])
                 return 1
             return self._emit_error(f"cannot read operand {index!r}")
         if op is Op.INTRIN:
@@ -586,12 +550,12 @@ class _BytecodeLowerer(_FrameLayout):
             return self._emit_error(f"unknown intrinsic {ins.callee!r}")
         srcs = ins.srcs
         if len(srcs) == 1 and isinstance(srcs[0], VirtualReg):
-            self._emit([UNF, d, impl, self.reg_slot(srcs[0].name), None])
+            self._emit([UNF, d, impl, self.reg_slot(srcs[0].name)])
             return 1
         if len(srcs) == 2 and isinstance(srcs[0], VirtualReg) \
                 and isinstance(srcs[1], VirtualReg):
             self._emit([BINF_RR, d, impl, self.reg_slot(srcs[0].name),
-                        self.reg_slot(srcs[1].name), None])
+                        self.reg_slot(srcs[1].name)])
             return 1
         specs = []
         for src in srcs:
@@ -601,7 +565,7 @@ class _BytecodeLowerer(_FrameLayout):
                 specs.append((1, src.value))
             else:
                 specs.append((2, f"cannot read operand {src!r}"))
-        self._emit([INTRN, d, impl, tuple(specs), None])
+        self._emit([INTRN, d, impl, tuple(specs)])
         return 1
 
     def _emit_store_direct(self, ins: Instruction) -> int:
@@ -618,15 +582,13 @@ class _BytecodeLowerer(_FrameLayout):
             return self._emit_error(f"cannot read operand {value!r}")
         if v_reg and i_reg:
             self._emit([ST_RR, k, self.reg_slot(value.name),
-                        self.reg_slot(index.name), None])
+                        self.reg_slot(index.name)])
         elif v_reg:
-            self._emit([ST_RC, k, self.reg_slot(value.name), index.value,
-                        None])
+            self._emit([ST_RC, k, self.reg_slot(value.name), index.value])
         elif i_reg:
-            self._emit([ST_CR, k, value.value, self.reg_slot(index.name),
-                        None])
+            self._emit([ST_CR, k, value.value, self.reg_slot(index.name)])
         else:
-            self._emit([ST_CC, k, value.value, index.value, None])
+            self._emit([ST_CC, k, value.value, index.value])
         return 1
 
     def _emit_call(self, ins: Instruction, dspec: Optional[int]) -> int:
@@ -647,7 +609,7 @@ class _BytecodeLowerer(_FrameLayout):
                 specs.append((1, src.value, None))
             else:
                 specs.append((4, f"cannot read operand {src!r}", None))
-        self._emit([CALL, ins.callee, dspec, tuple(specs), None])
+        self._emit([CALL, ins.callee, dspec, tuple(specs)])
         return 1
 
     def _emit_op_direct(self, ins: Instruction) -> int:
@@ -685,7 +647,7 @@ class _BytecodeLowerer(_FrameLayout):
             return (True, operand.value)
         if isinstance(operand, VirtualReg):
             s = self._scratch()
-            self._emit([CP, s, self.reg_slot(operand.name), None])
+            self._emit([CP, s, self.reg_slot(operand.name)])
             return (False, s)
         self._emit_error(f"cannot read operand {operand!r}")
         return None
@@ -738,20 +700,20 @@ class _BytecodeLowerer(_FrameLayout):
         while count - i >= 2:
             d1, s1 = pending_regs[i]
             d2, s2 = pending_regs[i + 1]
-            self._emit([CP2, d1, s1, d2, s2, None])
+            self._emit([CP2, d1, s1, d2, s2])
             i += 2
         if i < count:
             d, s = pending_regs[i]
-            self._emit([CP, d, s, None])
+            self._emit([CP, d, s])
         for k, (i_const, iv), (v_const, vv) in pending_stores:
             if i_const and v_const:
-                self._emit([STD_CC, k, iv, vv, None])
+                self._emit([STD_CC, k, iv, vv])
             elif i_const:
-                self._emit([STD_CS, k, iv, vv, None])
+                self._emit([STD_CS, k, iv, vv])
             elif v_const:
-                self._emit([STD_SC, k, iv, vv, None])
+                self._emit([STD_SC, k, iv, vv])
             else:
-                self._emit([STD_SS, k, iv, vv, None])
+                self._emit([STD_SS, k, iv, vv])
 
     # -- hazard analysis -----------------------------------------------------------
 
@@ -760,7 +722,7 @@ class _BytecodeLowerer(_FrameLayout):
         for part in ins.parts:
             if part.op is Op.CHAIN and getattr(part, "parts", None) \
                     is not None:
-                _BytecodeLowerer._chain_effects(part, reads, writes)
+                _WordLowerer._chain_effects(part, reads, writes)
                 continue
             for src in part.srcs:
                 if isinstance(src, VirtualReg):
@@ -894,36 +856,34 @@ class _BytecodeLowerer(_FrameLayout):
                 return
         if len(succs) >= 2:
             word = self._emit([BR, cond_slot, edge_base, None,
-                               edge_base + 1, None], terminal=True)
+                               edge_base + 1, None])
             self.patches.append((word, 3, succs[0]))
             self.patches.append((word, 5, succs[1]))
             self.edge_class[edge_base] = _EDGE_COUNTED
             self.edge_class[edge_base + 1] = _EDGE_COUNTED
             return
-        # One successor: the false leg jumps straight to an error word
-        # (its edge-counter operand reuses the true edge's slot — the run
-        # aborts immediately, discarding the profile).
-        error_word = [ERROR, missing]
+        # One successor: the false leg jumps straight to the error word
+        # emitted next (its edge-counter operand reuses the true edge's
+        # slot — the run aborts immediately, discarding the profile).
         word = self._emit([BR, cond_slot, edge_base, None,
-                           edge_base, error_word], terminal=True)
+                           edge_base, len(self.words) + 1])
         self.patches.append((word, 3, succs[0]))
         self.edge_class[edge_base] = _EDGE_COUNTED
-        self._emit(error_word, terminal=True)
+        self._emit([ERROR, missing])
 
     def _emit_return(self, control: Instruction,
                      ret_slot: Optional[int]) -> None:
         if ret_slot is not None:
-            self._emit([RET_S, ret_slot], terminal=True)
+            self._emit([RET_S, ret_slot])
             return
         if not control.srcs:
-            self._emit([RET_N], terminal=True)
+            self._emit([RET_N])
             return
         value = control.srcs[0]
         if isinstance(value, Constant):
-            self._emit([RET_C, value.value], terminal=True)
+            self._emit([RET_C, value.value])
         elif isinstance(value, VirtualReg):
-            self._emit([RET_R, self.reg_slot(value.name), value.name],
-                       terminal=True)
+            self._emit([RET_R, self.reg_slot(value.name), value.name])
         else:
             self._emit_error(f"cannot read operand {value!r}")
 
@@ -946,13 +906,13 @@ class _BytecodeLowerer(_FrameLayout):
         if is_br and isinstance(control.srcs[0], VirtualReg):
             cond_slot = self._scratch()
             self._emit([TEST, cond_slot,
-                        self.reg_slot(control.srcs[0].name), None])
+                        self.reg_slot(control.srcs[0].name)])
         elif is_ret and control.srcs \
                 and isinstance(control.srcs[0], VirtualReg):
             ret_slot = self._scratch()
             self._emit([RETREAD, ret_slot,
                         self.reg_slot(control.srcs[0].name),
-                        control.srcs[0].name, None])
+                        control.srcs[0].name])
         return cond_slot, ret_slot
 
     def lower_node(self, nid: int, node: Node) -> None:
@@ -992,44 +952,18 @@ class _BytecodeLowerer(_FrameLayout):
             if prereads and control is not None:
                 cond_slot, ret_slot = self._control_prereads(
                     node, is_br, is_ret, pre_cycle_only=True)
-            if not is_ret and not is_br:
-                # fall-through fast path: the node's last operation fuses
-                # with the jump, saving one dispatch per machine cycle
-                # (a one-operation node becomes a single fused word).
-                # Backward falls stay un-fused: the JB word carries the
-                # cycle-limit check for the loop.
-                for ins in direct_ops:
-                    self._emit_op_direct(ins)
-                tail = self._pending
-                fused = _FUSED_FORM.get(tail[0]) \
-                    if tail is not None and not self._is_backward(succs[0]) \
-                    else None
-                if fused is not None:
-                    tail[0] = fused
-                    self._pending = None
-                    self.patches.append((tail, len(tail) - 1, succs[0]))
-                    self.edge_class[edge_base] = _EDGE_DERIVED
-                else:
-                    self._emit_jump(edge_base, succs[0])
-                return
             for ins in direct_ops:
                 self._emit_op_direct(ins)
-            if is_br:
-                self._emit_branch(control.srcs[0], cond_slot, edge_base,
-                                  succs)
-            else:
-                self._emit_return(control, ret_slot)
-            return
-
-        pending_regs: List = []
-        pending_stores: List = []
-        for ins in ops:
-            self._emit_op_deferred(ins, pending_regs, pending_stores)
-        cond_slot = ret_slot = None
-        if control is not None:
-            cond_slot, ret_slot = self._control_prereads(
-                node, is_br, is_ret, pre_cycle_only=False)
-        self._emit_commits(pending_regs, pending_stores)
+        else:
+            pending_regs: List = []
+            pending_stores: List = []
+            for ins in ops:
+                self._emit_op_deferred(ins, pending_regs, pending_stores)
+            cond_slot = ret_slot = None
+            if control is not None:
+                cond_slot, ret_slot = self._control_prereads(
+                    node, is_br, is_ret, pre_cycle_only=False)
+            self._emit_commits(pending_regs, pending_stores)
         if is_br:
             self._emit_branch(control.srcs[0], cond_slot, edge_base, succs)
         elif is_ret:
@@ -1039,7 +973,12 @@ class _BytecodeLowerer(_FrameLayout):
 
 
 class _LoweredGraph:
-    """One function graph in direct-threaded bytecode form."""
+    """One function graph as a flat word list.
+
+    ``entry_word`` is the index of the entry node's first word (``None``
+    for a graph without an entry node); ``entry_idx`` is the entry node's
+    counter index.
+    """
 
     __slots__ = ("name", "n_params", "param_plan", "local_plan",
                  "global_plan", "missing_plan", "n_regs", "n_arrays",
@@ -1047,32 +986,29 @@ class _LoweredGraph:
                  "node_ids", "edge_pairs", "n_counters", "_in_edges",
                  "_derived_out", "_derived_in_count", "_edge_dst_idx")
 
-    def __init__(self, graph: ProgramGraph, module: GraphModule,
-                 lmod: "LoweredModule"):
+    def __init__(self, graph: ProgramGraph, module: GraphModule):
         node_ids: List[int] = list(graph.nodes)
         idx_of = {node_id: i for i, node_id in enumerate(node_ids)}
-        low = _BytecodeLowerer(graph, module, lmod, idx_of)
+        low = _WordLowerer(graph, module, idx_of)
         self.name = graph.name
         self.n_params = len(graph.params)
         self.param_plan, self.local_plan = low.build_plans()
 
-        node_word: Dict[int, list] = {}
+        node_word: Dict[int, int] = {}
         for nid in node_ids:
-            start = len(low.words)
+            node_word[nid] = len(low.words)
             low.lower_node(nid, graph.nodes[nid])
-            node_word[nid] = low.words[start]
 
         # Dangling edges jump to an "unknown node" stub counted on its own
         # index.
-        stubs: Dict[int, Tuple[list, int]] = {}
+        stubs: Dict[int, Tuple[int, int]] = {}
         n_counters = len(node_ids)
         for word, slot, succ in low.patches:
             target = node_word.get(succ)
             if target is None:
                 if succ not in stubs:
-                    stub = [ERROR, f"unknown node {succ}"]
-                    low.words.append(stub)
-                    stubs[succ] = (stub, n_counters)
+                    stubs[succ] = (len(low.words), n_counters)
+                    low.words.append([ERROR, f"unknown node {succ}"])
                     n_counters += 1
                 target = stubs[succ][0]
             word[slot] = target
@@ -1115,52 +1051,6 @@ class _LoweredGraph:
         self._derived_in_count = derived_in_count
         self._edge_dst_idx = edge_dst_idx
 
-    def __getstate__(self):
-        """Pickle form with word references flattened to indices.
-
-        Words reference their successor words *directly* (the code
-        generator follows them to lay out blocks), which makes the raw
-        object graph both cyclic and as deeply nested as the longest
-        straight-line thread — default pickling would hit the recursion
-        limit on any non-trivial graph.  Word-reference operands (always
-        ``list`` objects; every other operand kind is a scalar, string,
-        tuple or function) are replaced by their index into ``words``
-        and restored by :meth:`__setstate__`.  The disk cache
-        (:mod:`repro.sim.diskcache`) relies on this round trip.
-        """
-        index = {id(word): i for i, word in enumerate(self.words)}
-        packed: List[list] = []
-        refs: List[List[Tuple[int, int]]] = []
-        for word in self.words:
-            slots = [(s, index[id(op)]) for s, op in enumerate(word)
-                     if isinstance(op, list)]
-            if slots:
-                word = list(word)
-                for s, _ in slots:
-                    word[s] = None
-            packed.append(word)
-            refs.append(slots)
-        state = {name: getattr(self, name) for name in self.__slots__
-                 if name not in ("words", "entry_word")}
-        state["packed_words"] = packed
-        state["word_refs"] = refs
-        state["entry_word_index"] = None if self.entry_word is None \
-            else index[id(self.entry_word)]
-        return state
-
-    def __setstate__(self, state):
-        packed = state.pop("packed_words")
-        refs = state.pop("word_refs")
-        entry = state.pop("entry_word_index")
-        words = [list(word) for word in packed]
-        for word, slots in zip(words, refs):
-            for s, i in slots:
-                word[s] = words[i]
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.words = words
-        self.entry_word = None if entry is None else words[entry]
-
     def resolve_counters(self, branch_hits: List[int],
                          calls: int) -> Tuple[List[int], List[int]]:
         """Reconstruct the full flat (node_hits, edge_hits) arrays from
@@ -1198,13 +1088,13 @@ class _LoweredGraph:
 
 
 class LoweredModule:
-    """All graphs of one :class:`GraphModule` in bytecode form."""
+    """All graphs of one :class:`GraphModule` as word lists."""
 
     def __init__(self, module: GraphModule):
         self.module = module
         self.graphs: Dict[str, _LoweredGraph] = {}
         for name, graph in module.graphs.items():
-            self.graphs[name] = _LoweredGraph(graph, module, self)
+            self.graphs[name] = _LoweredGraph(graph, module)
         self._signature = _structure_signature(module)
 
     @classmethod
@@ -1257,7 +1147,7 @@ def _payload_verified(module, payload, cache, digest: str) -> bool:
 
 
 def lower_module(module: GraphModule) -> LoweredModule:
-    """Bytecode form of *module*, cached on the module itself.
+    """Lowered form of *module*, cached on the module itself.
 
     The lowered form is validated against the memoized structural
     signature (streamed, never rebuilt on a hit) and invalidated by any

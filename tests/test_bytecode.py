@@ -1,8 +1,9 @@
 """Lowered-form tests: persisted words, lowering cache, VLIW hazards.
 
-:func:`repro.sim.engine.lower_module` flattens each graph into
-direct-threaded words, which the codegen engine emits Python from and the
-disk cache persists inside the codegen entry.  This file pins the lowered
+:func:`repro.sim.engine.lower_module` flattens each graph into a word
+list (jump targets are word indices), which the codegen engine emits
+Python from and the disk cache persists, pickled as is, inside the
+codegen entry.  This file pins the lowered
 form: a module rebuilt from a pickled disk entry (lowered words plus
 marshalled code) is indistinguishable from the reference interpreter —
 return value, memory state and the *complete* profile — across the
