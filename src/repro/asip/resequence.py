@@ -68,6 +68,7 @@ def _resequence_graph(graph: ProgramGraph
                       ) -> Tuple[ProgramGraph, Dict[int, Tuple[int, ...]]]:
     out = ProgramGraph(graph.name, graph.params, graph.local_arrays,
                        graph.return_type)
+    out.continue_temps(graph)  # capture moves must not reuse a renamed %r
     order = graph.rpo_order()
     # For adjacency-preserving intra-node ordering we need, per node, which
     # registers the following node consumes and which registers the

@@ -19,12 +19,16 @@ hardware extension the analysis is hunting for.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import IRError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import VirtualReg
+
+#: Names :meth:`ProgramGraph.new_temp` hands out; group 1 is the counter.
+_TEMP_NAME = re.compile(r"%f?r(\d+)$")
 
 
 class Node:
@@ -106,6 +110,19 @@ class ProgramGraph:
         """Fresh register for renaming transformations (``r0``, ``r1``...)."""
         prefix = "fr" if is_float else "r"
         return VirtualReg(f"%{prefix}{next(self._temp_ids)}", is_float)
+
+    def continue_temps(self, source: "ProgramGraph") -> None:
+        """Make :meth:`new_temp` count on past every ``%rN``/``%frN``
+        register *source* reads or writes, so a temp made here never
+        collides with a register taken over from *source*."""
+        top = -1
+        for node in source.nodes.values():
+            for ins in node.all_instructions():
+                for reg in ins.defs() + ins.uses():
+                    match = _TEMP_NAME.match(reg.name)
+                    if match is not None:
+                        top = max(top, int(match.group(1)))
+        self._temp_ids = itertools.count(top + 1)
 
     def add_edge(self, src: int, dst: int) -> None:
         self.nodes[src].succs.append(dst)
@@ -248,7 +265,7 @@ class ProgramGraph:
         dup = ProgramGraph(self.name, self.params, self.local_arrays,
                            self.return_type)
         dup._ids = itertools.count(max(self.nodes) + 1 if self.nodes else 0)
-        dup._temp_ids = itertools.count(0)
+        dup.continue_temps(self)
         for nid, node in self.nodes.items():
             twin = Node(nid)
             twin.ops = [op.clone() for op in node.ops]

@@ -5,13 +5,17 @@ import pytest
 
 from repro.cfg.build import build_module_graphs
 from repro.cfg.graph import ProgramGraph
+from repro.asip.explore import explore_designs
 from repro.asip.resequence import resequence_module, _resequence_graph
 from repro.frontend import compile_source
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 from repro.opt.alias import may_alias, memory_conflict
+from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import run_module
+from repro.suite.registry import all_benchmarks, get_benchmark
+from repro.suite.runner import compile_benchmark
 
 
 class TestAlias:
@@ -184,3 +188,32 @@ class TestResequenceCorners:
         module = compile_benchmark(spec)
         gm, _ = optimize_module(module, OptLevel.PIPELINED)
         self._run_both(gm, spec.generate_inputs(0))
+
+
+SUITE = [spec.name for spec in all_benchmarks()]
+
+
+class TestResequenceSuite:
+    """The re-sequentialized module is the base every ASIP design is
+    measured on; it must compute what the optimized module computes."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("name", SUITE)
+    def test_resequenced_matches_optimized(self, name, level):
+        spec = get_benchmark(name)
+        gm, _ = optimize_module(compile_benchmark(spec), OptLevel(level))
+        inputs = spec.generate_inputs(0)
+        expected = run_module(gm, inputs)
+        actual = run_module(resequence_module(gm), inputs)
+        assert actual.return_value == expected.return_value
+        assert actual.globals_after == expected.globals_after
+
+    @pytest.mark.parametrize("name", ["flatten", "smooth", "edge"])
+    def test_level2_exploration_completes(self, name):
+        # Capture moves named %r0, %r1... used to overwrite level-2
+        # renamed registers of the same name (flatten looped forever).
+        spec = get_benchmark(name)
+        result = explore_designs(compile_benchmark(spec),
+                                 spec.generate_inputs(0),
+                                 level=OptLevel.RENAMED)
+        assert result.measured

@@ -215,6 +215,25 @@ class TestGraphOps:
         node.ops.clear()
         assert any(n.ops for n in g.nodes.values())
 
+    def test_copy_then_new_temp_does_not_collide(self):
+        # A renamed graph already holds %r/%fr temps; the copy's fresh
+        # temps must count on past every one of them.
+        g = graph_of(LOOP_SRC)
+        node = next(n for n in g.nodes.values() if n.ops)
+        node.ops.append(Instruction(Op.MOV, dest=g.new_temp(),
+                                    srcs=(Constant(1),)))
+        node.ops.append(Instruction(Op.FMOV, dest=g.new_temp(True),
+                                    srcs=(Constant(1.0, True),)))
+        node.ops.append(Instruction(Op.MOV, dest=VirtualReg("%r7"),
+                                    srcs=(Constant(2),)))
+        used = {reg.name for n in g.nodes.values()
+                for ins in n.all_instructions()
+                for reg in ins.defs() + ins.uses()}
+        dup = g.copy()
+        fresh = [dup.new_temp().name, dup.new_temp(True).name]
+        assert fresh == ["%r8", "%fr9"]
+        assert not used & set(fresh)
+
     def test_format_graph_mentions_entry(self):
         g = graph_of(DIAMOND_SRC)
         assert f"entry n{g.entry}" in format_graph(g)
