@@ -546,10 +546,15 @@ class GeneratedModule:
         """Rebuild from a disk-cache entry, skipping lowering, source
         emission and (when the marshalled code objects verify and load)
         compilation; a blob whose checksum does not match falls back to
-        compiling the stored sources."""
+        compiling the stored sources.
+
+        Under the verify-on-load gate (``REPRO_VERIFY``) the blob is
+        ignored: the gate checked the stored sources, so those sources
+        are compiled and run, never code the checks did not see."""
+        from repro.sim.diskcache import verify_on_load
         lowered = LoweredModule.from_graphs(module, payload["graphs"])
         codes = None
-        blob = payload.get("code")
+        blob = None if verify_on_load() else payload.get("code")
         if isinstance(blob, bytes) and \
                 hashlib.sha256(blob).hexdigest() == payload.get("code_sha"):
             try:

@@ -9,6 +9,8 @@ that pristine artifacts pass with zero violations.
 from __future__ import annotations
 
 import glob
+import hashlib
+import marshal
 import pickle
 
 import pytest
@@ -33,6 +35,7 @@ from repro.sim import engine as _eng
 from repro.sim import diskcache
 from repro.sim.codegen import emit_sources, generate_module
 from repro.sim.engine import lower_module
+from repro.sim.machine import run_module
 
 # Same kernels as tests/conftest.py (duplicated here rather than imported:
 # `from conftest import ...` is ambiguous when the benchmark harness's
@@ -382,6 +385,39 @@ class TestVerifyOnLoad:
         cache = diskcache.get_cache()
         assert cache.rejected["codegen"] == 1
         assert verify_lowered_module(gm2, gm2._lowered_cache).ok
+
+    def test_tampered_code_blob_not_executed(self, verified_cache,
+                                            monkeypatch):
+        """The gate checks the stored sources, so the sources are what
+        runs: a marshalled blob compiled from other source, with its
+        checksum updated to match, is ignored under REPRO_VERIFY=1."""
+        generate_module(_graph_module())
+        [path] = _entry_paths("codegen")
+
+        def swap_blob(payload):
+            altered = [text.replace("return 0", "return 42")
+                       for text in payload["sources"]]
+            assert list(payload["sources"]) != altered
+            blob = marshal.dumps(tuple(compile(text, "<tampered>", "exec")
+                                       for text in altered))
+            payload["code"] = blob
+            payload["code_sha"] = hashlib.sha256(blob).hexdigest()
+
+        _rewrite(path, swap_blob)
+        fresh = run_module(_graph_module(), engine="reference")
+        assert fresh.return_value == 0
+        diskcache.reset_cache_state()
+        served = run_module(_graph_module(), engine="codegen")
+        assert diskcache.get_cache().hits["codegen"] == 1
+        assert served.return_value == fresh.return_value
+        assert served.globals_after == fresh.globals_after
+        assert served.cycles == fresh.cycles
+        # Without the gate the checksummed blob is trusted as is, which
+        # is what makes the tampering above observable.
+        monkeypatch.delenv(diskcache.VERIFY_ENV_VAR)
+        diskcache.reset_cache_state()
+        assert run_module(_graph_module(),
+                          engine="codegen").return_value == 42
 
     def test_cache_scan_reports_corrupt_entry(self, verified_cache):
         generate_module(_graph_module())
