@@ -38,7 +38,6 @@ from repro.chaining.detect import detect_sequences
 from repro.chaining.frequency import dynamic_frequency
 from repro.chaining.sequence import SequenceName, sequence_label
 from repro.errors import AsipError
-from repro.exec.pool import parallel_map
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import DEFAULT_ENGINE, run_module
@@ -106,13 +105,6 @@ def _isa_for(patterns: Sequence[SequenceName],
     for pattern in patterns:
         isa.add_chain(ChainedInstruction.from_sequence(pattern))
     return isa
-
-
-def _measure_finalist(task) -> AsipEvaluation:
-    """Measure one finalist ISA (module-level: runs in pool workers)."""
-    sequential, isa, inputs, cost, base_result, engine = task
-    return evaluate_on_sequential(sequential, isa, inputs, cost,
-                                  base_result=base_result, engine=engine)
 
 
 # -- the estimate-then-measure stages, exposed for the suite-wide executor --------
@@ -235,15 +227,10 @@ def explore_designs(module: Module,
                     measure_top: int = 4,
                     unroll_factor: int = 2,
                     cost_model: Optional[CostModel] = None,
-                    engine: str = DEFAULT_ENGINE,
-                    jobs: Optional[int] = None) -> ExplorationResult:
+                    engine: str = DEFAULT_ENGINE) -> ExplorationResult:
     """Run the full feedback-driven exploration for one benchmark.
 
-    ``jobs`` parallelizes stage 2, the finalist measurements — each
-    finalist's chain selection and simulation is independent given the
-    shared base-processor result, so they fan out across a process pool.
-    The measured design points come back in the same deterministic
-    finalist order as the serial loop (``jobs=None``/1, bit-identical).
+    The measured design points come back in finalist order.
     """
     from repro.sim.machine import ensure_engine
     ensure_engine(engine)  # before the pipeline, not deep in a worker
@@ -268,19 +255,16 @@ def explore_designs(module: Module,
     # and hand the cached result to each evaluation; the codegen engine
     # additionally reuses the base module's generated code across finalists.
     # Finalists that fuse the same program share one measurement, taken
-    # on the first of them.  With jobs > 1 the distinct programs are
-    # measured on a process pool.
+    # on the first of them.
     sequential = resequence_module(graph_module)
     base_result = run_module(sequential, inputs, engine=engine)
     isas = [_isa_for([candidates[idx].pattern for idx in combo], cost)
             for combo in combos]
     firsts = distinct_programs(sequential, isas)
-    distinct = sorted(set(firsts))
-    measured = dict(zip(distinct, parallel_map(
-        _measure_finalist,
-        [(sequential, isas[i], inputs, cost, base_result, engine)
-         for i in distinct],
-        jobs=jobs)))
+    measured = {i: evaluate_on_sequential(sequential, isas[i], inputs, cost,
+                                          base_result=base_result,
+                                          engine=engine)
+                for i in sorted(set(firsts))}
     for isa, first in zip(isas, firsts):
         result.measured.append(DesignPoint(isa=isa, evaluation=replace(
             measured[first], extension_area=isa.extension_area())))

@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--budget", type=int, default=2500)
     explore.add_argument("--level", type=_parse_level, default=1)
     _add_engine_arg(explore)
-    _add_jobs_arg(explore)
     _add_cache_arg(explore)
 
     explore_study = sub.add_parser(
@@ -676,7 +675,7 @@ def cmd_explore(args, out) -> int:
     inputs = spec.generate_inputs(0)
     result = explore_designs(module, inputs, area_budget=args.budget,
                              level=OptLevel(args.level),
-                             engine=args.engine, jobs=args.jobs)
+                             engine=args.engine)
     print(f"{len(result.candidates)} candidate sequences under budget "
           f"{args.budget}", file=out)
     for cand in result.candidates:

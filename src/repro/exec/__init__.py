@@ -5,8 +5,7 @@ input seeds) and the design-space explorations are CPU-bound simulation,
 so scaling them means process parallelism plus batching:
 
 * :mod:`repro.exec.pool` — ``jobs=`` knob resolution (``None`` defers to
-  ``$REPRO_JOBS``, ``0`` means all cores), the persistent worker pool and
-  an order-preserving ``parallel_map``;
+  ``$REPRO_JOBS``, ``0`` means all cores) and the persistent worker pool;
 * :mod:`repro.exec.scheduler` — runs independent tasks serially or on
   that pool, results keyed by task;
 * :mod:`repro.exec.study` and :mod:`repro.exec.explore` — the study,
@@ -19,14 +18,12 @@ because every worker count runs the same per-benchmark task and the
 parent reassembles results in canonical order, never completion order.
 """
 
-from repro.exec.pool import (JOBS_ENV_VAR, available_cpus, parallel_map,
-                             resolve_jobs)
+from repro.exec.pool import JOBS_ENV_VAR, available_cpus, resolve_jobs
 from repro.exec.scheduler import ScheduleStats, Task, run_tasks
 
 __all__ = [
     "JOBS_ENV_VAR",
     "available_cpus",
-    "parallel_map",
     "resolve_jobs",
     "ScheduleStats",
     "Task",

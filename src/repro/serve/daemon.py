@@ -5,8 +5,8 @@ An asyncio front end over the toolchain: requests arrive as JSON lines
 evaluated on **one** dedicated executor thread — evaluations are
 CPU-bound and the toolchain's process-global state (the persistent
 worker pool, the disk-cache handle) is built for one driver at a time.  Parallelism across
-cores comes from each evaluation's own ``jobs`` knob fanning out onto
-the process pool, not from overlapping evaluations; the loop itself
+cores comes from each study-family evaluation's own ``jobs`` knob
+fanning out onto the process pool, not from overlapping evaluations; the loop itself
 stays free to answer ``status``, coalesce duplicates and take new
 connections while an evaluation runs.
 
@@ -320,7 +320,7 @@ class ReproServer:
                 payload = _serve_cached_payload(
                     result_key,
                     lambda: (_run_analyze(request) if op == "analyze"
-                             else _run_explore(request, default_jobs)))
+                             else _run_explore(request)))
                 return payload, None, _tier_outcome(state, before)
 
         cache = diskcache.get_cache()
@@ -440,8 +440,7 @@ def _run_analyze(request: dict) -> dict:
     return protocol.analyze_payload(request, result, detection, report)
 
 
-def _run_explore(request: dict,
-                 default_jobs: Optional[int] = None) -> dict:
+def _run_explore(request: dict) -> dict:
     from repro.asip.explore import explore_designs
     from repro.opt.pipeline import OptLevel
     from repro.suite.registry import get_benchmark
@@ -449,9 +448,6 @@ def _run_explore(request: dict,
     spec = get_benchmark(request["benchmark"])
     module = compile_benchmark(spec)
     inputs = spec.generate_inputs(request["seed"])
-    jobs = request["jobs"]
-    if jobs is None:
-        jobs = default_jobs
     result = explore_designs(
         module, inputs, area_budget=request["budget"],
         level=OptLevel(request["level"]),
@@ -459,5 +455,5 @@ def _run_explore(request: dict,
         max_candidates=request["max_candidates"],
         measure_top=request["measure_top"],
         unroll_factor=request["unroll_factor"],
-        engine=request["engine"], jobs=jobs)
+        engine=request["engine"])
     return protocol.explore_payload(result)

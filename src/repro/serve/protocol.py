@@ -124,7 +124,6 @@ _REQUEST_FIELDS: Dict[str, _FieldSpec] = {
         "measure_top": (4, _int),
         "unroll_factor": (2, _int),
         "engine": (DEFAULT_ENGINE, _str),
-        "jobs": (None, _opt_int),
     },
     "study": {
         "benchmarks": (None, _opt_str_list),

@@ -244,6 +244,11 @@ class TestExplore:
         assert "best measured design" in text
         assert "x" in text  # speedup figure
 
+    def test_explore_rejects_jobs(self):
+        # one benchmark's exploration has no worker count to set
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explore", "--jobs", "1", "sewha"])
+
     def test_explore_unknown_benchmark(self):
         code, _text = run_cli("explore", "nope")
         assert code == 2

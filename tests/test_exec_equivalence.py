@@ -29,8 +29,7 @@ import pytest
 from repro.cfg.build import build_module_graphs
 from repro.errors import ReproError
 from repro.exec import pool as pool_mod
-from repro.exec.pool import (JOBS_ENV_VAR, PARALLEL_MIN_ITEMS,
-                             available_cpus, parallel_map, resolve_jobs)
+from repro.exec.pool import JOBS_ENV_VAR, available_cpus, resolve_jobs
 from repro.exec.scheduler import ScheduleStats, Task, run_tasks
 from repro.feedback.study import (BenchmarkStudy, StudyConfig, StudyResult,
                                   run_study)
@@ -295,14 +294,6 @@ class TestScheduler:
 
 
 class TestPool:
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_double, items, jobs=4) == \
-            [2 * x for x in items]
-
-    def test_parallel_map_serial_fallback(self):
-        assert parallel_map(_double, [3], jobs=8) == [6]
-
     def test_resolve_explicit(self):
         assert resolve_jobs(1) == 1
         assert resolve_jobs(7) == 7
@@ -341,55 +332,38 @@ class TestPool:
         monkeypatch.setenv(JOBS_ENV_VAR, "5")
         assert resolve_jobs(1) == 1
 
-    def test_small_map_cutoff_skips_pool(self, monkeypatch):
-        """Satellite bugfix: <= PARALLEL_MIN_ITEMS items never pay pool
-        dispatch — the serial path is faster and byte-identical."""
-        def exploding_pool(_workers):
-            raise AssertionError("small map must not touch the pool")
-
-        monkeypatch.setattr(pool_mod, "get_pool", exploding_pool)
-        items = list(range(PARALLEL_MIN_ITEMS))
-        assert parallel_map(_double, items, jobs=4) == \
-            [2 * x for x in items]
-
-    def test_results_identical_across_the_cutoff(self):
-        """The cutoff is invisible in results: maps one item below and
-        one item above it agree with the plain serial map."""
-        below = list(range(PARALLEL_MIN_ITEMS))
-        above = list(range(PARALLEL_MIN_ITEMS + 1))
-        assert parallel_map(_double, below, jobs=4) == \
-            [_double(x) for x in below]
-        assert parallel_map(_double, above, jobs=4) == \
-            [_double(x) for x in above]
-
-    def test_persistent_pool_reused_across_maps(self):
-        """Tentpole rider: consecutive parallel operations share the same
-        warm worker processes instead of respawning them.  (Which worker
-        handles which chunk is scheduler-dependent, so the invariant is
-        the executor and its process set, not the per-map pid split.)"""
-        items = list(range(8))
-        first_pids = set(parallel_map(_worker_pid, items, jobs=2))
+    def test_persistent_pool_reused_across_schedules(self):
+        """Consecutive parallel schedules share the same warm worker
+        processes instead of respawning them.  (Which worker runs which
+        task is scheduler-dependent, so the invariant is the executor
+        and its process set, not the per-schedule pid split.)"""
+        tasks = [Task(i, _worker_pid, (i,)) for i in range(8)]
+        first_pids = set(run_tasks(tasks, jobs=2).values())
         first_pool = pool_mod._pool
         workers = set(first_pool._processes)
-        second_pids = set(parallel_map(_worker_pid, items, jobs=2))
+        second_pids = set(run_tasks(tasks, jobs=2).values())
         assert pool_mod._pool is first_pool
         assert set(first_pool._processes) == workers
         assert (first_pids | second_pids) <= workers
         assert os.getpid() not in first_pids | second_pids
 
     def test_persistent_pool_resized_on_demand(self):
-        parallel_map(_double, list(range(8)), jobs=2)
+        tasks = [Task(i, _double, (i,)) for i in range(4)]
+        run_tasks(tasks, jobs=2)
         two_worker_pool = pool_mod._pool
-        parallel_map(_double, list(range(8)), jobs=3)
+        run_tasks(tasks, jobs=3)
         assert pool_mod._pool is not two_worker_pool
         pool_mod.shutdown_pool()
         assert pool_mod._pool is None
 
     def test_scheduler_shares_the_persistent_pool(self):
+        """A study at the same worker count runs on the pool an earlier
+        schedule built."""
         run_tasks([Task(i, _double, (i,)) for i in range(6)], jobs=2)
         scheduler_pool = pool_mod._pool
         assert scheduler_pool is not None
-        parallel_map(_double, list(range(8)), jobs=2)
+        run_study(StudyConfig(benchmarks=("fir", "iir"), levels=(0,),
+                              jobs=2))
         assert pool_mod._pool is scheduler_pool
 
 
@@ -468,19 +442,6 @@ class TestStudyConfigErrors:
 
 def _crash_worker(_item):
     os._exit(13)  # simulate a worker process dying mid-task
-
-
-def _crash_once(args):
-    # Dies the first time any worker runs it (filesystem sentinel), then
-    # behaves: the shape of a transient worker death (OOM kill, stray
-    # signal) that parallel_map's one-shot rebuild-and-retry absorbs.
-    path, x = args
-    try:
-        with open(path, "x"):
-            pass
-    except FileExistsError:
-        return 2 * x
-    os._exit(13)
 
 
 class TestSeedSharding:
@@ -577,29 +538,6 @@ class TestBrokenPoolRecovery:
             for level in LEVELS:
                 assert_runs_identical(serial.benchmark(name).run_at(level),
                                       retried.benchmark(name).run_at(level))
-
-    def test_parallel_map_crash_recovery(self):
-        # A *persistently* crashing worker breaks the retried pool too:
-        # the error still reaches the caller and the pool stays
-        # discarded.
-        from concurrent.futures.process import BrokenProcessPool
-        with pytest.raises(BrokenProcessPool):
-            parallel_map(_crash_worker, list(range(6)), jobs=2)
-        assert pool_mod._pool is None
-        assert parallel_map(_double, list(range(6)), jobs=2) == \
-            [2 * x for x in range(6)]
-
-    def test_parallel_map_transient_crash_retried_once(self, tmp_path):
-        # A worker that dies once (then behaves) never surfaces to the
-        # caller: the map is re-dispatched on a fresh pool and returns
-        # the full, ordered result.
-        sentinel = tmp_path / "crashed-once"
-        results = parallel_map(_crash_once,
-                               [(str(sentinel), x) for x in range(6)],
-                               jobs=2)
-        assert results == [2 * x for x in range(6)]
-        assert sentinel.exists()  # the crash really happened
-        assert pool_mod._pool is not None  # rebuilt and healthy
 
 
 class TestInputValidation:

@@ -249,7 +249,7 @@ class TestSimpleOps:
         assert second["result"] == first["result"]
 
     def test_explore_round_trip(self, server):
-        request = {"op": "explore", "benchmark": "sewha", "jobs": 1}
+        request = {"op": "explore", "benchmark": "sewha"}
         with connect(server) as client:
             response = client.request(request)
         assert response["ok"]
@@ -421,6 +421,13 @@ class TestProtocol:
         c = protocol.canonical_request(
             dict(EXPLORE_REQ, seed=1))
         assert protocol.request_digest(a) != protocol.request_digest(c)
+
+    def test_explore_request_rejects_jobs(self):
+        # a single-benchmark exploration runs in the evaluating process:
+        # it has no worker count to set
+        with pytest.raises(ReproError, match="unknown field.*jobs"):
+            protocol.canonical_request(
+                {"op": "explore", "benchmark": "sewha", "jobs": 1})
 
     def test_jobs_changes_digest_but_not_result_key(self):
         # jobs=N is bit-identical by contract, so the *result* key
