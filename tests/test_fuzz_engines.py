@@ -15,7 +15,10 @@ zero for some elements, an index read from a data array that lands past
 the end of its target, or a cycle limit below the program's run time.
 ``test_corpus_faults`` keeps that share from silently dropping to zero.
 A cross-level leg checks the optimizer itself: on the reference
-interpreter, levels 1 and 2 must compute what level 0 computes.
+interpreter, levels 1 and 2 must compute what level 0 computes.  A
+resequence leg checks the single-issue base every ASIP design is
+measured on: the re-sequentialized level-1/2 module must compute what
+the optimized module computes, on both engines.
 
 Generated programs are closed (no external inputs), so every seed of a
 multi-seed batch must reproduce the single-run reference outcome; the
@@ -33,6 +36,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
+from repro.asip.resequence import resequence_module
 from repro.errors import SimulationError
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
@@ -407,6 +411,30 @@ def test_levels_agree(case):
         if kind == "ok":
             assert got.return_value == baseline.return_value, ctx
             assert got.globals_after == baseline.globals_after, ctx
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_resequenced_agrees(case):
+    """Flattening a level-1/2 module to one operation per node preserves
+    what it computes: where the optimized module completes on the
+    reference oracle, the resequenced module returns the same value and
+    leaves the same memory on both engines.  The tight-cycle-limit shape
+    is skipped: the sequential program runs more cycles by design."""
+    module, max_cycles = compile_case(case)
+    if max_cycles is not None:
+        pytest.skip("cycle-limit shape")
+    for level in LEVELS[1:]:
+        gm, _ = optimize_module(module, OptLevel(level))
+        kind, expected = run_one(gm, "reference")
+        if kind != "ok":
+            continue
+        flat = resequence_module(gm)
+        for engine in ENGINES:
+            got_kind, got = run_one(flat, engine)
+            ctx = f"case {case} level {level} resequenced: {engine}"
+            assert got_kind == "ok", f"{ctx}: {got}"
+            assert got.return_value == expected.return_value, ctx
+            assert got.globals_after == expected.globals_after, ctx
 
 
 def test_generator_is_deterministic():
