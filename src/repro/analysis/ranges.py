@@ -35,8 +35,9 @@ import operator
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import build_word_cfg
+from repro.analysis.cfg import build_word_cfg, word_successors
 from repro.sim import engine as _eng
+from repro.sim.engine import TERMINAL_OPS
 from repro.sim.codegen import _BINF, _RETS, _STORES, _STORES_D
 from repro.sim.values import int_div, int_mod, shift_left, shift_right
 
@@ -626,16 +627,12 @@ def _flow(words: List[list], idx: int, env: Dict[int, Tuple], ctx: _Ctx,
     """``(successor index, env)`` pairs out of one word; a ``None`` env
     marks a refinement-dead edge."""
     word = words[idx]
-    op = word[0]
-    if op == _eng.BR:
+    if word[0] == _eng.BR:
         pred = predicates.get(idx)
         return [(word[3], _refine(env, pred, True)),
                 (word[5], _refine(env, pred, False))]
-    if op in _RETS or op == _eng.ERROR:
-        return []
-    if op == _eng.J or op == _eng.JB:
-        return [(word[1], env)]
-    return [(idx + 1, _transfer(word, env, ctx))]
+    out = env if word[0] in TERMINAL_OPS else _transfer(word, env, ctx)
+    return [(succ, out) for succ in word_successors(word, idx)]
 
 
 def _rpo(n: int, succs: List[List[int]], entry: int) -> List[int]:
