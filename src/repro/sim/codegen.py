@@ -9,10 +9,11 @@
   inlined literals, array storages are hoisted into locals once per
   frame, so the hot path is plain ``LOAD_FAST`` arithmetic with zero
   interpretive overhead;
-* control flow becomes ``while``/``if`` structure: forward fall-through
-  jumps are merged away at generation time, and the remaining
-  precomputed branch targets go through an O(log n) binary dispatch tree
-  over a block counter — a transfer costs a few integer compares;
+* control flow becomes ``while``/``if`` structure: a ``J`` to the next
+  word that nothing else jumps to is merged away at generation time,
+  and the remaining jump targets (word indices) go through an O(log n)
+  binary dispatch tree over a block counter — a transfer costs a few
+  integer compares;
 * profile counting is one counter per *branch* edge, held in integer
   locals and folded into the shared ``state.edge_hits`` arrays at frame
   exit, then reconstructed exactly by
