@@ -438,7 +438,7 @@ def _emitter_starts(lg, fn_of_graph: Dict[str, str]) -> Optional[List[int]]:
         from repro.sim.codegen import _FunctionEmitter
         emitter = _FunctionEmitter(lg, fn_of_graph.get(lg.name, "_v"),
                                    fn_of_graph)
-        _, starts, _ = emitter._analyze()
+        starts = emitter._analyze()
     except Exception:
         return None
     return starts

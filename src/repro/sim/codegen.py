@@ -155,8 +155,9 @@ class _FunctionEmitter:
 
     # -- block discovery -----------------------------------------------------------
 
-    def _analyze(self):
-        """Split the word list into labeled blocks.
+    def _analyze(self) -> List[int]:
+        """Block start indices, ascending: the word list split into
+        labeled blocks.
 
         A word starts a block when it is the entry or the target of any
         jump — except a single forward fall (a ``J`` from the immediately
@@ -176,7 +177,7 @@ class _FunctionEmitter:
                 if target == src + 1 and op == J:
                     continue  # adjacent forward fall: merged away
             starts.add(target)
-        return words, sorted(starts), entry
+        return sorted(starts)
 
     # -- per-word statement emission -----------------------------------------------
 
@@ -451,7 +452,8 @@ class _FunctionEmitter:
         lg = self.lg
         counted = self._emit_prologue()
         if lg.entry_word is not None:
-            words, starts, entry = self._analyze()
+            words, entry = lg.words, lg.entry_word
+            starts = self._analyze()
             starts_set = set(starts)
             ordinal_of = {idx: i for i, idx in enumerate(starts)}
             blocks: Dict[int, List[str]] = {}
