@@ -131,16 +131,15 @@ def test_simulator_lowering_cost(benchmark, edge_module):
 
 def test_simulator_codegen_cost(benchmark, edge_module, monkeypatch):
     """Cost of one cold lowering + source generation + compile, with the
-    disk cache off (cached under the module's structural signature, so
-    a study pays it once per module)."""
+    disk cache off (cached under the module's content digest, so a
+    study pays it once per module)."""
     from repro.sim.codegen import generate_module
 
     monkeypatch.setenv("REPRO_CACHE", "none")
     gm = build_module_graphs(edge_module)
 
     def cold_generate():
-        gm.__dict__.pop("_codegen_cache", None)
-        gm.__dict__.pop("_lowered_cache", None)
+        gm.__dict__.pop("_compiled", None)
         return generate_module(gm)
 
     generated = benchmark(cold_generate)

@@ -36,7 +36,6 @@ def serve(tmp_path, monkeypatch):
     """A live daemon on a private socket with a private result tier."""
     monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(tmp_path / "cache"))
     monkeypatch.setenv(diskcache.RESULT_ENV_VAR, "1")
-    monkeypatch.delenv(diskcache.MAX_MB_ENV_VAR, raising=False)
     diskcache.reset_cache_state()
     srv = ReproServer(socket_path=str(tmp_path / "serve.sock"), jobs=1)
     thread = srv.run_in_thread()

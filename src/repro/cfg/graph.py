@@ -320,14 +320,12 @@ class GraphModule:
         )
 
     def __getstate__(self):
-        # The codegen cache holds exec-compiled function objects, which
-        # cannot cross a pickle boundary (the study executor ships
-        # modules to worker processes); the lowered-form cache is dropped
-        # alongside it for the same per-process-rebuild contract.  Each
-        # process re-lowers and regenerates on first run instead.
+        # The compiled slot (lowering plus exec-compiled function
+        # objects) cannot cross a pickle boundary: the study executor
+        # ships modules to worker processes, and each process re-lowers
+        # and regenerates on first run instead.
         state = self.__dict__.copy()
-        state.pop("_lowered_cache", None)
-        state.pop("_codegen_cache", None)
+        state.pop("_compiled", None)
         return state
 
     def __repr__(self) -> str:

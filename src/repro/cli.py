@@ -494,7 +494,7 @@ def cmd_explore_study(args, out) -> int:
         # The serve daemon answers explore-study requests with this
         # exact payload; sharing the builder keeps the two documents
         # interchangeable.
-        from repro.serve.protocol import exploration_payload
+        from repro.feedback.results import exploration_payload
         with open(args.json, "w") as fh:
             json.dump(exploration_payload(study), fh, indent=2)
             fh.write("\n")
@@ -521,7 +521,7 @@ def _cmd_frontier_study(args, benchmarks, out) -> int:
         import json
 
         # Same document the serve daemon returns for frontier requests.
-        from repro.serve.protocol import frontier_payload
+        from repro.feedback.results import frontier_payload
         with open(args.json, "w") as fh:
             json.dump(frontier_payload(study), fh, indent=2)
             fh.write("\n")
@@ -562,14 +562,10 @@ def cmd_cache(args, out) -> int:
         total_bytes += size
     print(f"cache directory: {root}", file=out)
     print(f"format version:  v{diskcache.FORMAT_VERSION}", file=out)
-    cap = diskcache.resolve_max_bytes(strict=True)
-    if cap is not None:
-        print(f"size cap:        {cap / (1024 * 1024):.1f} MiB "
-              f"({diskcache.MAX_MB_ENV_VAR}, LRU eviction)", file=out)
     stale = len(cache.tmp_files())
     if stale:
-        print(f"stale tmp files: {stale} (swept by eviction scans and "
-              f"'cache clear')", file=out)
+        print(f"stale tmp files: {stale} (removed by 'cache clear')",
+              file=out)
     if by_kind:
         for kind in sorted(by_kind):
             count, kind_bytes = by_kind[kind]
@@ -581,8 +577,7 @@ def cmd_cache(args, out) -> int:
         print("entries:         none", file=out)
     counter_kinds = sorted(set(cache.hits) | set(cache.misses)
                            | set(cache.stores) | set(cache.corrupt)
-                           | set(cache.failures) | set(cache.rejected)
-                           | set(cache.evictions))
+                           | set(cache.failures) | set(cache.rejected))
     if counter_kinds:
         print("this process:", file=out)
         for kind in counter_kinds:
@@ -596,9 +591,6 @@ def cmd_cache(args, out) -> int:
             if cache.failures[kind]:
                 line += (f", {cache.failures[kind]} store "
                          f"failure{'s' if cache.failures[kind] != 1 else ''}")
-            if cache.evictions[kind]:
-                line += (f", {cache.evictions[kind]} evicted "
-                         f"({cache.evicted_bytes[kind] / 1024:.1f} KiB)")
             if cache.bytes_read[kind] or cache.bytes_written[kind]:
                 line += (f", {cache.bytes_read[kind] / 1024:.1f} KiB "
                          f"read, {cache.bytes_written[kind] / 1024:.1f}"

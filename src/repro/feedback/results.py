@@ -3,6 +3,9 @@
 ``study_summary`` flattens a :class:`~repro.feedback.study.StudyResult`
 into JSON-serializable dictionaries — what EXPERIMENTS.md records and what
 downstream tooling (plotting, regression tracking) consumes.
+``exploration_payload`` and ``frontier_payload`` do the same for the
+exploration and frontier studies.  Each is the document both the CLI's
+``--json`` export and the serve daemon's answer carry.
 """
 
 from __future__ import annotations
@@ -63,3 +66,41 @@ def summary_to_json(study: StudyResult, top_n: int = 10, **kwargs) -> str:
     kwargs.setdefault("indent", 2)
     kwargs.setdefault("sort_keys", True)
     return json.dumps(study_summary(study, top_n), **kwargs)
+
+
+def exploration_payload(study) -> dict:
+    """``explore-study`` payload (= ``repro explore-study --json``)."""
+    config = study.config
+    return {
+        "config": {
+            "budgets": list(config.budgets), "level": config.level,
+            "seed": config.seed,
+            "seeds": list(config.seeds) if config.seeds else None,
+            "engine": config.engine},
+        "cells": study.summary_rows(),
+    }
+
+
+def frontier_payload(study) -> dict:
+    """``frontier`` payload (= ``repro explore-study --frontier
+    --json``)."""
+    config = study.config
+    suite = [{
+        "chain": chain.label,
+        "frontier_count": chain.frontier_count,
+        "benchmarks": list(chain.benchmarks),
+        "combined_frequency": chain.combined_frequency,
+        "reason": chain.reason(len(study.benchmarks)),
+    } for chain in study.suite_chains()]
+    return {
+        "config": {
+            "level": config.level, "seed": config.seed,
+            "seeds": list(config.seeds) if config.seeds else None,
+            "max_budget": config.max_budget,
+            "engine": config.engine},
+        "frontiers": {
+            name: {"breakpoints": bench.breakpoints()}
+            for name, bench in study.benchmarks.items()},
+        "cells": study.summary_rows(),
+        "suite_chains": suite,
+    }

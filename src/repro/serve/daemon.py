@@ -23,10 +23,7 @@ Two layers keep repeated questions cheap:
   an answered config — same daemon, a restarted one, or a warm CLI run
   — is served from disk with zero simulator invocations.  ``analyze``
   and ``explore`` responses are cached at the serve layer under the
-  request digest salted with the toolchain source token.  While a
-  request evaluates, its result-tier entry is **pinned** — the LRU
-  eviction sweep (:meth:`repro.sim.diskcache.DiskCache.evict_to_cap`)
-  never reclaims an entry a live request is about to read or write.
+  request digest salted with the toolchain source token.
 """
 
 from __future__ import annotations
@@ -288,13 +285,12 @@ class ReproServer:
 
     async def _evaluate_request(self, request: dict,
                                 digest: str) -> bytes:
-        """Validate, key, pin, dispatch to the evaluation thread."""
+        """Validate, key, dispatch to the evaluation thread."""
         op = request["op"]
         default_jobs = self.default_jobs
         if op in ("study", "explore-study", "frontier"):
             config = protocol.build_config(request,
                                            default_jobs=default_jobs)
-            result_key = study_api.result_request_key(op, config)
 
             def evaluate():
                 state, before = _tier_state()
@@ -323,18 +319,10 @@ class ReproServer:
                              else _run_explore(request)))
                 return payload, None, _tier_outcome(state, before)
 
-        cache = diskcache.get_cache()
-        pinned = cache is not None and diskcache.result_cache_enabled()
-        if pinned:
-            cache.pin(diskcache.RESULT_KIND, result_key)
         self.stats.dispatches += 1
         started = time.monotonic()
-        try:
-            payload, sched, tier = await self._loop.run_in_executor(
-                self._executor, evaluate)
-        finally:
-            if pinned:
-                cache.unpin(diskcache.RESULT_KIND, result_key)
+        payload, sched, tier = await self._loop.run_in_executor(
+            self._executor, evaluate)
         self.stats.evaluation_seconds += time.monotonic() - started
         if sched is not None:
             self.stats.tasks_executed += sched.executed
@@ -351,17 +339,12 @@ class ReproServer:
     def status_payload(self) -> dict:
         """The ``status`` op's answer (also ``repro serve --status``)."""
         cache = diskcache.get_cache()
-        try:
-            cap = diskcache.resolve_max_bytes(strict=True)
-        except ReproError as exc:
-            cap = str(exc)
         return {
             "uptime_seconds": time.monotonic() - self._t0,
             "inflight": len(self._inflight),
             "stats": self.stats.snapshot(),
             "pool": pool_status(),
             "result_cache_enabled": diskcache.result_cache_enabled(),
-            "cache_max_bytes": cap,
             "cache": (cache.stats_snapshot()
                       if cache is not None else None),
         }

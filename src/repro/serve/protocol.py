@@ -21,8 +21,9 @@ via :func:`build_config`, running the same front-loaded validators the
 library entry points run — a malformed request fails with a named-knob
 message before any compile or worker spawn.
 
-The payload builders at the bottom produce exactly the JSON shapes the
-CLI's ``--json`` exports produce (the CLI calls them too), so a served
+The payload builders produce exactly the JSON shapes the CLI's
+``--json`` exports produce (the CLI calls the same builders, which for
+the study family live in :mod:`repro.feedback.results`), so a served
 answer and a ``python -m repro ... --json`` answer to the same question
 are interchangeable documents.
 """
@@ -35,6 +36,7 @@ from typing import Callable, Dict, Tuple
 
 from repro.chaining.detect import DEFAULT_LENGTHS
 from repro.errors import ReproError
+from repro.feedback.results import exploration_payload, frontier_payload
 from repro.sim.machine import DEFAULT_ENGINE
 
 #: Sentinel default for fields a request must spell out.
@@ -234,11 +236,13 @@ def build_config(request: dict, default_jobs=None):
     ``jobs`` defaults to the daemon's ``--jobs`` when the request leaves
     it null — a per-request override wins.  Validation is the same
     front-loaded pass :func:`repro.feedback.study.run_study` and friends
-    run, so a bad engine name, duplicate seed or out-of-range level is
-    reported before the request is ever dispatched.
+    run, so a bad engine name, duplicate seed, out-of-range level or
+    unknown benchmark name is reported before the request is ever
+    dispatched.
     """
     from repro.feedback.study import (ExplorationStudyConfig,
                                       FrontierStudyConfig, StudyConfig,
+                                      selected_names,
                                       validate_exploration_config,
                                       validate_frontier_config,
                                       validate_study_config)
@@ -279,6 +283,7 @@ def build_config(request: dict, default_jobs=None):
         validate_frontier_config(config)
     else:
         raise ReproError(f"{op} requests do not build a study config")
+    selected_names(config.benchmarks)
     return config
 
 
@@ -311,51 +316,14 @@ def validate_simple_request(request: dict) -> None:
 #
 # One builder per op, shared with the CLI's --json exports: the served
 # "result" object and the file `python -m repro ... --json` writes are
-# the same document.
+# the same document.  The study-family builders live in
+# repro.feedback.results, so the CLI's exports never import the daemon.
 
 
 def study_payload(study) -> dict:
     """``study`` response payload (= ``repro study --json``)."""
     from repro.feedback.results import study_summary
     return study_summary(study)
-
-
-def exploration_payload(study) -> dict:
-    """``explore-study`` payload (= ``repro explore-study --json``)."""
-    config = study.config
-    return {
-        "config": {
-            "budgets": list(config.budgets), "level": config.level,
-            "seed": config.seed,
-            "seeds": list(config.seeds) if config.seeds else None,
-            "engine": config.engine},
-        "cells": study.summary_rows(),
-    }
-
-
-def frontier_payload(study) -> dict:
-    """``frontier`` payload (= ``repro explore-study --frontier
-    --json``)."""
-    config = study.config
-    suite = [{
-        "chain": chain.label,
-        "frontier_count": chain.frontier_count,
-        "benchmarks": list(chain.benchmarks),
-        "combined_frequency": chain.combined_frequency,
-        "reason": chain.reason(len(study.benchmarks)),
-    } for chain in study.suite_chains()]
-    return {
-        "config": {
-            "level": config.level, "seed": config.seed,
-            "seeds": list(config.seeds) if config.seeds else None,
-            "max_budget": config.max_budget,
-            "engine": config.engine},
-        "frontiers": {
-            name: {"breakpoints": bench.breakpoints()}
-            for name, bench in study.benchmarks.items()},
-        "cells": study.summary_rows(),
-        "suite_chains": suite,
-    }
 
 
 def explore_payload(result) -> dict:

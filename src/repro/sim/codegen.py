@@ -20,12 +20,11 @@
   :meth:`_LoweredGraph.resolve_counters`.
 
 Each graph's source is compiled on its own and ``exec``-uted once per
-module; the functions are cached on the module under the memoized
-structural signature of the lowered form (validated by streaming,
-stripped at pickle boundaries by ``GraphModule.__getstate__`` and
-regenerated lazily per process).  The source text itself is not kept in
-memory: it goes into the disk-cache entry, and :func:`emit_sources`
-re-emits it on demand.  Results are bit-identical to the reference
+module; the functions are cached on the module next to its lowering,
+under the module's content digest (stripped at pickle boundaries by
+``GraphModule.__getstate__`` and regenerated lazily per process).  The
+source text itself is not kept in memory: it goes into the disk-cache
+entry, and :func:`emit_sources` re-emits it on demand.  Results are bit-identical to the reference
 interpreter — return value, memory, full node/edge/call profiles and
 error behavior — pinned by ``tests/test_codegen.py`` and the fuzz
 harness in ``tests/test_fuzz_engines.py``.
@@ -44,8 +43,8 @@ from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
                               JUMP_SLOTS, LoweredModule, RET_C, RET_N,
                               RET_R, RET_S, RETREAD, TERMINAL_OPS, TEST,
                               _LoweredGraph, _UNDEF, _payload_verified,
-                              _signature_matches, lower_module,
-                              run_lowered_module)
+                              lower_module, run_lowered_module)
+from repro.sim.diskcache import get_cache, module_digest, verify_on_load
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
 
@@ -541,21 +540,23 @@ class GeneratedModule:
             fn = namespace[f"_f{i}"]
             dispatch[f"_f{i}"] = fn
             self.fns[name] = fn
-        self._signature = lowered._signature
 
     @classmethod
-    def from_payload(cls, module: GraphModule,
-                     payload: Dict[str, object]) -> "GeneratedModule":
+    def from_payload(cls, module: GraphModule, payload: Dict[str, object],
+                     lowered: Optional[LoweredModule] = None
+                     ) -> "GeneratedModule":
         """Rebuild from a disk-cache entry, skipping lowering, source
         emission and (when the marshalled code objects verify and load)
         compilation; a blob whose checksum does not match falls back to
-        compiling the stored sources.
+        compiling the stored sources.  A *lowered* form the module
+        already holds for the entry's digest is kept; otherwise the
+        entry's lowered graphs are bound to *module*.
 
         Under the verify-on-load gate (``REPRO_VERIFY``) the blob is
         ignored: the gate checked the stored sources, so those sources
         are compiled and run, never code the checks did not see."""
-        from repro.sim.diskcache import verify_on_load
-        lowered = LoweredModule.from_graphs(module, payload["graphs"])
+        if lowered is None:
+            lowered = LoweredModule.from_graphs(module, payload["graphs"])
         codes = None
         blob = None if verify_on_load() else payload.get("code")
         if isinstance(blob, bytes) and \
@@ -590,48 +591,50 @@ def _disk_payload(lowered: LoweredModule, sources: List[str],
 def generate_module(module: GraphModule) -> GeneratedModule:
     """Exec-compiled form of *module*, cached on the module itself.
 
-    Same cache protocol as :func:`~repro.sim.engine.lower_module`:
-    validated by streaming the memoized structural signature,
-    invalidated by any graph mutation, stripped at pickle boundaries and
-    regenerated lazily per process.
+    Same slot as :func:`~repro.sim.engine.lower_module`: the module's
+    ``_compiled`` slot, keyed by its content digest, holds the lowering
+    and the generated code side by side, so the two can never disagree
+    about which module state they compile.
 
-    On an in-memory miss the disk tier (:mod:`repro.sim.diskcache`) is
-    consulted under the module's structural digest: a hit skips the
-    lowering walk, the source emission and (via the marshalled code
-    objects) the compile, leaving only the ``exec`` of the pre-built
-    code.  The embedded lowered form also seeds ``_lowered_cache``, so
-    the module keeps one lowering per module state.  A fresh generation
-    publishes exactly one entry.
+    When the slot holds no code for the current digest, the disk tier
+    (:mod:`repro.sim.diskcache`) is consulted under the same digest: a
+    hit skips the lowering walk, the source emission and (via the
+    marshalled code objects) the compile, leaving only the ``exec`` of
+    the pre-built code; a lowering the slot already holds is kept.  A
+    fresh generation publishes exactly one entry.
     """
-    cached = module.__dict__.get("_codegen_cache")
-    if cached is not None and _signature_matches(module, cached._signature):
-        return cached
-    from repro.sim.diskcache import get_cache, module_digest
+    digest = module_digest(module)
+    slot = module.__dict__.get("_compiled")
+    lowered = None
+    if slot is not None and slot[0] == digest:
+        if slot[2] is not None:
+            return slot[2]
+        lowered = slot[1]
     cache = get_cache()
-    digest = module_digest(module) if cache is not None else None
-    if digest is not None:
+    if cache is not None:
         payload = cache.load("codegen", digest)
         if payload is not None and not _payload_verified(
                 module, payload, cache, digest):
             payload = None
         if payload is not None:
             try:
-                generated = GeneratedModule.from_payload(module, payload)
+                generated = GeneratedModule.from_payload(
+                    module, payload, lowered)
             except Exception:
                 cache.unusable("codegen")
                 generated = None
             if generated is not None:
-                module._codegen_cache = generated
-                module._lowered_cache = generated.lowered
+                module._compiled = (digest, generated.lowered, generated)
                 return generated
-    lowered = lower_module(module)
+    if lowered is None:
+        lowered = lower_module(module)
     sources, consts = emit_sources(lowered)
     codes = _compile_sources(module, sources)
     generated = GeneratedModule(module, lowered, consts, codes)
-    if digest is not None:
+    if cache is not None:
         cache.store("codegen", digest,
                     _disk_payload(lowered, sources, consts, codes))
-    module._codegen_cache = generated
+    module._compiled = (digest, lowered, generated)
     return generated
 
 
@@ -647,8 +650,8 @@ class CodegenEngine:
                   ) -> List[MachineResult]:
         """Run N input sets through the same generated program.
 
-        Generation (and the signature validation ``run_module`` pays per
-        call) happens once for the whole batch; each input set executes
+        Generation (and the digest walk ``run_module`` pays per call)
+        happens once for the whole batch; each input set executes
         with fresh globals and fresh profile counters, bit-identical to N
         independent :func:`~repro.sim.machine.run_module` calls.
         """

@@ -1,7 +1,7 @@
 """The on-disk compile-artifact cache (the cold-start tier).
 
-The in-memory caches (`lower_module` / `generate_module`) make
-*repeated* runs of one module cheap, but they die with the process:
+The in-memory slot (`lower_module` / `generate_module`) makes
+*repeated* runs of one module cheap, but it dies with the process:
 every fresh CLI invocation and every pool worker re-lowers and
 re-generates from scratch.  This module adds the tier below them — a
 small content-addressed store on disk holding one codegen entry per
@@ -14,12 +14,13 @@ a canonical serialization of everything the lowered form depends on —
 graph names, entry nodes, parameters, local arrays, node ids, successor
 lists, and every instruction's opcode and operands — deliberately
 *excluding* process-local instruction uids, so two processes compiling
-the same source reach the same key.  The entry kind (``"codegen"``, or
-``"result"`` for the whole-result tier below), the cache
-:data:`FORMAT_VERSION` and the interpreter's ``cache_tag`` (the codegen
-entry embeds marshalled code objects, which are CPython-version-specific)
-all partition the namespace: any mismatch is a plain miss, never a
-crash.
+the same source reach the same key.  The same digest keys the module's
+in-memory slot: one content key per module state, in memory and on
+disk.  The entry kind (``"codegen"``, or ``"result"`` for the
+whole-result tier below), the cache :data:`FORMAT_VERSION` and the
+interpreter's ``cache_tag`` (the codegen entry embeds marshalled code
+objects, which are CPython-version-specific) all partition the
+namespace: any mismatch is a plain miss, never a crash.
 
 Robustness rules, pinned by ``tests/test_diskcache.py``:
 
@@ -38,18 +39,15 @@ pool workers inherit it) > ``REPRO_CACHE`` > ``~/.cache/repro`` (under
 ``XDG_CACHE_HOME`` when set).  ``python -m repro cache show|clear``
 inspects and empties the store.
 
-Two later additions share the same store:
+The whole-result tier shares the same store (kind :data:`RESULT_KIND`,
+opt-in via :data:`RESULT_ENV_VAR`): ``run_study`` /
+``run_exploration_study`` / ``run_frontier_study`` persist their
+*complete* results keyed by request shape plus
+:func:`result_source_token`, so a repeat query — from the serve daemon
+or a warm CLI run — is a disk read, not a simulation.
 
-* **the whole-result tier** (kind :data:`RESULT_KIND`, opt-in via
-  :data:`RESULT_ENV_VAR`) — ``run_study`` / ``run_exploration_study`` /
-  ``run_frontier_study`` persist their *complete* results keyed by
-  request shape plus :func:`result_source_token`, so a repeat query —
-  from the serve daemon or a warm CLI run — is a disk read, not a
-  simulation;
-* **size-capped LRU eviction** (:data:`MAX_MB_ENV_VAR`) — every store
-  under a configured cap triggers :meth:`DiskCache.evict_to_cap`, which
-  sweeps orphaned atomic-write temporaries, then removes the
-  least-recently-used unpinned entries until the store fits.
+The store has no size cap: each workload's store is a few megabytes,
+and ``repro cache clear`` empties it.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 
 #: Environment variable naming the cache directory (``none`` disables).
@@ -77,11 +74,6 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 #: ``rejected``, and regenerated — exactly the corruption path.
 VERIFY_ENV_VAR = "REPRO_VERIFY"
 
-#: Size cap for the store in megabytes (fractional values allowed).
-#: Unset or empty means uncapped; with a cap, every store triggers a
-#: size-capped LRU eviction pass (:meth:`DiskCache.evict_to_cap`).
-MAX_MB_ENV_VAR = "REPRO_CACHE_MAX_MB"
-
 #: When set truthy, the whole-result tier is active: the ``run_study``
 #: family stores complete evaluation results under kind
 #: :data:`RESULT_KIND` and answers repeat queries from disk.  Off by
@@ -92,11 +84,6 @@ RESULT_ENV_VAR = "REPRO_RESULT_CACHE"
 
 #: Entry kind of the whole-result tier.
 RESULT_KIND = "result"
-
-#: Orphaned ``.*.tmp`` files older than this many seconds are deleted
-#: by eviction scans (a crashed writer's leftovers); younger ones are
-#: presumed to belong to a still-racing writer and left alone.
-TMP_SWEEP_AGE_SECONDS = 3600.0
 
 #: The value of :data:`CACHE_ENV_VAR` (or ``--cache-dir``) that disables
 #: the disk tier entirely.
@@ -186,33 +173,6 @@ def result_cache_enabled() -> bool:
     return value.strip().lower() in ("1", "true", "on", "yes")
 
 
-def resolve_max_bytes(strict: bool = False) -> Optional[int]:
-    """The size cap in bytes from :data:`MAX_MB_ENV_VAR`, or ``None``.
-
-    On the hot path a malformed or non-positive value means "no cap" —
-    :meth:`DiskCache.store` must never raise.  ``strict=True`` (used by
-    ``repro cache show`` and the serve status endpoint) raises
-    :class:`~repro.errors.ReproError` instead, so a typo in the knob is
-    diagnosable rather than silently uncapped.
-    """
-    raw = os.environ.get(MAX_MB_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        mb = float(raw)
-    except ValueError:
-        if strict:
-            raise ReproError(
-                f"invalid {MAX_MB_ENV_VAR}={raw!r} (expected a number "
-                f"of megabytes)")
-        return None
-    if mb <= 0:
-        if strict:
-            raise ReproError(f"{MAX_MB_ENV_VAR} must be > 0, got {raw!r}")
-        return None
-    return int(mb * 1024 * 1024)
-
-
 def default_cache_root() -> Path:
     """``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``."""
     base = os.environ.get("XDG_CACHE_HOME")
@@ -286,9 +246,9 @@ def module_digest(module) -> str:
     in two different processes (or the same process twice) digests
     identically, while any structural difference — an extra node, a
     rewritten operand, a different successor order — changes the key.
-    Mirrors the coverage of the in-memory structural signature
-    (:func:`repro.sim.engine._iter_signature`) with instruction
-    *identity* replaced by instruction *content*.
+    It covers every instruction field lowering reads (``op``, ``dest``,
+    ``srcs``, ``array``, ``callee`` and chained ``parts``), so it keys
+    the module's in-memory compiled slot as well as its disk entry.
     """
     parts: List[str] = ["G:" + ",".join(sorted(module.global_arrays))]
     for name, graph in module.graphs.items():
@@ -332,23 +292,17 @@ class DiskCache:
         self.corrupt: Counter = Counter()
         self.failures: Counter = Counter()  # stores that could not land
         self.rejected: Counter = Counter()  # verify-on-load refusals
-        self.evictions: Counter = Counter()  # entries removed by the cap
-        self.evicted_bytes: Counter = Counter()
         self.bytes_read: Counter = Counter()  # entry bytes served on hits
         self.bytes_written: Counter = Counter()  # entry bytes published
         #: wall-clock accounting per operation class — ``op_count`` and
-        #: ``op_seconds`` are keyed ``"hit"`` / ``"miss"`` / ``"store"``
-        #: / ``"evict"``; ``repro cache show`` and the serve status
-        #: endpoint derive per-op averages from them.
+        #: ``op_seconds`` are keyed ``"hit"`` / ``"miss"`` / ``"store"``;
+        #: ``repro cache show`` and the serve status endpoint derive
+        #: per-op averages from them.
         self.op_count: Counter = Counter()
         self.op_seconds: Counter = Counter()
-        #: orphaned atomic-write temporaries reaped so far (see
-        #: :meth:`sweep_stale_tmp`).
+        #: orphaned atomic-write temporaries reaped so far (by
+        #: :meth:`clear`).
         self.tmp_swept = 0
-        #: refcounts of ``(kind, digest)`` entries live requests hold;
-        #: the serve daemon pins a result key for the duration of its
-        #: evaluation so the eviction pass never removes it mid-request.
-        self._pins: Counter = Counter()
         #: ``(kind, digest)`` pairs whose payloads already passed the
         #: verify-on-load gate this process.  The digest keys the entry
         #: file, so a re-load serves the same bytes — re-checking them
@@ -377,8 +331,7 @@ class DiskCache:
         A malformed entry — truncated write, foreign file, stale class
         layout, header mismatch — is treated exactly like an absent one
         (counted under ``corrupt``); the caller regenerates and the
-        normal store path rewrites it.  A hit bumps the entry's access
-        time, which is what the LRU eviction pass ranks by.
+        normal store path rewrites it.
         """
         started = time.perf_counter()
         path = self.entry_path(kind, digest)
@@ -401,20 +354,8 @@ class DiskCache:
             return None
         self.hits[kind] += 1
         self.bytes_read[kind] += len(blob)
-        self._touch(path)
         self._account("hit", started)
         return payload
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        # Recency for the eviction pass.  Bumped explicitly rather than
-        # trusting the kernel's bookkeeping (relatime/noatime mounts),
-        # and atime-only: mtime stays the publish timestamp.
-        try:
-            stat = path.stat()
-            os.utime(path, ns=(time.time_ns(), stat.st_mtime_ns))
-        except OSError:  # pragma: no cover - entry raced away
-            pass
 
     def _reclassify(self, kind: str, into: Counter) -> bool:
         # Guarded: with no hit on record — a double call, or a call on a
@@ -457,9 +398,6 @@ class DiskCache:
         (:func:`os.replace`), so concurrent writers of one key — two
         pool workers compiling the same benchmark — each publish a
         complete entry and the survivor is valid either way.
-
-        With :data:`MAX_MB_ENV_VAR` configured, a landed store triggers
-        an LRU eviction pass so the store never outgrows the cap.
         """
         started = time.perf_counter()
         try:
@@ -492,99 +430,7 @@ class DiskCache:
         self.stores[kind] += 1
         self.bytes_written[kind] += len(blob)
         self._account("store", started)
-        if resolve_max_bytes() is not None:
-            self.evict_to_cap()
         return True
-
-    # -- pinning / eviction --------------------------------------------------------
-
-    def pin(self, kind: str, digest: str) -> None:
-        """Shield an entry from eviction while a live request needs it.
-
-        Refcounted: concurrent requests over the same key pin and unpin
-        independently; the entry becomes evictable only when the last
-        holder lets go.
-        """
-        self._pins[(kind, digest)] += 1
-
-    def unpin(self, kind: str, digest: str) -> None:
-        """Release one :meth:`pin` hold on an entry."""
-        remaining = self._pins[(kind, digest)] - 1
-        if remaining > 0:
-            self._pins[(kind, digest)] = remaining
-        else:
-            self._pins.pop((kind, digest), None)
-
-    def is_pinned(self, kind: str, digest: str) -> bool:
-        return self._pins[(kind, digest)] > 0
-
-    def sweep_stale_tmp(
-            self, max_age: float = TMP_SWEEP_AGE_SECONDS) -> int:
-        """Delete orphaned atomic-write temporaries; returns the count.
-
-        A writer that died between ``mkstemp`` and ``os.replace`` leaves
-        its ``.*.tmp`` file behind forever — nothing else ever touches
-        it again.  The age gate keeps racing *live* writers safe: files
-        younger than *max_age* seconds are presumed in flight.
-        """
-        now = time.time()
-        swept = 0
-        for path in self.tmp_files():
-            try:
-                if now - path.stat().st_mtime < max_age:
-                    continue
-                path.unlink()
-            except OSError:
-                continue
-            swept += 1
-        self.tmp_swept += swept
-        return swept
-
-    def evict_to_cap(self, max_bytes: Optional[int] = None) -> int:
-        """Bring the store under the size cap; returns entries evicted.
-
-        Least-recently-used first, where recency is the later of the
-        entry's access time (bumped by :meth:`load` on every hit) and
-        its publish mtime; ties break on the entry file name so the
-        order is deterministic.  Pinned entries — keys a live request
-        holds (:meth:`pin`) — are never evicted regardless of age.
-        Orphaned temporaries are swept first so a crashed writer's
-        leftovers never crowd out real entries.  Never raises; with no
-        cap configured (and no explicit *max_bytes*) this is a no-op.
-        """
-        if max_bytes is None:
-            max_bytes = resolve_max_bytes()
-        if max_bytes is None:
-            return 0
-        started = time.perf_counter()
-        self.sweep_stale_tmp()
-        ranked = []
-        total = 0
-        for kind, path in self.entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            digest = path.name[:-len(".pkl")].rsplit(".", 1)[0]
-            ranked.append((max(stat.st_atime, stat.st_mtime), path.name,
-                           stat.st_size, kind, digest, path))
-            total += stat.st_size
-        evicted = 0
-        for _recency, _name, size, kind, digest, path in sorted(ranked):
-            if total <= max_bytes:
-                break
-            if self.is_pinned(kind, digest):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions[kind] += 1
-            self.evicted_bytes[kind] += size
-            evicted += 1
-        self._account("evict", started)
-        return evicted
 
     # -- inspection ----------------------------------------------------------------
 
@@ -613,16 +459,6 @@ class DiskCache:
             found.extend(sorted(version_dir.rglob("*.tmp")))
         return found
 
-    def total_bytes(self) -> int:
-        """Bytes currently occupied by entry files (tmp files excluded)."""
-        total = 0
-        for _kind, path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
     def stats_snapshot(self) -> dict:
         """This process's counters as one JSON-able dict.
 
@@ -631,7 +467,7 @@ class DiskCache:
         """
         kinds = sorted(set().union(
             self.hits, self.misses, self.stores, self.corrupt,
-            self.failures, self.rejected, self.evictions))
+            self.failures, self.rejected))
         return {
             "root": str(self.root),
             "kinds": {kind: {
@@ -641,8 +477,6 @@ class DiskCache:
                 "corrupt": self.corrupt[kind],
                 "rejected": self.rejected[kind],
                 "store_failures": self.failures[kind],
-                "evictions": self.evictions[kind],
-                "evicted_bytes": self.evicted_bytes[kind],
                 "bytes_read": self.bytes_read[kind],
                 "bytes_written": self.bytes_written[kind],
             } for kind in kinds},
@@ -650,7 +484,6 @@ class DiskCache:
                          "seconds": self.op_seconds[op]}
                     for op in sorted(self.op_count)},
             "tmp_swept": self.tmp_swept,
-            "pinned": len(self._pins),
         }
 
     def clear(self) -> int:
@@ -659,8 +492,7 @@ class DiskCache:
         Only the cache's own version directories are touched; anything
         else living under the root is left alone.  Orphaned atomic-write
         temporaries go with their directories and are counted too — a
-        full clear is the other place (besides eviction scans) where a
-        crashed writer's leftovers get reaped.
+        full clear is where a crashed writer's leftovers get reaped.
         """
         import shutil
         removed = sum(1 for _ in self.entries())

@@ -11,11 +11,10 @@ indices and inlined constants, executed in list order, with explicit
 counting reduced to one counter per branch edge.  The generator then emits
 one Python function per lowered graph.
 
-The lowered form is cached on the :class:`GraphModule` and invalidated by a
-structural signature check, so repeated runs of the same module — the
-exploration loop measures every finalist ISA on the same re-sequentialized
-base — pay lowering once.  Words hold no references to other words, so
-the lowered form pickles as is into the disk-cache entry.
+The lowered form is cached on the :class:`GraphModule` under the module's
+content digest, so repeated runs of the same module pay lowering once;
+equal content means the same lowered form.  Words hold no references to
+other words, so the lowered form pickles as is into the disk-cache entry.
 :func:`run_lowered_module` is the run frame around the generated code:
 globals, inputs, counters, profile reconstruction and the cycle limit.
 
@@ -28,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.cfg.graph import GraphModule, Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
+from repro.sim.diskcache import module_digest, verify_on_load
 from repro.sim.machine import MachineResult
 from repro.sim.memory import ArrayStorage
 from repro.sim.profile import ProfileData
@@ -165,69 +165,6 @@ class _RunState:
         self.depth = 0
         self.edge_hits = edge_hits
         self.call_counts: Dict[str, int] = {}
-
-
-# -- structural signature (cache invalidation) ------------------------------------
-
-
-def _iter_instruction(ins: Instruction) -> Iterator:
-    yield ins
-    yield ins.op
-    yield ins.dest
-    yield ins.srcs
-    yield ins.array
-    yield ins.callee
-    parts = getattr(ins, "parts", None)
-    if parts is not None:
-        yield len(parts)
-        for part in parts:
-            yield from _iter_instruction(part)
-
-
-def _iter_signature(module: GraphModule) -> Iterator:
-    """Stream every item the lowered form depends on, compared with ``==``.
-
-    Instruction objects compare by identity; operand tuples compare by value
-    (equal operands lower to identical words), so in-place operand
-    rewrites, node edits and edge edits all miss the cache while repeated
-    runs of an untouched module hit it.
-    """
-    yield tuple(module.global_arrays)
-    for name, graph in module.graphs.items():
-        yield name
-        yield graph.entry
-        yield tuple(graph.params)
-        yield tuple(graph.local_arrays)
-        for nid, node in graph.nodes.items():
-            yield nid
-            yield tuple(node.succs)
-            for ins in node.all_instructions():
-                yield from _iter_instruction(ins)
-
-
-def _structure_signature(module: GraphModule) -> List:
-    """Materialized signature, stored on the cache at compile time."""
-    return list(_iter_signature(module))
-
-
-_SIG_END = object()
-
-
-def _signature_matches(module: GraphModule, sig: List) -> bool:
-    """Validate a memoized signature against the module's current state.
-
-    Streams the walk instead of rebuilding the signature list on every
-    ``run_module`` call: an unmutated module pays one allocation-free
-    comparison, a mutated one exits at the first differing item.
-    """
-    cached = iter(sig)
-    for item in _iter_signature(module):
-        have = next(cached, _SIG_END)
-        if have is _SIG_END:
-            return False
-        if have is not item and have != item:
-            return False
-    return next(cached, _SIG_END) is _SIG_END
 
 
 # -- frame layout -----------------------------------------------------------------
@@ -1095,7 +1032,6 @@ class LoweredModule:
         self.graphs: Dict[str, _LoweredGraph] = {}
         for name, graph in module.graphs.items():
             self.graphs[name] = _LoweredGraph(graph, module)
-        self._signature = _structure_signature(module)
 
     @classmethod
     def from_graphs(cls, module: GraphModule,
@@ -1103,14 +1039,12 @@ class LoweredModule:
         """Rebind disk-loaded lowered *graphs* to the live *module*.
 
         The graphs carry everything execution needs (words, frame
-        plans, profile tables); only the module reference and the
-        in-memory cache signature are process-local, so both are
-        re-derived from the live module here.
+        plans, profile tables); only the module reference is
+        process-local, so it is re-bound to the live module here.
         """
         lowered = cls.__new__(cls)
         lowered.module = module
         lowered.graphs = graphs
-        lowered._signature = _structure_signature(module)
         return lowered
 
 
@@ -1129,7 +1063,6 @@ def _payload_verified(module, payload, cache, digest: str) -> bool:
     therefore pays for each distinct artifact once per process, not
     once per load.
     """
-    from repro.sim.diskcache import verify_on_load
     if not verify_on_load():
         return True
     if ("codegen", digest) in cache.verified:
@@ -1149,19 +1082,22 @@ def _payload_verified(module, payload, cache, digest: str) -> bool:
 def lower_module(module: GraphModule) -> LoweredModule:
     """Lowered form of *module*, cached on the module itself.
 
-    The lowered form is validated against the memoized structural
-    signature (streamed, never rebuilt on a hit) and invalidated by any
-    graph mutation; the cache is stripped at pickle boundaries
-    (``GraphModule.__getstate__``) and rebuilt lazily in each worker
-    process.  The disk tier stores the lowered graphs inside the codegen
-    entry (:func:`repro.sim.codegen.generate_module`), whose load seeds
-    this cache.
+    The module holds one slot, ``_compiled``: ``(digest, lowered,
+    generated-or-None)``, keyed by
+    :func:`~repro.sim.diskcache.module_digest`, the content key the
+    disk tier files entries under.  Lowering reads nothing of an
+    instruction the digest does not cover, so equal content means the
+    same lowered form: the slot is reused while the module's digest
+    matches, and any edit to a node, operand or edge misses it.  The
+    slot is stripped at pickle boundaries (``GraphModule.__getstate__``)
+    and rebuilt lazily in each worker process.
     """
-    cached = module.__dict__.get("_lowered_cache")
-    if cached is not None and _signature_matches(module, cached._signature):
-        return cached
+    digest = module_digest(module)
+    slot = module.__dict__.get("_compiled")
+    if slot is not None and slot[0] == digest:
+        return slot[1]
     lowered = LoweredModule(module)
-    module._lowered_cache = lowered
+    module._compiled = (digest, lowered, None)
     return lowered
 
 

@@ -320,7 +320,7 @@ class GraphInterpreter:
 #: engine is differentially tested against.
 ENGINES = ("codegen", "reference")
 
-#: The engine every unpinned simulation uses.
+#: The engine a simulation uses unless its caller names one.
 DEFAULT_ENGINE = "codegen"
 
 
@@ -358,8 +358,8 @@ def run_module_batch(module: GraphModule,
     """Simulate *module* on every input set of *inputs_list*, in order.
 
     The multi-seed entry point: on the codegen engine the module is
-    generated (and its cache signature validated) once for the whole
-    batch rather than once per run, while every run still gets fresh
+    generated (and its content digest walked) once for the whole batch
+    rather than once per run, while every run still gets fresh
     globals and a fresh profile.  Results are bit-identical to calling
     :func:`run_module` once per input set, on either engine.
     """

@@ -426,7 +426,7 @@ class TestVliwSemantics:
 
 
 class TestLoweredCache:
-    """lower_module caches under the shared structural signature."""
+    """lower_module caches under the module's content digest."""
 
     def _graphs(self):
         return build_module_graphs(compile_source(
@@ -479,27 +479,25 @@ class TestLoweredCache:
     def test_copy_does_not_share_cache(self):
         gm = self._graphs()
         lower_module(gm)
-        assert "_lowered_cache" not in gm.copy().__dict__
+        assert "_compiled" not in gm.copy().__dict__
 
     def test_cache_stripped_on_pickle(self):
         gm = self._graphs()
         lower_module(gm)
         generate_module(gm)
         clone = pickle.loads(pickle.dumps(gm))
-        assert "_lowered_cache" not in clone.__dict__
-        assert "_codegen_cache" not in clone.__dict__
-        # ...and the original keeps both caches.
-        assert "_lowered_cache" in gm.__dict__
-        assert "_codegen_cache" in gm.__dict__
+        assert "_compiled" not in clone.__dict__
+        # ...and the original keeps its lowering and its code.
+        assert gm._compiled[1] is not None
+        assert gm._compiled[2] is not None
         # the clone still runs (it re-lowers lazily)
         assert run_module(clone, {"x": [1, 1, 1, 1]},
                           engine="codegen").return_value == 4
 
 
 class TestCompiledCacheEdgeEdit:
-    """Regression: the memoized-signature fast path must still invalidate
-    on in-place edge edits (the generated-code cache shares the streaming
-    validator with the lowered cache)."""
+    """Regression: the generated-code slot must still invalidate on
+    in-place edge edits (it shares the content key with the lowering)."""
 
     def test_compiled_cache_invalidated_by_edge_edit(self):
         gm = build_module_graphs(compile_source(

@@ -281,6 +281,36 @@ class TestExploreStudy:
         code, _text = run_cli("explore-study", "--benchmarks", "nope")
         assert code == 2
 
+    def test_json_exports_leave_serve_unimported(self, tmp_path):
+        """``--json`` shares its payload builders with the serve daemon
+        but must not import the daemon (or asyncio) to reach them."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"json_dir = {str(tmp_path)!r}\n"
+            "assert main(['explore-study', '--benchmarks', 'sewha',\n"
+            "             '--budgets', '1500',\n"
+            "             '--json', json_dir + '/e.json']) == 0\n"
+            "assert main(['explore-study', '--frontier',\n"
+            "             '--benchmarks', 'sewha', '--max-budget', '1200',\n"
+            "             '--json', json_dir + '/f.json']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.serve')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             text=True, capture_output=True,
+                             check=True).stdout
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "e.json").exists()
+        assert (tmp_path / "f.json").exists()
+
 
 class TestFrontierStudy:
     def test_frontier_report_sections(self):

@@ -302,8 +302,8 @@ class TestGeneratedSource:
         assert generate_module(gm) is first
 
     def test_cache_shares_the_lowered_form(self):
-        """Generation reuses (and caches) the lowering — one structural
-        signature governs both caches."""
+        """Generation reuses (and caches) the lowering — one content key
+        governs both."""
         gm = self._graphs()
         generated = generate_module(gm)
         assert lower_module(gm) is generated.lowered
@@ -323,8 +323,8 @@ class TestGeneratedSource:
         gm = self._graphs()
         generate_module(gm)
         clone = pickle.loads(pickle.dumps(gm))
-        assert "_codegen_cache" not in clone.__dict__
-        assert "_codegen_cache" in gm.__dict__
+        assert "_compiled" not in clone.__dict__
+        assert gm._compiled[2] is not None
         # the clone still runs (it regenerates lazily)
         assert run_module(clone, {"x": [1, 1, 1, 1]},
                           engine="codegen").return_value == 4
@@ -332,7 +332,7 @@ class TestGeneratedSource:
     def test_copy_does_not_share_cache(self):
         gm = self._graphs()
         generate_module(gm)
-        assert "_codegen_cache" not in gm.copy().__dict__
+        assert "_compiled" not in gm.copy().__dict__
 
 
 class TestEngineSelection:

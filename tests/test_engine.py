@@ -138,7 +138,7 @@ class TestCompilationCache:
     def test_copy_does_not_share_cache(self):
         gm = self._graphs()
         generate_module(gm)
-        assert "_codegen_cache" not in gm.copy().__dict__
+        assert "_compiled" not in gm.copy().__dict__
 
 
 class TestErrorParity:

@@ -102,14 +102,14 @@ class TestPristineArtifacts:
         for graph in gm.graphs.values():
             assert verify_graph(graph).ok
         lower_module(gm)
-        lowered = verify_lowered_module(gm, gm._lowered_cache)
+        lowered = verify_lowered_module(gm, gm._compiled[1])
         assert lowered.ok and lowered.checks > 100
         assert verify_generated_module(gm, generate_module(gm)).ok
 
     def test_int_kernel_clean(self):
         gm = _graph_module(INT_KERNEL_SOURCE, level=2)
         lower_module(gm)
-        assert verify_lowered_module(gm, gm._lowered_cache).ok
+        assert verify_lowered_module(gm, gm._compiled[1]).ok
         assert verify_generated_module(gm, generate_module(gm)).ok
 
     def test_raise_if_failed(self):
@@ -126,7 +126,7 @@ class TestPristineArtifacts:
 def _lowered_graph(gm):
     lower_module(gm)
     name = sorted(gm.graphs)[0]
-    return name, gm._lowered_cache.graphs[name]
+    return name, gm._compiled[1].graphs[name]
 
 
 def _first_word(lg, op):
@@ -142,7 +142,7 @@ class TestWordMutations:
         name, lg = _lowered_graph(gm)
         br = _first_word(lg, _eng.BR)
         br[3] = len(lg.words) + 5  # an index past the word list
-        result = verify_lowered_module(gm, gm._lowered_cache)
+        result = verify_lowered_module(gm, gm._compiled[1])
         assert "successor-ref" in _invariants(result)
 
     def test_register_slot_above_frame(self):
@@ -166,7 +166,7 @@ class TestWordMutations:
         gm = _graph_module()
         name, lg = _lowered_graph(gm)
         lg.words.append([_eng.RET_N])  # orphan: no word references it
-        result = verify_lowered_module(gm, gm._lowered_cache)
+        result = verify_lowered_module(gm, gm._compiled[1])
         assert "dead-word" in _invariants(result)
 
     def test_edge_table_swap(self):
@@ -175,7 +175,7 @@ class TestWordMutations:
         assert len(lg.edge_pairs) >= 2
         lg.edge_pairs[0], lg.edge_pairs[1] = \
             lg.edge_pairs[1], lg.edge_pairs[0]
-        result = verify_lowered_module(gm, gm._lowered_cache)
+        result = verify_lowered_module(gm, gm._compiled[1])
         assert "edge-table" in _invariants(result)
 
     def test_branch_counter_pair(self):
@@ -183,7 +183,7 @@ class TestWordMutations:
         name, lg = _lowered_graph(gm)
         br = _first_word(lg, _eng.BR)
         br[4] = br[2] + 2  # legs must carry adjacent counters
-        result = verify_lowered_module(gm, gm._lowered_cache)
+        result = verify_lowered_module(gm, gm._compiled[1])
         assert "branch-counter-pair" in _invariants(result)
 
     def test_counter_out_of_range(self):
@@ -384,7 +384,7 @@ class TestVerifyOnLoad:
         generate_module(gm2)
         cache = diskcache.get_cache()
         assert cache.rejected["codegen"] == 1
-        assert verify_lowered_module(gm2, gm2._lowered_cache).ok
+        assert verify_lowered_module(gm2, gm2._compiled[1]).ok
 
     def test_tampered_code_blob_not_executed(self, verified_cache,
                                             monkeypatch):
