@@ -1,19 +1,19 @@
-"""Verifier-overhead benchmarks: the warm study with the gate on/off.
+"""Verify-on-load benchmarks: the warm study with the gate on/off.
 
-PR 8's acceptance bar: turning ``REPRO_VERIFY=1`` on must cost a warm
-``repro study`` under 5%.  Three shapes pin that down:
+Under ``REPRO_VERIFY=1`` every codegen entry served from disk is compared
+with a fresh generation of its module, so a gated warm study pays the
+lowering, source emission and compile a cold one pays, and skips only
+the store.  Three shapes pin that down:
 
 * **the warm study, gate off** — a four-benchmark ``run_study`` on the
   codegen tier with every compile artifact already on disk (the
   denominator);
 * **the warm study, gate on** — the identical study with verify-on-load
-  active, so every served payload passes the full static check
-  (word layouts, edge/counter tables, generated-source AST invariants)
-  before reconstruction.  The ratio to the leg above is the headline
-  overhead number;
-* **the verification sweep itself** — one benchmark through both
-  engines' artifacts in ``repro verify``, watching the absolute cost of
-  the checks in isolation (no simulation at all).
+  active, so every served entry is compared with a fresh generation
+  before use.  The ratio to the leg above is the cost of the gate;
+* **the ``repro verify`` sweep** — one benchmark at levels 0-2 through
+  the range analysis, watching the absolute cost of the static
+  analysis in isolation (no simulation at all).
 
 Run with ``--benchmark-json=bench_verify.json`` (as CI does); the
 headline numbers are recorded in ``benchmarks/results/bench_verify.json``.
@@ -54,10 +54,9 @@ def test_warm_study_gate_off(benchmark, warm_cache):
 
 
 def test_warm_study_gate_on(benchmark, warm_cache, monkeypatch):
-    """The same warm study with every cache load statically verified.
-    The warmup round pays the one-per-digest check; the measured
-    rounds see the memoized steady state — the ratio to ``gate_off``
-    is the overhead the README quotes."""
+    """The same warm study with every cache load compared with a fresh
+    generation — the ratio to ``gate_off`` is the overhead the README
+    quotes."""
     monkeypatch.setenv(diskcache.VERIFY_ENV_VAR, "1")
     study = benchmark.pedantic(run_study, args=(CONFIG,),
                                rounds=3, iterations=1, warmup_rounds=1)
@@ -65,8 +64,8 @@ def test_warm_study_gate_on(benchmark, warm_cache, monkeypatch):
 
 
 def test_verify_sweep_single_benchmark(benchmark, warm_cache):
-    """The static checks in isolation: one benchmark, levels 0-2, both
-    engines' artifacts — no simulation, just lowering + verification."""
+    """The range analysis in isolation: one benchmark, levels 0-2 — no
+    simulation, just optimizing, lowering and the interval fixpoint."""
     report = benchmark.pedantic(
         run_sweep, kwargs={"benchmarks": ("edge",)},
         rounds=3, iterations=1)

@@ -1,35 +1,28 @@
-"""Static verification of lowered artifacts and generated source.
+"""Static analysis behind ``repro verify``.
 
-The two engines are pinned bit-identical *dynamically* by the differential
-and fuzz suites, which execute every artifact.  This package is the static
-counterpart: it proves a lowered word list, a generated codegen
-source or a disk-cache payload well-formed *without running it*, the way
-LLVM's IR verifier or Cranelift's CFG validator gate every pass with a
-machine-checked invariant sweep.
+The two engines are pinned bit-identical *dynamically* by the
+differential and fuzz suites, which execute every artifact, and compiled
+artifacts are checked by comparison: the committed goldens pin every
+benchmark's optimized graphs and emitted sources, and the verify-on-load
+gate (``REPRO_VERIFY``) compares each cached entry with a fresh
+generation.  This package holds the checks that need no second copy to
+compare against.
 
 Submodules
 ----------
 ``cfg``
     Reconstructs the control-flow graph over the words emitted by
-    ``lower_module`` (successors, predecessors, reachability) and checks
-    per-word layout invariants.
-``verify_lowered``
-    Cross-checks a :class:`_LoweredGraph` against its source
-    :class:`ProgramGraph`: edge tables, branch-counter coverage, one
-    jump word per derived edge, frame plans.
-``verify_codegen``
-    Parses generated codegen source with :mod:`ast` and checks definite
-    assignment, counter write-back discipline, load bounds guards and
-    dispatch targets.
+    ``lower_module`` (successors, predecessors).
 ``ranges``
     Interval analysis over the lowered words: classifies every array
-    access SAFE / UNKNOWN / UNSAFE for ``repro verify --ranges``.
+    access SAFE / UNKNOWN / UNSAFE for ``repro verify``.
 ``lint``
     An AST determinism lint over ``sim/`` and ``exec/`` source that bans
     unordered set iteration and unsorted filesystem enumeration.
 ``sweep``
-    Drives the whole verifier across the benchmark suite and renders the
-    ``repro verify`` Markdown summary.
+    Drives the range analysis across the benchmark suite, renders the
+    ``repro verify`` Markdown summary and scans the disk cache for
+    ``repro cache show --verify``.
 
 Only this module and the dataclasses below are imported eagerly; submodules
 pull in the simulator lazily so that cheap consumers (the CLI parser) do
@@ -41,19 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import VerificationError
-
-__all__ = ["Violation", "VerifyResult", "VerificationError"]
+__all__ = ["Violation", "VerifyResult"]
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated invariant, named so mutation tests can assert on it.
+    """One violated invariant, named so tests can assert on it.
 
-    ``invariant`` is a stable kebab-case identifier (``successor-ref``,
-    ``counter-writeback`` ...); ``detail`` is the human-readable diagnostic;
-    ``graph`` names the function/graph the violation was found in, when
-    there is one.
+    ``invariant`` is a stable kebab-case identifier (``bounds-unsafe``,
+    ``unordered-set-iteration`` ...); ``detail`` is the human-readable
+    diagnostic; ``graph`` names the function/graph (or file) the
+    violation was found in, when there is one.
     """
 
     invariant: str
@@ -83,18 +74,3 @@ class VerifyResult:
         if not ok:
             self.violations.append(Violation(invariant, detail, graph))
         return ok
-
-    def merge(self, other: "VerifyResult") -> "VerifyResult":
-        self.checks += other.checks
-        self.violations.extend(other.violations)
-        return self
-
-    def raise_if_failed(self) -> None:
-        """Raise :class:`VerificationError` naming every violation."""
-        if self.violations:
-            lines = "; ".join(str(v) for v in self.violations[:8])
-            more = len(self.violations) - 8
-            if more > 0:
-                lines += f" (+{more} more)"
-            raise VerificationError(
-                f"{len(self.violations)} invariant violation(s): {lines}")

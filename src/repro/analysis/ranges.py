@@ -24,7 +24,7 @@ on the program's own initial data.
 
 From the fixpoint every subscripted load/store gets a :class:`BoundsProof`
 classifying it SAFE / UNSAFE / UNKNOWN against the array's length.  The
-classifications feed ``repro verify --ranges``, which fails on any
+classifications feed ``repro verify``, which fails on any
 definite UNSAFE access without running the program.  No engine consumes
 them: the generated code keeps every bounds guard.
 """

@@ -1,15 +1,16 @@
-"""Drive the static verifier across the benchmark suite (``repro verify``).
+"""Drive the range analysis across the benchmark suite (``repro verify``).
 
-For every benchmark x optimization level, each engine's artifacts are
-built and checked statically:
+For every benchmark x optimization level the optimized module is lowered
+and the interval analysis (:mod:`repro.analysis.ranges`) classifies
+every array access SAFE / UNKNOWN / UNSAFE.  A definite UNSAFE access,
+or a crash of the analysis, fails the sweep without the program ever
+being executed.  The result renders as a Markdown table of access
+counts per (benchmark, level), with any violations listed below it.
 
-* **reference** — the :class:`ProgramGraph` structure itself;
-* **codegen**   — the lowered words against the graph, then the
-  exec-compiled source's AST (:func:`verify_generated_module`).
-
-The result renders as a Markdown table of checks passed per
-(benchmark, level, tier) — any cell with violations fails the sweep, and
-the violations are listed below the table by invariant name.
+Compiled artifacts are not re-analysed here: the committed goldens pin
+every benchmark's optimized graphs and emitted sources, and the
+verify-on-load gate compares each cached entry with a fresh generation
+(:func:`repro.sim.codegen.generate_module`).
 
 :func:`scan_cache_entries` is the self-contained sibling used by
 ``repro cache show --verify``: it walks a disk cache directory and
@@ -19,24 +20,22 @@ classifies every entry as well-formed or corrupt from the payload alone
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import VerifyResult, Violation
-
-TIERS = ("reference", "codegen")
 
 DEFAULT_LEVELS = (0, 1, 2)
 
 
 @dataclass
 class SweepCell:
-    """One (benchmark, level, tier) verification outcome."""
+    """One (benchmark, level) range-analysis outcome: access counts by
+    class, accesses classified, and violations."""
 
     benchmark: str
     level: int
-    tier: str
+    counts: Dict[str, int]
     checks: int = 0
     violations: List[Violation] = field(default_factory=list)
 
@@ -50,10 +49,6 @@ class SweepReport:
     """Every cell of one ``repro verify`` sweep."""
 
     cells: List[SweepCell] = field(default_factory=list)
-    #: (benchmark, level) -> {"SAFE": n, "UNKNOWN": n, "UNSAFE": n} when the
-    #: sweep ran with range analysis enabled.
-    ranges: Dict[Tuple[str, int], Dict[str, int]] = field(
-        default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -64,28 +59,17 @@ class SweepReport:
         return sum(cell.checks for cell in self.cells)
 
     @property
+    def ranges(self) -> Dict[Tuple[str, int], Dict[str, int]]:
+        """(benchmark, level) -> {"SAFE": n, "UNKNOWN": n, "UNSAFE": n}."""
+        return {(cell.benchmark, cell.level): cell.counts
+                for cell in self.cells}
+
+    @property
     def violations(self) -> List[Tuple[SweepCell, Violation]]:
         return [(cell, v) for cell in self.cells for v in cell.violations]
 
 
-def _verify_tier(tier: str, graph_module) -> VerifyResult:
-    from repro.analysis.verify_codegen import verify_generated_module
-    from repro.analysis.verify_lowered import verify_graph
-    from repro.sim.codegen import generate_module
-
-    if tier == "reference":
-        result = VerifyResult()
-        for name in sorted(graph_module.graphs):
-            result.merge(verify_graph(graph_module.graphs[name]))
-        return result
-    if tier == "codegen":
-        return verify_generated_module(graph_module,
-                                       generate_module(graph_module))
-    raise ValueError(f"unknown tier {tier!r}")
-
-
-def _range_cell(benchmark: str, level: int, graph_module) -> Tuple[
-        SweepCell, Dict[str, int]]:
+def _range_cell(benchmark: str, level: int, graph_module) -> SweepCell:
     """Run the interval analysis over one optimized module.
 
     Every classified access counts as one check; a definite ``UNSAFE``
@@ -94,17 +78,17 @@ def _range_cell(benchmark: str, level: int, graph_module) -> Tuple[
     """
     from repro.analysis import ranges as _ranges
 
-    cell = SweepCell(benchmark, level, "ranges")
     try:
         mranges = _ranges.analyze_module(graph_module)
     except Exception as exc:  # a crash is itself a finding
-        cell.checks += 1
-        cell.violations.append(Violation(
-            "verifier-crash", f"{type(exc).__name__}: {exc}", benchmark))
-        return cell, {_ranges.SAFE: 0, _ranges.UNSAFE: 0,
-                      _ranges.UNKNOWN: 0}
+        return SweepCell(
+            benchmark, level,
+            {_ranges.SAFE: 0, _ranges.UNSAFE: 0, _ranges.UNKNOWN: 0},
+            checks=1, violations=[Violation(
+                "verifier-crash", f"{type(exc).__name__}: {exc}",
+                benchmark)])
     counts = mranges.counts()
-    cell.checks = sum(counts.values())
+    cell = SweepCell(benchmark, level, counts, checks=sum(counts.values()))
     for graph_name, proof in mranges.unsafe_accesses():
         iv = proof.index_interval
         span = "?" if iv is None else f"[{iv[0]}, {iv[1]}]"
@@ -113,15 +97,12 @@ def _range_cell(benchmark: str, level: int, graph_module) -> Tuple[
             f"{proof.kind} {proof.array or '<array>'}{span} is out of "
             f"bounds for length {proof.length} at word "
             f"{proof.word_index}", graph_name))
-    return cell, counts
+    return cell
 
 
 def run_sweep(benchmarks: Optional[Sequence[str]] = None,
-              levels: Sequence[int] = DEFAULT_LEVELS,
-              tiers: Sequence[str] = TIERS,
-              ranges: bool = False,
-              progress=None) -> SweepReport:
-    """Statically verify every (benchmark, level, tier) artifact."""
+              levels: Sequence[int] = DEFAULT_LEVELS) -> SweepReport:
+    """Range-analyse every (benchmark, level) module of the suite."""
     from repro.opt.pipeline import OptLevel, optimize_module
     from repro.suite.registry import all_benchmarks, get_benchmark
     from repro.suite.runner import compile_benchmark
@@ -135,78 +116,31 @@ def run_sweep(benchmarks: Optional[Sequence[str]] = None,
         module = compile_benchmark(spec)
         for level in levels:
             graph_module, _ = optimize_module(module, OptLevel(level))
-            for tier in tiers:
-                if progress is not None:
-                    progress(spec.name, level, tier)
-                cell = SweepCell(spec.name, level, tier)
-                try:
-                    result = _verify_tier(tier, graph_module)
-                except Exception as exc:  # a crash is itself a finding
-                    cell.checks += 1
-                    cell.violations.append(Violation(
-                        "verifier-crash", f"{type(exc).__name__}: {exc}",
-                        spec.name))
-                else:
-                    cell.checks = result.checks
-                    cell.violations = result.violations
-                report.cells.append(cell)
-            if ranges:
-                if progress is not None:
-                    progress(spec.name, level, "ranges")
-                cell, counts = _range_cell(spec.name, level, graph_module)
-                report.cells.append(cell)
-                report.ranges[(spec.name, level)] = counts
+            report.cells.append(_range_cell(spec.name, level, graph_module))
     return report
 
 
-def render_markdown(report: SweepReport,
-                    tiers: Sequence[str] = TIERS) -> str:
+def render_markdown(report: SweepReport) -> str:
     """The ``repro verify`` summary: one row per (benchmark, level)."""
-    lines = ["# Static artifact verification", ""]
-    header = "| benchmark | level | " + " | ".join(tiers) + " |"
-    rule = "|---|---|" + "|".join("---" for _ in tiers) + "|"
-    lines += [header, rule]
-    by_row: Dict[Tuple[str, int], Dict[str, SweepCell]] = {}
-    order: List[Tuple[str, int]] = []
+    lines = ["# Static artifact verification", "",
+             "## Range analysis", "",
+             "| benchmark | level | SAFE | UNKNOWN | UNSAFE |",
+             "|---|---|---|---|---|"]
     for cell in report.cells:
-        key = (cell.benchmark, cell.level)
-        if key not in by_row:
-            by_row[key] = {}
-            order.append(key)
-        by_row[key][cell.tier] = cell
-    for benchmark, level in order:
-        row = [benchmark, str(level)]
-        for tier in tiers:
-            cell = by_row[(benchmark, level)].get(tier)
-            if cell is None:
-                row.append("—")
-            elif cell.ok:
-                row.append(f"{cell.checks} ✓")
-            else:
-                row.append(f"FAIL({len(cell.violations)})")
-        lines.append("| " + " | ".join(row) + " |")
-    if report.ranges:
-        lines += ["", "## Range analysis", "",
-                  "| benchmark | level | SAFE | UNKNOWN | UNSAFE |",
-                  "|---|---|---|---|---|"]
-        for (benchmark, level), counts in report.ranges.items():
-            unsafe = counts.get("UNSAFE", 0)
-            lines.append(
-                f"| {benchmark} | {level} | {counts.get('SAFE', 0)} | "
-                f"{counts.get('UNKNOWN', 0)} | "
-                + (f"**{unsafe}**" if unsafe else "0") + " |")
+        counts = cell.counts
+        unsafe = counts.get("UNSAFE", 0)
+        lines.append(
+            f"| {cell.benchmark} | {cell.level} | {counts.get('SAFE', 0)} | "
+            f"{counts.get('UNKNOWN', 0)} | "
+            + (f"**{unsafe}**" if unsafe else "0") + " |")
     lines.append("")
-    total = len(report.cells)
     failed = sum(1 for cell in report.cells if not cell.ok)
-    lines.append(f"{report.checks} checks over {total} cells; "
-                 f"{failed} cell(s) failed.")
+    lines.append(f"{report.checks} accesses classified over "
+                 f"{len(report.cells)} cells; {failed} cell(s) failed.")
     if failed:
-        lines.append("")
-        lines.append("## Violations")
-        lines.append("")
+        lines += ["", "## Violations", ""]
         for cell, violation in report.violations:
-            lines.append(f"- `{cell.benchmark}` L{cell.level} "
-                         f"{cell.tier}: {violation}")
+            lines.append(f"- `{cell.benchmark}` L{cell.level}: {violation}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,18 +152,18 @@ def report_json(report: SweepReport,
         "checks": report.checks,
         "cells": [
             {"benchmark": cell.benchmark, "level": cell.level,
-             "tier": cell.tier, "checks": cell.checks, "ok": cell.ok}
+             "checks": cell.checks, "ok": cell.ok}
             for cell in report.cells],
         "violations": [
             {"benchmark": cell.benchmark, "level": cell.level,
-             "tier": cell.tier, "invariant": violation.invariant,
+             "invariant": violation.invariant,
              "graph": violation.graph, "detail": violation.detail}
             for cell, violation in report.violations],
+        "ranges": [
+            {"benchmark": cell.benchmark, "level": cell.level,
+             **cell.counts}
+            for cell in report.cells],
     }
-    if report.ranges:
-        doc["ranges"] = [
-            {"benchmark": benchmark, "level": level, **counts}
-            for (benchmark, level), counts in report.ranges.items()]
     if lint is not None:
         doc["lint"] = {
             "ok": lint.ok,
@@ -245,47 +179,35 @@ def report_json(report: SweepReport,
 # -- cache scanning (repro cache show --verify) ------------------------------------
 
 
-def _scan_payload(kind: str, payload) -> VerifyResult:
-    """Self-contained well-formedness checks on one cache payload —
-    no source module available, so cross-tier checks are skipped."""
-    from repro.analysis.cfg import verify_words
+def _payload_problem(kind: str, payload) -> Optional[str]:
+    """Why one cache payload is corrupt, or ``None`` when it is not.
 
-    result = VerifyResult()
+    No source module is available, so a codegen payload is checked
+    against itself: re-emitting its stored graphs must give its stored
+    sources, and the marshalled code blob must match its digest."""
+    import hashlib
+
+    from repro.sim.codegen import payload_holds
+
     if kind != "codegen":
-        return result
-    graphs = payload.get("graphs") if isinstance(payload, dict) else None
-    if not result.check(isinstance(graphs, dict), "payload-shape",
-                        "codegen payload has no graphs table"):
-        return result
-    for name in sorted(graphs):
-        result.merge(verify_words(graphs[name]))
-    sources = payload.get("sources")
-    if result.check(isinstance(sources, tuple)
-                    and all(isinstance(text, str) for text in sources),
-                    "payload-shape", "codegen payload has no source texts"):
-        try:
-            for text in sources:
-                ast.parse(text)
-            result.check(True, "source-syntax", "")
-        except SyntaxError as exc:
-            result.check(False, "source-syntax",
-                         f"stored source does not parse: {exc}")
+        return None
+    if not payload_holds(payload, list(payload["sources"])):
+        return ("re-emission: the stored graphs do not re-emit the "
+                "stored sources")
     blob = payload.get("code")
-    if blob is not None:
-        import hashlib
-        sha = hashlib.sha256(blob).hexdigest()
-        result.check(sha == payload.get("code_sha"), "code-sha",
-                     "marshalled code blob does not match its "
-                     "recorded digest")
-    return result
+    if blob is not None and \
+            hashlib.sha256(blob).hexdigest() != payload.get("code_sha"):
+        return ("code-sha: marshalled code blob does not match its "
+                "recorded digest")
+    return None
 
 
 def scan_cache_entries(cache) -> Tuple[int, int, List[str]]:
     """Scan every entry of *cache*: (well-formed, corrupt, details).
 
-    An entry that fails to unpickle or whose payload violates the
-    self-contained invariants counts as corrupt; details name the file
-    and the violated invariant.
+    An entry that fails to unpickle, or whose payload fails the
+    self-contained checks or crashes them, counts as corrupt; details
+    name the file and the failed check.
     """
     import pickle
 
@@ -303,16 +225,12 @@ def scan_cache_entries(cache) -> Tuple[int, int, List[str]]:
                            f"({type(exc).__name__})")
             continue
         try:
-            result = _scan_payload(kind, payload)
+            problem = _payload_problem(kind, payload)
         except Exception as exc:
-            corrupt += 1
-            details.append(f"{path.name}: verifier crash "
-                           f"({type(exc).__name__}: {exc})")
-            continue
-        if result.ok:
+            problem = f"verifier crash ({type(exc).__name__}: {exc})"
+        if problem is None:
             well_formed += 1
         else:
             corrupt += 1
-            first = result.violations[0]
-            details.append(f"{path.name}: {first}")
+            details.append(f"{path.name}: {problem}")
     return well_formed, corrupt, details

@@ -316,22 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_arg(cache)
 
     verify = sub.add_parser(
-        "verify", help="statically verify lowered/generated artifacts "
-                       "across the suite")
+        "verify", help="range-analyse every benchmark's lowered words and "
+                       "lint the simulator sources for nondeterminism")
     verify.add_argument("--benchmarks", default=None,
                         help="comma-separated subset (default: all 12)")
     verify.add_argument("--levels", default="0,1,2", type=_parse_levels,
                         help="optimization levels (default 0,1,2)")
-    verify.add_argument("--tiers", default=None,
-                        help="comma-separated subset of reference,codegen")
     verify.add_argument("--skip-lint", action="store_true",
                         help="skip the determinism lint over sim/, exec/, "
                              "serve/ and analysis/")
-    verify.add_argument("--ranges", action="store_true",
-                        help="run the value-range analysis per benchmark "
-                             "and report SAFE/UNKNOWN/UNSAFE access "
-                             "counts; definite UNSAFE accesses fail the "
-                             "sweep without executing the program")
     verify.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of the "
                              "Markdown summary")
@@ -751,17 +744,10 @@ def cmd_verify(args, out) -> int:
     import json as _json
 
     from repro.analysis.lint import lint_determinism
-    from repro.analysis.sweep import (TIERS, render_markdown, report_json,
-                                      run_sweep)
+    from repro.analysis.sweep import render_markdown, report_json, run_sweep
 
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    tiers = tuple(args.tiers.split(",")) if args.tiers else TIERS
-    for tier in tiers:
-        if tier not in TIERS:
-            raise ReproError(f"unknown tier {tier!r} (expected one of "
-                             f"{', '.join(TIERS)})")
-    report = run_sweep(benchmarks=benchmarks, levels=args.levels,
-                       tiers=tiers, ranges=args.ranges)
+    report = run_sweep(benchmarks=benchmarks, levels=args.levels)
     failed = not report.ok
     lint = None
     if not args.skip_lint:
@@ -771,7 +757,7 @@ def cmd_verify(args, out) -> int:
         text = _json.dumps(report_json(report, lint), indent=2,
                            sort_keys=True) + "\n"
     else:
-        text = render_markdown(report, tiers=tiers)
+        text = render_markdown(report)
         if lint is not None:
             if lint.ok:
                 text += (f"\nDeterminism lint: {lint.checks} checks over "
@@ -787,8 +773,8 @@ def cmd_verify(args, out) -> int:
         print(f"verification summary written to {args.output}", file=out)
         if failed:
             for cell, violation in report.violations:
-                print(f"FAIL {cell.benchmark} L{cell.level} "
-                      f"{cell.tier}: {violation}", file=out)
+                print(f"FAIL {cell.benchmark} L{cell.level}: {violation}",
+                      file=out)
     else:
         print(text, file=out)
     return 1 if failed else 0

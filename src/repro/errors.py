@@ -74,7 +74,3 @@ class AnalysisError(ReproError):
 
 class AsipError(ReproError):
     """Raised by the ASIP model (unknown chain pattern, budget misuse, ...)."""
-
-
-class VerificationError(ReproError):
-    """Raised by the static artifact verifier (see :mod:`repro.analysis`)."""

@@ -42,8 +42,8 @@ from repro.sim import engine as _eng
 from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
                               JUMP_SLOTS, LoweredModule, RET_C, RET_N,
                               RET_R, RET_S, RETREAD, TERMINAL_OPS, TEST,
-                              _LoweredGraph, _UNDEF, _payload_verified,
-                              lower_module, run_lowered_module)
+                              _LoweredGraph, _UNDEF, lower_module,
+                              run_lowered_module)
 from repro.sim.diskcache import get_cache, module_digest, verify_on_load
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
@@ -550,15 +550,11 @@ class GeneratedModule:
         compilation; a blob whose checksum does not match falls back to
         compiling the stored sources.  A *lowered* form the module
         already holds for the entry's digest is kept; otherwise the
-        entry's lowered graphs are bound to *module*.
-
-        Under the verify-on-load gate (``REPRO_VERIFY``) the blob is
-        ignored: the gate checked the stored sources, so those sources
-        are compiled and run, never code the checks did not see."""
+        entry's lowered graphs are bound to *module*."""
         if lowered is None:
             lowered = LoweredModule.from_graphs(module, payload["graphs"])
         codes = None
-        blob = None if verify_on_load() else payload.get("code")
+        blob = payload.get("code")
         if isinstance(blob, bytes) and \
                 hashlib.sha256(blob).hexdigest() == payload.get("code_sha"):
             try:
@@ -575,17 +571,33 @@ def _disk_payload(lowered: LoweredModule, sources: List[str],
                   consts: Dict[str, object], codes: tuple
                   ) -> Dict[str, object]:
     """The disk-cache entry: lowered graphs (the run frame and the
-    profile-reconstruction tables need them), the emitted sources (read
-    by the verify-on-load gate), their non-literal constants, and the
-    marshalled code objects so a warm load skips parsing and compiling
-    too.  The marshal blob travels with its own checksum:
-    ``marshal.loads`` is documented as unsafe on erroneous bytes (it may
-    crash rather than raise), so a load must be able to reject a damaged
-    blob *before* handing it to marshal."""
+    profile-reconstruction tables need them), the emitted sources (the
+    fallback for a damaged code blob, and what the verify-on-load gate
+    compares), their non-literal constants, and the marshalled code
+    objects so a warm load skips parsing and compiling too.  The marshal
+    blob travels with its own checksum: ``marshal.loads`` is documented
+    as unsafe on erroneous bytes (it may crash rather than raise), so a
+    load must be able to reject a damaged blob *before* handing it to
+    marshal."""
     blob = marshal.dumps(codes)
     return {"graphs": lowered.graphs, "sources": tuple(sources),
             "consts": consts, "code": blob,
             "code_sha": hashlib.sha256(blob).hexdigest()}
+
+
+def payload_holds(payload: Dict[str, object], sources: List[str]) -> bool:
+    """Whether a codegen entry holds the program emitted as *sources*:
+    its stored sources and the sources re-emitted from its stored
+    graphs both equal them.  A payload the comparison cannot read does
+    not."""
+    try:
+        if list(payload["sources"]) != sources:
+            return False
+        # emission reads only the graphs, not the module they belong to
+        stored = LoweredModule.from_graphs(None, payload["graphs"])
+        return emit_sources(stored)[0] == sources
+    except Exception:
+        return False
 
 
 def generate_module(module: GraphModule) -> GeneratedModule:
@@ -602,6 +614,13 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     marshalled code objects) the compile, leaving only the ``exec`` of
     the pre-built code; a lowering the slot already holds is kept.  A
     fresh generation publishes exactly one entry.
+
+    Under the verify-on-load gate (``REPRO_VERIFY``) a hit is checked
+    by comparison: the module is lowered and emitted as on a miss, and
+    the entry is accepted only if it holds that program
+    (:func:`payload_holds`).  An entry that does not is rejected and
+    re-stored.  Either way the code that runs is compiled from the fresh
+    sources; the entry's marshalled code is never used under the gate.
     """
     digest = module_digest(module)
     slot = module.__dict__.get("_compiled")
@@ -611,27 +630,25 @@ def generate_module(module: GraphModule) -> GeneratedModule:
             return slot[2]
         lowered = slot[1]
     cache = get_cache()
-    if cache is not None:
-        payload = cache.load("codegen", digest)
-        if payload is not None and not _payload_verified(
-                module, payload, cache, digest):
-            payload = None
-        if payload is not None:
-            try:
-                generated = GeneratedModule.from_payload(
-                    module, payload, lowered)
-            except Exception:
-                cache.unusable("codegen")
-                generated = None
-            if generated is not None:
-                module._compiled = (digest, generated.lowered, generated)
-                return generated
+    payload = None if cache is None else cache.load("codegen", digest)
+    if payload is not None and not verify_on_load():
+        try:
+            generated = GeneratedModule.from_payload(module, payload, lowered)
+        except Exception:
+            cache.unusable("codegen")
+        else:
+            module._compiled = (digest, generated.lowered, generated)
+            return generated
+        payload = None
     if lowered is None:
         lowered = lower_module(module)
     sources, consts = emit_sources(lowered)
+    if payload is not None and not payload_holds(payload, sources):
+        cache.reject("codegen")
+        payload = None
     codes = _compile_sources(module, sources)
     generated = GeneratedModule(module, lowered, consts, codes)
-    if cache is not None:
+    if cache is not None and payload is None:
         cache.store("codegen", digest,
                     _disk_payload(lowered, sources, consts, codes))
     module._compiled = (digest, lowered, generated)

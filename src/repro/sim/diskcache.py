@@ -68,10 +68,11 @@ from repro.ir.values import ArraySymbol, Constant, VirtualReg
 #: Environment variable naming the cache directory (``none`` disables).
 CACHE_ENV_VAR = "REPRO_CACHE"
 
-#: When set truthy, every payload served from disk is statically verified
-#: against the module before use (see :mod:`repro.analysis`); a payload
-#: that fails verification is treated as a miss, counted under
-#: ``rejected``, and regenerated — exactly the corruption path.
+#: When set truthy, every codegen payload served from disk is compared
+#: with a fresh generation of the module before use
+#: (:func:`repro.sim.codegen.generate_module`); a payload that holds a
+#: different program is treated as a miss, counted under ``rejected``,
+#: and re-stored — exactly the corruption path.
 VERIFY_ENV_VAR = "REPRO_VERIFY"
 
 #: When set truthy, the whole-result tier is active: the ``run_study``
@@ -303,11 +304,6 @@ class DiskCache:
         #: orphaned atomic-write temporaries reaped so far (by
         #: :meth:`clear`).
         self.tmp_swept = 0
-        #: ``(kind, digest)`` pairs whose payloads already passed the
-        #: verify-on-load gate this process.  The digest keys the entry
-        #: file, so a re-load serves the same bytes — re-checking them
-        #: would only re-derive the same verdict.
-        self.verified: set = set()
 
     def _account(self, op: str, started: float) -> None:
         self.op_count[op] += 1
@@ -384,9 +380,10 @@ class DiskCache:
         """Reclassify the most recent hit as a verification refusal.
 
         The verify-on-load gate (:data:`VERIFY_ENV_VAR`) calls this when
-        an entry unpickled cleanly but its payload violates a static
-        invariant; like :meth:`unusable`, the hit becomes a miss and the
-        caller regenerates.  Returns whether a hit was reclassified.
+        an entry unpickled cleanly but does not hold the program a fresh
+        generation emits; like :meth:`unusable`, the hit becomes a miss
+        and the caller re-stores the entry.  Returns whether a hit was
+        reclassified.
         """
         return self._reclassify(kind, self.rejected)
 

@@ -34,7 +34,7 @@ from repro.cfg.graph import GraphModule, Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
-from repro.sim.diskcache import module_digest, verify_on_load
+from repro.sim.diskcache import module_digest
 from repro.sim.machine import MachineResult
 from repro.sim.memory import ArrayStorage
 from repro.sim.profile import ProfileData
@@ -1046,37 +1046,6 @@ class LoweredModule:
         lowered.module = module
         lowered.graphs = graphs
         return lowered
-
-
-def _payload_verified(module, payload, cache, digest: str) -> bool:
-    """The verify-on-load gate of the codegen disk-cache entry.
-
-    With ``REPRO_VERIFY`` unset this is free (one env lookup).  When
-    set, the payload is statically checked against *module* before any
-    reconstruction or ``exec``; a violating — or verifier-crashing —
-    payload is counted as ``rejected`` and read as a miss, exactly like
-    a corrupt entry, and the caller regenerates.
-
-    A pass is memoized per digest on the cache handle: the digest keys
-    the entry file, so a later load of the same key serves the same
-    bytes and a re-check could only repeat the verdict.  A warm study
-    therefore pays for each distinct artifact once per process, not
-    once per load.
-    """
-    if not verify_on_load():
-        return True
-    if ("codegen", digest) in cache.verified:
-        return True
-    try:
-        from repro.analysis.verify_codegen import verify_codegen_payload
-        ok = verify_codegen_payload(module, payload).ok
-    except Exception:
-        ok = False
-    if not ok:
-        cache.reject("codegen")
-    else:
-        cache.verified.add(("codegen", digest))
-    return ok
 
 
 def lower_module(module: GraphModule) -> LoweredModule:

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim import diskcache
 from repro.sim.diskcache import (DISABLE_VALUE, DiskCache, FORMAT_VERSION,
@@ -77,6 +78,32 @@ class TestDigest:
         graph.nodes[nid].succs.append(nid)
         assert module_digest(gm) != before
 
+    def test_changes_on_load_array_edit(self):
+        """Two modules that differ only in which array one load reads
+        must not share a key: their entries hold different programs."""
+        source = ("int x[4];\nint z[4];\n"
+                  "int main() {\n    return x[1] + z[2];\n}\n")
+        gm, _ = optimize_module(compile_source(source), OptLevel(1))
+        before = module_digest(gm)
+        loads = [ins for graph in gm.graphs.values()
+                 for node in graph.nodes.values() for ins in node.ops
+                 if ins.array is not None]
+        x_load = next(ins for ins in loads if ins.array.name == "x")
+        z_symbol = next(ins.array for ins in loads
+                        if ins.array.name == "z")
+        x_load.array = z_symbol
+        assert module_digest(gm) != before
+
+    def test_changes_on_successor_order(self):
+        """A branch's successor order is its taken/fall-through choice."""
+        gm = fresh_graph_module()
+        before = module_digest(gm)
+        node = next(node for graph in gm.graphs.values()
+                    for node in graph.nodes.values()
+                    if len(set(node.succs)) == 2)
+        node.succs = list(reversed(node.succs))
+        assert module_digest(gm) != before
+
 
 class TestEquivalence:
     def test_warm_hit_bit_identical_on_all_engines(self, cache_dir,
@@ -117,9 +144,13 @@ class TestEquivalence:
         def refuse(*_args, **_kwargs):
             raise AssertionError(
                 "warm disk cache must skip lowering/generation/compiling")
-        monkeypatch.setattr(engine_mod.LoweredModule, "__init__", refuse)
-        monkeypatch.setattr(codegen_mod, "_FunctionEmitter", refuse)
-        monkeypatch.setattr(codegen_mod, "_compile_sources", refuse)
+        # The verify-on-load gate generates afresh by design, to compare
+        # the entry with; only an ungated hit skips the work.
+        if not diskcache.verify_on_load():
+            monkeypatch.setattr(engine_mod.LoweredModule, "__init__",
+                                refuse)
+            monkeypatch.setattr(codegen_mod, "_FunctionEmitter", refuse)
+            monkeypatch.setattr(codegen_mod, "_compile_sources", refuse)
         before = get_cache().hits["codegen"]
         warm = result_projection(run_module(fresh_graph_module(), INPUTS))
         assert warm == cold

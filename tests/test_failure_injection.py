@@ -110,6 +110,41 @@ class TestRunnerOracle:
             pool_mod.shutdown_pool()
 
 
+    def test_verify_flag_gates_the_level_zero_oracle(self, monkeypatch):
+        """A level-1 run whose output globals are corrupted must raise
+        out of ``run_study`` with ``verify=True``, and pass unchecked
+        with ``verify=False``: the flag decides whether level 0 is the
+        oracle of the later levels."""
+        import repro.exec.study as study_mod
+        import repro.suite.runner as runner_mod
+        from repro.feedback.study import StudyConfig, run_study
+        real_benchmark = study_mod.run_benchmark
+        real_run = runner_mod.run_module
+
+        def corrupted(graph_module, inputs, **kwargs):
+            result = real_run(graph_module, inputs, **kwargs)
+            result.globals_after["y"][0] += 1
+            return result
+
+        def run_benchmark(spec, level, **kwargs):
+            if OptLevel(level) != OptLevel(1):
+                return real_benchmark(spec, level, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(runner_mod, "run_module", corrupted)
+                return real_benchmark(spec, level, **kwargs)
+
+        monkeypatch.setattr(study_mod, "run_benchmark", run_benchmark)
+        config = StudyConfig(benchmarks=("sewha",), levels=(0, 1), jobs=1)
+        with pytest.raises(OptimizationError, match="level-1"):
+            run_study(config)
+        study = run_study(StudyConfig(benchmarks=("sewha",), levels=(0, 1),
+                                      jobs=1, verify=False))
+        level0, level1 = (study.benchmark("sewha").run_at(level)
+                          for level in (0, 1))
+        assert level1.machine_result.globals_after["y"][0] == \
+            level0.machine_result.globals_after["y"][0] + 1
+
+
 class TestSimulatorAsOracle:
     def test_illegal_hoist_changes_outputs(self):
         """Manually perform a move that violates the true-dependence rule

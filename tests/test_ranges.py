@@ -1,7 +1,7 @@
 """Value-range abstract interpretation for static out-of-bounds detection.
 
 Covers the interval domain in isolation, the whole-module analysis, the
-sweep/CLI surface (``repro verify --ranges`` / ``--json``), and that the
+sweep/CLI surface (``repro verify`` / ``--json``), and that the
 generated code keeps every bounds guard whatever the analysis proves.
 """
 
@@ -139,8 +139,7 @@ class TestModuleAnalysis:
 
 class TestVerifySurface:
     def test_sweep_reports_range_counts(self):
-        report = run_sweep(benchmarks=["fir"], levels=[1],
-                           tiers=("codegen",), ranges=True)
+        report = run_sweep(benchmarks=["fir"], levels=[1])
         assert report.ok
         counts = report.ranges[("fir", 1)]
         assert counts[R.SAFE] > 0 and counts[R.UNSAFE] == 0
@@ -153,18 +152,16 @@ class TestVerifySurface:
             data_description="none", source=OOB_SOURCE,
             inputs=(), outputs=(), generator=lambda seed: {})
         monkeypatch.setitem(registry._REGISTRY, "oob", spec)
-        # tiers=() : nothing is executed or even code-generated — the
-        # UNSAFE verdict comes from the analysis alone
-        report = run_sweep(benchmarks=["oob"], levels=[0], tiers=(),
-                           ranges=True)
+        # nothing is executed or even code-generated — the UNSAFE
+        # verdict comes from the analysis alone
+        report = run_sweep(benchmarks=["oob"], levels=[0])
         assert not report.ok
         assert report.ranges[("oob", 0)][R.UNSAFE] == 1
         invariants = {v.invariant for _, v in report.violations}
         assert invariants == {"bounds-unsafe"}
 
     def test_report_json_shape(self):
-        report = run_sweep(benchmarks=["fir"], levels=[1],
-                           tiers=("codegen",), ranges=True)
+        report = run_sweep(benchmarks=["fir"], levels=[1])
         doc = report_json(report)
         text = json.dumps(doc)  # must be serializable
         doc = json.loads(text)
@@ -175,8 +172,7 @@ class TestVerifySurface:
     def test_cli_verify_json(self, capsys):
         from repro.cli import main
         rc = main(["verify", "--benchmarks", "fir", "--levels", "1",
-                   "--tiers", "codegen", "--ranges", "--json",
-                   "--skip-lint"])
+                   "--json", "--skip-lint"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True and doc["ranges"]
