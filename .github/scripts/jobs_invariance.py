@@ -5,9 +5,10 @@ The benchmark harness pins seed 0's output digest of the ``study`` and
 workload (run at ``--jobs 2``).  This script runs each of those exact
 configurations with the other worker count -- ``study`` and ``frontier``
 at ``--jobs 2``, ``explore-seeds`` at ``--jobs 1`` -- as ``python -m repro
-... --json``, hashes the JSON with the harness's own ``output_digest`` and
-exits non-zero unless all three match the pinned digests in
-``perfbench/digests.json``.
+... --json``, twice on one disk cache per configuration (cold, then warm,
+so the second run loads what the first stored), hashes each JSON with
+the harness's own ``output_digest`` and exits non-zero unless all six
+match the pinned digests in ``perfbench/digests.json``.
 
     python3 .github/scripts/jobs_invariance.py
 """
@@ -36,21 +37,22 @@ def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory(prefix="repro-jobs-") as tmp:
         env = scrubbed_env(dict(os.environ))
-        env["REPRO_CACHE"] = str(Path(tmp) / "cache")
         for name, jobs in SWAPPED_JOBS.items():
+            env["REPRO_CACHE"] = str(Path(tmp) / f"cache-{name}")
             argv = WORKLOADS[name].argv(SEED)
             argv[argv.index("--jobs") + 1] = jobs
-            out = Path(tmp) / f"{name}.json"
-            subprocess.run([sys.executable, "-m", "repro", *argv,
-                            "--json", str(out)],
-                           cwd=ROOT, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-            digest = output_digest(json.loads(out.read_text()))
-            want = pinned[name][str(SEED)]
-            ok = digest == want
-            failed |= not ok
-            print(f"{name} --jobs {jobs}: {digest} "
-                  f"{'matches' if ok else 'DIFFERS from'} pinned {want}")
+            for cache in ("cold", "warm"):
+                out = Path(tmp) / f"{name}-{cache}.json"
+                subprocess.run([sys.executable, "-m", "repro", *argv,
+                                "--json", str(out)],
+                               cwd=ROOT, env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+                digest = output_digest(json.loads(out.read_text()))
+                want = pinned[name][str(SEED)]
+                ok = digest == want
+                failed |= not ok
+                print(f"{name} --jobs {jobs} ({cache} cache): {digest} "
+                      f"{'matches' if ok else 'DIFFERS from'} pinned {want}")
     return 1 if failed else 0
 
 

@@ -133,6 +133,8 @@ def test_exploration_study_warm_cache(benchmark, warm_cache):
     for name in ("edge", "sewha"):
         for budget in BUDGETS:
             assert study.exploration(name, budget).measured
+    # the optimized modules came from disk, not the front end + optimizer
+    assert diskcache.get_cache().hits["optimized"] > 0
 
 
 # -- the frontier sweep vs a dense budget grid -------------------------------------

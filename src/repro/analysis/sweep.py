@@ -10,7 +10,8 @@ counts per (benchmark, level), with any violations listed below it.
 Compiled artifacts are not re-analysed here: the committed goldens pin
 every benchmark's optimized graphs and emitted sources, and the
 verify-on-load gate compares each cached entry with a fresh generation
-(:func:`repro.sim.codegen.generate_module`).
+(:func:`repro.sim.codegen.generate_module`) or optimization
+(:func:`repro.exec.study.optimized_module`).
 
 :func:`scan_cache_entries` is the self-contained sibling used by
 ``repro cache show --verify``: it walks a disk cache directory and
@@ -182,16 +183,29 @@ def report_json(report: SweepReport,
 def _payload_problem(kind: str, payload) -> Optional[str]:
     """Why one cache payload is corrupt, or ``None`` when it is not.
 
-    No source module is available, so a codegen payload is checked
-    against itself: re-emitting its stored graphs must give its stored
-    sources, and the marshalled code blob must match its digest."""
+    No source module is available, so each payload is checked against
+    itself.  A codegen payload's stored graphs must re-emit its stored
+    sources and constants, its marshalled code blob must match its
+    digest, and compiling the stored sources must give the blob's code
+    objects.  An optimized payload must be a ``(GraphModule,
+    OptimizationReport)`` pair whose nodes name only successors in
+    their own graph."""
     import hashlib
 
-    from repro.sim.codegen import payload_holds
+    from repro.sim.codegen import (_compile_sources, emit_sources,
+                                   payload_mismatch)
+    from repro.sim.engine import LoweredModule
 
+    if kind == "optimized":
+        return _optimized_problem(payload)
     if kind != "codegen":
         return None
-    if not payload_holds(payload, list(payload["sources"])):
+    # emission reads only the graphs, not the module they belong to
+    sources, consts = emit_sources(
+        LoweredModule.from_graphs(None, payload["graphs"]))
+    mismatch = payload_mismatch(payload, payload["graphs"], sources,
+                                consts, _compile_sources("scan", sources))
+    if mismatch in ("sources", "consts"):
         return ("re-emission: the stored graphs do not re-emit the "
                 "stored sources")
     blob = payload.get("code")
@@ -199,6 +213,26 @@ def _payload_problem(kind: str, payload) -> Optional[str]:
             hashlib.sha256(blob).hexdigest() != payload.get("code_sha"):
         return ("code-sha: marshalled code blob does not match its "
                 "recorded digest")
+    if mismatch is not None:
+        return ("code-blob: the marshalled code is not the stored "
+                "sources compiled")
+    return None
+
+
+def _optimized_problem(payload) -> Optional[str]:
+    from repro.exec.study import optimized_pair
+
+    try:
+        graph_module, _report = optimized_pair(payload)
+    except TypeError as exc:
+        return f"shape: {exc}"
+    for graph in graph_module.graphs.values():
+        for nid, node in graph.nodes.items():
+            missing = [succ for succ in node.succs
+                       if succ not in graph.nodes]
+            if missing:
+                return (f"successors: node {nid} of {graph.name!r} "
+                        f"names missing node(s) {missing}")
     return None
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import pickle
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
@@ -505,10 +506,11 @@ def emit_sources(lowered: LoweredModule) -> Tuple[List[str],
     return sources, consts
 
 
-def _compile_sources(module: GraphModule, sources: Sequence[str]) -> tuple:
-    """One code object per graph source: a whole module's source in one
-    ``compile`` call leaves a large arena behind in the process's RSS."""
-    filename = f"<repro-codegen:{module.name}>"
+def _compile_sources(name: str, sources: Sequence[str]) -> tuple:
+    """One code object per graph source of module *name*: a whole
+    module's source in one ``compile`` call leaves a large arena behind
+    in the process's RSS."""
+    filename = f"<repro-codegen:{name}>"
     return tuple(compile(source, filename, "exec") for source in sources)
 
 
@@ -553,18 +555,25 @@ class GeneratedModule:
         entry's lowered graphs are bound to *module*."""
         if lowered is None:
             lowered = LoweredModule.from_graphs(module, payload["graphs"])
-        codes = None
-        blob = payload.get("code")
-        if isinstance(blob, bytes) and \
-                hashlib.sha256(blob).hexdigest() == payload.get("code_sha"):
-            try:
-                codes = marshal.loads(blob)
-            except Exception:
-                codes = None
+        codes = _blob_codes(payload)
         if not isinstance(codes, tuple) or \
                 len(codes) != len(lowered.graphs):
-            codes = _compile_sources(module, payload["sources"])
+            codes = _compile_sources(module.name, payload["sources"])
         return cls(module, lowered, payload["consts"], codes)
+
+
+def _blob_codes(payload: Dict[str, object]):
+    """The entry's unmarshalled code objects, or ``None`` when the blob
+    is absent, fails its checksum or does not unmarshal (a load then
+    compiles the stored sources)."""
+    blob = payload.get("code")
+    if not isinstance(blob, bytes) or \
+            hashlib.sha256(blob).hexdigest() != payload.get("code_sha"):
+        return None
+    try:
+        return marshal.loads(blob)
+    except Exception:
+        return None
 
 
 def _disk_payload(lowered: LoweredModule, sources: List[str],
@@ -585,19 +594,38 @@ def _disk_payload(lowered: LoweredModule, sources: List[str],
             "code_sha": hashlib.sha256(blob).hexdigest()}
 
 
-def payload_holds(payload: Dict[str, object], sources: List[str]) -> bool:
-    """Whether a codegen entry holds the program emitted as *sources*:
-    its stored sources and the sources re-emitted from its stored
-    graphs both equal them.  A payload the comparison cannot read does
-    not."""
+def payload_mismatch(payload: Dict[str, object],
+                     graphs: Dict[str, _LoweredGraph], sources: List[str],
+                     consts: Dict[str, object], codes: Sequence
+                     ) -> Optional[str]:
+    """The first part of a codegen entry that differs from one generation
+    — lowered *graphs*, emitted *sources* and *consts*, compiled *codes*
+    — or ``None`` when the entry holds exactly that program.
+
+    Everything a later ungated load reads is compared: the stored
+    sources, the constants they bind and the lowered graphs (the run
+    frame and the profile-reconstruction tables), pickled in this
+    process so that ``nan`` constants compare too, and the marshalled
+    code whenever its checksum holds, since a load then runs it instead
+    of the sources.  A part the comparison cannot read differs.
+    """
     try:
-        if list(payload["sources"]) != sources:
-            return False
-        # emission reads only the graphs, not the module they belong to
-        stored = LoweredModule.from_graphs(None, payload["graphs"])
-        return emit_sources(stored)[0] == sources
+        if list(payload["sources"]) != list(sources):
+            return "sources"
+        if _pickled(payload["consts"]) != _pickled(consts):
+            return "consts"
+        if _pickled(payload["graphs"]) != _pickled(graphs):
+            return "graphs"
+        stored = _blob_codes(payload)
+        if stored is not None and stored != tuple(codes):
+            return "code"
     except Exception:
-        return False
+        return "unreadable"
+    return None
+
+
+def _pickled(value) -> bytes:
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def generate_module(module: GraphModule) -> GeneratedModule:
@@ -616,9 +644,9 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     fresh generation publishes exactly one entry.
 
     Under the verify-on-load gate (``REPRO_VERIFY``) a hit is checked
-    by comparison: the module is lowered and emitted as on a miss, and
-    the entry is accepted only if it holds that program
-    (:func:`payload_holds`).  An entry that does not is rejected and
+    by comparison: the module is lowered, emitted and compiled as on a
+    miss, and the entry is accepted only if it holds that program
+    (:func:`payload_mismatch`).  An entry that does not is rejected and
     re-stored.  Either way the code that runs is compiled from the fresh
     sources; the entry's marshalled code is never used under the gate.
     """
@@ -643,10 +671,11 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     if lowered is None:
         lowered = lower_module(module)
     sources, consts = emit_sources(lowered)
-    if payload is not None and not payload_holds(payload, sources):
+    codes = _compile_sources(module.name, sources)
+    if payload is not None and payload_mismatch(
+            payload, lowered.graphs, sources, consts, codes) is not None:
         cache.reject("codegen")
         payload = None
-    codes = _compile_sources(module, sources)
     generated = GeneratedModule(module, lowered, consts, codes)
     if cache is not None and payload is None:
         cache.store("codegen", digest,

@@ -7,7 +7,11 @@ re-generates from scratch.  This module adds the tier below them — a
 small content-addressed store on disk holding one codegen entry per
 module (lowered words, generated sources and marshalled code objects),
 so a cold process whose module was ever generated before skips the
-lowering walk, the source emission and the compile entirely.
+lowering walk, the source emission and the compile entirely.  Above it
+sits the ``"optimized"`` kind (:data:`OPTIMIZED_KIND`): one
+``(graph_module, report)`` pair per benchmark, level and unroll factor,
+so a warm exploration or frontier task skips the front end and the
+optimizer as well (:func:`repro.exec.study.optimized_module`).
 
 Keying.  Entries are addressed by :func:`module_digest`, a SHA-256 over
 a canonical serialization of everything the lowered form depends on —
@@ -16,8 +20,12 @@ lists, and every instruction's opcode and operands — deliberately
 *excluding* process-local instruction uids, so two processes compiling
 the same source reach the same key.  The same digest keys the module's
 in-memory slot: one content key per module state, in memory and on
-disk.  The entry kind (``"codegen"``, or ``"result"`` for the
-whole-result tier below), the cache :data:`FORMAT_VERSION` and the
+disk.  An optimized entry is keyed by :func:`optimized_key` instead:
+the benchmark's name and program text, the level, the unroll factor and
+:func:`result_source_token`, which covers the front end and the
+optimizer.  The entry kind (``"codegen"``, ``"optimized"``, or
+``"result"`` for the whole-result tier below), the cache
+:data:`FORMAT_VERSION` and the
 interpreter's ``cache_tag`` (the codegen entry embeds marshalled code
 objects, which are CPython-version-specific) all partition the
 namespace: any mismatch is a plain miss, never a crash.
@@ -70,7 +78,9 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 
 #: When set truthy, every codegen payload served from disk is compared
 #: with a fresh generation of the module before use
-#: (:func:`repro.sim.codegen.generate_module`); a payload that holds a
+#: (:func:`repro.sim.codegen.generate_module`), and every optimized
+#: payload with a fresh optimization
+#: (:func:`repro.exec.study.optimized_module`); a payload that holds a
 #: different program is treated as a miss, counted under ``rejected``,
 #: and re-stored — exactly the corruption path.
 VERIFY_ENV_VAR = "REPRO_VERIFY"
@@ -85,6 +95,9 @@ RESULT_ENV_VAR = "REPRO_RESULT_CACHE"
 
 #: Entry kind of the whole-result tier.
 RESULT_KIND = "result"
+
+#: Entry kind of the optimized-module tier: ``(graph_module, report)``.
+OPTIMIZED_KIND = "optimized"
 
 #: The value of :data:`CACHE_ENV_VAR` (or ``--cache-dir``) that disables
 #: the disk tier entirely.
@@ -166,6 +179,22 @@ def result_source_token() -> str:
         except Exception:  # pragma: no cover - source not readable
             _result_token_cache = "resultsrc"
     return _result_token_cache
+
+
+def optimized_key(name: str, source: str, level: int,
+                  unroll_factor: int) -> str:
+    """The key of one benchmark's optimized entry.
+
+    A SHA-256 over the benchmark *name*, its program text, the level,
+    the unroll factor and :func:`result_source_token`: the token hashes
+    the whole package, so an edit to the front end, the optimizer or the
+    IR classes turns every stored entry into a plain miss.
+    """
+    h = hashlib.sha256()
+    h.update("\x00".join((name, source, str(int(level)),
+                          str(unroll_factor), result_source_token())
+                         ).encode("utf-8", "backslashreplace"))
+    return h.hexdigest()
 
 
 def result_cache_enabled() -> bool:
@@ -280,9 +309,9 @@ class DiskCache:
 
     ``hits`` / ``misses`` / ``stores`` / ``corrupt`` are
     :class:`collections.Counter` objects keyed by entry kind
-    (``"codegen"`` / ``"result"``); tests and the exploration benchmarks
-    read them to assert that warm runs actually skipped lowering and
-    generation.
+    (``"codegen"`` / ``"optimized"`` / ``"result"``); tests and the
+    exploration benchmarks read them to assert that warm runs actually
+    skipped optimization, lowering and generation.
     """
 
     def __init__(self, root: Path):

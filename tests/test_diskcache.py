@@ -21,8 +21,8 @@ from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim import diskcache
 from repro.sim.diskcache import (DISABLE_VALUE, DiskCache, FORMAT_VERSION,
-                                 get_cache, module_digest,
-                                 resolve_cache_root)
+                                 OPTIMIZED_KIND, get_cache, module_digest,
+                                 optimized_key, resolve_cache_root)
 from repro.sim.machine import ENGINES, run_module
 from repro.suite.registry import get_benchmark
 from repro.suite.runner import compile_benchmark
@@ -373,13 +373,16 @@ def pickled_globals(blob):
 
 
 class TestPayloadPickle:
-    """What a stored codegen entry needs in order to load.
+    """What a stored entry needs in order to load.
 
     The entry namespace is keyed by the source text of
-    :data:`~repro.sim.diskcache.SOURCE_TOKEN_MODULES`, so an entry may
-    pickle classes only from those modules: a class defined anywhere else
-    could change layout under an unchanged key and leave entries that
-    one side of the change cannot load.
+    :data:`~repro.sim.diskcache.SOURCE_TOKEN_MODULES`, so a codegen entry
+    may pickle classes only from those modules: a class defined anywhere
+    else could change layout under an unchanged key and leave entries
+    that one side of the change cannot load.  An optimized entry's key
+    folds in :func:`~repro.sim.diskcache.result_source_token`, which
+    hashes the whole ``repro`` package, so it may pickle any ``repro``
+    class, plus standard-library ones.
     """
 
     @pytest.mark.parametrize("bench", ["sewha", "pse", "compress"])
@@ -400,6 +403,18 @@ class TestPayloadPickle:
             if isinstance(obj, type):
                 assert module in diskcache.SOURCE_TOKEN_MODULES, \
                     (module, name)
+
+    def test_optimized_payload_classes_are_keyed(self, cache_dir):
+        from repro.exec.study import optimized_module
+        optimized_module("sewha", 1, 2)
+        [path] = [path for kind, path in get_cache().entries()
+                  if kind == OPTIMIZED_KIND]
+        refs = pickled_globals(path.read_bytes())
+        assert ("repro.cfg.graph", "GraphModule") in refs
+        for module, _name in refs:
+            top = module.split(".")[0]
+            assert top == "repro" or top in sys.stdlib_module_names, \
+                (module, _name)
 
     def test_scan_finds_every_global(self):
         from repro.ir.values import ArraySymbol, VirtualReg
@@ -599,3 +614,188 @@ class TestResultTier:
                                                     seed=1))
         assert result_request_key("study", base) != \
             result_request_key("explore-study", base)
+
+
+def _walk_instructions(graph_module):
+    for graph in graph_module.graphs.values():
+        for node in graph.nodes.values():
+            for ins in node.all_instructions():
+                yield ins
+                yield from getattr(ins, "parts", None) or ()
+
+
+class TestOptimizedTier:
+    """The optimized-module tier: ``exec.study.optimized_module`` keeps
+    each benchmark's ``(graph_module, report)`` on disk."""
+
+    NAME, LEVEL, UNROLL = "sewha", 1, 2
+
+    def optimized(self):
+        from repro.exec.study import optimized_module
+        return optimized_module(self.NAME, self.LEVEL, self.UNROLL)
+
+    def entry_path(self):
+        spec = get_benchmark(self.NAME)
+        return get_cache().entry_path(OPTIMIZED_KIND, optimized_key(
+            self.NAME, spec.source, self.LEVEL, self.UNROLL))
+
+    def test_warm_call_skips_front_end_and_optimizer(self, cache_dir,
+                                                     monkeypatch):
+        import repro.exec.study as study_mod
+        import repro.suite.runner as runner_mod
+        cold_gm, cold_report = self.optimized()
+        cache = get_cache()
+        assert cache.stores[OPTIMIZED_KIND] == 1
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(
+                "a warm optimized entry must skip compiling and optimizing")
+        # The verify-on-load gate optimizes afresh by design, to compare
+        # the entry with; only an ungated hit skips the work.
+        if not diskcache.verify_on_load():
+            monkeypatch.setattr(runner_mod, "compile_source", refuse)
+            monkeypatch.setattr(study_mod, "optimize_module", refuse)
+        warm_gm, warm_report = self.optimized()
+        assert cache.hits[OPTIMIZED_KIND] == 1
+        assert warm_gm is not cold_gm
+        assert module_digest(warm_gm) == module_digest(cold_gm)
+        assert warm_report == cold_report
+
+    def test_loaded_uids_are_fresh_unique_and_ordered(self, cache_dir):
+        from repro.ir.instr import _next_uid
+        self.optimized()
+        stored_gm = pickle.loads(self.entry_path().read_bytes())[
+            "payload"][0]
+        stored = [(ins.uid, ins.origin)
+                  for ins in _walk_instructions(stored_gm)]
+        assert any(uid != origin for uid, origin in stored)  # unrolled
+        floor = _next_uid()
+        loaded = [(ins.uid, ins.origin)
+                  for ins in _walk_instructions(self.optimized()[0])]
+        assert len(loaded) == len(stored)
+        uids = [uid for uid, _ in loaded]
+        assert len(set(uids)) == len(uids)
+        assert min(uids) > floor
+        # one map, old -> new, covers uids and origins alike: a function,
+        # injective and order-preserving
+        mapping = {}
+        for old_pair, new_pair in zip(stored, loaded):
+            for old, new in zip(old_pair, new_pair):
+                assert mapping.setdefault(old, new) == new
+        assert len(set(mapping.values())) == len(mapping)
+        olds = sorted(mapping)
+        assert [mapping[old] for old in olds] == sorted(mapping.values())
+
+    def test_key_sensitivity(self):
+        source = get_benchmark(self.NAME).source
+        key = optimized_key(self.NAME, source, 1, 2)
+        assert key == optimized_key(self.NAME, source, 1, 2)
+        others = {optimized_key(self.NAME, source, 2, 2),
+                  optimized_key(self.NAME, source, 1, 1),
+                  optimized_key(self.NAME, source + "\n", 1, 2),
+                  optimized_key("dft", source, 1, 2)}
+        assert key not in others and len(others) == 4
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble", "shape"])
+    def test_damaged_entry_is_a_counted_miss_and_rewritten(
+            self, cache_dir, damage):
+        cold_gm, _ = self.optimized()
+        path = self.entry_path()
+        blob = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(blob[:len(blob) // 3])
+        elif damage == "garble":
+            path.write_bytes(b"not a pickle at all")
+        else:  # unpickles cleanly, but is not a (module, report) pair
+            entry = pickle.loads(blob)
+            entry["payload"] = ("not a module", None)
+            path.write_bytes(pickle.dumps(entry))
+        gm, _ = self.optimized()
+        cache = get_cache()
+        assert cache.corrupt[OPTIMIZED_KIND] == 1
+        assert cache.hits[OPTIMIZED_KIND] == 0
+        assert cache.stores[OPTIMIZED_KIND] == 2
+        assert module_digest(gm) == module_digest(cold_gm)
+        self.optimized()
+        assert cache.hits[OPTIMIZED_KIND] == 1
+
+    def test_disabled_tier_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(diskcache.CACHE_ENV_VAR, DISABLE_VALUE)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        diskcache.reset_cache_state()
+        try:
+            self.optimized()
+            assert get_cache() is None
+            assert list(tmp_path.rglob("*")) == []
+        finally:
+            diskcache.reset_cache_state()
+
+    def test_gate_rejects_an_edited_operand(self, cache_dir, monkeypatch):
+        from repro.ir.values import Constant
+        fresh = module_digest(self.optimized()[0])
+        path = self.entry_path()
+        entry = pickle.loads(path.read_bytes())
+        ins = next(ins for ins in _walk_instructions(entry["payload"][0])
+                   if any(isinstance(src, Constant) and not src.is_float
+                          for src in ins.srcs))
+        ins.srcs = tuple(Constant(src.value + 1)
+                         if isinstance(src, Constant) and not src.is_float
+                         else src for src in ins.srcs)
+        assert module_digest(entry["payload"][0]) != fresh
+        path.write_bytes(pickle.dumps(entry))
+        monkeypatch.setenv(diskcache.VERIFY_ENV_VAR, "1")
+        diskcache.reset_cache_state()
+        served, _ = self.optimized()
+        cache = get_cache()
+        assert cache.rejected[OPTIMIZED_KIND] == 1
+        assert cache.stores[OPTIMIZED_KIND] == 1
+        assert module_digest(served) == fresh
+        # the re-stored entry serves the fresh module without the gate
+        monkeypatch.delenv(diskcache.VERIFY_ENV_VAR)
+        diskcache.reset_cache_state()
+        assert module_digest(self.optimized()[0]) == fresh
+        assert get_cache().hits[OPTIMIZED_KIND] == 1
+
+    def test_cache_scan_reports_garbled_entry(self, cache_dir):
+        from repro.analysis.sweep import scan_cache_entries
+        self.optimized()
+        path = self.entry_path()
+        assert scan_cache_entries(get_cache())[:2] == (1, 0)
+        entry = pickle.loads(path.read_bytes())
+        graph = entry["payload"][0].entry
+        next(iter(graph.nodes.values())).succs.append(max(graph.nodes) + 7)
+        path.write_bytes(pickle.dumps(entry))
+        well, corrupt, details = scan_cache_entries(get_cache())
+        assert (well, corrupt) == (0, 1)
+        assert any("successors" in detail for detail in details)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_and_warm_studies_agree(self, cache_dir, jobs):
+        from repro.exec.pool import shutdown_pool
+        from repro.feedback.results import (exploration_payload,
+                                            frontier_payload)
+        from repro.feedback.study import (ExplorationStudyConfig,
+                                          FrontierStudyConfig,
+                                          run_exploration_study,
+                                          run_frontier_study)
+        benchmarks = ("sewha", "iir")
+        runs = ((run_exploration_study, exploration_payload,
+                 ExplorationStudyConfig(benchmarks=benchmarks,
+                                        budgets=(1000, 2500), jobs=jobs)),
+                (run_frontier_study, frontier_payload,
+                 FrontierStudyConfig(benchmarks=benchmarks, jobs=jobs)))
+        # The persistent pool snapshots the environment when its workers
+        # fork, so it is recycled around this test's private directory.
+        shutdown_pool()
+        try:
+            for run, payload, config in runs:
+                get_cache().clear()
+                cold = payload(run(config))
+                assert sum(kind == OPTIMIZED_KIND
+                           for kind, _ in get_cache().entries()) == 2
+                warm = payload(run(config))
+                assert warm == cold
+        finally:
+            shutdown_pool()
+        if jobs == 1:  # the tasks ran in this process
+            assert get_cache().hits[OPTIMIZED_KIND] >= 2

@@ -4,9 +4,9 @@ Under ``REPRO_VERIFY=1`` every codegen entry served from disk is compared
 with a fresh generation of its module, and the code that runs is
 compiled from the fresh sources.  Each mutation test below seeds one
 corruption into a cached entry — a lowered word, a stored source line, a
-constant table, another module's entry — and asserts that the gate
-rejects the entry when the corruption changes the program it holds, and
-that the served run equals the reference engine's either way.  The
+constant table, a code blob, another module's entry — and asserts that
+the gate rejects and re-stores the entry, since any part a later load
+reads differs, and that the served run equals the reference engine's.  The
 determinism lint, the IR call-site verifier, the CFG the range analysis
 walks and the ``repro verify`` surface are covered at the end.
 """
@@ -169,13 +169,29 @@ def _assert_rejected(mutate, **kwargs):
     assert served == reference
 
 
-def _assert_not_run(mutate, **kwargs):
-    """A corruption of a table the generated code does not read: the
-    entry still holds the same program, and what runs is the fresh
-    lowering, so the served run is the reference run."""
-    cache, served, reference = _serve_tampered(mutate, **kwargs)
-    assert not cache.rejected
-    assert served == reference
+def _swap_blob(payload):
+    """A marshalled blob compiled from other sources (``return 42``),
+    with its checksum updated to match."""
+    altered = [text.replace("return 0", "return 42")
+               for text in payload["sources"]]
+    assert list(payload["sources"]) != altered
+    blob = marshal.dumps(tuple(compile(text, "<tampered>", "exec")
+                               for text in altered))
+    payload["code"] = blob
+    payload["code_sha"] = hashlib.sha256(blob).hexdigest()
+
+
+def _assert_restored(mutate, monkeypatch):
+    """The gate rejects the tampered entry and re-stores it: a later
+    process without the gate is then served the right program, edge
+    profile included."""
+    _assert_rejected(mutate)
+    monkeypatch.delenv(diskcache.VERIFY_ENV_VAR)
+    diskcache.reset_cache_state()
+    served = run_module(_graph_module(), FIR_INPUTS, engine="codegen")
+    assert diskcache.get_cache().hits["codegen"] == 1
+    assert _projection(served) == _projection(run_module(
+        _graph_module(), FIR_INPUTS, engine="reference"))
 
 
 def _first_graph(payload):
@@ -234,13 +250,15 @@ class TestWordMutations:
         _assert_rejected(mutate)
 
     def test_missing_terminator(self, verified_cache):
-        # a word past the last terminator is never emitted
-        _assert_not_run(lambda payload: _first_graph(payload).words.append(
+        # a word past the last terminator is never emitted, but the
+        # stored graphs are no longer the fresh lowering
+        _assert_rejected(lambda payload: _first_graph(payload).words.append(
             [_eng.MOV_C, 1, 0]))
 
     def test_dead_word(self, verified_cache):
-        # orphan: no word references it, so no block emits it
-        _assert_not_run(lambda payload: _first_graph(payload).words.append(
+        # orphan: no word references it, so no block emits it, but the
+        # stored graphs are no longer the fresh lowering
+        _assert_rejected(lambda payload: _first_graph(payload).words.append(
             [_eng.RET_N]))
 
     def test_edge_table_swap(self, verified_cache):
@@ -249,7 +267,9 @@ class TestWordMutations:
             assert len(lg.edge_pairs) >= 2
             lg.edge_pairs[0], lg.edge_pairs[1] = \
                 lg.edge_pairs[1], lg.edge_pairs[0]
-        _assert_not_run(mutate)
+        # the code does not read the table, an ungated load's profile
+        # reconstruction does
+        _assert_rejected(mutate)
 
     def test_branch_counter_pair(self, verified_cache):
         def mutate(payload):
@@ -324,13 +344,13 @@ class TestCodegenSourceMutations:
                 "limit = missing_state.max_cycles", 1)))
 
     def test_unknown_const_default(self, verified_cache):
-        # the stored constants are never bound under the gate: the fresh
-        # emission's constants are
+        # the stored constants are never bound under the gate, but an
+        # ungated load binds them
         def mutate(payload):
             consts = payload["consts"]
             assert consts  # fir-like kernel folds constants
             del consts[sorted(consts)[0]]
-        _assert_not_run(mutate)
+        _assert_rejected(mutate)
 
     def test_missing_function_def(self, verified_cache):
         _assert_rejected(lambda payload: _edit_sources(
@@ -415,32 +435,50 @@ class TestVerifyOnLoad:
                                             monkeypatch):
         """Under REPRO_VERIFY=1 the code that runs is compiled from the
         fresh sources: a marshalled blob compiled from other source, with
-        its checksum updated to match, is never executed."""
+        its checksum updated to match, is never executed, and the entry
+        is rejected and re-stored, so a later ungated load runs the
+        right code too."""
         generate_module(_graph_module())
         [path] = _entry_paths("codegen")
-
-        def swap_blob(payload):
-            altered = [text.replace("return 0", "return 42")
-                       for text in payload["sources"]]
-            assert list(payload["sources"]) != altered
-            blob = marshal.dumps(tuple(compile(text, "<tampered>", "exec")
-                                       for text in altered))
-            payload["code"] = blob
-            payload["code_sha"] = hashlib.sha256(blob).hexdigest()
-
-        _rewrite(path, swap_blob)
+        _rewrite(path, _swap_blob)
         fresh = run_module(_graph_module(), engine="reference")
         assert fresh.return_value == 0
         diskcache.reset_cache_state()
         served = run_module(_graph_module(), engine="codegen")
-        assert diskcache.get_cache().hits["codegen"] == 1
+        cache = diskcache.get_cache()
+        assert cache.rejected["codegen"] == 1
+        assert cache.stores["codegen"] == 1
         assert _projection(served) == _projection(fresh)
-        # Without the gate the checksummed blob is trusted as is, which
-        # is what makes the tampering above observable.
         monkeypatch.delenv(diskcache.VERIFY_ENV_VAR)
         diskcache.reset_cache_state()
         assert run_module(_graph_module(),
-                          engine="codegen").return_value == 42
+                          engine="codegen").return_value == 0
+
+    # Each tamper below leaves the stored sources alone, so comparing
+    # sources alone would accept the entry and a later ungated process
+    # would run it: the gate must reject and re-store it.
+
+    def test_blob_from_other_sources_restored(self, verified_cache,
+                                              monkeypatch):
+        _assert_restored(_swap_blob, monkeypatch)
+
+    def test_swapped_edge_table_entry_restored(self, verified_cache,
+                                               monkeypatch):
+        def swap(payload):
+            lg = _first_graph(payload)
+            e = next(i for i in range(len(lg.edge_pairs) - 1)
+                     if lg.edge_pairs[i] != lg.edge_pairs[i + 1])
+            lg.edge_pairs[e], lg.edge_pairs[e + 1] = \
+                lg.edge_pairs[e + 1], lg.edge_pairs[e]
+        _assert_restored(swap, monkeypatch)
+
+    def test_altered_constant_restored(self, verified_cache, monkeypatch):
+        def alter(payload):
+            consts = payload["consts"]
+            first, second = sorted(consts)[:2]
+            assert consts[first] is not consts[second]
+            consts[first], consts[second] = consts[second], consts[first]
+        _assert_restored(alter, monkeypatch)
 
     def test_cache_scan_reports_corrupt_entry(self, verified_cache):
         generate_module(_graph_module())
@@ -455,6 +493,16 @@ class TestVerifyOnLoad:
         well, corrupt, details = scan_cache_entries(diskcache.get_cache())
         assert corrupt == 1
         assert any("re-emission" in d for d in details)
+
+    def test_cache_scan_reports_foreign_code_blob(self, verified_cache):
+        """The scan compiles the stored sources and compares the code
+        objects with the blob, whose checksum alone still matches."""
+        generate_module(_graph_module())
+        [path] = _entry_paths("codegen")
+        _rewrite(path, _swap_blob)
+        well, corrupt, details = scan_cache_entries(diskcache.get_cache())
+        assert (well, corrupt) == (0, 1)
+        assert any("code-blob" in d for d in details)
 
 
 # -- IR call sites -----------------------------------------------------------------
