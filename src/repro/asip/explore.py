@@ -34,6 +34,7 @@ from repro.asip.evaluate import (AsipEvaluation, distinct_programs,
                                  evaluate_on_sequential)
 from repro.asip.isa import ChainedInstruction, InstructionSet
 from repro.asip.resequence import resequence_module
+from repro.cfg.graph import GraphModule
 from repro.chaining.detect import detect_sequences
 from repro.chaining.frequency import dynamic_frequency
 from repro.chaining.sequence import SequenceName, sequence_label
@@ -218,7 +219,7 @@ def select_finalists(candidates: Sequence[Candidate], area_budget: int,
                           measure_top)
 
 
-def explore_designs(module: Module,
+def explore_designs(module: Optional[Module],
                     inputs: Optional[dict] = None,
                     area_budget: int = 3000,
                     level: OptLevel = OptLevel.PIPELINED,
@@ -227,16 +228,23 @@ def explore_designs(module: Module,
                     measure_top: int = 4,
                     unroll_factor: int = 2,
                     cost_model: Optional[CostModel] = None,
-                    engine: str = DEFAULT_ENGINE) -> ExplorationResult:
+                    engine: str = DEFAULT_ENGINE,
+                    optimized: Optional[GraphModule] = None
+                    ) -> ExplorationResult:
     """Run the full feedback-driven exploration for one benchmark.
 
+    Pass *module* optimized at *level* as ``optimized`` (for a suite
+    benchmark, :func:`repro.exec.study.optimized_module` serves it from
+    the disk tier) to skip the optimizer; *module* may then be ``None``.
     The measured design points come back in finalist order.
     """
     from repro.sim.machine import ensure_engine
     ensure_engine(engine)  # before the pipeline, not deep in a worker
     cost = cost_model or DEFAULT_COST_MODEL
-    graph_module, _ = optimize_module(module, level,
-                                      unroll_factor=unroll_factor)
+    graph_module = optimized
+    if graph_module is None:
+        graph_module, _ = optimize_module(module, level,
+                                          unroll_factor=unroll_factor)
     profile = run_module(graph_module, inputs, engine=engine).profile
     detection = detect_sequences(graph_module, profile, lengths)
 

@@ -168,12 +168,17 @@ def select_chains(module: GraphModule, isa: InstructionSet
     fused module.
     """
     sites = ChainMatcher(module).match(isa)
+    return build_fused(module, sites), selection_stats(sites)
+
+
+def selection_stats(sites: Sequence[Site]) -> SelectionStats:
+    """What fusing *sites* removes: sites per pattern, nodes dropped."""
     stats = SelectionStats()
     for _name, run, chain in sites:
         key = tuple(chain.pattern)
         stats.sites[key] = stats.sites.get(key, 0) + 1
         stats.nodes_removed += len(run) - 1
-    return build_fused(module, sites), stats
+    return stats
 
 
 def _match_at(nodes: Dict[int, Node], start: int, pattern: Sequence[str],

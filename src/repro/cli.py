@@ -652,15 +652,15 @@ def cmd_serve(args, out) -> int:
 
 def cmd_explore(args, out) -> int:
     from repro.asip.explore import explore_designs
+    from repro.exec.study import optimized_module
     from repro.suite.registry import get_benchmark
-    from repro.suite.runner import compile_benchmark
 
     spec = get_benchmark(args.benchmark)
-    module = compile_benchmark(spec)
+    graph_module, _report = optimized_module(spec.name, args.level, 2)
     inputs = spec.generate_inputs(0)
-    result = explore_designs(module, inputs, area_budget=args.budget,
+    result = explore_designs(None, inputs, area_budget=args.budget,
                              level=OptLevel(args.level),
-                             engine=args.engine)
+                             engine=args.engine, optimized=graph_module)
     print(f"{len(result.candidates)} candidate sequences under budget "
           f"{args.budget}", file=out)
     for cand in result.candidates:

@@ -14,8 +14,9 @@ uses.  The task:
   candidate pool and re-sequentializes.  The unchained single-issue base
   results are *derived* from that batch rather than simulated again:
   re-sequentialization preserves semantics (outputs are shared — and
-  still independently guarded by the fused-vs-base check inside every
-  evaluation), and the chain expansion recorded by
+  still independently guarded, on the primary seed, by the
+  fused-vs-base check inside every evaluation), and the chain expansion
+  recorded by
   :func:`~repro.asip.resequence.resequence_module_mapped` determines the
   sequential node counts, hence the exact single-issue cycle count, from
   the VLIW profile;
@@ -28,9 +29,13 @@ uses.  The task:
 * measures that list on every seed against the derived base results,
   reusing the inputs the base batch ran on.  Chain sets that fuse the
   same program (:func:`~repro.asip.evaluate.distinct_programs`) are
-  simulated and output-checked once, across every budget of the
-  benchmark, and per-seed evaluations fold into one design point
-  (:func:`~repro.asip.evaluate.merge_evaluations`).
+  measured once, across every budget of the benchmark, and per-seed
+  evaluations fold into one design point
+  (:func:`~repro.asip.evaluate.merge_evaluations`).  Each distinct
+  program is simulated and output-checked on the primary seed; the
+  other seeds' evaluations are derived from their base results, and
+  the primary seed's derivation must equal its simulation
+  (:func:`~repro.asip.evaluate.evaluate_on_sequential_batch`).
 
 Different benchmarks run in parallel; ``jobs`` only sizes the pool.
 Results are reassembled in canonical (benchmark, budget) or (benchmark,
@@ -47,9 +52,8 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import DEFAULT_COST_MODEL
-from repro.asip.evaluate import (distinct_programs,
-                                 evaluate_on_sequential_batch,
-                                 merge_evaluations)
+from repro.asip.evaluate import (evaluate_on_sequential_batch,
+                                 match_programs, merge_evaluations)
 from repro.asip.explore import (DesignPoint, ExplorationResult, _isa_for,
                                 candidate_pool, frontier_sweep,
                                 rank_candidates, select_finalists)
@@ -70,10 +74,10 @@ def _derived_base_result(graph_result: MachineResult, mapping,
 
     Outputs and return value carry over unchanged (re-sequentialization
     preserves semantics; every evaluation's fused-vs-base check still
-    guards this independently).  Node counts expand through the chain
-    map — each sequential node executes exactly as often as the
-    original node it was split from — giving the exact cycle count the
-    sequential simulation would have measured.  Edge counts are left
+    guards this independently on the primary seed).  Node counts expand
+    through the chain map — each sequential node executes exactly as
+    often as the original node it was split from — giving the exact
+    cycle count the sequential simulation would have measured.  Edge counts are left
     empty: nothing downstream of the base result reads them.
     """
     profile = ProfileData()
@@ -132,14 +136,14 @@ def _measure_pattern_sets(sequential, pattern_sets: Sequence[Tuple],
 
     Returns one ``(isa, per-seed evaluations)`` pair per chain set, in
     the order given.  Chain sets that fuse the same program
-    (:func:`~repro.asip.evaluate.distinct_programs`) are simulated and
-    output-checked once, at the first of them; the rest take that
-    evaluation with their own extension area.
+    (:func:`~repro.asip.evaluate.distinct_programs`) are measured once,
+    at the first of them, from the sites matched here; the rest take
+    that evaluation with their own extension area.
     """
     cost = DEFAULT_COST_MODEL
     isas = [_isa_for(patterns, cost) for patterns in pattern_sets]
     measured: List[Tuple] = []
-    firsts = distinct_programs(sequential, isas)
+    firsts, sites = match_programs(sequential, isas)
     for i, (isa, first) in enumerate(zip(isas, firsts)):
         if first != i:
             evals = tuple(
@@ -148,7 +152,7 @@ def _measure_pattern_sets(sequential, pattern_sets: Sequence[Tuple],
         else:
             evals = evaluate_on_sequential_batch(
                 sequential, isa, inputs_list, cost,
-                base_results=base_results, engine=engine)
+                base_results=base_results, engine=engine, sites=sites[i])
         measured.append((isa, evals))
     return tuple(measured)
 

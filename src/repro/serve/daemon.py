@@ -425,18 +425,19 @@ def _run_analyze(request: dict) -> dict:
 
 def _run_explore(request: dict) -> dict:
     from repro.asip.explore import explore_designs
+    from repro.exec.study import optimized_module
     from repro.opt.pipeline import OptLevel
     from repro.suite.registry import get_benchmark
-    from repro.suite.runner import compile_benchmark
     spec = get_benchmark(request["benchmark"])
-    module = compile_benchmark(spec)
+    graph_module, _report = optimized_module(
+        spec.name, request["level"], request["unroll_factor"])
     inputs = spec.generate_inputs(request["seed"])
     result = explore_designs(
-        module, inputs, area_budget=request["budget"],
+        None, inputs, area_budget=request["budget"],
         level=OptLevel(request["level"]),
         lengths=tuple(request["lengths"]),
         max_candidates=request["max_candidates"],
         measure_top=request["measure_top"],
         unroll_factor=request["unroll_factor"],
-        engine=request["engine"])
+        engine=request["engine"], optimized=graph_module)
     return protocol.explore_payload(result)

@@ -386,6 +386,41 @@ class TestCacheCommand:
         code, text = run_cli("cache", "show", "--cache-dir", cache_dir)
         assert "entries:         none" in text
 
+    def test_warm_explore_skips_front_end_and_optimizer(self, tmp_path,
+                                                       monkeypatch):
+        """``repro explore`` takes the benchmark's optimized program from
+        the ``optimized`` disk tier: a second run against the same cache
+        directory compiles and optimizes nothing and prints the same."""
+        import repro.asip.explore as explore_mod
+        import repro.exec.study as study_mod
+        from repro.sim import diskcache
+        cache_dir = str(tmp_path / "cache")
+        argv = ("explore", "sewha", "--budget", "2500",
+                "--cache-dir", cache_dir)
+        diskcache.reset_cache_state()
+        try:
+            code, cold = run_cli(*argv)
+            assert code == 0
+
+            def refuse(*_args, **_kwargs):
+                raise AssertionError(
+                    "a warm explore must skip compiling and optimizing")
+            # The verify-on-load gate optimizes afresh by design.
+            if not diskcache.verify_on_load():
+                monkeypatch.setattr(study_mod, "compile_benchmark", refuse)
+                monkeypatch.setattr(study_mod, "optimize_module", refuse)
+                monkeypatch.setattr(explore_mod, "optimize_module", refuse)
+            code, warm = run_cli(*argv)
+            assert code == 0
+            assert warm == cold
+            assert diskcache.get_cache().hits[
+                diskcache.OPTIMIZED_KIND] == 1
+            code, text = run_cli("cache", "show", "--cache-dir", cache_dir)
+            assert code == 0
+            assert "optimized      1 entries" in text
+        finally:
+            diskcache.reset_cache_state()
+
     def test_show_disabled(self):
         code, text = run_cli("cache", "show", "--cache-dir", "none")
         assert code == 0

@@ -228,6 +228,7 @@ class TestCrossBudgetDedup:
         from repro.asip import evaluate as evaluate_mod
         from repro.asip.select import ChainMatcher, site_key
         from repro.exec import explore as explore_mod
+        from repro.sim.machine import run_module_batch
         calls = []
         real = explore_mod.evaluate_on_sequential_batch
 
@@ -262,6 +263,7 @@ class TestCrossBudgetDedup:
             module = compile_benchmark(spec)
             sequential = sequentials[name]
             inputs_list = [spec.generate_inputs(s) for s in self.SEEDS]
+            bases = run_module_batch(sequential, inputs_list)
             for budget in self.BUDGETS:
                 solo = explore_designs(module, spec.generate_inputs(0),
                                        area_budget=budget,
@@ -272,9 +274,13 @@ class TestCrossBudgetDedup:
                 assert [p.labels() for p in solo.measured] == \
                     [p.labels() for p in cell.measured]
                 for point in cell.measured:
-                    alone = merge_evaluations(
-                        evaluate_mod.evaluate_on_sequential_batch(
-                            sequential, point.isa, inputs_list))
+                    # The oracle simulates every seed, each with its own
+                    # output check, against a simulated base.
+                    alone = merge_evaluations(tuple(
+                        evaluate_mod.evaluate_on_sequential(
+                            sequential, point.isa, inputs,
+                            base_result=base)
+                        for inputs, base in zip(inputs_list, bases)))
                     assert evaluation_projection(point.evaluation) == \
                         evaluation_projection(alone), (name, budget)
 
@@ -491,3 +497,50 @@ class TestDistinctPrograms:
         assert first[0].selection.total_sites > 0
         assert [e.chained_cycles for e in first] \
             == [e.chained_cycles for e in second]
+
+
+class TestDerivedMatchesSimulated:
+    """Multi-seed measurement simulates each distinct fused program on the
+    primary seed and derives the other seeds from their base profiles.
+
+    The oracle simulates every fused program on every seed against a
+    simulated (not derived) base, with the fused-vs-base output check,
+    and must agree exactly with the kernel: every frontier chain set of
+    every benchmark at every level, on the primary seed and two others.
+    """
+
+    SEEDS = (0, 1, 2)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("name", SUITE)
+    def test_every_frontier_design(self, name, level):
+        from repro.asip.evaluate import evaluate_on_sequential
+        from repro.asip.explore import frontier_sweep
+        from repro.asip.select import select_chains
+        from repro.exec.explore import _explore_base, _measure_pattern_sets
+        from repro.sim.diskcache import module_digest
+        from repro.sim.machine import run_module_batch
+        pool, _ops, sequential, inputs_list, derived_bases = _explore_base(
+            name, level, (2, 3), self.SEEDS, 2, "codegen")
+        pattern_sets = frontier_sweep(pool).pattern_sets()
+        assert pattern_sets, name
+        measured = _measure_pattern_sets(sequential, pattern_sets,
+                                         inputs_list, derived_bases,
+                                         "codegen")
+        bases = run_module_batch(sequential, inputs_list)
+        oracle = {}  # fused program digest -> per-seed simulations
+        for isa, evaluations in measured:
+            digest = module_digest(select_chains(sequential, isa)[0])
+            if digest not in oracle:
+                oracle[digest] = [
+                    evaluate_on_sequential(sequential, isa, inputs,
+                                           base_result=base)
+                    for inputs, base in zip(inputs_list, bases)]
+            assert len(evaluations) == len(self.SEEDS)
+            for seed, kernel, simulated in zip(self.SEEDS, evaluations,
+                                               oracle[digest]):
+                simulated = replace(simulated,
+                                    extension_area=isa.extension_area())
+                assert kernel == simulated, (name, level, seed, isa)
+                assert list(kernel.chain_issues.items()) == \
+                    list(simulated.chain_issues.items())

@@ -309,6 +309,109 @@ class TestEvaluatorOracle:
             pool_mod.shutdown_pool()
 
 
+def _skew_primary_base(monkeypatch):
+    """Make each benchmark's primary-seed base profile count one fused
+    head once more than it ran, so the derived evaluations of every
+    program fusing that head disagree with the primary-seed simulation."""
+    from repro.asip.cost import DEFAULT_COST_MODEL
+    from repro.asip.evaluate import match_programs
+    from repro.asip.explore import _isa_for
+    from repro.exec import explore as explore_mod
+    from repro.sim.machine import MachineResult
+    from repro.sim.profile import ProfileData
+    real_measure = explore_mod._measure_pattern_sets
+
+    def skewed_measure(sequential, pattern_sets, inputs_list, base_results,
+                       engine):
+        _firsts, sites = match_programs(
+            sequential, [_isa_for(patterns, DEFAULT_COST_MODEL)
+                         for patterns in pattern_sets])
+        fn_name, run, _chain = next(site for matched in sites
+                                    for site in matched)
+        primary = base_results[0]
+        counts = {fn: dict(node_counts) for fn, node_counts
+                  in primary.profile.node_counts.items()}
+        counts[fn_name][run[0]] = counts[fn_name].get(run[0], 0) + 1
+        skewed = MachineResult(primary.return_value, primary.globals_after,
+                               ProfileData(node_counts=counts,
+                                           call_counts=dict(
+                                               primary.profile.call_counts)))
+        return real_measure(sequential, pattern_sets, inputs_list,
+                            (skewed,) + tuple(base_results[1:]), engine)
+
+    monkeypatch.setattr(explore_mod, "_measure_pattern_sets", skewed_measure)
+
+
+class TestDerivationCrossCheck:
+    """Multi-seed measurement simulates each fused program on the primary
+    seed only and derives the other seeds; the primary seed is derived
+    too, and a derivation that disagrees with the simulation must fail
+    the study rather than be reported."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("frontier", [False, True],
+                             ids=["budgets", "frontier"])
+    def test_disagreeing_derivation_fails_the_study(self, monkeypatch, jobs,
+                                                    frontier):
+        from repro.exec import pool as pool_mod
+        from repro.feedback.study import (ExplorationStudyConfig,
+                                          FrontierStudyConfig,
+                                          run_exploration_study,
+                                          run_frontier_study)
+        _skew_primary_base(monkeypatch)
+        names, seeds = ("sewha", "dft"), (0, 1)
+        # Workers fork from this process, so only a pool started after
+        # the patch runs the skewed kernel.
+        pool_mod.shutdown_pool()
+        try:
+            with pytest.raises(AsipError, match="disagrees"):
+                if frontier:
+                    run_frontier_study(FrontierStudyConfig(
+                        benchmarks=names, max_budget=1200, seeds=seeds,
+                        jobs=jobs))
+                else:
+                    run_exploration_study(ExplorationStudyConfig(
+                        benchmarks=names, budgets=(2500,), seeds=seeds,
+                        jobs=jobs))
+        finally:
+            pool_mod.shutdown_pool()
+
+    def test_fused_batches_run_width_one(self, monkeypatch):
+        """Every fused program runs on the primary seed alone; only the
+        benchmark's base batch covers every seed."""
+        from repro.asip import evaluate as evaluate_mod
+        from repro.asip.select import FusedInstruction
+        from repro.exec import explore as explore_mod
+        from repro.feedback.study import (ExplorationStudyConfig,
+                                          run_exploration_study)
+        widths = {"fused": [], "base": []}
+
+        def recording(kind, real):
+            def batch(module, inputs_list, *args, **kwargs):
+                fused = any(isinstance(ins, FusedInstruction)
+                            for graph in module.graphs.values()
+                            for node in graph.nodes.values()
+                            for ins in node.ops)
+                widths.setdefault("fused" if fused else kind, []).append(
+                    len(inputs_list))
+                return real(module, inputs_list, *args, **kwargs)
+            return batch
+
+        monkeypatch.setattr(evaluate_mod, "run_module_batch", recording(
+            "unfused", evaluate_mod.run_module_batch))
+        monkeypatch.setattr(explore_mod, "run_module_batch", recording(
+            "base", explore_mod.run_module_batch))
+        seeds = (0, 1, 2)
+        study = run_exploration_study(ExplorationStudyConfig(
+            benchmarks=("sewha",), budgets=(1500, 2500), seeds=seeds,
+            jobs=1))
+        measured = study.exploration("sewha", 2500).measured
+        assert measured and measured[0].evaluation.selection.total_sites
+        assert widths["base"] == [len(seeds)]
+        assert widths["fused"] and set(widths["fused"]) == {1}
+        assert "unfused" not in widths
+
+
 class TestSimulatorGuards:
     def test_wrong_arity_call(self):
         from repro.ir.asm import parse_module

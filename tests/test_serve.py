@@ -207,6 +207,28 @@ class TestSimpleOps:
         assert result["candidates"]
         assert result["best"] is None or result["best"]["speedup"] > 0
 
+    def test_explore_takes_the_optimized_tier(self, server, monkeypatch):
+        """A second explore of the same benchmark (another budget, so no
+        whole-result hit) loads its optimized program from disk."""
+        import repro.asip.explore as explore_mod
+        import repro.exec.study as study_mod
+        with connect(server) as client:
+            assert client.request({"op": "explore", "benchmark": "sewha",
+                                   "budget": 2500})["ok"]
+
+            def refuse(*_args, **_kwargs):
+                raise AssertionError(
+                    "a warm explore must skip compiling and optimizing")
+            if not diskcache.verify_on_load():
+                monkeypatch.setattr(study_mod, "compile_benchmark", refuse)
+                monkeypatch.setattr(study_mod, "optimize_module", refuse)
+                monkeypatch.setattr(explore_mod, "optimize_module", refuse)
+            response = client.request({"op": "explore", "benchmark": "sewha",
+                                       "budget": 1500})
+        assert response["ok"], response
+        assert response["meta"]["result_cache"] == "miss"
+        assert diskcache.get_cache().hits[diskcache.OPTIMIZED_KIND] == 1
+
 
 class TestValidationAndStatus:
     def test_bad_requests_answered_daemon_stays_up(self, server):
