@@ -9,9 +9,14 @@ Liveness is solved in the bit-vector formulation of dataflow
 §17.4): a :class:`RegisterBits` numbering gives each register of a graph
 one bit, and :func:`live_in_masks` returns every node's live-in set as a
 Python int, so each transfer function is two or three big-int operations
-instead of set unions over register tuples.  Percolation and dead-code
-elimination test and grow those masks directly; :func:`compute_liveness`
-decodes them into register sets for callers that want sets.
+instead of set unions over register tuples.  Each instruction's use
+mask and dest bit come from an :class:`InstructionMasks` table, which
+derives them on first lookup: dead-code elimination keeps one table for
+all its rounds and percolation one for a whole compaction, so a solve
+after the first re-derives only the instructions made since.
+Percolation and dead-code elimination test and grow the live-in masks
+directly; :func:`compute_liveness` decodes them into register sets for
+callers that want sets.
 """
 
 from __future__ import annotations
@@ -46,16 +51,46 @@ class RegisterBits(dict):
         return bit
 
 
-def def_mask(ops: Iterable[Instruction], bits: RegisterBits) -> int:
-    """The OR of ``bits[ins.dest]`` over the ops that write a register."""
+class InstructionMasks(dict):
+    """Instruction -> ``(use mask, dest bit)`` over :attr:`bits`, derived
+    on first lookup.
+
+    Keyed by identity, so an entry describes its instruction as it was
+    when first looked up: a table must not outlive a rewrite of the
+    operands or destination of an instruction it holds.  Subclasses may
+    derive longer tuples; items 0 and 1 stay the two masks.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self):
+        super().__init__()
+        self.bits = RegisterBits()
+
+    def __missing__(self, ins: Instruction) -> Tuple[int, ...]:
+        masks = self[ins] = register_masks(ins, self.bits)
+        return masks
+
+
+def register_masks(ins: Instruction, bits: RegisterBits) -> Tuple[int, int]:
+    """*ins*'s ``(use mask, dest bit)``; the dest bit is 0 without a
+    destination."""
+    use = 0
+    for reg in ins.uses():
+        use |= bits[reg]
+    return use, 0 if ins.dest is None else bits[ins.dest]
+
+
+def def_mask(ops: Iterable[Instruction], masks: InstructionMasks) -> int:
+    """The OR of the dest bits of *ops*."""
     mask = 0
     for ins in ops:
-        if ins.dest is not None:
-            mask |= bits[ins.dest]
+        mask |= masks[ins][1]
     return mask
 
 
-def live_in_masks(graph: ProgramGraph, rpo: List[int], bits: RegisterBits,
+def live_in_masks(graph: ProgramGraph, rpo: List[int],
+                  masks: InstructionMasks,
                   defs_out: Optional[Dict[int, int]] = None,
                   ) -> Dict[int, int]:
     """Classic backward worklist liveness over VLIW nodes, as bit masks.
@@ -67,8 +102,9 @@ def live_in_masks(graph: ProgramGraph, rpo: List[int], bits: RegisterBits,
 
     *rpo* is the graph's current :meth:`~ProgramGraph.rpo_order`; only
     those nodes are solved, the rest keep an empty (0) live-in mask.
-    Registers are numbered through *bits*, which may already hold some.
-    When *defs_out* is given it receives every node's def mask (see
+    Each instruction's registers come from *masks*, which may already
+    hold some instructions (and its numbering some registers).  When
+    *defs_out* is given it receives every node's def mask (see
     :func:`def_mask`), unreachable nodes included.
     """
     nodes = graph.nodes
@@ -83,17 +119,14 @@ def live_in_masks(graph: ProgramGraph, rpo: List[int], bits: RegisterBits,
     for nid in order:
         node = nodes[nid]
         preds = [position[p] for p in node.preds if p in position]
-        # Node.uses()/defs() and def_mask inlined: this runs per solve,
-        # per node.
+        # def_mask inlined: this runs per solve, per node.
         use = defs = 0
         for ins in node.ops:
-            for reg in ins.uses():
-                use |= bits[reg]
-            if ins.dest is not None:
-                defs |= bits[ins.dest]
+            fact = masks[ins]
+            use |= fact[0]
+            defs |= fact[1]
         if node.control is not None:
-            for reg in node.control.uses():
-                use |= bits[reg]
+            use |= masks[node.control][0]
         if defs_out is not None:
             defs_out[nid] = defs
         facts.append((nid, node.succs, preds, use, ~defs))
@@ -101,7 +134,7 @@ def live_in_masks(graph: ProgramGraph, rpo: List[int], bits: RegisterBits,
         # Percolation hoists into unreachable predecessors too.
         for nid, node in nodes.items():
             if nid not in position:
-                defs_out[nid] = def_mask(node.ops, bits)
+                defs_out[nid] = def_mask(node.ops, masks)
     dirty = [True] * len(order)
     changed = True
     while changed:
@@ -140,9 +173,9 @@ def compute_liveness(graph: ProgramGraph,
     empty ``live_in`` and ``live_out`` sets.
     """
     order = graph.rpo_order() if rpo is None else rpo
-    bits = RegisterBits()
-    live_in = live_in_masks(graph, order, bits)
-    regs = list(bits)  # bit i belongs to regs[i]
+    masks = InstructionMasks()
+    live_in = live_in_masks(graph, order, masks)
+    regs = list(masks.bits)  # bit i belongs to regs[i]
 
     def decode(mask: int) -> Set[VirtualReg]:
         return {reg for i, reg in enumerate(regs) if mask >> i & 1}

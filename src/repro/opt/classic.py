@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.graph import ProgramGraph
-from repro.cfg.dataflow import RegisterBits, live_in_masks, live_out_mask
+from repro.cfg.dataflow import InstructionMasks, live_in_masks, live_out_mask
 from repro.errors import OptimizationError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
@@ -261,10 +261,12 @@ def dead_code_elimination(graph: ProgramGraph) -> int:
     operations all go.  Returns the total number of deleted operations.
     """
     total = 0
-    bits = RegisterBits()
+    # Removing ops rewrites no instruction, so one table serves every
+    # round.
+    masks = InstructionMasks()
     while True:
         order = graph.rpo_order()
-        live_in = live_in_masks(graph, order, bits)
+        live_in = live_in_masks(graph, order, masks)
         reachable = set(order)
         removed = 0
         for nid, node in graph.nodes.items():
@@ -274,7 +276,7 @@ def dead_code_elimination(graph: ProgramGraph) -> int:
             for ins in node.ops:
                 if ins.dest is None or ins.has_side_effects or ins.is_call:
                     survivors.append(ins)
-                elif bits.get(ins.dest, 0) & live_out:
+                elif masks.bits.get(ins.dest, 0) & live_out:
                     survivors.append(ins)
                 else:
                     removed += 1

@@ -39,43 +39,51 @@ Legality rules (one VLIW node: reads at cycle start, writes at cycle end):
 sequences are data-operation chains, and in this framework branch order
 contributes nothing to producer→consumer adjacency (see DESIGN.md).
 
-Cost: compaction is the largest share of a study, so a pass computes once
-what stays fixed while it runs, and the moves come out in exactly the
-order a from-scratch check of every candidate would give.  The memos rest
-on three invariants: calls never move (and no move creates one), so the
-set of nodes holding a call is computed once per :func:`compact_graph`;
-:meth:`Instruction.uses <repro.ir.instr.Instruction.uses>` is memoized on
-the identity of the ``srcs`` tuple, which every operand rewrite replaces;
-and liveness is solved exactly at every pass start, then only grown
-within the pass as ops move up.  The reverse postorder is reused while no
-node is deleted, since moves never touch edges, and rule 5 counts the
-readers of each register per node visit instead of rescanning the node.
+Cost: compaction is the largest share of a study, so a
+:func:`compact_graph` call computes once what stays fixed while it runs,
+and the moves come out in exactly the order a from-scratch check of
+every candidate would give.  The memos rest on four invariants, each
+holding for one call:
+
+* calls never move (and no move creates one), so the set of nodes
+  holding a call is computed once;
+* moves never touch edges, and deleting an empty node never reorders the
+  rest (see :func:`delete_empty_nodes`), so the reverse postorder is
+  walked once and only loses the deleted ids;
+* no move rewrites an instruction's operands or destination (a renamed
+  copy is a fresh instruction), so each instruction's :class:`OpFacts`
+  — use mask, dest bit, memory/trapping/store flags — are derived once,
+  on first lookup, into a table that dies with the call, since the
+  passes run between compactions do rewrite instructions in place;
+* liveness is solved exactly at every pass start, then only grown within
+  the pass as ops move up.
+
 Liveness and the register facts are bit masks over one
-:class:`~repro.cfg.dataflow.RegisterBits` numbering per graph: a pass
-solves :func:`~repro.cfg.dataflow.live_in_masks` once, which also hands
-back every node's def mask (the OR of the bits its ops write).  Rules 2
-and 3 are then one AND each against the target's def mask, and rule 4 one
-AND per other successor; only rule 7 still scans the target's ops.  The
-def masks stay exact as ops move: a target ORs in what it receives, and a
-node an op leaves is recomputed from the ops that remain (unreachable
-predecessors, which may be targets, have masks too).  Opcode tests are
-``in`` tests against tuples, which find an enum member by identity
-without calling ``Enum.__hash__``.  On a shared 2-vCPU VM (CPython
-3.11.7) the masks took a cold ``study --seed 100`` from 1.58 s to 1.46 s
-median wall time (``perfbench/run.py``, 10 alternating pairs, 10/10
-wins, parent IQR 0.04 s), with the same moves and schedules.
+:class:`~repro.cfg.dataflow.RegisterBits` numbering per call: a pass
+solves :func:`~repro.cfg.dataflow.live_in_masks` once, reading each
+instruction's masks from the table, which also hands back every node's
+def mask (the OR of the bits its ops write).  Rules 2 and 3 are then one
+AND each against the target's def mask, rule 4 one AND per other
+successor, and rule 5 one AND against the registers read by at least
+one of the node's instructions (two, when the op reads its own
+destination); only rule 7 still scans the target's ops.  The def and
+read masks stay exact as ops move: a target ORs in what it receives,
+and a node an op leaves is recomputed from the instructions that remain
+(unreachable predecessors, which may be targets, have masks too).
+Opcode tests are ``in`` tests against tuples, which find an enum member
+by identity without calling ``Enum.__hash__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.cfg.dataflow import RegisterBits, def_mask, live_in_masks
+from repro.cfg.dataflow import (InstructionMasks, def_mask, live_in_masks,
+                                register_masks)
 from repro.cfg.graph import Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
-from repro.ir.values import VirtualReg
 from repro.opt.alias import memory_conflict
 
 #: Opcodes that may fault at run time and therefore must not be speculated.
@@ -105,8 +113,55 @@ class CompactionStats:
         self.deleted_nodes += other.deleted_nodes
 
 
+class OpFacts(NamedTuple):
+    """What the legality rules ask of one instruction."""
+
+    use_mask: int
+    dest_bit: int  # 0 without a destination
+    mem: bool  # a load or a store
+    unsafe: bool  # trapping or a store: never speculated (rule 6)
+    store: bool
+    renamable: bool  # a pure, non-trapping op with a destination
+
+
+class _FactTable(InstructionMasks):
+    """:class:`OpFacts` per instruction, derived once per compaction.
+
+    Nothing in :func:`compact_graph` rewrites an instruction's operands or
+    destination (a renamed copy is a fresh instruction), so an entry stays
+    exact for the whole call.  The table dies with the call, as passes
+    run between compactions do rewrite instructions in place.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, ins: Instruction) -> OpFacts:
+        use_mask, dest_bit = register_masks(ins, self.bits)
+        store = ins.is_store
+        unsafe = store or ins.op in TRAPPING_OPS
+        facts = self[ins] = OpFacts(
+            use_mask, dest_bit, store or ins.is_load, unsafe, store,
+            bool(dest_bit) and not unsafe and not ins.has_side_effects)
+        return facts
+
+
 def _node_has_call(node: Node) -> bool:
     return any(ins.op is Op.CALL for ins in node.ops)
+
+
+def _read_masks(node: Node, facts: _FactTable) -> Tuple[int, int]:
+    """The registers read by at least one and by at least two of the
+    node's instructions, for rule 5."""
+    once = twice = 0
+    for ins in node.ops:
+        use = facts[ins][0]
+        twice |= once & use
+        once |= use
+    if node.control is not None:
+        use = facts[node.control][0]
+        twice |= once & use
+        once |= use
+    return once, twice
 
 
 def _check_target(use_mask: int, dest_bit: int, op: Instruction, mem: bool,
@@ -150,35 +205,33 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
     without it, level 1.  Returns :class:`CompactionStats`.
     """
     stats = CompactionStats()
-    bits = RegisterBits()
+    facts = _FactTable()
     # Calls never move and no move creates one, so this holds all run.
     call_nodes = {nid for nid, node in graph.nodes.items()
                   if _node_has_call(node)}
-    order: List[int] = []
+    # Moves never touch edges, and deleting empty nodes never reorders
+    # the rest (see delete_empty_nodes), so one walk serves every pass.
+    order = graph.rpo_order()
     for _ in range(max_passes):
         stats.passes += 1
-        if not order:
-            # Moves never touch edges, so the order survives every pass
-            # that deletes no node.
-            order = graph.rpo_order()
-        made_progress = _compaction_pass(graph, order, call_nodes, bits,
+        made_progress = _compaction_pass(graph, order, call_nodes, facts,
                                          rename, max_width, stats)
         deleted = delete_empty_nodes(graph)
         stats.deleted_nodes += deleted
         if deleted:
-            order = []
+            order = [nid for nid in order if nid in graph.nodes]
         if not made_progress:
             break
     return stats
 
 
 def _compaction_pass(graph: ProgramGraph, order: List[int],
-                     call_nodes: Set[int], bits: RegisterBits, rename: bool,
+                     call_nodes: Set[int], facts: _FactTable, rename: bool,
                      max_width: Optional[int],
                      stats: CompactionStats) -> bool:
     nodes = graph.nodes
     def_masks: Dict[int, int] = {}
-    live_in = live_in_masks(graph, order, bits, def_masks)
+    live_in = live_in_masks(graph, order, facts, def_masks)
     rpo_index = {nid: i for i, nid in enumerate(order)}
     moved_any = False
 
@@ -196,30 +249,20 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
             continue
         targets = [(nodes[p], [s for s in nodes[p].succs if s != nid])
                    for p in preds]
-        # Rule 5 by counting: how many reads of each register the node's
-        # instructions make, kept current as ops leave it.
-        readers: Dict[VirtualReg, int] = {}
-        for ins in node.all_instructions():
-            for reg in ins.uses():
-                readers[reg] = readers.get(reg, 0) + 1
+        # Rule 5: the registers the node's instructions read, kept
+        # current as ops leave it.
+        read_once, read_twice = _read_masks(node, facts)
 
         for op in list(node.ops):
             if op.op is Op.CALL:
                 continue
-            dest = op.dest
-            uses = op.uses()
-            if dest is not None and readers.get(dest, 0) > uses.count(dest):
+            use_mask, dest_bit, mem, unsafe, store, renamable = facts[op]
+            if dest_bit & (read_twice if use_mask & dest_bit
+                           else read_once):
                 continue  # another instruction here reads the old value
-            store = op.is_store
             if store and any(memory_conflict(op, other)
                              for other in node.ops if other is not op):
                 continue
-            use_mask = 0
-            for reg in uses:
-                use_mask |= bits[reg]
-            dest_bit = 0 if dest is None else bits[dest]
-            mem = store or op.is_load
-            unsafe = store or op.op in TRAPPING_OPS
             needs_rename = False
             for target, other_succs in targets:
                 verdict = _check_target(use_mask, dest_bit, op, mem, unsafe,
@@ -232,18 +275,14 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
             else:
                 # Renaming produces a speculatively executed copy, so the
                 # op must be pure and non-trapping with a destination.
-                if needs_rename and not (
-                        rename and dest is not None and not unsafe
-                        and not op.has_side_effects):
+                if needs_rename and not (rename and renamable):
                     continue
-                for reg in uses:
-                    readers[reg] -= 1
                 if needs_rename:
-                    _hoist_renamed(graph, op, node, targets, bits, live_in,
-                                   def_masks, readers, stats)
+                    _hoist_renamed(graph, op, node, targets, facts, live_in,
+                                   def_masks, stats)
                 else:
                     node.ops.remove(op)
-                    def_masks[nid] = def_mask(node.ops, bits)
+                    def_masks[nid] = def_mask(node.ops, facts)
                     first = True
                     for target, _ in targets:
                         target.ops.append(op if first else op.clone())
@@ -252,22 +291,22 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
                     live_in[nid] |= dest_bit
                     stats.moves += 1
                     stats.copies += len(preds) - 1
+                read_once, read_twice = _read_masks(node, facts)
                 moved_any = True
     return moved_any
 
 
 def _hoist_renamed(graph: ProgramGraph, op: Instruction, node: Node,
                    targets: List[Tuple[Node, List[int]]],
-                   bits: RegisterBits, live_in: Dict[int, int],
+                   facts: _FactTable, live_in: Dict[int, int],
                    def_masks: Dict[int, int],
-                   readers: Dict[VirtualReg, int],
                    stats: CompactionStats) -> None:
     """Hoist ``r' = op ...`` into every target, leave ``mov dest, r'``.
 
     The node keeps writing ``dest``, so only the targets' def masks change.
     """
     fresh = graph.new_temp(op.dest.is_float)
-    fresh_bit = bits[fresh]
+    fresh_bit = facts.bits[fresh]
     for target, _ in targets:
         clone = op.clone()
         clone.dest = fresh
@@ -279,7 +318,6 @@ def _hoist_renamed(graph: ProgramGraph, op: Instruction, node: Node,
         mov_op, dest=op.dest, srcs=(fresh,),
         origin=op.origin, loc=op.loc)
     live_in[node.id] |= fresh_bit
-    readers[fresh] = readers.get(fresh, 0) + 1
     stats.renames += 1
     stats.copies += len(targets) - 1
 
@@ -290,24 +328,29 @@ def delete_empty_nodes(graph: ProgramGraph) -> int:
     Every deleted node shortens some path by one cycle, which is where
     compaction's speedup comes from — and what brings a producer and its
     consumer into adjacent cycles.
+
+    One scan finds them all.  Splicing a node out redirects each
+    predecessor's edge in place, which changes no other node's ops,
+    control or successor count; the only thing it can change is to turn
+    an edge into a self-loop, and that makes a node undeletable, never
+    deletable.  Nor does it reorder the rest of the reverse postorder: a
+    depth-first walk that went through the spliced node now reaches its
+    successor at the same point, so :func:`compact_graph` keeps its order
+    by dropping the deleted ids.
     """
     deleted = 0
-    changed = True
-    while changed:
-        changed = False
-        for nid in list(graph.nodes):
-            node = graph.nodes[nid]
-            if not node.is_empty or len(node.succs) != 1:
-                continue
-            succ = node.succs[0]
-            if succ == nid:
-                continue  # empty self-loop: never deletable
-            for pred in list(node.preds):
-                graph.redirect_edge(pred, nid, succ)
-            graph.remove_edge(nid, succ)
-            if nid == graph.entry:
-                graph.entry = succ
-            graph.remove_node(nid)
-            deleted += 1
-            changed = True
+    for nid in list(graph.nodes):
+        node = graph.nodes[nid]
+        if not node.is_empty or len(node.succs) != 1:
+            continue
+        succ = node.succs[0]
+        if succ == nid:
+            continue  # empty self-loop: never deletable
+        for pred in list(node.preds):
+            graph.redirect_edge(pred, nid, succ)
+        graph.remove_edge(nid, succ)
+        if nid == graph.entry:
+            graph.entry = succ
+        graph.remove_node(nid)
+        deleted += 1
     return deleted

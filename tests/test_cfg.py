@@ -5,8 +5,9 @@ from typing import List, Optional, Set
 import pytest
 
 from repro.cfg.build import build_graph, build_module_graphs
-from repro.cfg.dataflow import (LivenessInfo, RegisterBits, compute_liveness,
-                                live_in_masks, reaching_uses)
+from repro.cfg.dataflow import (InstructionMasks, LivenessInfo, RegisterBits,
+                                compute_liveness, live_in_masks,
+                                reaching_uses)
 from repro.cfg.dominators import compute_dominators, immediate_dominators
 from repro.cfg.graph import ProgramGraph
 from repro.cfg.linearize import format_graph, schedule_stats
@@ -330,9 +331,10 @@ class TestLiveness:
         dead.ops.append(Instruction(Op.MOV, dest=b, srcs=(Constant(2),)))
         g.add_edge(dead.id, entry.id)
         g.entry = entry.id
-        bits = RegisterBits()
+        masks = InstructionMasks()
+        bits = masks.bits
         defs = {}
-        live_in = live_in_masks(g, g.rpo_order(), bits, defs)
+        live_in = live_in_masks(g, g.rpo_order(), masks, defs)
         # The return reads a before the node's own write lands.
         assert live_in == {entry.id: bits[a], dead.id: 0}
         assert defs == {entry.id: bits[a], dead.id: bits[b]}

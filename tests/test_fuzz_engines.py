@@ -15,10 +15,13 @@ zero for some elements, an index read from a data array that lands past
 the end of its target, or a cycle limit below the program's run time.
 ``test_corpus_faults`` keeps that share from silently dropping to zero.
 A cross-level leg checks the optimizer itself: on the reference
-interpreter, levels 1 and 2 must compute what level 0 computes.  A
-resequence leg checks the single-issue base every ASIP design is
-measured on: the re-sequentialized level-1/2 module must compute what
-the optimized module computes, on both engines.
+interpreter, levels 1 and 2 must compute what level 0 computes, and a
+frozen-pass leg holds percolation at levels 1 and 2 to the frozen
+set-based compaction pass of ``tests/test_percolation.py`` (same
+graphs, same statistics).  A resequence leg checks the single-issue
+base every ASIP design is measured on: the re-sequentialized level-1/2
+module must compute what the optimized module computes, on both
+engines.
 
 Generated programs are closed (no external inputs), so every seed of a
 multi-seed batch must reproduce the single-run reference outcome; the
@@ -39,8 +42,11 @@ import pytest
 from repro.asip.resequence import resequence_module
 from repro.errors import SimulationError
 from repro.frontend import compile_source
+from repro.opt import percolation
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import ENGINES, run_module, run_module_batch
+
+from tests.test_percolation import frozen_compaction_pass, regen
 
 #: Cases per CI run; widen locally via the environment.
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "25"))
@@ -411,6 +417,26 @@ def test_levels_agree(case):
         if kind == "ok":
             assert got.return_value == baseline.return_value, ctx
             assert got.globals_after == baseline.globals_after, ctx
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_compaction_matches_frozen_pass(case, monkeypatch):
+    """Percolation at levels 1 and 2 makes the moves the frozen set-based
+    compaction pass makes: the same rendered graphs and the same
+    compaction statistics per function."""
+    module, _max_cycles = compile_case(case)
+    for level in LEVELS[1:]:
+        gm, report = optimize_module(module, OptLevel(level))
+        with monkeypatch.context() as m:
+            m.setattr(percolation, "_compaction_pass",
+                      frozen_compaction_pass)
+            want_gm, want_report = optimize_module(module, OptLevel(level))
+        ctx = f"case {case} level {level}"
+        assert report.compaction == want_report.compaction, ctx
+        assert {name: regen.render_graph(graph)
+                for name, graph in gm.graphs.items()} == \
+            {name: regen.render_graph(graph)
+             for name, graph in want_gm.graphs.items()}, ctx
 
 
 @pytest.mark.parametrize("case", range(CASES))

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import pytest
 
 from repro.cfg.build import build_graph, build_module_graphs
-from repro.cfg.dataflow import RegisterBits
+from repro.cfg.dataflow import InstructionMasks
 from repro.cfg.graph import Node, ProgramGraph
 from repro.frontend import compile_source
 from repro.ir.instr import Instruction
@@ -37,8 +37,8 @@ _spec.loader.exec_module(regen)
 
 
 # The set-based compaction pass the bit-mask one replaced, frozen verbatim
-# apart from its names, the unused register numbering it is handed, and the
-# frozen set-based liveness solver it calls.  Patched in for
+# apart from its names, the unused instruction fact table it is handed, and
+# the frozen set-based liveness solver it calls.  Patched in for
 # ``_compaction_pass`` it gives the set-based result the edge cases below
 # are compared with.
 def frozen_check_target(op: Instruction, op_uses: Set[VirtualReg],
@@ -79,7 +79,7 @@ def frozen_check_target(op: Instruction, op_uses: Set[VirtualReg],
 
 
 def frozen_compaction_pass(graph: ProgramGraph, order: List[int],
-                           call_nodes: Set[int], _bits, rename: bool,
+                           call_nodes: Set[int], _facts, rename: bool,
                            max_width: Optional[int],
                            stats: CompactionStats) -> bool:
     nodes = graph.nodes
@@ -400,6 +400,96 @@ class TestDeleteEmptyNodes:
         assert delete_empty_nodes(g) == 0
         assert br.id in g.nodes
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_call_splices_every_empty_node(self, reverse):
+        """An empty entry, a chain of three empty nodes and the empty node
+        both arms of a branch reach all go in one call, whichever order
+        the scan meets them in; a second call finds nothing left."""
+        g, role = _spliceable_graph(reverse)
+        assert delete_empty_nodes(g) == 6
+        assert delete_empty_nodes(g) == 0
+        assert set(g.nodes) == {role[r] for r in ("a", "br", "f", "ret")}
+        assert g.entry == role["a"]
+        assert g.nodes[role["a"]].succs == [role["br"]]
+        assert g.nodes[role["br"]].succs == [role["ret"], role["f"]]
+        assert g.nodes[role["f"]].succs == [role["ret"]]
+        assert sorted(g.nodes[role["ret"]].preds) == sorted(
+            [role["br"], role["f"]])
+
+
+#: Node roles of :func:`_spliceable_graph`, in creation order.
+_ROLES = ("entry", "a", "c1", "c2", "c3", "br", "t", "f", "j", "ret")
+
+
+def _spliceable_graph(reverse: bool = False):
+    """``entry -> a -> c1 -> c2 -> c3 -> br``, ``br -> t | f``,
+    ``t, f -> j -> ret``, where entry, c1-c3, t and j are empty.
+
+    Returns the graph and each role's node id; *reverse* creates the
+    nodes in reverse role order, so ids (the scan order) run backwards.
+    """
+    x, y = VirtualReg("x"), VirtualReg("y")
+    g = ProgramGraph("f")
+    node = {r: g.new_node() for r in (_ROLES[::-1] if reverse else _ROLES)}
+    node["a"].ops.append(Instruction(Op.MOV, dest=x, srcs=(Constant(1),)))
+    node["br"].control = Instruction(Op.BR, srcs=(x,), true_label="t",
+                                     false_label="f")
+    node["f"].ops.append(Instruction(Op.MOV, dest=y, srcs=(Constant(2),)))
+    node["ret"].control = Instruction(Op.RET, srcs=(x,))
+    for src, dst in (("entry", "a"), ("a", "c1"), ("c1", "c2"),
+                     ("c2", "c3"), ("c3", "br"), ("br", "t"), ("br", "f"),
+                     ("t", "j"), ("f", "j"), ("j", "ret")):
+        g.add_edge(node[src].id, node[dst].id)
+    g.entry = node["entry"].id
+    return g, {r: n.id for r, n in node.items()}
+
+
+class TestKeptOrder:
+    """:func:`compact_graph` computes the reverse postorder once and, after
+    a pass that deletes nodes, drops their ids: every pass must still get
+    exactly what :meth:`ProgramGraph.rpo_order` would give."""
+
+    @staticmethod
+    def _check_orders(monkeypatch):
+        real_pass = percolation._compaction_pass
+        real_delete = percolation.delete_empty_nodes
+        counts = {"passes": 0, "deletions": 0}
+
+        def checked_pass(graph, order, *rest):
+            assert order == graph.rpo_order()
+            counts["passes"] += 1
+            return real_pass(graph, order, *rest)
+
+        def checked_delete(graph):
+            before = graph.rpo_order()
+            deleted = real_delete(graph)
+            if deleted:
+                assert [nid for nid in before if nid in graph.nodes] == \
+                    graph.rpo_order()
+                counts["deletions"] += 1
+            return deleted
+
+        monkeypatch.setattr(percolation, "_compaction_pass", checked_pass)
+        monkeypatch.setattr(percolation, "delete_empty_nodes",
+                            checked_delete)
+        return counts
+
+    @pytest.mark.parametrize("bench", benchmark_names())
+    def test_suite_levels_1_and_2(self, bench, monkeypatch):
+        counts = self._check_orders(monkeypatch)
+        module = compile_benchmark(get_benchmark(bench))
+        for level in (OptLevel.PIPELINED, OptLevel.RENAMED):
+            optimize_module(module, level)
+        assert counts["passes"] > 0 and counts["deletions"] > 0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("rename", [False, True])
+    def test_hand_built_graph(self, reverse, rename, monkeypatch):
+        counts = self._check_orders(monkeypatch)
+        graph, _role = _spliceable_graph(reverse)
+        compact_graph(graph, rename=rename)
+        assert counts["deletions"] > 0
+
 
 def _defs_of(node: Node, bits) -> int:
     mask = 0
@@ -421,8 +511,9 @@ class TestBitMaskOracle:
         latest: List = []  # [bits, def masks] of the latest solve
         counts = {"solves": 0, "passes": 0, "dce": 0}
 
-        def checked_masks(graph, rpo, bits, defs_out=None):
-            masks = real_masks(graph, rpo, bits, defs_out)
+        def checked_masks(graph, rpo, facts, defs_out=None):
+            masks = real_masks(graph, rpo, facts, defs_out)
+            bits = facts.bits
             # Every node, reachable or not.
             assert decode_masks(masks, bits) == \
                 oracle_compute_liveness(graph, rpo).live_in
@@ -430,8 +521,9 @@ class TestBitMaskOracle:
             counts["solves"] += 1
             return masks
 
-        def checked_pass(graph, order, call_nodes, bits, *rest):
-            moved = real_pass(graph, order, call_nodes, bits, *rest)
+        def checked_pass(graph, order, call_nodes, facts, *rest):
+            moved = real_pass(graph, order, call_nodes, facts, *rest)
+            bits = facts.bits
             solved_bits, def_masks = latest
             assert solved_bits is bits
             assert def_masks == {nid: _defs_of(node, bits)
@@ -470,18 +562,19 @@ class TestRegisterNumbering:
         real_masks = percolation.live_in_masks
         reordered = []
 
-        def shuffled_masks(graph, rpo, bits, defs_out=None):
+        def shuffled_masks(graph, rpo, facts, defs_out=None):
+            bits = facts.bits
             first = not bits
             regs = sorted(graph.registers())
             rng.shuffle(regs)
             for reg in regs:
                 bits[reg]  # numbers the registers not yet numbered
             if first:
-                natural = RegisterBits()
+                natural = InstructionMasks()
                 real_masks(graph, rpo, natural)
-                reordered.append(
-                    [reg for reg in bits if reg in natural] != list(natural))
-            return real_masks(graph, rpo, bits, defs_out)
+                reordered.append([reg for reg in bits if reg in natural.bits]
+                                 != list(natural.bits))
+            return real_masks(graph, rpo, facts, defs_out)
 
         monkeypatch.setattr(percolation, "live_in_masks", shuffled_masks)
         monkeypatch.setattr(classic, "live_in_masks", shuffled_masks)
@@ -593,3 +686,76 @@ class TestMaskEdgeCases:
         assert _ops(g.nodes[0]) == ["x = mov 1", "%r0 = add a, 1"]
         assert _ops(g.nodes[1]) == ["x = mov %r0"]
         assert _ops(g.nodes[3]) == ["%r0 = add %r0, 1"]
+
+    def test_reader_leaving_frees_its_register_in_the_same_visit(
+            self, monkeypatch):
+        """Rule 5 follows the node as ops leave it: once the reader of x
+        moves up, the writer of x behind it may follow in the same visit,
+        so one pass moves both."""
+        p, x, y, r = (VirtualReg(n) for n in "pxyr")
+
+        def build():
+            g = ProgramGraph("f")
+            top, node, ret = (g.new_node() for _ in range(3))
+            top.ops.append(Instruction(Op.MOV, dest=p, srcs=(Constant(0),)))
+            node.ops.append(Instruction(Op.ADD, dest=y,
+                                        srcs=(x, Constant(1))))
+            node.ops.append(Instruction(Op.MOV, dest=x, srcs=(Constant(5),)))
+            ret.ops.append(Instruction(Op.ADD, dest=r, srcs=(x, y)))
+            ret.control = Instruction(Op.RET, srcs=(r,))
+            for src, dst in ((top, node), (node, ret)):
+                g.add_edge(src.id, dst.id)
+            g.entry = top.id
+            return g
+
+        g, stats = _compact_against_frozen(build, monkeypatch)
+        assert stats.moves == 2 and stats.passes == 2
+        assert _ops(g.nodes[0]) == ["p = mov 0", "y = add x, 1", "x = mov 5"]
+
+
+class TestFactLifetime:
+    def test_rewrites_between_compactions_are_seen(self, monkeypatch):
+        """Instruction facts live for one :func:`compact_graph` call only:
+        rewriting one op's operands and another's destination between two
+        compactions changes what the second may move, exactly as for the
+        frozen set-based pass on a twin with the same rewrites."""
+        a, b, c, e, g, q, r, x = (VirtualReg(n) for n in "abcegqrx")
+
+        def build():
+            graph = ProgramGraph("f")
+            n0, n1, n2, ret = (graph.new_node() for _ in range(4))
+            n0.ops.append(Instruction(Op.MOV, dest=a, srcs=(Constant(1),)))
+            n0.ops.append(Instruction(Op.MOV, dest=e, srcs=(Constant(4),)))
+            # Blocked: a true dependence on a, an output dependence on e.
+            n1.ops.append(Instruction(Op.ADD, dest=b, srcs=(a, Constant(1))))
+            n1.ops.append(Instruction(Op.ADD, dest=e, srcs=(x, Constant(3))))
+            n2.ops.append(Instruction(Op.ADD, dest=c, srcs=(q, Constant(2))))
+            ret.ops.append(Instruction(Op.ADD, dest=r, srcs=(b, c)))
+            ret.control = Instruction(Op.RET, srcs=(r,))
+            for src, dst in ((n0, n1), (n1, n2), (n2, ret)):
+                graph.add_edge(src.id, dst.id)
+            graph.entry = n0.id
+            return graph
+
+        def rewrite(graph):
+            blocked_true, blocked_output = graph.nodes[1].ops
+            blocked_true.replace_uses({a: q})
+            blocked_output.dest = g
+
+        graph, twin = build(), build()
+        first = compact_graph(graph)
+        with monkeypatch.context() as m:
+            m.setattr(percolation, "_compaction_pass", frozen_compaction_pass)
+            assert compact_graph(twin) == first
+        assert first.moves == 2
+        assert _ops(graph.nodes[1]) == ["b = add a, 1", "e = add x, 3"]
+        rewrite(graph)
+        rewrite(twin)
+        second = compact_graph(graph)
+        with monkeypatch.context() as m:
+            m.setattr(percolation, "_compaction_pass", frozen_compaction_pass)
+            assert compact_graph(twin) == second
+        assert regen.render_graph(graph) == regen.render_graph(twin)
+        # Both rewritten ops joined the first node, which emptied the second.
+        assert second.moves == 2 and second.deleted_nodes == 1
+        assert _ops(graph.nodes[0])[-2:] == ["b = add q, 1", "g = add x, 3"]
