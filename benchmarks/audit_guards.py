@@ -8,8 +8,9 @@ never touched) and runs every guard against the copy:
 * **goldens** — the five ``tests/golden/regen_*.py`` scripts, then a
   byte comparison of the regenerated snapshots with the committed ones;
 * **fuzz** — ``tests/test_fuzz_engines.py`` at its default case count;
-* **cache suites** — ``tests/test_diskcache.py`` and
-  ``tests/test_verify_artifacts.py``;
+* **cache suites** — ``tests/test_diskcache.py``,
+  ``tests/test_verify_artifacts.py`` and ``tests/test_provenance_keys.py``
+  (the suites CI re-runs under ``REPRO_VERIFY=1``);
 * **fault injection** — ``tests/test_failure_injection.py``;
 * **repro verify** — the range analysis over the suite plus the
   determinism lint;
@@ -118,6 +119,11 @@ MUTANTS: Sequence[Mutant] = (
            "','.join(map(str, node.succs))",
            "','.join(map(str, sorted(node.succs)))",
            "modules differing only in successor order share a key"),
+    Mutant("fused-key-ignores-sites", "asip/select.py",
+           'derive_stamp(fused, module, "fused", repr(site_key(sites)))',
+           'derive_stamp(fused, module, "fused")',
+           "every fused program of one resequenced module shares a "
+           "provenance key"),
     Mutant("level0-oracle-skipped", "exec/study.py",
            "check_against=reference,", "check_against=None,",
            "`study` never compares levels 1/2 with level 0"),
@@ -225,7 +231,8 @@ GUARDS = {
     "fuzz": lambda tree: _run(_pytest("tests/test_fuzz_engines.py"), tree,
                               "cache-fuzz"),
     "cache suites": lambda tree: _run(
-        _pytest("tests/test_diskcache.py", "tests/test_verify_artifacts.py"),
+        _pytest("tests/test_diskcache.py", "tests/test_verify_artifacts.py",
+                "tests/test_provenance_keys.py"),
         tree, "cache-suites"),
     "fault injection": lambda tree: _run(
         _pytest("tests/test_failure_injection.py"), tree, "cache-faults"),

@@ -28,6 +28,7 @@ from repro.errors import AsipError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import VirtualReg
+from repro.sim.diskcache import derive_stamp
 
 
 def resequence_module(module: GraphModule) -> GraphModule:
@@ -49,6 +50,10 @@ def resequence_module_mapped(module: GraphModule
     exploration executor uses this to *derive* the single-issue base
     processor's cycle count from the VLIW profiling run instead of
     simulating the sequential program a second time.
+
+    Resequencing is deterministic in the module's content, so a stamped
+    *module* gives a stamped result (:func:`~repro.sim.diskcache.
+    derive_stamp`).
     """
     graphs = {}
     mapping: Dict[str, Dict[int, Tuple[int, ...]]] = {}
@@ -61,7 +66,7 @@ def resequence_module_mapped(module: GraphModule
         module.array_initializers,
         module.global_scalars,
     )
-    return flat, mapping
+    return derive_stamp(flat, module, "resequenced"), mapping
 
 
 def _resequence_graph(graph: ProgramGraph

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.asip.isa import ChainedInstruction, InstructionSet
 from repro.chaining.sequence import SequenceName
@@ -39,6 +39,7 @@ from repro.cfg.graph import GraphModule, Node, ProgramGraph
 from repro.errors import AsipError, IRError
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
+from repro.sim.diskcache import derive_stamp
 
 
 class FusedInstruction(Instruction):
@@ -100,7 +101,8 @@ Site = Tuple[str, Tuple[int, ...], ChainedInstruction]
 
 class ChainMatcher:
     """Matches chain sets against one sequential module, which it never
-    changes; the walk order is worked out once and serves every chain set.
+    changes; the walk order and the node links are worked out once and
+    serve every chain set.
 
     Walks each graph in reverse postorder and tries a chain set's chains
     longest-first at every node, greedily.  A node already fused into
@@ -117,15 +119,37 @@ class ChainMatcher:
         # Per graph, in reverse postorder, the nodes that could start a
         # chain (one operation, no control) with that operation's class.
         self._starts: Dict[str, List[Tuple[int, str]]] = {}
+        # Per graph, each such node's link ``(next id, next class)``:
+        # the one successor a run may continue into under the matching
+        # rules (no control, one operation of a chain class, one
+        # predecessor, reading this node's destination).
+        self._links: Dict[str, Dict[int, Tuple[int, str]]] = {}
         for name, graph in module.graphs.items():
+            nodes = graph.nodes
             starts = []
+            links = {}
             for nid in graph.rpo_order():
-                node = graph.nodes[nid]
-                if node.control is None and len(node.ops) == 1:
-                    chain_class = node.ops[0].chain_class
-                    if chain_class is not None:
-                        starts.append((nid, chain_class))
+                node = nodes[nid]
+                if node.control is not None or len(node.ops) != 1:
+                    continue
+                producer = node.ops[0]
+                chain_class = producer.chain_class
+                if chain_class is None:
+                    continue
+                starts.append((nid, chain_class))
+                if len(node.succs) != 1 or producer.dest is None:
+                    continue
+                nxt_id = node.succs[0]
+                nxt = nodes[nxt_id]
+                if nxt.control is not None or len(nxt.ops) != 1 \
+                        or len(nxt.preds) != 1:
+                    continue
+                consumer = nxt.ops[0]
+                if consumer.chain_class is not None \
+                        and producer.dest in consumer.uses():
+                    links[nid] = (nxt_id, consumer.chain_class)
             self._starts[name] = starts
+            self._links[name] = links
 
     def match(self, isa: InstructionSet) -> Tuple[Site, ...]:
         """Every run selection fuses for *isa*, in fusion order."""
@@ -135,19 +159,27 @@ class ChainMatcher:
         for chain in sorted(isa.chains, key=lambda c: -c.length):
             by_head.setdefault(chain.pattern[0], []).append(chain)
         sites: List[Site] = []
-        for name, graph in self.module.graphs.items():
-            nodes = graph.nodes
+        for name in self.module.graphs:
+            links = self._links[name]
             taken: Set[int] = set()
             for nid, chain_class in self._starts[name]:
                 if nid in taken:
                     continue
                 for chain in by_head.get(chain_class, ()):
-                    run = _match_at(nodes, nid, chain.pattern, taken)
-                    if run is None:
-                        continue
-                    taken.update(run)
-                    sites.append((name, run, chain))
-                    break
+                    run = [nid]
+                    for want in chain.pattern[1:]:
+                        link = links.get(run[-1])
+                        if link is None or link[1] != want:
+                            break
+                        nxt_id = link[0]
+                        if nxt_id in taken or nxt_id in run:
+                            break  # an earlier run's, or a wrap onto itself
+                        run.append(nxt_id)
+                    else:
+                        run = tuple(run)
+                        taken.update(run)
+                        sites.append((name, run, chain))
+                        break
         return tuple(sites)
 
 
@@ -181,39 +213,6 @@ def selection_stats(sites: Sequence[Site]) -> SelectionStats:
     return stats
 
 
-def _match_at(nodes: Dict[int, Node], start: int, pattern: Sequence[str],
-              taken: Set[int]) -> Optional[Tuple[int, ...]]:
-    """Match the rest of *pattern* on the node run from *start*, whose
-    single operation is of class ``pattern[0]``, touching no node of
-    *taken*.  (A fused node never matches: its ``CHAIN`` opcode has no
-    chain class.)"""
-    run = [start]
-    node = nodes[start]
-    producer = node.ops[0]
-    for want in pattern[1:]:
-        if len(node.succs) != 1:
-            return None
-        nxt_id = node.succs[0]
-        if nxt_id in run:
-            return None  # would wrap around a cycle onto itself
-        if nxt_id in taken:
-            return None  # already part of an earlier run
-        nxt = nodes[nxt_id]
-        if nxt.control is not None or len(nxt.ops) != 1:
-            return None
-        if len(nxt.preds) != 1:
-            return None  # something jumps into the middle of the chain
-        consumer = nxt.ops[0]
-        if consumer.chain_class != want:
-            return None
-        if producer.dest is None or producer.dest not in consumer.uses():
-            return None
-        run.append(nxt_id)
-        node = nxt
-        producer = consumer
-    return tuple(run)
-
-
 def build_fused(module: GraphModule, sites: Sequence[Site]) -> GraphModule:
     """*module* with every site of *sites* fused, in site order.
 
@@ -221,15 +220,22 @@ def build_fused(module: GraphModule, sites: Sequence[Site]) -> GraphModule:
     *module*'s own objects.  Each run's head takes a
     :class:`FusedInstruction` and the tail's successors; the rest of the
     run is dropped; each successor of the tail swaps the tail for the
-    head at the end of its predecessor list.
+    head at the end of its predecessor list.  A stamped *module* gives a
+    fused module stamped from its key and :func:`site_key` of *sites*,
+    which names the fused program; with no sites the program is
+    *module*'s own, and so is the key.
     """
     runs: Dict[str, List[Tuple[Tuple[int, ...], ChainedInstruction]]] = {}
     for name, run, chain in sites:
         runs.setdefault(name, []).append((run, chain))
     graphs = {name: _build_graph(graph, runs.get(name, ()))
               for name, graph in module.graphs.items()}
-    return GraphModule(module.name, graphs, module.global_arrays,
-                       module.array_initializers, module.global_scalars)
+    fused = GraphModule(module.name, graphs, module.global_arrays,
+                        module.array_initializers, module.global_scalars)
+    if not sites:  # nothing fused: the same program, under the same key
+        fused.provenance_key = module.provenance_key
+        return fused
+    return derive_stamp(fused, module, "fused", repr(site_key(sites)))
 
 
 def _build_graph(graph: ProgramGraph,

@@ -284,7 +284,16 @@ class ProgramGraph:
 
 
 class GraphModule:
-    """A module whose functions are program graphs (post-CFG form)."""
+    """A module whose functions are program graphs (post-CFG form).
+
+    ``provenance_key`` is the module's content key when its producer
+    could name it from how the module was built rather than by walking
+    it (:func:`repro.sim.diskcache.content_key`); ``None`` otherwise.
+    A stamped module is never edited in place.  :meth:`copy` drops the
+    stamp, pickling keeps it.
+    """
+
+    provenance_key: Optional[str] = None
 
     def __init__(self, name: str, graphs: Dict[str, ProgramGraph],
                  global_arrays, array_initializers, global_scalars):

@@ -32,8 +32,9 @@ from repro.exec.scheduler import Task, run_tasks
 from repro.feedback.study import BenchmarkStudy, StudyResult
 from repro.ir.instr import _next_uid
 from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
-from repro.sim.diskcache import (OPTIMIZED_KIND, get_cache, module_digest,
-                                 optimized_key, verify_on_load)
+from repro.sim.diskcache import (OPTIMIZED_KIND, derived_key, get_cache,
+                                 module_digest, optimized_key,
+                                 verify_on_load)
 from repro.suite.registry import get_benchmark, selected_names
 from repro.suite.runner import compile_benchmark, run_benchmark
 
@@ -108,13 +109,17 @@ def optimized_module(name: str, level: int, unroll_factor: int):
     optimized afresh, the entry is accepted only if it equals that
     (:func:`_holds`) and otherwise rejected and re-stored, and the fresh
     pair is returned either way.
+
+    The returned module is stamped with a provenance key derived from
+    the entry's key, with or without a disk tier (after the store, so
+    entries never carry it); resequencing and chain selection derive
+    their own stamps from it, and none of them is walked to key its
+    compiled code.  The module must not be edited in place.
     """
     spec = get_benchmark(name)
     cache = get_cache()
-    key = payload = None
-    if cache is not None:
-        key = optimized_key(name, spec.source, level, unroll_factor)
-        payload = cache.load(OPTIMIZED_KIND, key)
+    key = optimized_key(name, spec.source, level, unroll_factor)
+    payload = None if cache is None else cache.load(OPTIMIZED_KIND, key)
     if payload is not None:
         try:
             payload = _adopt(payload)
@@ -123,7 +128,7 @@ def optimized_module(name: str, level: int, unroll_factor: int):
             payload = None
         else:
             if not verify_on_load():
-                return payload
+                return _stamped(payload, key)
     fresh = optimize_module(compile_benchmark(spec), OptLevel(level),
                             unroll_factor=unroll_factor)
     if payload is not None and not _holds(payload, fresh):
@@ -131,7 +136,12 @@ def optimized_module(name: str, level: int, unroll_factor: int):
         payload = None
     if cache is not None and payload is None:
         cache.store(OPTIMIZED_KIND, key, fresh)
-    return fresh
+    return _stamped(fresh, key)
+
+
+def _stamped(pair, key: str) -> tuple:
+    pair[0].provenance_key = derived_key("optimized", key)
+    return pair
 
 
 def run_per_benchmark(benchmarks: Optional[Tuple[str, ...]], fn: Callable,

@@ -35,6 +35,16 @@ Legality rules (one VLIW node: reads at cycle start, writes at cycle end):
    unrolling first (:mod:`repro.opt.looppipe`), which turns the interesting
    iteration seams into forward edges.  This also guarantees termination.
 
+The pass cap.  :func:`compact_graph` percolates until a pass moves
+nothing, but at most ``max_passes`` (64) passes.  Rule 8 already
+guarantees termination, so the cap only ever cuts a compaction short.
+On the suite it does so once: smooth at level 2 is still moving ops at
+pass 64 and would reach its fixpoint at pass 71, 12 moves later.  Every
+other level-1/2 compaction converges first
+(``tests/test_percolation.py::TestPassCap``).  The paper outputs
+(Table 2, the optimized-graph and generated-source goldens) are those
+of the capped compaction.
+
 ``move_cond`` (branch hoisting) is intentionally not implemented: chainable
 sequences are data-operation chains, and in this framework branch order
 contributes nothing to producer→consumer adjacency (see DESIGN.md).
@@ -199,7 +209,8 @@ def _check_target(use_mask: int, dest_bit: int, op: Instruction, mem: bool,
 def compact_graph(graph: ProgramGraph, rename: bool = False,
                   max_width: Optional[int] = None,
                   max_passes: int = 64) -> CompactionStats:
-    """Percolate operations upward until fixpoint.
+    """Percolate operations upward until fixpoint, or for at most
+    *max_passes* passes (see "The pass cap" in the module docstring).
 
     With ``rename=True`` this is the paper's optimization level 2 behaviour;
     without it, level 1.  Returns :class:`CompactionStats`.

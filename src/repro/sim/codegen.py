@@ -21,7 +21,7 @@
 
 Each graph's source is compiled on its own and ``exec``-uted once per
 module; the functions are cached on the module next to its lowering,
-under the module's content digest (stripped at pickle boundaries by
+under the module's content key (stripped at pickle boundaries by
 ``GraphModule.__getstate__`` and regenerated lazily per process).  The
 source text itself is not kept in memory: it goes into the disk-cache
 entry, and :func:`emit_sources` re-emits it on demand.  Results are bit-identical to the reference
@@ -45,7 +45,7 @@ from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
                               RET_R, RET_S, RETREAD, TERMINAL_OPS, TEST,
                               _LoweredGraph, _UNDEF, lower_module,
                               run_lowered_module)
-from repro.sim.diskcache import get_cache, module_digest, verify_on_load
+from repro.sim.diskcache import content_key, get_cache, verify_on_load
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
 
@@ -551,7 +551,7 @@ class GeneratedModule:
         emission and (when the marshalled code objects verify and load)
         compilation; a blob whose checksum does not match falls back to
         compiling the stored sources.  A *lowered* form the module
-        already holds for the entry's digest is kept; otherwise the
+        already holds for the entry's key is kept; otherwise the
         entry's lowered graphs are bound to *module*."""
         if lowered is None:
             lowered = LoweredModule.from_graphs(module, payload["graphs"])
@@ -632,12 +632,14 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     """Exec-compiled form of *module*, cached on the module itself.
 
     Same slot as :func:`~repro.sim.engine.lower_module`: the module's
-    ``_compiled`` slot, keyed by its content digest, holds the lowering
-    and the generated code side by side, so the two can never disagree
-    about which module state they compile.
+    ``_compiled`` slot, keyed by its content key
+    (:func:`~repro.sim.diskcache.content_key`), holds the lowering and
+    the generated code side by side, so the two can never disagree
+    about which module state they compile.  The key is taken once per
+    call and handed to the lowering on a miss.
 
-    When the slot holds no code for the current digest, the disk tier
-    (:mod:`repro.sim.diskcache`) is consulted under the same digest: a
+    When the slot holds no code for the current key, the disk tier
+    (:mod:`repro.sim.diskcache`) is consulted under the same key: a
     hit skips the lowering walk, the source emission and (via the
     marshalled code objects) the compile, leaving only the ``exec`` of
     the pre-built code; a lowering the slot already holds is kept.  A
@@ -650,26 +652,26 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     re-stored.  Either way the code that runs is compiled from the fresh
     sources; the entry's marshalled code is never used under the gate.
     """
-    digest = module_digest(module)
+    key = content_key(module)
     slot = module.__dict__.get("_compiled")
     lowered = None
-    if slot is not None and slot[0] == digest:
+    if slot is not None and slot[0] == key:
         if slot[2] is not None:
             return slot[2]
         lowered = slot[1]
     cache = get_cache()
-    payload = None if cache is None else cache.load("codegen", digest)
+    payload = None if cache is None else cache.load("codegen", key)
     if payload is not None and not verify_on_load():
         try:
             generated = GeneratedModule.from_payload(module, payload, lowered)
         except Exception:
             cache.unusable("codegen")
         else:
-            module._compiled = (digest, generated.lowered, generated)
+            module._compiled = (key, generated.lowered, generated)
             return generated
         payload = None
     if lowered is None:
-        lowered = lower_module(module)
+        lowered = lower_module(module, key)
     sources, consts = emit_sources(lowered)
     codes = _compile_sources(module.name, sources)
     if payload is not None and payload_mismatch(
@@ -678,9 +680,9 @@ def generate_module(module: GraphModule) -> GeneratedModule:
         payload = None
     generated = GeneratedModule(module, lowered, consts, codes)
     if cache is not None and payload is None:
-        cache.store("codegen", digest,
+        cache.store("codegen", key,
                     _disk_payload(lowered, sources, consts, codes))
-    module._compiled = (digest, lowered, generated)
+    module._compiled = (key, lowered, generated)
     return generated
 
 
@@ -696,7 +698,7 @@ class CodegenEngine:
                   ) -> List[MachineResult]:
         """Run N input sets through the same generated program.
 
-        Generation (and the digest walk ``run_module`` pays per call)
+        Generation (and the content-key lookup ``run_module`` pays per call)
         happens once for the whole batch; each input set executes
         with fresh globals and fresh profile counters, bit-identical to N
         independent :func:`~repro.sim.machine.run_module` calls.

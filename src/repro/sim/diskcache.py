@@ -13,14 +13,24 @@ sits the ``"optimized"`` kind (:data:`OPTIMIZED_KIND`): one
 so a warm exploration or frontier task skips the front end and the
 optimizer as well (:func:`repro.exec.study.optimized_module`).
 
-Keying.  Entries are addressed by :func:`module_digest`, a SHA-256 over
-a canonical serialization of everything the lowered form depends on —
-graph names, entry nodes, parameters, local arrays, node ids, successor
-lists, and every instruction's opcode and operands — deliberately
-*excluding* process-local instruction uids, so two processes compiling
-the same source reach the same key.  The same digest keys the module's
-in-memory slot: one content key per module state, in memory and on
-disk.  An optimized entry is keyed by :func:`optimized_key` instead:
+Keying.  A codegen entry is addressed by the module's
+:func:`content_key`, which also keys its in-memory slot: one content
+key per module state, in memory and on disk.  For most modules that is
+:func:`module_digest`, a SHA-256 over a canonical serialization of
+everything the lowered form depends on — graph names, entry nodes,
+parameters, local arrays, node ids, successor lists, and every
+instruction's opcode and operands — deliberately *excluding*
+process-local instruction uids, so two processes compiling the same
+source reach the same key.  An exploration module instead carries a
+provenance key (``GraphModule.provenance_key``), stamped by the step
+that built it from its input's key (:func:`derive_stamp`): the
+optimized module's from its :func:`optimized_key`, the resequenced
+module's from that, each fused program's from the resequenced key and
+its fused sites.  No walk is needed, and because every such key roots
+in :func:`optimized_key`, and so in :func:`result_source_token`, an
+edit to any step is a plain miss.  A stamped module is never edited in
+place; an unstamped one may be, and its digest follows the edit.  An
+optimized entry is keyed by :func:`optimized_key` itself:
 the benchmark's name and program text, the level, the unroll factor and
 :func:`result_source_token`, which covers the front end and the
 optimizer.  The entry kind (``"codegen"``, ``"optimized"``, or
@@ -181,6 +191,16 @@ def result_source_token() -> str:
     return _result_token_cache
 
 
+def derived_key(*parts: str) -> str:
+    """A SHA-256 over *parts*, NUL-separated: how every key of the
+    store is formed, and the key a producer stamps on a module from the
+    name of its step, its input's key and whatever else the step reads
+    (:func:`derive_stamp`)."""
+    h = hashlib.sha256()
+    h.update("\x00".join(parts).encode("utf-8", "backslashreplace"))
+    return h.hexdigest()
+
+
 def optimized_key(name: str, source: str, level: int,
                   unroll_factor: int) -> str:
     """The key of one benchmark's optimized entry.
@@ -190,11 +210,8 @@ def optimized_key(name: str, source: str, level: int,
     the whole package, so an edit to the front end, the optimizer or the
     IR classes turns every stored entry into a plain miss.
     """
-    h = hashlib.sha256()
-    h.update("\x00".join((name, source, str(int(level)),
-                          str(unroll_factor), result_source_token())
-                         ).encode("utf-8", "backslashreplace"))
-    return h.hexdigest()
+    return derived_key(name, source, str(int(level)), str(unroll_factor),
+                       result_source_token())
 
 
 def result_cache_enabled() -> bool:
@@ -296,9 +313,28 @@ def module_digest(module) -> str:
             parts.append("ctl")
             if node.control is not None:
                 _feed_instruction(parts, node.control)
-    h = hashlib.sha256()
-    h.update("\x00".join(parts).encode("utf-8", "backslashreplace"))
-    return h.hexdigest()
+    return derived_key(*parts)
+
+
+# -- provenance keys ---------------------------------------------------------------
+
+
+def derive_stamp(module, parent, step: str, *parts: str):
+    """Stamp *module*, built from *parent* by *step*, with
+    ``derived_key(step, parent's key, *parts)``; an unstamped *parent*
+    leaves *module* unstamped.  Returns *module*."""
+    key = parent.provenance_key
+    if key is not None:
+        module.provenance_key = derived_key(step, key, *parts)
+    return module
+
+
+def content_key(module) -> str:
+    """The key of *module*'s compiled slot and codegen entry: its
+    ``provenance_key`` when a producer stamped one, otherwise
+    :func:`module_digest`, the walk."""
+    key = module.provenance_key
+    return module_digest(module) if key is None else key
 
 
 # -- the store ---------------------------------------------------------------------

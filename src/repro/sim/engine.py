@@ -12,8 +12,9 @@ counting reduced to one counter per branch edge.  The generator then emits
 one Python function per lowered graph.
 
 The lowered form is cached on the :class:`GraphModule` under the module's
-content digest, so repeated runs of the same module pay lowering once;
-equal content means the same lowered form.  Words hold no references to
+content key (:func:`~repro.sim.diskcache.content_key`), so repeated runs
+of the same module pay lowering once; equal content means the same
+lowered form.  Words hold no references to
 other words, so the lowered form pickles as is into the disk-cache entry.
 :func:`run_lowered_module` is the run frame around the generated code:
 globals, inputs, counters, profile reconstruction and the cycle limit.
@@ -34,7 +35,7 @@ from repro.cfg.graph import GraphModule, Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
-from repro.sim.diskcache import module_digest
+from repro.sim.diskcache import content_key
 from repro.sim.machine import MachineResult
 from repro.sim.memory import ArrayStorage
 from repro.sim.profile import ProfileData
@@ -1048,25 +1049,31 @@ class LoweredModule:
         return lowered
 
 
-def lower_module(module: GraphModule) -> LoweredModule:
+def lower_module(module: GraphModule,
+                 key: Optional[str] = None) -> LoweredModule:
     """Lowered form of *module*, cached on the module itself.
 
-    The module holds one slot, ``_compiled``: ``(digest, lowered,
+    The module holds one slot, ``_compiled``: ``(key, lowered,
     generated-or-None)``, keyed by
-    :func:`~repro.sim.diskcache.module_digest`, the content key the
-    disk tier files entries under.  Lowering reads nothing of an
-    instruction the digest does not cover, so equal content means the
-    same lowered form: the slot is reused while the module's digest
-    matches, and any edit to a node, operand or edge misses it.  The
-    slot is stripped at pickle boundaries (``GraphModule.__getstate__``)
-    and rebuilt lazily in each worker process.
+    :func:`~repro.sim.diskcache.content_key`, the key the disk tier
+    files the module's entry under: the stamp its producer derived from
+    how it was built, or else :func:`~repro.sim.diskcache.module_digest`.
+    Lowering reads nothing of an instruction the digest does not cover,
+    so equal content means the same lowered form: the slot is reused
+    while the key matches, and on an unstamped module any edit to a
+    node, operand or edge misses it (a stamped module is never edited in
+    place).  A caller that already holds the key passes it as *key*, so
+    the module is not walked again.  The slot is stripped at pickle
+    boundaries (``GraphModule.__getstate__``) and rebuilt lazily in each
+    worker process.
     """
-    digest = module_digest(module)
+    if key is None:
+        key = content_key(module)
     slot = module.__dict__.get("_compiled")
-    if slot is not None and slot[0] == digest:
+    if slot is not None and slot[0] == key:
         return slot[1]
     lowered = LoweredModule(module)
-    module._compiled = (digest, lowered, None)
+    module._compiled = (key, lowered, None)
     return lowered
 
 

@@ -358,9 +358,11 @@ def run_module_batch(module: GraphModule,
     """Simulate *module* on every input set of *inputs_list*, in order.
 
     The multi-seed entry point: on the codegen engine the module is
-    generated (and its content digest walked) once for the whole batch
-    rather than once per run, while every run still gets fresh
-    globals and a fresh profile.  Results are bit-identical to calling
+    generated once for the whole batch rather than once per run, while
+    every run still gets fresh globals and a fresh profile.  Its content
+    key is looked up once too: a module stamped by its producer (an
+    exploration program, see :func:`~repro.sim.diskcache.content_key`)
+    is not walked at all, any other module is walked once.  Results are bit-identical to calling
     :func:`run_module` once per input set, on either engine.
     """
     if ensure_engine(engine) == "reference":

@@ -147,9 +147,9 @@ class TestBatchedSimulation:
         calls = []
         real = codegen_mod.lower_module
 
-        def counting(module):
+        def counting(module, *args, **kwargs):
             calls.append(module)
-            return real(module)
+            return real(module, *args, **kwargs)
 
         monkeypatch.setattr(codegen_mod, "lower_module", counting)
         monkeypatch.setenv(diskcache.CACHE_ENV_VAR, diskcache.DISABLE_VALUE)

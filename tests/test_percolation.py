@@ -286,6 +286,27 @@ class TestCompactionEffect:
         assert second.moves == 0 and second.renames == 0
 
 
+class TestPassCap:
+    """``compact_graph(max_passes=64)`` stops short of the fixpoint on
+    exactly one compaction of the suite: smooth at level 2, whose
+    compaction is still moving ops at pass 64 and reaches its fixpoint
+    12 moves later.  Every other level-1/2 compaction converges first."""
+
+    def test_smooth_level2_is_the_only_capped_compaction(self):
+        capped = {}
+        for name in benchmark_names():
+            module = compile_benchmark(get_benchmark(name))
+            for level in (OptLevel.PIPELINED, OptLevel.RENAMED):
+                gm, report = optimize_module(module, level)
+                for fn, stats in report.compaction.items():
+                    assert stats.passes <= 64, (name, level, fn)
+                    if stats.passes == 64:
+                        capped[(name, int(level), fn)] = gm.graphs[fn]
+        assert list(capped) == [("smooth", 2, "main")]
+        rest = compact_graph(capped[("smooth", 2, "main")], rename=True)
+        assert rest.moves == 12
+
+
 class TestLegalityRules:
     def _two_node_graph(self):
         """entry node -> second node, built by hand."""
