@@ -171,6 +171,16 @@ payload["code_sha"] = hashlib.sha256(blob).hexdigest()
 '''),
            "a served entry's code blob, with a matching checksum, was "
            "compiled from other sources"),
+    Mutant("shared-prefix-not-copied", "opt/pipeline.py",
+           "self.source, self.settings, self.graph_module.copy(),",
+           "self.source, self.settings, self.graph_module,",
+           "the study's level 1 compacts the shared prefix itself, so "
+           "level 2 compacts level 1's graphs again"),
+    Mutant("carried-use-mask-not-grown", "opt/percolation.py",
+           "                        use_masks[target.id] |= use_mask\n",
+           "",
+           "a hoist target's carried use mask misses the moved op's "
+           "reads, so later passes solve liveness too small"),
 )
 
 GOLDEN_SCRIPTS = ("regen_optimized_graphs.py", "regen_run_outputs.py",

@@ -12,11 +12,16 @@ Python int, so each transfer function is two or three big-int operations
 instead of set unions over register tuples.  Each instruction's use
 mask and dest bit come from an :class:`InstructionMasks` table, which
 derives them on first lookup: dead-code elimination keeps one table for
-all its rounds and percolation one for a whole compaction, so a solve
-after the first re-derives only the instructions made since.
-Percolation and dead-code elimination test and grow the live-in masks
-directly; :func:`compute_liveness` decodes them into register sets for
-callers that want sets.
+all its rounds and percolation one for a whole compaction.
+
+The fixpoint itself is :func:`solve_live_in`, over a :class:`SolveOrder`
+(the edges it walks) and every node's use and def masks.
+:func:`live_in_masks` derives those node masks afresh for each solve;
+percolation derives them once per compaction and keeps them current as
+ops move (see :mod:`repro.opt.percolation`).  Percolation and dead-code
+elimination test and grow the live-in masks directly;
+:func:`compute_liveness` decodes them into register sets for callers
+that want sets.
 """
 
 from __future__ import annotations
@@ -89,57 +94,74 @@ def def_mask(ops: Iterable[Instruction], masks: InstructionMasks) -> int:
     return mask
 
 
-def live_in_masks(graph: ProgramGraph, rpo: List[int],
-                  masks: InstructionMasks,
-                  defs_out: Optional[Dict[int, int]] = None,
+def node_masks(graph: ProgramGraph, masks: InstructionMasks,
+               ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Every node's ``(use masks, def masks)``, unreachable nodes included.
+
+    A node's use mask is the OR of what its ops and control read, its
+    def mask the OR of what its ops write (see :func:`def_mask`).
+    """
+    uses: Dict[int, int] = {}
+    defs: Dict[int, int] = {}
+    for nid, node in graph.nodes.items():
+        use = write = 0
+        for ins in node.ops:
+            fact = masks[ins]
+            use |= fact[0]
+            write |= fact[1]
+        if node.control is not None:
+            use |= masks[node.control][0]
+        uses[nid] = use
+        defs[nid] = write
+    return uses, defs
+
+
+class SolveOrder:
+    """The edges a liveness solve walks, for one reverse postorder.
+
+    ``order`` is *rpo* reversed; ``succs[i]`` is the successor list of
+    ``order[i]`` (the node's own list, not a copy) and ``preds[i]`` the
+    positions in ``order`` of its solved predecessors.  ``rpo_index``
+    maps each solved node to its index in *rpo*.  Nothing here reads a
+    node's instructions, so it stays exact while edges stay unchanged.
+    """
+
+    __slots__ = ("order", "succs", "preds", "rpo_index")
+
+    def __init__(self, graph: ProgramGraph, rpo: List[int]):
+        nodes = graph.nodes
+        self.order = order = rpo[::-1]
+        self.rpo_index = {nid: i for i, nid in enumerate(rpo)}
+        position = {nid: i for i, nid in enumerate(order)}
+        self.succs = [nodes[nid].succs for nid in order]
+        self.preds = [[position[p] for p in nodes[nid].preds
+                       if p in position] for nid in order]
+
+
+def solve_live_in(graph: ProgramGraph, walk: SolveOrder,
+                  uses: Dict[int, int], defs: Dict[int, int],
                   ) -> Dict[int, int]:
-    """Classic backward worklist liveness over VLIW nodes, as bit masks.
+    """Every node's live-in mask, from each node's use and def masks.
 
     Within a node all reads happen before all writes, so a register both
     read and written by the same node is *used* (its incoming value matters):
-    ``use(n) = reads(n)``, ``def(n) = writes(n)``,
-    ``live_in = use | (live_out & ~def)``.
-
-    *rpo* is the graph's current :meth:`~ProgramGraph.rpo_order`; only
-    those nodes are solved, the rest keep an empty (0) live-in mask.
-    Each instruction's registers come from *masks*, which may already
-    hold some instructions (and its numbering some registers).  When
-    *defs_out* is given it receives every node's def mask (see
-    :func:`def_mask`), unreachable nodes included.
+    ``live_in = use | (live_out & ~def)``.  Only the nodes of *walk* are
+    solved; the rest keep an empty (0) live-in mask.
     """
-    nodes = graph.nodes
-    live_in = dict.fromkeys(nodes, 0)
+    live_in = dict.fromkeys(graph.nodes, 0)
+    order = walk.order
+    rows = list(zip(order, walk.succs, walk.preds,
+                    [uses[nid] for nid in order],
+                    [~defs[nid] for nid in order]))
     # Iterate to fixpoint in reverse RPO for fast convergence, revisiting
     # only nodes with a successor whose live_in changed since their last
     # visit.  Every update is monotone from the empty masks, so this is the
     # same least fixpoint a full round-robin reaches.
-    order = rpo[::-1]
-    position = {nid: i for i, nid in enumerate(order)}
-    facts = []
-    for nid in order:
-        node = nodes[nid]
-        preds = [position[p] for p in node.preds if p in position]
-        # def_mask inlined: this runs per solve, per node.
-        use = defs = 0
-        for ins in node.ops:
-            fact = masks[ins]
-            use |= fact[0]
-            defs |= fact[1]
-        if node.control is not None:
-            use |= masks[node.control][0]
-        if defs_out is not None:
-            defs_out[nid] = defs
-        facts.append((nid, node.succs, preds, use, ~defs))
-    if defs_out is not None and len(order) < len(nodes):
-        # Percolation hoists into unreachable predecessors too.
-        for nid, node in nodes.items():
-            if nid not in position:
-                defs_out[nid] = def_mask(node.ops, masks)
-    dirty = [True] * len(order)
+    dirty = [True] * len(rows)
     changed = True
     while changed:
         changed = False
-        for i, (nid, succs, preds, use, keep) in enumerate(facts):
+        for i, (nid, succs, preds, use, keep) in enumerate(rows):
             if not dirty[i]:
                 continue
             dirty[i] = False
@@ -153,6 +175,20 @@ def live_in_masks(graph: ProgramGraph, rpo: List[int],
                     dirty[p] = True
                     changed = changed or p <= i
     return live_in
+
+
+def live_in_masks(graph: ProgramGraph, rpo: List[int],
+                  masks: InstructionMasks) -> Dict[int, int]:
+    """Classic backward worklist liveness over VLIW nodes, as bit masks:
+    :func:`solve_live_in` over :func:`node_masks`.
+
+    *rpo* is the graph's current :meth:`~ProgramGraph.rpo_order`; only
+    those nodes are solved, the rest keep an empty (0) live-in mask.
+    Each instruction's registers come from *masks*, which may already
+    hold some instructions (and its numbering some registers).
+    """
+    uses, defs = node_masks(graph, masks)
+    return solve_live_in(graph, SolveOrder(graph, rpo), uses, defs)
 
 
 def live_out_mask(graph: ProgramGraph, nid: int,

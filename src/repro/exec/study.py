@@ -4,12 +4,12 @@
 value.  Each benchmark is one :class:`~repro.exec.scheduler.Task`
 (:func:`_study_benchmark`): it compiles the front end once, then
 optimizes and runs the levels in ascending order
-(:func:`~repro.opt.pipeline.optimize_module`, then
-:func:`~repro.suite.runner.run_benchmark`).  With ``verify`` on, the level-0 run is the semantic
-oracle its levels 1/2 are checked against, on every seed of a multi-seed
-study, inside the same task.  Different benchmarks run in parallel;
-``jobs`` only sizes the pool (``jobs=1`` runs the tasks in this process,
-in order).
+(:func:`optimized_levels`, which runs the optimizer prefix levels 1 and
+2 share once, then :func:`~repro.suite.runner.run_benchmark`).  With
+``verify`` on, the level-0 run is the semantic oracle its levels 1/2 are
+checked against, on every seed of a multi-seed study, inside the same
+task.  Different benchmarks run in parallel; ``jobs`` only sizes the
+pool (``jobs=1`` runs the tasks in this process, in order).
 
 The parent reassembles results in the requested benchmark order, never
 completion order, which — together with the determinism of compiler and
@@ -25,13 +25,14 @@ the study matrix optimizes its levels itself.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.cfg.graph import GraphModule
 from repro.exec.scheduler import Task, run_tasks
 from repro.feedback.study import BenchmarkStudy, StudyResult
 from repro.ir.instr import _next_uid
-from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
+from repro.opt.pipeline import (OptLevel, OptimizationReport,
+                                optimize_module, optimize_prefix)
 from repro.sim.diskcache import (OPTIMIZED_KIND, derived_key, get_cache,
                                  module_digest, optimized_key,
                                  verify_on_load)
@@ -168,27 +169,46 @@ def run_per_benchmark(benchmarks: Optional[Tuple[str, ...]], fn: Callable,
     return names, results
 
 
+def optimized_levels(module, levels: Tuple[int, ...], unroll_factor: int,
+                     ) -> Iterator[Tuple[OptLevel, tuple]]:
+    """``(level, optimize_module(...))`` for each of *levels* (ascending),
+    one at a time, with levels 1 and 2 finished from one
+    :func:`~repro.opt.pipeline.optimize_prefix`: the last of them
+    compacts the prefix itself, an earlier one a copy, so level 2 never
+    takes a copy."""
+    prefix = None
+    for level in map(OptLevel, levels):
+        if level is OptLevel.NONE:
+            yield level, optimize_module(module, level,
+                                         unroll_factor=unroll_factor)
+            continue
+        if prefix is None:
+            prefix = optimize_prefix(module, unroll_factor)
+        yield level, optimize_module(
+            module, level, unroll_factor=unroll_factor,
+            prefix=prefix if level == levels[-1] else prefix.copy())
+
+
 def _study_benchmark(name: str, levels: Tuple[int, ...],
                      lengths: Tuple[int, ...], seed: int,
                      seeds: Optional[Tuple[int, ...]], unroll_factor: int,
                      engine: str, verify: bool) -> BenchmarkStudy:
     """One benchmark at every level of *levels* (ascending), level 0
     checking the rest when *verify* is on (module-level: runs in pool
-    workers)."""
+    workers).  Levels 1 and 2 are finished from one shared optimizer
+    prefix (:func:`optimized_levels`)."""
     spec = get_benchmark(name)
     module = compile_benchmark(spec)
     study = BenchmarkStudy(spec=spec)
     reference = None
-    for level in levels:
-        optimized = optimize_module(module, OptLevel(level),
-                                    unroll_factor=unroll_factor)
+    for level, optimized in optimized_levels(module, levels, unroll_factor):
         run = run_benchmark(
-            spec, OptLevel(level), lengths=lengths, seed=seed, seeds=seeds,
+            spec, level, lengths=lengths, seed=seed, seeds=seeds,
             unroll_factor=unroll_factor, check_against=reference,
             module=module, engine=engine, optimized=optimized)
         if level == 0 and verify:
             reference = run.seed_results
-        study.runs[OptLevel(level)] = run
+        study.runs[level] = run
     return study
 
 

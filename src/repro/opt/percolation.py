@@ -66,20 +66,25 @@ holding for one call:
   on first lookup, into a table that dies with the call, since the
   passes run between compactions do rewrite instructions in place;
 * liveness is solved exactly at every pass start, then only grown within
-  the pass as ops move up.
+  the pass as ops move up; the solve's inputs are carried across passes
+  (:class:`_CarriedLiveness`).  Every node's use mask (the registers its
+  ops and control read) and def mask (the registers its ops write) are
+  derived once per call and kept exact as ops move: a hoist target ORs
+  in the op's use mask and dest bit (the renamed temp's bit, for a
+  renamed copy), and a node an op leaves takes the read mask rule 5
+  recomputes and a def mask recomputed from the ops that remain.  The
+  solve's edges (:class:`~repro.cfg.dataflow.SolveOrder`) are rebuilt
+  only after a pass that deleted nodes.
 
 Liveness and the register facts are bit masks over one
 :class:`~repro.cfg.dataflow.RegisterBits` numbering per call: a pass
-solves :func:`~repro.cfg.dataflow.live_in_masks` once, reading each
-instruction's masks from the table, which also hands back every node's
-def mask (the OR of the bits its ops write).  Rules 2 and 3 are then one
-AND each against the target's def mask, rule 4 one AND per other
-successor, and rule 5 one AND against the registers read by at least
-one of the node's instructions (two, when the op reads its own
-destination); only rule 7 still scans the target's ops.  The def and
-read masks stay exact as ops move: a target ORs in what it receives,
-and a node an op leaves is recomputed from the instructions that remain
-(unreachable predecessors, which may be targets, have masks too).
+runs :func:`~repro.cfg.dataflow.solve_live_in` once over the carried
+masks.  Rules 2 and 3 are then one AND each against the target's def
+mask, rule 4 one AND per other successor, and rule 5 one AND against
+the registers read by at least one of the node's instructions (two,
+when the op reads its own destination); only rule 7 still scans the
+target's ops.  Unreachable predecessors, which may be targets, have
+masks too.
 Opcode tests are ``in`` tests against tuples, which find an enum member
 by identity without calling ``Enum.__hash__``.
 """
@@ -89,8 +94,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.cfg.dataflow import (InstructionMasks, def_mask, live_in_masks,
-                                register_masks)
+from repro.cfg.dataflow import (InstructionMasks, SolveOrder, def_mask,
+                                node_masks, register_masks, solve_live_in)
 from repro.cfg.graph import Node, ProgramGraph
 from repro.ir.instr import Instruction
 from repro.ir.ops import Op
@@ -206,6 +211,23 @@ def _check_target(use_mask: int, dest_bit: int, op: Instruction, mem: bool,
     return _LEGAL
 
 
+class _CarriedLiveness:
+    """What every liveness solve of one :func:`compact_graph` call reads:
+    each node's use and def masks, kept exact as ops move, and the
+    solve's edges, rebuilt only after a pass that deleted nodes.
+
+    Deleted nodes keep their entries; only empty nodes are deleted, so
+    those are 0, and no solve or check reads them.
+    """
+
+    __slots__ = ("uses", "defs", "walk")
+
+    def __init__(self, graph: ProgramGraph, order: List[int],
+                 facts: "_FactTable"):
+        self.uses, self.defs = node_masks(graph, facts)
+        self.walk = SolveOrder(graph, order)
+
+
 def compact_graph(graph: ProgramGraph, rename: bool = False,
                   max_width: Optional[int] = None,
                   max_passes: int = 64) -> CompactionStats:
@@ -223,27 +245,30 @@ def compact_graph(graph: ProgramGraph, rename: bool = False,
     # Moves never touch edges, and deleting empty nodes never reorders
     # the rest (see delete_empty_nodes), so one walk serves every pass.
     order = graph.rpo_order()
+    carried = _CarriedLiveness(graph, order, facts)
     for _ in range(max_passes):
         stats.passes += 1
-        made_progress = _compaction_pass(graph, order, call_nodes, facts,
-                                         rename, max_width, stats)
+        made_progress = _compaction_pass(graph, order, carried, call_nodes,
+                                         facts, rename, max_width, stats)
         deleted = delete_empty_nodes(graph)
         stats.deleted_nodes += deleted
-        if deleted:
-            order = [nid for nid in order if nid in graph.nodes]
         if not made_progress:
             break
+        if deleted:
+            order = [nid for nid in order if nid in graph.nodes]
+            carried.walk = SolveOrder(graph, order)
     return stats
 
 
 def _compaction_pass(graph: ProgramGraph, order: List[int],
-                     call_nodes: Set[int], facts: _FactTable, rename: bool,
+                     carried: _CarriedLiveness, call_nodes: Set[int],
+                     facts: _FactTable, rename: bool,
                      max_width: Optional[int],
                      stats: CompactionStats) -> bool:
     nodes = graph.nodes
-    def_masks: Dict[int, int] = {}
-    live_in = live_in_masks(graph, order, facts, def_masks)
-    rpo_index = {nid: i for i, nid in enumerate(order)}
+    use_masks, def_masks = carried.uses, carried.defs
+    live_in = solve_live_in(graph, carried.walk, use_masks, def_masks)
+    rpo_index = carried.walk.rpo_index
     moved_any = False
 
     for nid in order:
@@ -260,17 +285,22 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
             continue
         targets = [(nodes[p], [s for s in nodes[p].succs if s != nid])
                    for p in preds]
-        # Rule 5: the registers the node's instructions read, kept
-        # current as ops leave it.
-        read_once, read_twice = _read_masks(node, facts)
+        # Rule 5: the registers the node's instructions read (its use
+        # mask) and those read twice, derived only when an op reads its
+        # own destination; both kept current as ops leave the node.
+        read_once, read_twice = use_masks[nid], None
 
         for op in list(node.ops):
             if op.op is Op.CALL:
                 continue
             use_mask, dest_bit, mem, unsafe, store, renamable = facts[op]
-            if dest_bit & (read_twice if use_mask & dest_bit
-                           else read_once):
-                continue  # another instruction here reads the old value
+            if use_mask & dest_bit:
+                if read_twice is None:
+                    read_twice = _read_masks(node, facts)[1]
+                if dest_bit & read_twice:
+                    continue  # another instruction here reads the old value
+            elif dest_bit & read_once:
+                continue
             if store and any(memory_conflict(op, other)
                              for other in node.ops if other is not op):
                 continue
@@ -290,19 +320,21 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
                     continue
                 if needs_rename:
                     _hoist_renamed(graph, op, node, targets, facts, live_in,
-                                   def_masks, stats)
+                                   carried, stats)
                 else:
                     node.ops.remove(op)
                     def_masks[nid] = def_mask(node.ops, facts)
                     first = True
                     for target, _ in targets:
                         target.ops.append(op if first else op.clone())
+                        use_masks[target.id] |= use_mask
                         def_masks[target.id] |= dest_bit
                         first = False
                     live_in[nid] |= dest_bit
                     stats.moves += 1
                     stats.copies += len(preds) - 1
                 read_once, read_twice = _read_masks(node, facts)
+                use_masks[nid] = read_once
                 moved_any = True
     return moved_any
 
@@ -310,19 +342,22 @@ def _compaction_pass(graph: ProgramGraph, order: List[int],
 def _hoist_renamed(graph: ProgramGraph, op: Instruction, node: Node,
                    targets: List[Tuple[Node, List[int]]],
                    facts: _FactTable, live_in: Dict[int, int],
-                   def_masks: Dict[int, int],
+                   carried: _CarriedLiveness,
                    stats: CompactionStats) -> None:
     """Hoist ``r' = op ...`` into every target, leave ``mov dest, r'``.
 
-    The node keeps writing ``dest``, so only the targets' def masks change.
+    The node keeps writing ``dest``, so its def mask stays; its use mask
+    is the caller's, which recomputes it with rule 5's read masks.
     """
     fresh = graph.new_temp(op.dest.is_float)
     fresh_bit = facts.bits[fresh]
+    use_mask = facts[op][0]
     for target, _ in targets:
         clone = op.clone()
         clone.dest = fresh
         target.ops.append(clone)
-        def_masks[target.id] |= fresh_bit
+        carried.uses[target.id] |= use_mask
+        carried.defs[target.id] |= fresh_bit
     mov_op = Op.FMOV if op.dest.is_float else Op.MOV
     index = node.ops.index(op)
     node.ops[index] = Instruction(

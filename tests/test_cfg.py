@@ -6,7 +6,7 @@ import pytest
 
 from repro.cfg.build import build_graph, build_module_graphs
 from repro.cfg.dataflow import (InstructionMasks, LivenessInfo, RegisterBits,
-                                compute_liveness, live_in_masks,
+                                compute_liveness, live_in_masks, node_masks,
                                 reaching_uses)
 from repro.cfg.dominators import compute_dominators, immediate_dominators
 from repro.cfg.graph import ProgramGraph
@@ -333,10 +333,11 @@ class TestLiveness:
         g.entry = entry.id
         masks = InstructionMasks()
         bits = masks.bits
-        defs = {}
-        live_in = live_in_masks(g, g.rpo_order(), masks, defs)
+        live_in = live_in_masks(g, g.rpo_order(), masks)
+        uses, defs = node_masks(g, masks)
         # The return reads a before the node's own write lands.
         assert live_in == {entry.id: bits[a], dead.id: 0}
+        assert uses == {entry.id: bits[a], dead.id: 0}
         assert defs == {entry.id: bits[a], dead.id: bits[b]}
 
     def test_register_bits_number_on_first_lookup(self):

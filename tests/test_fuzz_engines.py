@@ -18,7 +18,9 @@ A cross-level leg checks the optimizer itself: on the reference
 interpreter, levels 1 and 2 must compute what level 0 computes, and a
 frozen-pass leg holds percolation at levels 1 and 2 to the frozen
 set-based compaction pass of ``tests/test_percolation.py`` (same
-graphs, same statistics).  A resequence leg checks the single-issue
+graphs, same statistics), and a shared-prefix leg holds levels 1 and 2
+built from one optimizer prefix to independent optimizations
+(``tests/test_shared_prefix.py``).  A resequence leg checks the single-issue
 base every ASIP design is measured on: the re-sequentialized level-1/2
 module must compute what the optimized module computes, on both
 engines.
@@ -47,6 +49,7 @@ from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import ENGINES, run_module, run_module_batch
 
 from tests.test_percolation import frozen_compaction_pass, regen
+from tests.test_shared_prefix import assert_matches_per_level
 
 #: Cases per CI run; widen locally via the environment.
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "25"))
@@ -437,6 +440,15 @@ def test_compaction_matches_frozen_pass(case, monkeypatch):
                 for name, graph in gm.graphs.items()} == \
             {name: regen.render_graph(graph)
              for name, graph in want_gm.graphs.items()}, ctx
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_shared_prefix_matches_per_level(case):
+    """Levels 1 and 2 finished from one shared optimizer prefix, as the
+    study matrix builds them, equal independent optimizations: module
+    digest, report, node and temp counters and rendered graphs."""
+    module, _max_cycles = compile_case(case)
+    assert_matches_per_level(module, f"case {case}")
 
 
 @pytest.mark.parametrize("case", range(CASES))

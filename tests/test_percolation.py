@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
+from repro.cfg import dataflow
 from repro.cfg.build import build_graph, build_module_graphs
 from repro.cfg.dataflow import InstructionMasks
 from repro.cfg.graph import Node, ProgramGraph
@@ -37,10 +38,10 @@ _spec.loader.exec_module(regen)
 
 
 # The set-based compaction pass the bit-mask one replaced, frozen verbatim
-# apart from its names, the unused instruction fact table it is handed, and
-# the frozen set-based liveness solver it calls.  Patched in for
-# ``_compaction_pass`` it gives the set-based result the edge cases below
-# are compared with.
+# apart from its names, the unused carried liveness and instruction fact
+# table it is handed, and the frozen set-based liveness solver it calls.
+# Patched in for ``_compaction_pass`` it gives the set-based result the
+# edge cases below are compared with.
 def frozen_check_target(op: Instruction, op_uses: Set[VirtualReg],
                         mem: bool, unsafe: bool, target: Node,
                         other_succs: List[int],
@@ -79,7 +80,8 @@ def frozen_check_target(op: Instruction, op_uses: Set[VirtualReg],
 
 
 def frozen_compaction_pass(graph: ProgramGraph, order: List[int],
-                           call_nodes: Set[int], _facts, rename: bool,
+                           _carried, call_nodes: Set[int], _facts,
+                           rename: bool,
                            max_width: Optional[int],
                            stats: CompactionStats) -> bool:
     nodes = graph.nodes
@@ -520,35 +522,59 @@ def _defs_of(node: Node, bits) -> int:
     return mask
 
 
+def _uses_of(node: Node, bits) -> int:
+    mask = 0
+    for ins in node.all_instructions():
+        for reg in ins.uses():
+            mask |= bits[reg]
+    return mask
+
+
 class TestBitMaskOracle:
-    """Every solve, every pass's def masks and every DCE call of a full
-    optimization, checked against the frozen set-based code."""
+    """Every solve and every DCE call of a full optimization checked
+    against the frozen set-based code, and at every compaction pass's
+    start and end the carried use and def masks of every node against a
+    fresh derivation."""
 
     @pytest.mark.parametrize("bench", benchmark_names())
     def test_levels_1_and_2_match_frozen_set_code(self, bench, monkeypatch):
-        real_masks = percolation.live_in_masks
+        real_masks = classic.live_in_masks
+        real_solve = percolation.solve_live_in
         real_pass = percolation._compaction_pass
         real_dce = classic.dead_code_elimination
-        latest: List = []  # [bits, def masks] of the latest solve
+        latest: List = []  # [bits] of the running compaction
         counts = {"solves": 0, "passes": 0, "dce": 0}
 
-        def checked_masks(graph, rpo, facts, defs_out=None):
-            masks = real_masks(graph, rpo, facts, defs_out)
-            bits = facts.bits
+        def check_solve(graph, live_in, bits):
             # Every node, reachable or not.
-            assert decode_masks(masks, bits) == \
-                oracle_compute_liveness(graph, rpo).live_in
-            latest[:] = [bits, defs_out]
+            assert decode_masks(live_in, bits) == \
+                oracle_compute_liveness(graph, graph.rpo_order()).live_in
             counts["solves"] += 1
+
+        def checked_masks(graph, rpo, facts):
+            masks = real_masks(graph, rpo, facts)
+            check_solve(graph, masks, facts.bits)
             return masks
 
-        def checked_pass(graph, order, call_nodes, facts, *rest):
-            moved = real_pass(graph, order, call_nodes, facts, *rest)
-            bits = facts.bits
-            solved_bits, def_masks = latest
-            assert solved_bits is bits
-            assert def_masks == {nid: _defs_of(node, bits)
-                                 for nid, node in graph.nodes.items()}
+        def checked_solve(graph, walk, uses, defs):
+            live_in = real_solve(graph, walk, uses, defs)
+            check_solve(graph, live_in, latest[0])
+            return live_in
+
+        def check_carried(graph, carried, bits):
+            assert {nid: carried.uses[nid] for nid in graph.nodes} == \
+                {nid: _uses_of(node, bits)
+                 for nid, node in graph.nodes.items()}
+            assert {nid: carried.defs[nid] for nid in graph.nodes} == \
+                {nid: _defs_of(node, bits)
+                 for nid, node in graph.nodes.items()}
+
+        def checked_pass(graph, order, carried, call_nodes, facts, *rest):
+            latest[:] = [facts.bits]
+            check_carried(graph, carried, facts.bits)
+            moved = real_pass(graph, order, carried, call_nodes, facts,
+                              *rest)
+            check_carried(graph, carried, facts.bits)
             counts["passes"] += 1
             return moved
 
@@ -560,7 +586,7 @@ class TestBitMaskOracle:
             counts["dce"] += 1
             return want
 
-        monkeypatch.setattr(percolation, "live_in_masks", checked_masks)
+        monkeypatch.setattr(percolation, "solve_live_in", checked_solve)
         monkeypatch.setattr(classic, "live_in_masks", checked_masks)
         monkeypatch.setattr(percolation, "_compaction_pass", checked_pass)
         monkeypatch.setattr(classic, "dead_code_elimination", checked_dce)
@@ -580,10 +606,10 @@ class TestRegisterNumbering:
         registers in any order gives the committed optimized graphs and
         compaction statistics."""
         rng = random.Random(seed)
-        real_masks = percolation.live_in_masks
+        real_node_masks = dataflow.node_masks
         reordered = []
 
-        def shuffled_masks(graph, rpo, facts, defs_out=None):
+        def shuffled_masks(graph, facts):
             bits = facts.bits
             first = not bits
             regs = sorted(graph.registers())
@@ -592,13 +618,15 @@ class TestRegisterNumbering:
                 bits[reg]  # numbers the registers not yet numbered
             if first:
                 natural = InstructionMasks()
-                real_masks(graph, rpo, natural)
+                real_node_masks(graph, natural)
                 reordered.append([reg for reg in bits if reg in natural.bits]
                                  != list(natural.bits))
-            return real_masks(graph, rpo, facts, defs_out)
+            return real_node_masks(graph, facts)
 
-        monkeypatch.setattr(percolation, "live_in_masks", shuffled_masks)
-        monkeypatch.setattr(classic, "live_in_masks", shuffled_masks)
+        # Compaction derives its masks once per call, dead-code
+        # elimination once per solve.
+        monkeypatch.setattr(percolation, "node_masks", shuffled_masks)
+        monkeypatch.setattr(dataflow, "node_masks", shuffled_masks)
         assert regen.snapshot() == json.loads(regen.GOLDEN_PATH.read_text())
         assert any(reordered)
 
