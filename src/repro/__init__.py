@@ -23,22 +23,30 @@ Higher-level drivers live in :mod:`repro.feedback` (the whole experiment
 matrix) and :mod:`repro.asip` (design-space exploration).
 """
 
+import importlib
+
 from repro.errors import ReproError
-from repro.frontend import compile_source
-from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.machine import run_module
-from repro.chaining.detect import detect_sequences
-from repro.chaining.coverage import analyze_coverage
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "compile_source",
-    "optimize_module",
-    "OptLevel",
-    "run_module",
-    "detect_sequences",
-    "analyze_coverage",
-    "__version__",
-]
+#: Public name -> defining module.  Resolved on first access (PEP 562), so
+#: ``import repro.cli`` loads only what the command it runs needs.
+_EXPORTS = {
+    "compile_source": "repro.frontend",
+    "optimize_module": "repro.opt.pipeline",
+    "OptLevel": "repro.opt.pipeline",
+    "run_module": "repro.sim.machine",
+    "detect_sequences": "repro.chaining.detect",
+    "analyze_coverage": "repro.chaining.coverage",
+}
+
+__all__ = ["ReproError", *_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

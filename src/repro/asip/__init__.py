@@ -16,23 +16,3 @@ processor (TMS320-class, the paper's motivating example) extended with
 * :mod:`repro.asip.explore` — budgeted design-space exploration: pick the
   chain set maximizing speedup under an area budget.
 """
-
-from repro.asip.isa import ChainedInstruction, InstructionSet
-from repro.asip.cost import CostModel, DEFAULT_COST_MODEL
-from repro.asip.select import FusedInstruction, select_chains, SelectionStats
-from repro.asip.evaluate import AsipEvaluation, evaluate_isa
-from repro.asip.explore import ExplorationResult, explore_designs
-
-__all__ = [
-    "ChainedInstruction",
-    "InstructionSet",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "FusedInstruction",
-    "select_chains",
-    "SelectionStats",
-    "AsipEvaluation",
-    "evaluate_isa",
-    "ExplorationResult",
-    "explore_designs",
-]

@@ -8,27 +8,3 @@ end).  A freshly built graph has one operation per node — the sequential
 schedule implied by the source program; percolation scheduling then compacts
 it.
 """
-
-from repro.cfg.graph import Node, ProgramGraph
-from repro.cfg.build import build_graph, build_module_graphs
-from repro.cfg.dataflow import LivenessInfo, compute_liveness, reaching_uses
-from repro.cfg.dominators import compute_dominators, immediate_dominators
-from repro.cfg.loops import NaturalLoop, find_natural_loops
-from repro.cfg.linearize import linearize, format_graph, schedule_stats
-
-__all__ = [
-    "Node",
-    "ProgramGraph",
-    "build_graph",
-    "build_module_graphs",
-    "LivenessInfo",
-    "compute_liveness",
-    "reaching_uses",
-    "compute_dominators",
-    "immediate_dominators",
-    "NaturalLoop",
-    "find_natural_loops",
-    "linearize",
-    "format_graph",
-    "schedule_stats",
-]

@@ -8,29 +8,3 @@ of execution time it accounts for.  The coverage analyzer (paper §7) then
 greedily picks non-overlapping high-frequency sequences, measuring how much
 of the workload a small set of chained instructions would cover.
 """
-
-from repro.chaining.sequence import (Occurrence, DetectedSequence,
-                                     sequence_label)
-from repro.chaining.detect import (DetectionResult, DetectionStats,
-                                   SequenceDetector, detect_sequences)
-from repro.chaining.frequency import dynamic_frequency, total_op_executions
-from repro.chaining.coverage import CoverageReport, CoverageStep, \
-    analyze_coverage
-from repro.chaining.aggregate import CombinedSequences, combine_results
-
-__all__ = [
-    "Occurrence",
-    "DetectedSequence",
-    "sequence_label",
-    "DetectionResult",
-    "DetectionStats",
-    "SequenceDetector",
-    "detect_sequences",
-    "dynamic_frequency",
-    "total_op_executions",
-    "CoverageReport",
-    "CoverageStep",
-    "analyze_coverage",
-    "CombinedSequences",
-    "combine_results",
-]

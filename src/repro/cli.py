@@ -29,13 +29,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.chaining.coverage import analyze_coverage
-from repro.chaining.detect import detect_sequences
-from repro.chaining.sequence import sequence_label
 from repro.errors import ReproError
-from repro.frontend import compile_source
-from repro.opt.pipeline import OptLevel, optimize_module
-from repro.sim.machine import run_module
+# The argparse level types need ``OptLevel``; every other import lives in
+# the command that runs it, so no command loads another's modules.
+from repro.opt.pipeline import OptLevel
 
 
 def _parse_levels(text: str) -> tuple:
@@ -695,6 +692,13 @@ def _random_inputs(module, seed: int) -> dict:
 
 
 def cmd_analyze(args, out) -> int:
+    from repro.chaining.coverage import analyze_coverage
+    from repro.chaining.detect import detect_sequences
+    from repro.chaining.sequence import sequence_label
+    from repro.frontend import compile_source
+    from repro.opt.pipeline import optimize_module
+    from repro.sim.machine import run_module
+
     with open(args.file) as fh:
         source = fh.read()
     module = compile_source(source, args.file, filename=args.file)

@@ -17,15 +17,3 @@ produces results bit-identical to ``jobs=1`` — profiles included —
 because every worker count runs the same per-benchmark task and the
 parent reassembles results in canonical order, never completion order.
 """
-
-from repro.exec.pool import JOBS_ENV_VAR, available_cpus, resolve_jobs
-from repro.exec.scheduler import ScheduleStats, Task, run_tasks
-
-__all__ = [
-    "JOBS_ENV_VAR",
-    "available_cpus",
-    "resolve_jobs",
-    "ScheduleStats",
-    "Task",
-    "run_tasks",
-]

@@ -20,16 +20,28 @@ per benchmark.  Worker processes receive their payloads by pickling, so
 task functions must be module-level and their arguments picklable;
 engine caches are stripped at the pickle boundary (see
 ``GraphModule.__getstate__``) and rebuilt lazily in each worker.
+
+**The fork rule.**  Workers are forked from the process that first asks
+for the pool, so they inherit every module it has imported by then; a
+module first imported after that is imported once per worker.  An
+executor whose every task needs a module imports it before its tasks
+start (the study matrix imports the front end in
+:func:`repro.exec.study.execute_study`).  One whose tasks need it only
+sometimes leaves it to the workers: the exploration executors do not
+compile on a warm cache.  ``concurrent.futures`` itself is imported
+only when a pool is built, so a ``jobs=1`` run never loads it.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment variable consulted when a ``jobs=`` knob is ``None``.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -86,6 +98,7 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     """
     global _pool, _pool_workers
     if _pool is None or _pool_workers != workers:
+        from concurrent.futures import ProcessPoolExecutor
         if _pool is not None:
             # Forget the old pool *before* constructing the replacement:
             # if ProcessPoolExecutor raises (bad worker count, resource

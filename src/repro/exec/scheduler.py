@@ -18,8 +18,6 @@ which is what keeps ``jobs=N`` bit-identical to ``jobs=1``.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
@@ -83,6 +81,10 @@ def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None,
             stats.max_in_flight = max(stats.max_in_flight, 1)
             results[task.key] = task.fn(*task.args)
         return results
+
+    # Imported here: a serial run never loads concurrent.futures.
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     waiting = deque(tasks)
     in_flight: Dict = {}  # future -> key

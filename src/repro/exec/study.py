@@ -216,6 +216,10 @@ def execute_study(config, jobs: int, progress=None, stats=None
                   ) -> StudyResult:
     """Run the matrix on *jobs* workers; see :func:`repro.feedback.study.
     run_study` for the public entry point."""
+    # Every study task compiles: load the front end here, before a pool
+    # forks, so workers inherit it instead of each importing it (see
+    # :mod:`repro.exec.pool`).
+    import repro.frontend
     levels = tuple(sorted(set(config.levels)))
     names, studies = run_per_benchmark(
         config.benchmarks, _study_benchmark,

@@ -2,18 +2,7 @@
 
 :func:`repro.feedback.study.run_study` runs the whole experimental matrix —
 every benchmark at every optimization level, with profiling, semantic
-checking and sequence detection — and returns a :class:`StudyResult` from
+checking and sequence detection — and returns a
+:class:`~repro.feedback.study.StudyResult` from
 which every table and figure of the paper regenerates.
 """
-
-from repro.feedback.study import (BenchmarkStudy, StudyConfig, StudyResult,
-                                  run_study)
-from repro.feedback.results import study_summary
-
-__all__ = [
-    "BenchmarkStudy",
-    "StudyConfig",
-    "StudyResult",
-    "run_study",
-    "study_summary",
-]

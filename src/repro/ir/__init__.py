@@ -9,36 +9,3 @@ sequence analyzer, ASIP selector) consumes one of those two forms.
 The design mirrors the paper's step 1 output: "a version of the Gnu C
 Compiler (gcc) which was modified to generate a 3-address code".
 """
-
-from repro.ir.ops import Op, OpKind, chain_class, is_float_op, result_type
-from repro.ir.values import Constant, VirtualReg, ArraySymbol, Label
-from repro.ir.instr import Instruction
-from repro.ir.function import Function
-from repro.ir.module import Module
-from repro.ir.builder import IRBuilder
-from repro.ir.printer import format_instruction, format_function, format_module
-from repro.ir.asm import parse_function, parse_module
-from repro.ir.verify import verify_function, verify_module
-
-__all__ = [
-    "Op",
-    "OpKind",
-    "chain_class",
-    "is_float_op",
-    "result_type",
-    "Constant",
-    "VirtualReg",
-    "ArraySymbol",
-    "Label",
-    "Instruction",
-    "Function",
-    "Module",
-    "IRBuilder",
-    "format_instruction",
-    "format_function",
-    "format_module",
-    "parse_function",
-    "parse_module",
-    "verify_function",
-    "verify_module",
-]

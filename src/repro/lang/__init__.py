@@ -10,9 +10,3 @@ and array parameters, the full C expression grammar over those types, and
 The public entry point is :func:`compile_source` in :mod:`repro.frontend`,
 which chains the lexer, parser, semantic analyzer and lowering.
 """
-
-from repro.lang.lexer import tokenize
-from repro.lang.parser import parse
-from repro.lang.sema import analyze
-
-__all__ = ["tokenize", "parse", "analyze"]

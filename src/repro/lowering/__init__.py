@@ -7,7 +7,3 @@ sequence-detection work "were restricted to the operation ordering created by
 the compiler, which is derived from the sequential statements in the
 high-level language".
 """
-
-from repro.lowering.lower import lower_program
-
-__all__ = ["lower_program"]

@@ -6,32 +6,11 @@ Stand-in for the UCI VLIW compiler: percolation scheduling
 plus the classic enabling cleanups (constant folding, copy propagation and
 coalescing, dead-code elimination, loop-invariant code motion).
 
-The paper's three optimization levels map to :class:`OptLevel`:
+The paper's three optimization levels map to
+:class:`~repro.opt.pipeline.OptLevel`:
 
 * ``OptLevel.NONE`` (0) — the sequential program graph untouched;
 * ``OptLevel.PIPELINED`` (1) — cleanups, loop pipelining, percolation
   scheduling, **without** register renaming;
 * ``OptLevel.RENAMED`` (2) — level 1 plus register renaming.
 """
-
-from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
-from repro.opt.percolation import compact_graph, delete_empty_nodes
-from repro.opt.looppipe import pipeline_loops
-from repro.opt.classic import (constant_fold, copy_propagate, coalesce_moves,
-                               dead_code_elimination, run_cleanups)
-from repro.opt.licm import hoist_loop_invariants
-
-__all__ = [
-    "OptLevel",
-    "OptimizationReport",
-    "optimize_module",
-    "compact_graph",
-    "delete_empty_nodes",
-    "pipeline_loops",
-    "constant_fold",
-    "copy_propagate",
-    "coalesce_moves",
-    "dead_code_elimination",
-    "run_cleanups",
-    "hoist_loop_invariants",
-]

@@ -5,26 +5,3 @@
 aligned numeric columns plus ASCII bar charts — the information content of
 the paper's plots, printable in a terminal or CI log).
 """
-
-from repro.reporting.tables import (render_table, table1, table2, table3,
-                                    table3_rows)
-from repro.reporting.figures import (ascii_chart, figure_series,
-                                     figure3, figure4, figure5, figure6)
-from repro.reporting.markdown import study_report
-from repro.reporting.frontier import frontier_report
-
-__all__ = [
-    "render_table",
-    "table1",
-    "table2",
-    "table3",
-    "table3_rows",
-    "ascii_chart",
-    "figure_series",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "study_report",
-    "frontier_report",
-]

@@ -7,23 +7,3 @@ profiles the sequential level-0 graph and the percolation-scheduled /
 pipelined graphs — and doubles as the semantic-preservation oracle (an
 optimized graph must produce bit-identical outputs).
 """
-
-from repro.sim.machine import (DEFAULT_ENGINE, ENGINES, GraphInterpreter,
-                               MachineResult, run_module, run_module_batch)
-from repro.sim.codegen import CodegenEngine, GeneratedModule, generate_module
-from repro.sim.profile import ProfileData
-from repro.sim.memory import ArrayStorage
-
-__all__ = [
-    "GraphInterpreter",
-    "CodegenEngine",
-    "GeneratedModule",
-    "generate_module",
-    "MachineResult",
-    "run_module",
-    "run_module_batch",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "ProfileData",
-    "ArrayStorage",
-]

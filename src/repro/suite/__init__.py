@@ -12,16 +12,3 @@ Table 1, and a deterministic input generator; :mod:`repro.suite.registry`
 collects them and :mod:`repro.suite.runner` runs the full
 compile → optimize → profile → detect pipeline on one benchmark.
 """
-
-from repro.suite.registry import (BenchmarkSpec, all_benchmarks,
-                                  benchmark_names, get_benchmark)
-from repro.suite.runner import BenchmarkRun, run_benchmark
-
-__all__ = [
-    "BenchmarkSpec",
-    "all_benchmarks",
-    "benchmark_names",
-    "get_benchmark",
-    "BenchmarkRun",
-    "run_benchmark",
-]

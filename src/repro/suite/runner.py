@@ -23,7 +23,6 @@ from repro.cfg.graph import GraphModule
 from repro.chaining.detect import (DEFAULT_LENGTHS, DetectionResult,
                                    detect_sequences)
 from repro.errors import OptimizationError, ReproError
-from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
 from repro.sim.machine import (DEFAULT_ENGINE, MachineResult, ensure_engine,
@@ -87,7 +86,11 @@ class BenchmarkRun:
 
 
 def compile_benchmark(spec: BenchmarkSpec) -> Module:
-    """Front-end only: compile the benchmark's mini-C source."""
+    """Front-end only: compile the benchmark's mini-C source.
+
+    The front end is imported here, not at the top: a run whose
+    optimized programs all come from the disk tier never loads it."""
+    from repro.frontend import compile_source
     return compile_source(spec.source, spec.name, filename=f"{spec.name}.c")
 
 

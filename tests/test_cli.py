@@ -535,3 +535,90 @@ class TestServeCommand:
         cache = diskcache.get_cache()
         assert cache.stores[diskcache.RESULT_KIND] == 1
         diskcache.reset_cache_state()
+
+
+class TestStartupImports:
+    """Each command imports what it runs: the front end only when it
+    compiles, ``concurrent.futures`` only when a pool starts.  Checked in
+    fresh interpreters, since this process has imported everything."""
+
+    #: Modules that ``import repro.cli`` must leave unloaded.
+    UNUSED_AT_IMPORT = ("concurrent.futures", "multiprocessing",
+                        "repro.lang", "repro.frontend", "repro.serve")
+    #: Modules a warm ``--jobs 1`` frontier must leave unloaded.
+    UNUSED_WHEN_WARM = ("concurrent.futures", "repro.lang",
+                        "repro.frontend")
+
+    @staticmethod
+    def run_python(script: str) -> str:
+        """Run *script* in a fresh interpreter; return its last line."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             text=True, capture_output=True,
+                             check=True).stdout
+        return out.splitlines()[-1]
+
+    @staticmethod
+    def loaded(prefixes) -> str:
+        """Script text printing the loaded modules under *prefixes*."""
+        return (f"print(sorted(m for m in sys.modules\n"
+                f"             if m.startswith({prefixes!r})))\n")
+
+    def test_cli_import_loads_no_command_modules(self):
+        script = ("import sys\n"
+                  "import repro.cli\n"
+                  + self.loaded(self.UNUSED_AT_IMPORT))
+        assert self.run_python(script) == "[]"
+
+    def test_public_names_resolve_lazily(self):
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'repro.frontend' not in sys.modules\n"
+            "from repro import compile_source, OptLevel\n"
+            "from repro.frontend import compile_source as defined\n"
+            "assert compile_source is defined\n"
+            "names = [n for n in repro.__all__ if n != '__version__']\n"
+            "assert all(getattr(repro, n) is not None for n in names)\n"
+            "ns = {}\n"
+            "exec('from repro import *', ns)\n"
+            "print(sorted(n for n in repro.__all__ if n not in ns))\n")
+        assert self.run_python(script) == "[]"
+
+    def test_warm_frontier_loads_no_front_end_or_pool(self, tmp_path):
+        argv = ["explore-study", "--frontier", "--benchmarks", "sewha",
+                "--max-budget", "1200", "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        run = (f"import io, sys\n"
+               f"from repro.cli import main\n"
+               f"assert main({argv!r}, out=io.StringIO()) == 0\n")
+        self.run_python(run + "print('primed')")
+        assert self.run_python(
+            run + self.loaded(self.UNUSED_WHEN_WARM)) == "[]"
+
+    def test_parallel_study_loads_front_end_before_the_pool(self, tmp_path):
+        """Pool workers are forked: the study imports the front end
+        before the scheduler asks for the pool, so the workers inherit
+        it instead of importing it once each."""
+        argv = ["study", "--benchmarks", "sewha,dft", "--levels", "0",
+                "--jobs", "2", "--cache-dir", str(tmp_path)]
+        script = (
+            "import io, sys\n"
+            "import repro.exec.scheduler as scheduler\n"
+            "seen = []\n"
+            "real = scheduler.get_pool\n"
+            "def get_pool(workers):\n"
+            "    seen.append('repro.frontend' in sys.modules)\n"
+            "    return real(workers)\n"
+            "scheduler.get_pool = get_pool\n"
+            "from repro.cli import main\n"
+            f"assert main({argv!r}, out=io.StringIO()) == 0\n"
+            "print(seen)\n")
+        assert self.run_python(script) == "[True]"

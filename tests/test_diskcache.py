@@ -642,7 +642,7 @@ class TestOptimizedTier:
     def test_warm_call_skips_front_end_and_optimizer(self, cache_dir,
                                                      monkeypatch):
         import repro.exec.study as study_mod
-        import repro.suite.runner as runner_mod
+        import repro.frontend as frontend_mod
         cold_gm, cold_report = self.optimized()
         cache = get_cache()
         assert cache.stores[OPTIMIZED_KIND] == 1
@@ -653,7 +653,7 @@ class TestOptimizedTier:
         # The verify-on-load gate optimizes afresh by design, to compare
         # the entry with; only an ungated hit skips the work.
         if not diskcache.verify_on_load():
-            monkeypatch.setattr(runner_mod, "compile_source", refuse)
+            monkeypatch.setattr(frontend_mod, "compile_source", refuse)
             monkeypatch.setattr(study_mod, "optimize_module", refuse)
         warm_gm, warm_report = self.optimized()
         assert cache.hits[OPTIMIZED_KIND] == 1

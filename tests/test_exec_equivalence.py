@@ -417,17 +417,17 @@ class TestStudyConfigErrors:
     def test_unknown_name_fails_before_any_compile(self, jobs, monkeypatch):
         """Every name is checked before the first task starts, so an
         unknown one costs no compile or simulation of the names before
-        it.  Compiles are counted at ``compile_source``, which every
-        copy of ``compile_benchmark`` calls."""
-        import repro.suite.runner as runner_mod
+        it.  Compiles are counted at ``repro.frontend.compile_source``,
+        which every copy of ``compile_benchmark`` reads on each call."""
+        import repro.frontend as frontend_mod
         compiles = []
-        real = runner_mod.compile_source
+        real = frontend_mod.compile_source
 
         def counting(*args, **kwargs):
             compiles.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "compile_source", counting)
+        monkeypatch.setattr(frontend_mod, "compile_source", counting)
         with pytest.raises(ReproError, match="unknown benchmark 'nope'"):
             run_study(StudyConfig(benchmarks=("fir", "nope"), jobs=jobs))
         assert compiles == []
@@ -594,6 +594,9 @@ class TestPoolResizeFailure:
     """Satellite fix: a failed resize must not leave a dead pool behind."""
 
     def test_failed_resize_resets_state_and_recovers(self, monkeypatch):
+        # get_pool imports the executor class from concurrent.futures
+        # when it builds a pool, so that is where it is patched.
+        import concurrent.futures as futures_mod
         from concurrent.futures import ProcessPoolExecutor
 
         pool_mod.shutdown_pool()
@@ -603,7 +606,7 @@ class TestPoolResizeFailure:
         def refuse(max_workers):
             raise RuntimeError("no workers for you")
 
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(futures_mod, "ProcessPoolExecutor", refuse)
         with pytest.raises(RuntimeError, match="no workers"):
             pool_mod.get_pool(2)  # resize: old pool shut down, new fails
         # The stale (pool, count) pair must be gone — before the fix,
@@ -611,7 +614,7 @@ class TestPoolResizeFailure:
         assert pool_mod._pool is None
         assert pool_mod._pool_workers == 0
 
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(futures_mod, "ProcessPoolExecutor",
                             ProcessPoolExecutor)
         replacement = pool_mod.get_pool(1)
         assert replacement is not original

@@ -29,6 +29,14 @@ Generated programs are closed (no external inputs), so every seed of a
 multi-seed batch must reproduce the single-run reference outcome; the
 batch leg runs each case at widths 2, 4 and 9.
 
+A case without a cycle limit of its own runs its level-1/2 and
+resequenced modules under one derived from its level-0 run
+(:func:`later_limit`), so a miscompiled loop stops at that limit
+instead of running to the simulator's default one.  The cross-level leg
+comes first: it reports such a loop as a failure at its first case where
+level 0 completes, while the engine legs see both engines hit the same
+limit and pass, after a long run on each case where level 0 faults.
+
 The corpus is bounded for CI and deterministic (``REPRO_FUZZ_SEED``);
 set ``REPRO_FUZZ_CASES`` to widen it locally, e.g.::
 
@@ -344,6 +352,22 @@ def run_one(gm, engine, max_cycles=None):
     return ("ok", result)
 
 
+def later_limit(max_cycles, level0) -> int:
+    """The cycle limit of a case's level-1/2 and resequenced runs.
+
+    A case's own limit (the cycle-limit shape) is kept.  Otherwise the
+    limit is ten times the level-0 outcome *level0*'s cycles plus
+    10,000, or 1,000,000 if level 0 faults.  On the CI corpus
+    (``REPRO_FUZZ_SEED=1995``, 150 cases) level 0 runs at most 1,024
+    cycles, levels 1/2 at most 0.62 times their level 0 and resequenced
+    modules at most 1.57 times.
+    """
+    if max_cycles is not None:
+        return max_cycles
+    kind, payload = level0
+    return 10 * payload.cycles + 10_000 if kind == "ok" else 1_000_000
+
+
 def assert_outcome_matches(outcome, reference, ctx):
     """One engine outcome vs the reference oracle's, faults included."""
     kind, payload = outcome
@@ -365,16 +389,43 @@ def assert_outcome_matches(outcome, reference, ctx):
 
 
 @pytest.mark.parametrize("case", range(CASES))
+def test_levels_agree(case):
+    """The optimizer preserves semantics: on the reference oracle, levels
+    1 and 2 return the same value and leave the same memory as level 0,
+    or all three levels fault (the fault's cycle may differ by level).
+    The case's own cycle limit is not applied, so level 0 runs to
+    completion and levels 1/2 run under the limit derived from it."""
+    module, _max_cycles = compile_case(case)
+    outcomes = {0: run_one(optimize_module(module, OptLevel.NONE)[0],
+                           "reference")}
+    limit = later_limit(None, outcomes[0])
+    for level in LEVELS[1:]:
+        outcomes[level] = run_one(
+            optimize_module(module, OptLevel(level))[0], "reference", limit)
+    kind, baseline = outcomes[0]
+    for level in LEVELS[1:]:
+        got_kind, got = outcomes[level]
+        ctx = f"case {case} level {level} vs level 0"
+        assert got_kind == kind, f"{ctx}: {got_kind} vs {kind} ({got})"
+        if kind == "ok":
+            assert got.return_value == baseline.return_value, ctx
+            assert got.globals_after == baseline.globals_after, ctx
+
+
+@pytest.mark.parametrize("case", range(CASES))
 def test_engines_agree(case):
     module, max_cycles = compile_case(case)
+    limit = max_cycles
     for level in LEVELS:
         gm, _ = optimize_module(module, OptLevel(level))
-        outcomes = {engine: run_one(gm, engine, max_cycles)
+        outcomes = {engine: run_one(gm, engine, limit)
                     for engine in ENGINES}
         reference = outcomes["reference"]
         for engine in ENGINES:
             assert_outcome_matches(outcomes[engine], reference,
                                    f"case {case} level {level}: {engine}")
+        if level == 0:
+            limit = later_limit(max_cycles, reference)
 
 
 @pytest.mark.parametrize("case", range(CASES))
@@ -384,10 +435,11 @@ def test_lanes_agree_at_every_width(case):
     the one well-defined behavior; a faulting batch raises the fault of
     its first run)."""
     module, max_cycles = compile_case(case)
-    kwargs = {} if max_cycles is None else {"max_cycles": max_cycles}
+    limit = max_cycles
     for level in LEVELS:
         gm, _ = optimize_module(module, OptLevel(level))
-        reference = run_one(gm, "reference", max_cycles)
+        reference = run_one(gm, "reference", limit)
+        kwargs = {} if limit is None else {"max_cycles": limit}
         for width in LANE_WIDTHS:
             try:
                 outcomes = [("ok", result) for result in run_module_batch(
@@ -399,27 +451,8 @@ def test_lanes_agree_at_every_width(case):
                 assert_outcome_matches(
                     outcome, reference,
                     f"case {case} level {level} width {width} lane {lane}")
-
-
-@pytest.mark.parametrize("case", range(CASES))
-def test_levels_agree(case):
-    """The optimizer preserves semantics: on the reference oracle, levels
-    1 and 2 return the same value and leave the same memory as level 0,
-    or all three levels fault (the fault's cycle may differ by level)."""
-    module, _max_cycles = compile_case(case)
-    outcomes = {
-        level: run_one(optimize_module(module, OptLevel(level))[0],
-                       "reference")
-        for level in LEVELS
-    }
-    kind, baseline = outcomes[0]
-    for level in LEVELS[1:]:
-        got_kind, got = outcomes[level]
-        ctx = f"case {case} level {level} vs level 0"
-        assert got_kind == kind, f"{ctx}: {got_kind} vs {kind} ({got})"
-        if kind == "ok":
-            assert got.return_value == baseline.return_value, ctx
-            assert got.globals_after == baseline.globals_after, ctx
+        if level == 0:
+            limit = later_limit(max_cycles, reference)
 
 
 @pytest.mark.parametrize("case", range(CASES))
@@ -461,14 +494,16 @@ def test_resequenced_agrees(case):
     module, max_cycles = compile_case(case)
     if max_cycles is not None:
         pytest.skip("cycle-limit shape")
+    limit = later_limit(None, run_one(
+        optimize_module(module, OptLevel.NONE)[0], "reference"))
     for level in LEVELS[1:]:
         gm, _ = optimize_module(module, OptLevel(level))
-        kind, expected = run_one(gm, "reference")
+        kind, expected = run_one(gm, "reference", limit)
         if kind != "ok":
             continue
         flat = resequence_module(gm)
         for engine in ENGINES:
-            got_kind, got = run_one(flat, engine)
+            got_kind, got = run_one(flat, engine, limit)
             ctx = f"case {case} level {level} resequenced: {engine}"
             assert got_kind == "ok", f"{ctx}: {got}"
             assert got.return_value == expected.return_value, ctx
