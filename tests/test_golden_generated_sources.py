@@ -2,7 +2,9 @@
 
 ``tests/golden/generated_sources.json`` holds, per benchmark x level
 0/1/2, the hash of the Python source the ``codegen`` engine emits for the
-optimized module and for its re-sequentialized single-issue form.  A
+optimized module and for its re-sequentialized single-issue form, and
+under ``"shapes"`` the hash for each hand-built module that reaches a
+word shape the suite never lowers.  A
 refactor of the lowered words must leave every hash unchanged; an
 intended change to the generated programs is made by re-running
 ``tests/golden/regen_generated_sources.py`` and reviewing the diff of the
@@ -32,16 +34,27 @@ def golden():
     return json.loads(regen.GOLDEN_PATH.read_text())
 
 
+def _cells(snapshot):
+    return {(b, lv, form) for b, lvs in snapshot.items() if b != "shapes"
+            for lv, forms in lvs.items() for form in forms}
+
+
 def test_same_cells(fresh, golden):
-    cells = {(b, lv, form) for b, lvs in golden.items()
-             for lv, forms in lvs.items() for form in forms}
-    now = {(b, lv, form) for b, lvs in fresh.items()
-           for lv, forms in lvs.items() for form in forms}
-    assert now == cells
+    assert _cells(fresh) == _cells(golden)
+    assert sorted(fresh["shapes"]) == sorted(golden["shapes"])
+
+
+@pytest.mark.parametrize("shape", sorted(
+    json.loads(regen.GOLDEN_PATH.read_text())["shapes"]))
+def test_word_shapes_match_golden(shape, fresh, golden):
+    assert fresh["shapes"][shape] == golden["shapes"][shape], (
+        f"generated source of the {shape!r} shape module changed; if "
+        "intended, re-run tests/golden/regen_generated_sources.py and "
+        "review the diff")
 
 
 @pytest.mark.parametrize("bench", sorted(
-    json.loads(regen.GOLDEN_PATH.read_text())))
+    b for b in json.loads(regen.GOLDEN_PATH.read_text()) if b != "shapes"))
 def test_generated_sources_match_golden(bench, fresh, golden):
     mismatched = [
         f"{bench} level {lv} {form}"
