@@ -75,8 +75,8 @@ def _tamper(code: str) -> str:
 
 MUTANTS: Sequence[Mutant] = (
     Mutant("binop-operands-swapped", "sim/codegen.py",
-           'self.emit(f"{r(word[1])} = {a} {sym} {b}")',
-           'self.emit(f"{r(word[1])} = {b} {sym} {a}")',
+           'self.emit(f"{r(word[1])} = {a} {word[2]} {b}")',
+           'self.emit(f"{r(word[1])} = {b} {word[2]} {a}")',
            "generated `a - b` reads `b - a`"),
     Mutant("bounds-guard-lower-dropped", "sim/codegen.py",
            'self.emit(f"if 0 <= {index} < a{k}.size:")',
@@ -89,13 +89,14 @@ MUTANTS: Sequence[Mutant] = (
            '        self.emit(f"return {value}")',
            "branch counters are lost on return: profiles undercount"),
     Mutant("undefined-register-check-dropped", "sim/codegen.py",
-           '        if op == _eng.MOV_R:\n'
-           '            message = f"read of undefined register '
-           '{word[3]!r}"\n'
-           '            self.emit(f"if {r(word[2])} is _UNDEF:")\n'
-           '            self.emit(f"    raise SimulationError('
-           '{message!r})")\n',
-           '        if op == _eng.MOV_R:\n',
+           '        if op == MOV:\n'
+           '            self.emit(f"{r(word[1])} = '
+           '{self._operand(word[2])}")\n',
+           '        if op == MOV:\n'
+           '            a = word[2]\n'
+           '            if type(a) is tuple and len(a) == 2:\n'
+           '                a = a[0]  # the checked read, unchecked\n'
+           '            self.emit(f"{r(word[1])} = {self._operand(a)}")\n',
            "a move from an undefined register no longer faults"),
     Mutant("branch-counters-swapped", "sim/codegen.py",
            '                self.emit(f"    e{word[2]} += 1")\n'
@@ -151,8 +152,9 @@ from repro.sim import engine as _e
 from repro.sim.codegen import emit_sources
 for lg in payload["graphs"].values():
     for word in lg.words:
-        if word[0] == _e.ADD_RR:
-            word[0] = _e.SUB_RR
+        if word[0] == _e.BIN and word[2] == "+" \\
+                and type(word[3]) is int and type(word[4]) is int:
+            word[2] = "-"
             break
 stored = _e.LoweredModule.from_graphs(None, payload["graphs"])
 payload["sources"] = tuple(emit_sources(stored)[0])

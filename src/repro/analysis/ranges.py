@@ -37,8 +37,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import build_word_cfg, word_successors
 from repro.sim import engine as _eng
-from repro.sim.engine import TERMINAL_OPS
-from repro.sim.codegen import _BINF, _RETS, _STORES, _STORES_D
+from repro.sim.engine import (BIN, BR, CALL, ERROR, INTRN, J, JB, LOAD, MOV,
+                              RET, ST, TERMINAL_OPS, TEST, UN,
+                              decode_operand)
 from repro.sim.values import int_div, int_mod, shift_left, shift_right
 
 # -- the interval domain -----------------------------------------------------------
@@ -128,12 +129,8 @@ def _int_const(value) -> Optional[int]:
 
 # -- word decoding -----------------------------------------------------------------
 
-#: Arithmetic opcodes with interval transfer: op -> (fn, kinds).
-_ARITH = {
-    _eng.ADD_RR: (_add_iv, "rr"), _eng.ADD_RC: (_add_iv, "rc"),
-    _eng.SUB_RR: (_sub_iv, "rr"), _eng.SUB_RC: (_sub_iv, "rc"),
-    _eng.MUL_RR: (_mul_iv, "rr"), _eng.MUL_RC: (_mul_iv, "rc"),
-}
+#: Infix binary operations with interval transfer: symbol -> fn.
+_ARITH = {"+": _add_iv, "-": _sub_iv, "*": _mul_iv}
 
 #: Comparison function objects (recognized by identity) -> predicate tag.
 _CMP_TAG = {
@@ -151,18 +148,13 @@ _NEGATE = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt",
 _INT_OR_RAISE = (operator.and_, operator.or_, operator.xor,
                  shift_left, shift_right, int, operator.invert)
 
-_LOAD_KIND = {_eng.LOAD: "r", _eng.LOADC: "c"}
-
 
 def _word_reg_writes(word: list) -> Tuple[int, ...]:
     """Register slots a word writes."""
     op = word[0]
-    if op in (_eng.BR, _eng.J, _eng.JB, _eng.ERROR) or op in _RETS \
-            or op in _STORES or op in _STORES_D:
+    if op in (BR, J, JB, ERROR, RET, ST):
         return ()
-    if op == _eng.CP2:
-        return (word[1], word[3])
-    if op == _eng.CALL:
+    if op == CALL:
         return () if word[2] is None else (word[2],)
     return (word[1],)
 
@@ -172,12 +164,10 @@ def _access_of(word: list) -> Optional[Tuple[str, int, str, object]]:
     access word, or ``None``.  ``kind`` is ``"load"``/``"store"``;
     ``index_kind`` is ``"r"`` (register slot) or ``"c"`` (constant)."""
     op = word[0]
-    if op in _LOAD_KIND:
-        return ("load", word[2], _LOAD_KIND[op], word[3])
-    if op in _STORES:
-        return ("store", word[1], _STORES[op][1], word[3])
-    if op in _STORES_D:
-        return ("store", word[1], _STORES_D[op][0], word[2])
+    if op == LOAD:
+        return ("load", word[2]) + decode_operand(word[3])[:2]
+    if op == ST:
+        return ("store", word[1]) + decode_operand(word[2])[:2]
     return None
 
 
@@ -199,38 +189,42 @@ class _Ctx:
 
 
 def _iv_of(env: Dict[int, Tuple], kind: str, payload) -> Optional[Tuple]:
-    """Defined-int interval of an operand, or ``None`` (top / non-int)."""
+    """Defined-int interval of a decoded operand, or ``None`` (top /
+    non-int)."""
     if kind == "r":
         return env.get(payload)
     c = _int_const(payload)
     return None if c is None else (c, c)
 
 
+def _operand_iv(env: Dict[int, Tuple], operand) -> Optional[Tuple]:
+    return _iv_of(env, *decode_operand(operand)[:2])
+
+
+def _set(out: Dict[int, Tuple], slot: int, iv: Optional[Tuple]) -> None:
+    if iv is not None:
+        out[slot] = iv
+    else:
+        out.pop(slot, None)
+
+
 def _transfer(word: list, env: Dict[int, Tuple], ctx: _Ctx
               ) -> Dict[int, Tuple]:
     """Environment after one non-branch word (input env is not mutated)."""
     op = word[0]
-    arith = _ARITH.get(op)
     out = dict(env)
-    if arith is not None:
-        fn, kinds = arith
-        a = _iv_of(env, kinds[0], word[2])
-        b = _iv_of(env, kinds[1], word[3])
-        if a is not None and b is not None:
-            out[word[1]] = fn(a, b)
-        else:
-            out.pop(word[1], None)
-        return out
-    kinds = _BINF.get(op)
-    if kinds is not None:
-        out.pop(word[1], None)
+    if op == BIN:
         fn = word[2]
-        tag = _CMP_TAG.get(fn)
-        if tag is not None:
+        a = _operand_iv(env, word[3])
+        b = _operand_iv(env, word[4])
+        if isinstance(fn, str):
+            _set(out, word[1], None if a is None or b is None
+                 else _ARITH[fn](a, b))
+            return out
+        out.pop(word[1], None)
+        if _CMP_TAG.get(fn) is not None:
             out[word[1]] = (0, 1)
             return out
-        a = _iv_of(env, kinds[0], word[3])
-        b = _iv_of(env, kinds[1], word[4])
         if fn in (int_div, int_mod):
             if a is not None and b is not None:
                 iv = (None, None)
@@ -256,66 +250,37 @@ def _transfer(word: list, env: Dict[int, Tuple], ctx: _Ctx
                     iv = (0, a[1] >> max(b[0], 0))
             out[word[1]] = iv
         return out
-    if op in _LOAD_KIND:
+    if op == LOAD:
         out.pop(word[1], None)
         premise = ctx.scalar_slots.get(word[2])
-        kind = _LOAD_KIND[op]
-        index = _iv_of(env, kind, word[3])
-        if premise is not None and index == (0, 0):
+        if premise is not None and _operand_iv(env, word[3]) == (0, 0):
             gname, value = premise
             ctx.used_premises.add(gname)
             out[word[1]] = (value, value)
         return out
-    if op == _eng.MOV_C:
-        c = _int_const(word[2])
-        if c is not None:
-            out[word[1]] = (c, c)
-        else:
-            out.pop(word[1], None)
+    if op == MOV:
+        _set(out, word[1], _operand_iv(env, word[2]))
         return out
-    if op in (_eng.MOV_R, _eng.RETREAD, _eng.CP):
-        iv = env.get(word[2])
-        if iv is not None:
-            out[word[1]] = iv
-        else:
-            out.pop(word[1], None)
-        return out
-    if op == _eng.CP2:
-        a = env.get(word[2])
-        b = env.get(word[4])
-        for dest, iv in ((word[1], a), (word[3], b)):
-            if iv is not None:
-                out[dest] = iv
-            else:
-                out.pop(dest, None)
-        return out
-    if op == _eng.TEST:
+    if op == TEST:
         out[word[1]] = (0, 1)
         return out
-    if op == _eng.NEG:
-        iv = env.get(word[2])
-        if iv is not None:
-            out[word[1]] = _neg_iv(iv)
-        else:
-            out.pop(word[1], None)
-        return out
-    if op == _eng.UNF or op == _eng.UNFC:
+    if op == UN:
         fn = word[2]
-        if fn in (int, operator.invert):
+        if fn == "-":
+            iv = env.get(word[3])
+            _set(out, word[1], None if iv is None else _neg_iv(iv))
+        elif fn in (int, operator.invert):
             out[word[1]] = (None, None)
         else:
             out.pop(word[1], None)
         return out
-    if op == _eng.INTRN:
+    if op == INTRN:
         out.pop(word[1], None)
         return out
-    if op == _eng.CALL:
+    if op == CALL:
         if word[2] is not None:
             summary = ctx.summaries.get(word[1])
-            if summary is not None and summary != TOP:
-                out[word[2]] = summary
-            else:
-                out.pop(word[2], None)
+            _set(out, word[2], None if summary == TOP else summary)
         return out
     return out
 
@@ -350,23 +315,25 @@ def _branch_predicate(words: List[list], preds: List[List[int]],
             path.append(cur)
             continue
         op = word[0]
-        if op == _eng.CP and word[1] == target:
-            target = word[2]
-            path.append(cur)
-            continue
-        if op == _eng.TEST and word[1] == target:
+        if op == MOV:
+            kind, slot, name = decode_operand(word[2])
+            if kind == "r" and name is None:
+                # an unchecked copy: regs[target] = regs[slot]
+                target = slot
+                path.append(cur)
+                continue
+        if op == TEST:
             # regs[target] = regs[c] != 0: same truth value as regs[c].
             target = word[2]
             pred = ("truth", target)
             path.append(cur)
             continue
-        kinds = _BINF.get(op)
-        if kinds is not None:
+        if op == BIN and not isinstance(word[2], str):
             tag = _CMP_TAG.get(word[2])
             if tag is None:
                 return None
-            aspec = ("r", word[3]) if kinds[0] == "r" else ("c", word[3])
-            bspec = ("r", word[4]) if kinds[1] == "r" else ("c", word[4])
+            aspec = decode_operand(word[3])[:2]
+            bspec = decode_operand(word[4])[:2]
             protected = {spec[1] for spec in (aspec, bspec)
                          if spec[0] == "r"}
             for j in path:
@@ -576,7 +543,7 @@ def stable_global_scalars(module, graphs) -> Dict[str, int]:
                 if gname is not None:
                     candidates.pop(gname, None)
                 continue
-            if word[0] == _eng.CALL:
+            if word[0] == CALL:
                 for spec in word[3]:
                     if spec[0] == 2:
                         gname = global_of.get(spec[1])
@@ -627,7 +594,7 @@ def _flow(words: List[list], idx: int, env: Dict[int, Tuple], ctx: _Ctx,
     """``(successor index, env)`` pairs out of one word; a ``None`` env
     marks a refinement-dead edge."""
     word = words[idx]
-    if word[0] == _eng.BR:
+    if word[0] == BR:
         pred = predicates.get(idx)
         return [(word[3], _refine(env, pred, True)),
                 (word[5], _refine(env, pred, False))]
@@ -677,7 +644,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
 
     predicates: Dict[int, Optional[Tuple]] = {}
     for i in order:
-        if words[i][0] == _eng.BR:
+        if words[i][0] == BR:
             predicates[i] = _branch_predicate(words, cfg.preds, i)
 
     in_env: Dict[int, Dict[int, Tuple]] = {cfg.entry: {}}
@@ -740,11 +707,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
         if acc is None:
             continue
         kind, array_slot, ikind, payload = acc
-        if ikind == "r":
-            index = in_env[i].get(payload)
-        else:
-            c = _int_const(payload)
-            index = None if c is None else (c, c)
+        index = _iv_of(in_env[i], ikind, payload)
         length = lengths.get(array_slot)
         proofs.append(BoundsProof(i, kind, names.get(array_slot),
                                   array_slot, index, length,
@@ -754,16 +717,10 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
     for i, word in enumerate(words):
         if i not in in_env:
             continue
-        op = word[0]
-        if op not in _RETS:
+        if word[0] != RET:
             continue
-        if op == _eng.RET_C:
-            c = _int_const(word[1])
-            iv = TOP if c is None else (c, c)
-        elif op == _eng.RET_N:
-            iv = TOP
-        else:  # RET_R / RET_S
-            iv = in_env[i].get(word[1], TOP)
+        iv = None if word[1] is None else _operand_iv(in_env[i], word[1])
+        iv = TOP if iv is None else iv
         ret = iv if ret is None else _join_iv(ret, iv)
     if ret is None:
         ret = TOP
@@ -804,7 +761,7 @@ def _call_order(graphs) -> List[str]:
     for name, lg in graphs.items():
         out: Set[str] = set()
         for word in lg.words:
-            if word[0] == _eng.CALL and word[1] in graphs:
+            if word[0] == CALL and word[1] in graphs:
                 out.add(word[1])
         callees[name] = out
     order: List[str] = []

@@ -39,53 +39,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.cfg.graph import GraphModule
-from repro.sim import engine as _eng
-from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
-                              JUMP_SLOTS, LoweredModule, RET_C, RET_N,
-                              RET_R, RET_S, RETREAD, TERMINAL_OPS, TEST,
-                              _LoweredGraph, _UNDEF, lower_module,
+from repro.sim.engine import (BIN, BR, CALL, ERROR, INTRN, J, JB,
+                              JUMP_SLOTS, LOAD, LoweredModule, MOV, RET, ST,
+                              TERMINAL_OPS, TEST, UN, _LoweredGraph, _UNDEF,
+                              decode_operand, lower_module,
                               run_lowered_module)
 from repro.sim.diskcache import content_key, get_cache, verify_on_load
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
-
-# -- word-layout tables -----------------------------------------------------------
-#
-# Derived from the opcode layouts in :mod:`repro.sim.engine`.
-
-#: inline binary forms: opcode -> (infix operator, operand kinds), where
-#: kind "r" is a register slot and "c" an inlined constant.
-_BINOPS = {
-    _eng.ADD_RR: ("+", "rr"), _eng.ADD_RC: ("+", "rc"),
-    _eng.SUB_RR: ("-", "rr"), _eng.SUB_RC: ("-", "rc"),
-    _eng.MUL_RR: ("*", "rr"), _eng.MUL_RC: ("*", "rc"),
-}
-
-#: function-calling binary forms: opcode -> operand kinds after the
-#: function slot.
-_BINF = {
-    _eng.BINF_RR: "rr", _eng.BINF_RC: "rc", _eng.BINF_CR: "cr",
-    _eng.BINF_CC: "cc",
-}
-
-#: loads: opcode -> index kind.
-_LOADS = {_eng.LOAD: "r", _eng.LOADC: "c"}
-
-#: direct stores: opcode -> (value kind @ word[2], index kind @ word[3]);
-#: the call made is ``storage.store(index, value)``.
-_STORES = {
-    _eng.ST_RR: ("r", "r"), _eng.ST_RC: ("r", "c"),
-    _eng.ST_CR: ("c", "r"), _eng.ST_CC: ("c", "c"),
-}
-
-#: deferred store commits: opcode -> (index kind @ word[2], value kind
-#: @ word[3]).
-_STORES_D = {
-    _eng.STD_SS: ("r", "r"), _eng.STD_SC: ("r", "c"),
-    _eng.STD_CS: ("c", "r"), _eng.STD_CC: ("c", "c"),
-}
-
-_RETS = {RET_R, RET_C, RET_N, RET_S}
 
 
 class _FunctionEmitter:
@@ -142,8 +103,18 @@ class _FunctionEmitter:
             return self._k(value)
         return repr(value)
 
-    def _operand(self, kind: str, payload) -> str:
-        return self._r(payload) if kind == "r" else self._const(payload)
+    def _operand(self, operand) -> str:
+        """Source text of a word operand; a checked register read first
+        emits its undefined-register guard."""
+        kind, payload, name = decode_operand(operand)
+        if kind == "c":
+            return self._const(payload)
+        reg = self._r(payload)
+        if name is not None:
+            message = f"read of undefined register {name!r}"
+            self.emit(f"if {reg} is _UNDEF:")
+            self.emit(f"    raise SimulationError({message!r})")
+        return reg
 
     def _emit_limit_check(self) -> None:
         tail = f"exceeded; infinite loop in {self.lg.name!r}?"
@@ -185,74 +156,39 @@ class _FunctionEmitter:
         """Emit the computational effect of one word (jump part excluded)."""
         op = word[0]
         r = self._r
-        binop = _BINOPS.get(op)
-        if binop is not None:
-            sym, kinds = binop
-            a = self._operand(kinds[0], word[2])
-            b = self._operand(kinds[1], word[3])
-            self.emit(f"{r(word[1])} = {a} {sym} {b}")
+        if op == MOV:
+            self.emit(f"{r(word[1])} = {self._operand(word[2])}")
             return
-        kinds = _BINF.get(op)
-        if kinds is not None:
-            fn = self._k(word[2])
-            a = self._operand(kinds[0], word[3])
-            b = self._operand(kinds[1], word[4])
-            self.emit(f"{r(word[1])} = {fn}({a}, {b})")
+        if op == BIN:
+            a = self._operand(word[3])
+            b = self._operand(word[4])
+            if isinstance(word[2], str):
+                self.emit(f"{r(word[1])} = {a} {word[2]} {b}")
+            else:
+                self.emit(f"{r(word[1])} = {self._k(word[2])}({a}, {b})")
             return
-        if op in _LOADS:
-            index = self._operand(_LOADS[op], word[3])
+        if op == UN:
+            a = self._operand(word[3])
+            if isinstance(word[2], str):
+                self.emit(f"{r(word[1])} = {word[2]}{a}")
+            else:
+                self.emit(f"{r(word[1])} = {self._k(word[2])}({a})")
+            return
+        if op == LOAD:
+            index = self._operand(word[3])
             k = word[2]
             self.emit(f"if 0 <= {index} < a{k}.size:")
             self.emit(f"    {r(word[1])} = a{k}.data[{index}]")
             self.emit("else:")
             self.emit(f"    a{k}.load({index})")
             return
-        if op in _STORES:
-            vkind, ikind = _STORES[op]
-            value = self._operand(vkind, word[2])
-            index = self._operand(ikind, word[3])
+        if op == ST:
+            index = self._operand(word[2])
+            value = self._operand(word[3])
             self.emit(f"a{word[1]}.store({index}, {value})")
-            return
-        if op in _STORES_D:
-            ikind, vkind = _STORES_D[op]
-            index = self._operand(ikind, word[2])
-            value = self._operand(vkind, word[3])
-            self.emit(f"a{word[1]}.store({index}, {value})")
-            return
-        if op == _eng.MOV_C:
-            self.emit(f"{r(word[1])} = {self._const(word[2])}")
-            return
-        if op == _eng.MOV_R:
-            message = f"read of undefined register {word[3]!r}"
-            self.emit(f"if {r(word[2])} is _UNDEF:")
-            self.emit(f"    raise SimulationError({message!r})")
-            self.emit(f"{r(word[1])} = {r(word[2])}")
-            return
-        if op == _eng.NEG:
-            self.emit(f"{r(word[1])} = -{r(word[2])}")
-            return
-        if op == _eng.UNF:
-            self.emit(f"{r(word[1])} = {self._k(word[2])}({r(word[3])})")
-            return
-        if op == _eng.UNFC:
-            self.emit(f"{r(word[1])} = "
-                      f"{self._k(word[2])}({self._const(word[3])})")
-            return
-        if op == CP:
-            self.emit(f"{r(word[1])} = {r(word[2])}")
-            return
-        if op == CP2:
-            self.emit(f"{r(word[1])} = {r(word[2])}")
-            self.emit(f"{r(word[3])} = {r(word[4])}")
             return
         if op == TEST:
             self.emit(f"{r(word[1])} = {r(word[2])} != 0")
-            return
-        if op == RETREAD:
-            message = f"read of undefined register {word[3]!r}"
-            self.emit(f"if {r(word[2])} is _UNDEF:")
-            self.emit(f"    raise SimulationError({message!r})")
-            self.emit(f"{r(word[1])} = {r(word[2])}")
             return
         if op == INTRN:
             self._emit_intrinsic(word)
@@ -265,14 +201,12 @@ class _FunctionEmitter:
 
     def _emit_intrinsic(self, word: list) -> None:
         args = []
-        for kind, payload in word[3]:
-            if kind == 0:
-                args.append(self._r(payload))
-            elif kind == 1:
-                args.append(self._const(payload))
-            else:  # unreadable operand: raises when (and only when) run
-                self.emit(f"raise SimulationError({payload!r})")
+        for operand in word[3]:
+            if isinstance(operand, str):
+                # unreadable operand: raises when (and only when) run
+                self.emit(f"raise SimulationError({operand!r})")
                 return
+            args.append(self._operand(operand))
         self.emit(f"{self._r(word[1])} = "
                   f"{self._k(word[2])}({', '.join(args)})")
 
@@ -309,18 +243,7 @@ class _FunctionEmitter:
             self.emit(f"{self._r(dspec)} = _t")
 
     def _emit_return(self, word: list, counted: List[int]) -> None:
-        op = word[0]
-        if op == RET_R:
-            value = self._r(word[1])
-            message = f"read of undefined register {word[2]!r}"
-            self.emit(f"if {value} is _UNDEF:")
-            self.emit(f"    raise SimulationError({message!r})")
-        elif op == RET_C:
-            value = self._const(word[1])
-        elif op == RET_S:
-            value = self._r(word[1])
-        else:  # RET_N
-            value = "None"
+        value = "None" if word[1] is None else self._operand(word[1])
         self.emit("cyc[0] = n")
         for e in counted:
             self.emit(f"eh[{e}] += e{e}")
@@ -338,7 +261,7 @@ class _FunctionEmitter:
                 self._emit_stmt(word)
                 k += 1
                 continue
-            if op in _RETS:
+            if op == RET:
                 self._emit_return(word, counted)
                 return
             if op == ERROR:

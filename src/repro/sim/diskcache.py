@@ -120,7 +120,10 @@ DISABLE_VALUE = "none"
 #: certificate, no ``bytecode``/``lanes`` kinds.
 #: v4: lowered graphs pickle by default — flat word lists whose jump
 #: targets and entry are word indices, with no fused op+jump opcodes.
-FORMAT_VERSION = 4
+#: v5: one opcode per operation (13 in all); each operand carries its
+#: kind (register slot, ``(value,)`` constant, ``(slot, name)`` checked
+#: read) instead of the opcode naming the operand kinds.
+FORMAT_VERSION = 5
 
 #: Marshalled code objects are interpreter-specific; the tag partitions
 #: entries per CPython version (e.g. ``cpython-311``).

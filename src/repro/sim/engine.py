@@ -5,11 +5,14 @@
 of profile bookkeeping for every node of every simulated cycle.  The
 ``codegen`` engine (:mod:`repro.sim.codegen`) removes all of that; this
 module is its first stage.  :func:`lower_module` flattens each graph into a
-list of *words*: integer opcodes with pre-resolved register/array slot
-indices and inlined constants, executed in list order, with explicit
-``J``/``JB``/``BR`` words naming their targets by word index, and profile
-counting reduced to one counter per branch edge.  The generator then emits
-one Python function per lowered graph.
+list of *words*, executed in list order: one integer opcode per operation
+(13 in all), pre-resolved register/array slot indices, and operands that
+carry their own kind (register read, checked register read or inlined
+constant), with explicit ``J``/``JB``/``BR`` words naming their targets by
+word index, and profile counting reduced to one counter per branch edge.
+The generator then emits one Python function per lowered graph, and the
+range analysis (:mod:`repro.analysis.ranges`) reads the same words; both
+decode operands through :func:`decode_operand`.
 
 The lowered form is cached on the :class:`GraphModule` under the module's
 content key (:func:`~repro.sim.diskcache.content_key`), so repeated runs
@@ -248,11 +251,11 @@ class _FrameLayout:
 
 # -- lowering to words -------------------------------------------------------------
 #
-# Each graph lowers into a flat list of *words*: every instruction is one
-# list ``[opcode, operand, ...]`` whose operands are pre-resolved
-# register/array slot indices and inlined constants.  Words execute in
-# list order: a word that is not a control transfer falls through to the
-# word after it, and the transfers (``J``, ``JB``, ``BR``) name their
+# Each graph lowers into a flat list of *words*: every operation is one
+# list ``[opcode, ...]`` naming its destination by register slot, its
+# array by array slot and its inputs by *operands* (below).  Words execute
+# in list order: a word that is not a control transfer falls through to
+# the word after it, and the transfers (``J``, ``JB``, ``BR``) name their
 # targets by index into the list.  The code generator
 # (:mod:`repro.sim.codegen`) walks these words and emits straight-line
 # Python over local variables.
@@ -267,6 +270,16 @@ class _FrameLayout:
 # exact flat arrays (bit-identical for completed runs — aborted runs
 # discard their profile on every engine) that
 # :meth:`ProfileData.merge_arrays` folds unchanged.
+#
+# An operand carries its own kind, so one opcode serves every mix of
+# register and constant inputs (:func:`decode_operand` reads it back):
+#
+#   slot          an ``int``: a register read; an undefined value raises
+#                 when it is used (the _UNDEF sentinel)
+#   (value,)      an inlined constant
+#   (slot, name)  a *checked* register read, which raises "read of
+#                 undefined register <name>" at once, as the reference
+#                 interpreter's moves and returns do
 
 _opcode_ids = itertools.count()
 
@@ -279,69 +292,44 @@ def _op() -> int:
 BR = _op()           # c e0 T0 e1 T1
 J = _op()            # T      (forward jump: no cycle-limit check)
 JB = _op()           # T      (backward jump: bumps + checks the limit)
-# Deferred-node plumbing (VLIW nodes whose writes must commit after
-# reads and cannot be statically reordered).
-CP = _op()           # d s          regs[d] = regs[s]
-CP2 = _op()          # d1 s1 d2 s2
-TEST = _op()         # s c          regs[s] = regs[c] != 0 (pre-commit)
-# Value forms.
-ADD_RR = _op()       # d a b
-ADD_RC = _op()       # d a c
-SUB_RR = _op()       # d a b
-SUB_RC = _op()       # d a c
-MUL_RR = _op()       # d a b
-MUL_RC = _op()       # d a c
+# A branch condition read ahead of its node's commits.
+TEST = _op()         # s c    regs[s] = regs[c] != 0
+# Operations; ``a``, ``b``, ``i`` and ``v`` are operands.
+MOV = _op()          # d a
+BIN = _op()          # d f a b   f: infix symbol or function object
+UN = _op()           # d f a     f: "-" (register operand) or function
 LOAD = _op()         # d k i
-LOADC = _op()        # d k ci
-MOV_C = _op()        # d c
-MOV_R = _op()        # d a name  (undefined-register check, like the
-                     #            reference interpreter's MOV read)
-BINF_RR = _op()      # d f a b
-BINF_RC = _op()      # d f a c
-BINF_CR = _op()      # d f c b
-BINF_CC = _op()      # d f c1 c2 (kept runtime: div-by-zero raises only
-                     #            when executed)
-NEG = _op()          # d a
-UNF = _op()          # d f a
-UNFC = _op()         # d f c
-# Stores: value spec x index spec (R = register slot, C = inline const).
-ST_RR = _op()        # k v i
-ST_RC = _op()        # k v ci
-ST_CR = _op()        # k cv i
-ST_CC = _op()        # k cv ci
-# Deferred store commits (operands pre-captured in scratch or inline).
-STD_SS = _op()       # k i v
-STD_SC = _op()       # k i cv
-STD_CS = _op()       # k ci v
-STD_CC = _op()       # k ci cv
-RETREAD = _op()      # s r name  (pre-commit checked read of the return
-                     #            register)
-INTRN = _op()        # d f specs (generic intrinsic)
+ST = _op()           # k i v     (array k, index i, value v)
+INTRN = _op()        # d f (a, ...)   an unreadable operand is the
+                     #                message its read raises
 CALL = _op()         # callee dspec specs
-RET_R = _op()        # r name
-RET_C = _op()        # c
-RET_N = _op()        # -
-RET_S = _op()        # s
+RET = _op()          # a      (None: no value)
 ERROR = _op()        # message     raise SimulationError(message)
 
 #: Operand slots holding target word indices, per control transfer.
 JUMP_SLOTS = {J: (1,), JB: (1,), BR: (3, 5)}
 
 #: Words that do not fall through to the next word.
-TERMINAL_OPS = frozenset({BR, J, JB, RET_R, RET_C, RET_N, RET_S, ERROR})
+TERMINAL_OPS = frozenset({BR, J, JB, RET, ERROR})
 
-#: Binary opcodes with dedicated inline arms: op -> (RR form, RC form,
-#: commutative).  Commutative const/reg operands fold into the RC form;
-#: everything else goes through the generic BINF arms with the function
-#: object inlined in the word.
-_SPEC_BINARY = {
-    Op.ADD: (ADD_RR, ADD_RC, True),
-    Op.FADD: (ADD_RR, ADD_RC, True),
-    Op.SUB: (SUB_RR, SUB_RC, False),
-    Op.FSUB: (SUB_RR, SUB_RC, False),
-    Op.MUL: (MUL_RR, MUL_RC, True),
-    Op.FMUL: (MUL_RR, MUL_RC, True),
-}
+#: Binary operations emitted as infix operators.  A constant left operand
+#: swaps to the right of a commutative one; any other constant left
+#: operand, or a pair of constants, calls the operation's function.
+_INFIX = {Op.ADD: "+", Op.FADD: "+", Op.SUB: "-", Op.FSUB: "-",
+          Op.MUL: "*", Op.FMUL: "*"}
+_COMMUTATIVE = frozenset({"+", "*"})
+
+
+def decode_operand(operand) -> Tuple[str, object, Optional[str]]:
+    """``(kind, payload, name)`` of a word operand: kind ``"r"`` with a
+    register slot, ``name`` set when the read is checked, or ``"c"`` with
+    an inlined constant and no name."""
+    if type(operand) is int:
+        return "r", operand, None
+    if len(operand) == 1:
+        return "c", operand[0], None
+    return "r", operand[0], operand[1]
+
 
 #: Edge classes for profile reconstruction.
 _EDGE_ZERO = 0      # never jumped (error nodes, const-branch untaken)
@@ -398,6 +386,24 @@ class _WordLowerer(_FrameLayout):
             self.scratch_watermark = self._scratch_used
         return -self._scratch_used
 
+    # -- operands -------------------------------------------------------------------
+
+    def _readable(self, *values) -> bool:
+        """True when every value is a register or a constant; otherwise
+        emits the error word of the first that is not."""
+        for value in values:
+            if not isinstance(value, (VirtualReg, Constant)):
+                self._emit_error(f"cannot read operand {value!r}")
+                return False
+        return True
+
+    def _read(self, value, checked: bool = False):
+        """The operand reading register or constant *value*."""
+        if isinstance(value, Constant):
+            return (value.value,)
+        slot = self.reg_slot(value.name)
+        return (slot, value.name) if checked else slot
+
     # -- per-operation emission ----------------------------------------------------
 
     def _emit_error(self, message: str) -> int:
@@ -405,35 +411,16 @@ class _WordLowerer(_FrameLayout):
         return 1
 
     def _emit_binary(self, op: Op, fn, lhs, rhs, d: int) -> int:
-        lhs_reg = isinstance(lhs, VirtualReg)
-        rhs_reg = isinstance(rhs, VirtualReg)
-        lhs_const = isinstance(lhs, Constant)
-        rhs_const = isinstance(rhs, Constant)
-        if not (lhs_reg or lhs_const):
-            return self._emit_error(f"cannot read operand {lhs!r}")
-        if not (rhs_reg or rhs_const):
-            return self._emit_error(f"cannot read operand {rhs!r}")
-        spec = _SPEC_BINARY.get(op)
-        if lhs_reg and rhs_reg:
-            a, b = self.reg_slot(lhs.name), self.reg_slot(rhs.name)
-            if spec is not None:
-                self._emit([spec[0], d, a, b])
+        if not self._readable(lhs, rhs):
+            return 1
+        a, b = self._read(lhs), self._read(rhs)
+        sym = _INFIX.get(op)
+        if sym is not None and isinstance(lhs, Constant):
+            if sym in _COMMUTATIVE and isinstance(rhs, VirtualReg):
+                a, b = b, a
             else:
-                self._emit([BINF_RR, d, fn, a, b])
-        elif lhs_reg:
-            a = self.reg_slot(lhs.name)
-            if spec is not None:
-                self._emit([spec[1], d, a, rhs.value])
-            else:
-                self._emit([BINF_RC, d, fn, a, rhs.value])
-        elif rhs_reg:
-            b = self.reg_slot(rhs.name)
-            if spec is not None and spec[2]:
-                self._emit([spec[1], d, b, lhs.value])
-            else:
-                self._emit([BINF_CR, d, fn, lhs.value, b])
-        else:
-            self._emit([BINF_CC, d, fn, lhs.value, rhs.value])
+                sym = None
+        self._emit([BIN, d, fn if sym is None else sym, a, b])
         return 1
 
     def _emit_value(self, ins: Instruction, d: int) -> Optional[int]:
@@ -446,65 +433,35 @@ class _WordLowerer(_FrameLayout):
         fn = _UNARY_FN.get(op)
         if fn is not None:
             src = ins.srcs[0]
-            if isinstance(src, VirtualReg):
-                if op is Op.NEG or op is Op.FNEG:
-                    self._emit([NEG, d, self.reg_slot(src.name)])
-                else:
-                    self._emit([UNF, d, fn, self.reg_slot(src.name)])
-                return 1
-            if isinstance(src, Constant):
-                self._emit([UNFC, d, fn, src.value])
-                return 1
-            return self._emit_error(f"cannot read operand {src!r}")
+            if self._readable(src):
+                if (op is Op.NEG or op is Op.FNEG) \
+                        and isinstance(src, VirtualReg):
+                    fn = "-"
+                self._emit([UN, d, fn, self._read(src)])
+            return 1
         if op is Op.MOV or op is Op.FMOV:
             src = ins.srcs[0]
-            if isinstance(src, Constant):
-                self._emit([MOV_C, d, src.value])
-                return 1
-            if isinstance(src, VirtualReg):
-                self._emit([MOV_R, d, self.reg_slot(src.name), src.name])
-                return 1
-            return self._emit_error(f"cannot read operand {src!r}")
+            if self._readable(src):
+                self._emit([MOV, d, self._read(src, checked=True)])
+            return 1
         if op is Op.LOAD or op is Op.FLOAD:
             name = ins.array.name
             if not self.array_is_bound(name):
                 return self._emit_error(f"unknown array {name!r}")
             k = self.arr_slot(name)
             index = ins.srcs[0]
-            if isinstance(index, VirtualReg):
-                self._emit([LOAD, d, k, self.reg_slot(index.name)])
-                return 1
-            if isinstance(index, Constant):
-                self._emit([LOADC, d, k, index.value])
-                return 1
-            return self._emit_error(f"cannot read operand {index!r}")
+            if self._readable(index):
+                self._emit([LOAD, d, k, self._read(index)])
+            return 1
         if op is Op.INTRIN:
-            return self._emit_intrinsic(ins, d)
+            impl = INTRINSIC_IMPL.get(ins.callee)
+            if impl is None:
+                return self._emit_error(f"unknown intrinsic {ins.callee!r}")
+            self._emit([INTRN, d, impl, tuple(
+                self._read(src) if isinstance(src, (VirtualReg, Constant))
+                else f"cannot read operand {src!r}" for src in ins.srcs)])
+            return 1
         return None
-
-    def _emit_intrinsic(self, ins: Instruction, d: int) -> int:
-        impl = INTRINSIC_IMPL.get(ins.callee)
-        if impl is None:
-            return self._emit_error(f"unknown intrinsic {ins.callee!r}")
-        srcs = ins.srcs
-        if len(srcs) == 1 and isinstance(srcs[0], VirtualReg):
-            self._emit([UNF, d, impl, self.reg_slot(srcs[0].name)])
-            return 1
-        if len(srcs) == 2 and isinstance(srcs[0], VirtualReg) \
-                and isinstance(srcs[1], VirtualReg):
-            self._emit([BINF_RR, d, impl, self.reg_slot(srcs[0].name),
-                        self.reg_slot(srcs[1].name)])
-            return 1
-        specs = []
-        for src in srcs:
-            if isinstance(src, VirtualReg):
-                specs.append((0, self.reg_slot(src.name)))
-            elif isinstance(src, Constant):
-                specs.append((1, src.value))
-            else:
-                specs.append((2, f"cannot read operand {src!r}"))
-        self._emit([INTRN, d, impl, tuple(specs)])
-        return 1
 
     def _emit_store_direct(self, ins: Instruction) -> int:
         name = ins.array.name
@@ -512,21 +469,9 @@ class _WordLowerer(_FrameLayout):
             return self._emit_error(f"unknown array {name!r}")
         k = self.arr_slot(name)
         value, index = ins.srcs[0], ins.srcs[1]
-        i_reg = isinstance(index, VirtualReg)
-        v_reg = isinstance(value, VirtualReg)
-        if not i_reg and not isinstance(index, Constant):
-            return self._emit_error(f"cannot read operand {index!r}")
-        if not v_reg and not isinstance(value, Constant):
-            return self._emit_error(f"cannot read operand {value!r}")
-        if v_reg and i_reg:
-            self._emit([ST_RR, k, self.reg_slot(value.name),
-                        self.reg_slot(index.name)])
-        elif v_reg:
-            self._emit([ST_RC, k, self.reg_slot(value.name), index.value])
-        elif i_reg:
-            self._emit([ST_CR, k, value.value, self.reg_slot(index.name)])
-        else:
-            self._emit([ST_CC, k, value.value, index.value])
+        if self._readable(index, value):
+            v = self._read(value)
+            self._emit([ST, k, self._read(index), v])
         return 1
 
     def _emit_call(self, ins: Instruction, dspec: Optional[int]) -> int:
@@ -578,16 +523,16 @@ class _WordLowerer(_FrameLayout):
             return self._emit_error(f"cannot execute {ins}")
         return emitted
 
-    def _defer_operand(self, operand):
-        """(is_const, payload) for a deferred-store operand; register
-        values are captured into scratch at read time."""
-        if isinstance(operand, Constant):
-            return (True, operand.value)
-        if isinstance(operand, VirtualReg):
+    def _defer_operand(self, value):
+        """The operand a deferred store commits: a constant inline, a
+        register captured into scratch at read time."""
+        if isinstance(value, Constant):
+            return (value.value,)
+        if isinstance(value, VirtualReg):
             s = self._scratch()
-            self._emit([CP, s, self.reg_slot(operand.name)])
-            return (False, s)
-        self._emit_error(f"cannot read operand {operand!r}")
+            self._emit([MOV, s, self.reg_slot(value.name)])
+            return s
+        self._emit_error(f"cannot read operand {value!r}")
         return None
 
     def _emit_op_deferred(self, ins: Instruction, pending_regs: List,
@@ -606,13 +551,13 @@ class _WordLowerer(_FrameLayout):
                 self._emit_error(f"unknown array {name!r}")
                 return
             k = self.arr_slot(name)
-            ispec = self._defer_operand(ins.srcs[1])
-            if ispec is None:
+            index = self._defer_operand(ins.srcs[1])
+            if index is None:
                 return
-            vspec = self._defer_operand(ins.srcs[0])
-            if vspec is None:
+            value = self._defer_operand(ins.srcs[0])
+            if value is None:
                 return
-            pending_stores.append((k, ispec, vspec))
+            pending_stores.append((k, index, value))
             return
         if op is Op.CALL:
             if ins.dest is not None:
@@ -633,25 +578,10 @@ class _WordLowerer(_FrameLayout):
     def _emit_commits(self, pending_regs: List,
                       pending_stores: List) -> None:
         """Commit registers (op order) then stores (op order)."""
-        i = 0
-        count = len(pending_regs)
-        while count - i >= 2:
-            d1, s1 = pending_regs[i]
-            d2, s2 = pending_regs[i + 1]
-            self._emit([CP2, d1, s1, d2, s2])
-            i += 2
-        if i < count:
-            d, s = pending_regs[i]
-            self._emit([CP, d, s])
-        for k, (i_const, iv), (v_const, vv) in pending_stores:
-            if i_const and v_const:
-                self._emit([STD_CC, k, iv, vv])
-            elif i_const:
-                self._emit([STD_CS, k, iv, vv])
-            elif v_const:
-                self._emit([STD_SC, k, iv, vv])
-            else:
-                self._emit([STD_SS, k, iv, vv])
+        for d, s in pending_regs:
+            self._emit([MOV, d, s])
+        for k, index, value in pending_stores:
+            self._emit([ST, k, index, value])
 
     # -- hazard analysis -----------------------------------------------------------
 
@@ -812,18 +742,11 @@ class _WordLowerer(_FrameLayout):
     def _emit_return(self, control: Instruction,
                      ret_slot: Optional[int]) -> None:
         if ret_slot is not None:
-            self._emit([RET_S, ret_slot])
-            return
-        if not control.srcs:
-            self._emit([RET_N])
-            return
-        value = control.srcs[0]
-        if isinstance(value, Constant):
-            self._emit([RET_C, value.value])
-        elif isinstance(value, VirtualReg):
-            self._emit([RET_R, self.reg_slot(value.name), value.name])
-        else:
-            self._emit_error(f"cannot read operand {value!r}")
+            self._emit([RET, ret_slot])
+        elif not control.srcs:
+            self._emit([RET, None])
+        elif self._readable(control.srcs[0]):
+            self._emit([RET, self._read(control.srcs[0], checked=True)])
 
     def _control_prereads(self, node: Node, is_br: bool, is_ret: bool,
                           pre_cycle_only: bool):
@@ -848,9 +771,8 @@ class _WordLowerer(_FrameLayout):
         elif is_ret and control.srcs \
                 and isinstance(control.srcs[0], VirtualReg):
             ret_slot = self._scratch()
-            self._emit([RETREAD, ret_slot,
-                        self.reg_slot(control.srcs[0].name),
-                        control.srcs[0].name])
+            self._emit([MOV, ret_slot,
+                        self._read(control.srcs[0], checked=True)])
         return cond_slot, ret_slot
 
     def lower_node(self, nid: int, node: Node) -> None:

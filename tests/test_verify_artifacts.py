@@ -245,7 +245,7 @@ class TestWordMutations:
         def mutate(payload):
             lg = _first_graph(payload)
             word = next(w for w in lg.words
-                        if w[0] in (_eng.ADD_RR, _eng.ADD_RC, _eng.MOV_C))
+                        if w[0] in (_eng.BIN, _eng.MOV))
             word[1] = lg.n_regs + 5
         _assert_rejected(mutate)
 
@@ -253,13 +253,13 @@ class TestWordMutations:
         # a word past the last terminator is never emitted, but the
         # stored graphs are no longer the fresh lowering
         _assert_rejected(lambda payload: _first_graph(payload).words.append(
-            [_eng.MOV_C, 1, 0]))
+            [_eng.MOV, 1, (0,)]))
 
     def test_dead_word(self, verified_cache):
         # orphan: no word references it, so no block emits it, but the
         # stored graphs are no longer the fresh lowering
         _assert_rejected(lambda payload: _first_graph(payload).words.append(
-            [_eng.RET_N]))
+            [_eng.RET, None]))
 
     def test_edge_table_swap(self, verified_cache):
         def mutate(payload):
@@ -395,7 +395,7 @@ class TestVerifyOnLoad:
         def corrupt_word(payload):
             lg = _first_graph(payload)
             word = next(w for w in lg.words
-                        if w[0] in (_eng.ADD_RR, _eng.MOV_C, _eng.ADD_RC))
+                        if w[0] in (_eng.BIN, _eng.MOV))
             word[1] = lg.n_regs + 9
         _assert_rejected(corrupt_word)
 
