@@ -2,8 +2,9 @@
 
 Starts `python -m repro serve` as a real subprocess, issues two
 identical explore requests plus one study request over the socket,
-asserts the dedup/result-tier counters, and checks a clean shutdown
-(exit code 0, socket unlinked).
+then two requests with out-of-range knobs that must be refused by name
+before any dispatch, asserts the dedup/result-tier counters, and checks
+a clean shutdown (exit code 0, socket unlinked).
 """
 
 from __future__ import annotations
@@ -43,12 +44,23 @@ def main() -> int:
             assert study["ok"], study.get("error")
             assert study["meta"]["result_cache"] == "miss", study["meta"]
 
+            # 2**42 - 1 finalist subsets, and a one-operation chain
+            for bad, knob in (
+                    ({"op": "explore", "benchmark": "pse",
+                      "budget": 1_000_000_000, "max_candidates": 42},
+                     "max_candidates"),
+                    ({"op": "study", "benchmarks": ["sewha"],
+                      "lengths": [1]}, "lengths")):
+                refused = client.request(bad)
+                assert not refused["ok"], refused
+                assert knob in refused["error"], refused
+
             status = client.request({"op": "status"})
             assert status["ok"], status.get("error")
             payload = status["result"]
             stats = payload["stats"]
             print(json.dumps(stats, indent=2, sort_keys=True))
-            assert stats["errors"] == 0, stats
+            assert stats["errors"] == 2, stats
             assert stats["dispatches"] == 3, stats
             assert stats["result_hits"] == 1, stats
             assert stats["result_misses"] == 2, stats

@@ -324,6 +324,40 @@ ProgressFn = Callable[[str, str], None]
 # layer, so a malformed request fails before any compile, worker spawn
 # or socket dispatch, attributed to the knob it came from.
 
+#: Most ranked candidates an exploration keeps: the finalist search
+#: enumerates all 2**n - 1 subsets of them (65,535 at 16).
+MAX_CANDIDATES_LIMIT = 16
+
+#: Largest loop-unrolling factor: unrolling clones a loop body
+#: ``factor - 1`` times.
+UNROLL_FACTOR_LIMIT = 8
+
+
+def validate_knobs(knob: str, lengths: Sequence[int] = (),
+                   unroll_factor: int = 1,
+                   max_candidates: int = 1,
+                   measure_top: int = 0) -> None:
+    """Raise :class:`~repro.errors.ReproError` naming the first knob out
+    of range; *knob* formats a knob's name for the message (e.g.
+    ``"StudyConfig.{}"``)."""
+    for length in lengths:
+        if length < 2:
+            raise ReproError(
+                f"{knob.format('lengths')} contains {length}: chains "
+                f"have at least two operations")
+    if not 1 <= unroll_factor <= UNROLL_FACTOR_LIMIT:
+        raise ReproError(
+            f"{knob.format('unroll_factor')} is {unroll_factor}: "
+            f"expected 1 to {UNROLL_FACTOR_LIMIT}")
+    if not 1 <= max_candidates <= MAX_CANDIDATES_LIMIT:
+        raise ReproError(
+            f"{knob.format('max_candidates')} is {max_candidates}: "
+            f"expected 1 to {MAX_CANDIDATES_LIMIT}")
+    if measure_top < 0:
+        raise ReproError(
+            f"{knob.format('measure_top')} is {measure_top}: it must "
+            f"not be negative")
+
 
 def validate_study_config(config: StudyConfig) -> None:
     """Raise :class:`~repro.errors.ReproError` on a malformed config."""
@@ -331,6 +365,7 @@ def validate_study_config(config: StudyConfig) -> None:
     from repro.suite.runner import validate_seeds
     ensure_engine(config.engine)
     validate_seeds(config.seeds, source="StudyConfig.seeds")
+    validate_knobs("StudyConfig.{}", config.lengths, config.unroll_factor)
     for level in config.levels:
         try:
             OptLevel(level)
@@ -346,6 +381,9 @@ def validate_exploration_config(config: ExplorationStudyConfig) -> None:
     from repro.suite.runner import validate_seeds
     ensure_engine(config.engine)
     validate_seeds(config.seeds, source="ExplorationStudyConfig.seeds")
+    validate_knobs("ExplorationStudyConfig.{}", config.lengths,
+                   config.unroll_factor, config.max_candidates,
+                   config.measure_top)
     if not config.budgets:
         raise ReproError(
             "ExplorationStudyConfig.budgets is empty: pass at least one "
@@ -369,6 +407,9 @@ def validate_frontier_config(config: FrontierStudyConfig) -> None:
     from repro.suite.runner import validate_seeds
     ensure_engine(config.engine)
     validate_seeds(config.seeds, source="FrontierStudyConfig.seeds")
+    validate_knobs("FrontierStudyConfig.{}", config.lengths,
+                   config.unroll_factor, config.max_candidates,
+                   config.measure_top)
     if config.max_budget is not None and config.max_budget <= 0:
         raise ReproError(
             f"FrontierStudyConfig.max_budget={config.max_budget}: the "

@@ -289,6 +289,7 @@ def build_config(request: dict, default_jobs=None):
 
 def validate_simple_request(request: dict) -> None:
     """Front-load validation of an ``analyze``/``explore`` request."""
+    from repro.feedback.study import validate_knobs
     from repro.opt.pipeline import OptLevel
     from repro.sim.machine import ensure_engine
     op = request["op"]
@@ -299,11 +300,12 @@ def validate_simple_request(request: dict) -> None:
         raise ReproError(
             f"{op} request field 'level' is {request['level']!r}: not "
             f"an optimization level (expected 0, 1 or 2)")
-    for length in request["lengths"]:
-        if length < 2:
-            raise ReproError(
-                f"{op} request field 'lengths' contains {length}: "
-                f"chains have at least two operations")
+    knob = f"{op} request field '{{}}'"
+    if op == "explore":
+        validate_knobs(knob, request["lengths"], request["unroll_factor"],
+                       request["max_candidates"], request["measure_top"])
+    else:
+        validate_knobs(knob, request["lengths"])
     if op == "explore" and request["budget"] <= 0:
         raise ReproError(
             f"explore request field 'budget' is {request['budget']}: "

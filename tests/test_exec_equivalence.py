@@ -568,6 +568,52 @@ class TestInputValidation:
             explore_designs(compile_benchmark(spec),
                             spec.generate_inputs(0), engine="turbo")
 
+    @pytest.mark.parametrize("op, knobs, named", [
+        ("study", dict(lengths=(2, 1)), "StudyConfig.lengths"),
+        ("study", dict(unroll_factor=0), "StudyConfig.unroll_factor"),
+        ("study", dict(unroll_factor=9), "StudyConfig.unroll_factor"),
+        ("explore-study", dict(lengths=(1,)),
+         "ExplorationStudyConfig.lengths"),
+        ("explore-study", dict(max_candidates=-2),
+         "ExplorationStudyConfig.max_candidates"),
+        ("explore-study", dict(max_candidates=17),
+         "ExplorationStudyConfig.max_candidates"),
+        ("explore-study", dict(measure_top=-1),
+         "ExplorationStudyConfig.measure_top"),
+        ("frontier", dict(unroll_factor=-1),
+         "FrontierStudyConfig.unroll_factor"),
+        ("frontier", dict(max_candidates=42),
+         "FrontierStudyConfig.max_candidates"),
+        ("frontier", dict(measure_top=-1), "FrontierStudyConfig.measure_top"),
+    ])
+    def test_out_of_range_knob_rejected_before_any_compile(
+            self, op, knobs, named, tmp_path, monkeypatch):
+        """An out-of-range exploration knob is refused by name before
+        the front end runs (on an empty cache, so nothing is served from
+        disk either): no chain of length 1 reaching detection, no silent
+        clamp of the candidate list or unrolling, no 2**42 subsets."""
+        import repro.feedback.study as study_api
+        import repro.frontend as frontend_mod
+        from repro.sim import diskcache
+
+        def exploding(*_a, **_k):
+            raise AssertionError("must fail before compiling anything")
+
+        monkeypatch.setattr(frontend_mod, "compile_source", exploding)
+        monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(tmp_path))
+        diskcache.reset_cache_state()
+        config_class, run = {
+            "study": (StudyConfig, run_study),
+            "explore-study": (study_api.ExplorationStudyConfig,
+                              study_api.run_exploration_study),
+            "frontier": (study_api.FrontierStudyConfig,
+                         study_api.run_frontier_study)}[op]
+        try:
+            with pytest.raises(ReproError, match=named):
+                run(config_class(benchmarks=("sewha",), jobs=1, **knobs))
+        finally:
+            diskcache.reset_cache_state()
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ReproError, match="StudyConfig.seeds is empty"):
             run_study(StudyConfig(benchmarks=("fir",), seeds=()))

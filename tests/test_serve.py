@@ -278,6 +278,35 @@ class TestValidationAndStatus:
         assert stats["requests"] == 3
         assert stats["dispatches"] == 0
 
+    @pytest.mark.parametrize("request_, knob", [
+        ({"op": "study", "benchmarks": ["sewha"], "lengths": [1]},
+         "lengths"),
+        ({"op": "study", "benchmarks": ["sewha"], "unroll_factor": 0},
+         "unroll_factor"),
+        ({"op": "explore-study", "benchmarks": ["sewha"],
+          "max_candidates": -2}, "max_candidates"),
+        ({"op": "frontier", "benchmarks": ["sewha"], "measure_top": -1},
+         "measure_top"),
+        ({"op": "explore", "benchmark": "sewha", "max_candidates": 17},
+         "max_candidates"),
+        ({"op": "explore", "benchmark": "sewha", "measure_top": -1},
+         "measure_top"),
+        ({"op": "explore", "benchmark": "sewha", "unroll_factor": 0},
+         "unroll_factor"),
+        ({"op": "analyze", "source": ANALYZE_SRC, "lengths": [1]},
+         "lengths"),
+    ])
+    def test_out_of_range_knob_refused_before_dispatch(self, server,
+                                                       request_, knob):
+        with connect(server) as client:
+            before = client.request({"op": "status"})
+            response = client.request(request_)
+            after = client.request({"op": "status"})
+        assert response["ok"] is False
+        assert knob in response["error"]
+        assert after["result"]["stats"]["dispatches"] == \
+            before["result"]["stats"]["dispatches"]
+
     def test_field_errors_name_the_field(self, server):
         with connect(server) as client:
             response = client.request({"op": "study", "seed": "zero"})
