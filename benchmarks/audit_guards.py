@@ -89,14 +89,11 @@ MUTANTS: Sequence[Mutant] = (
            '        self.emit(f"return {value}")',
            "branch counters are lost on return: profiles undercount"),
     Mutant("undefined-register-check-dropped", "sim/codegen.py",
-           '        if op == MOV:\n'
-           '            self.emit(f"{r(word[1])} = '
-           '{self._operand(word[2])}")\n',
-           '        if op == MOV:\n'
-           '            a = word[2]\n'
-           '            if type(a) is tuple and len(a) == 2:\n'
-           '                a = a[0]  # the checked read, unchecked\n'
-           '            self.emit(f"{r(word[1])} = {self._operand(a)}")\n',
+           '            value = self._operand(word[2])\n',
+           '            operand = word[2]\n'
+           '            if type(operand) is tuple and len(operand) == 2:\n'
+           '                operand = operand[0]  # checked read, unchecked\n'
+           '            value = self._operand(operand)\n',
            "a move from an undefined register no longer faults"),
     Mutant("branch-counters-swapped", "sim/codegen.py",
            '                self.emit(f"    e{word[2]} += 1")\n'

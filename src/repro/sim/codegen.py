@@ -157,7 +157,8 @@ class _FunctionEmitter:
         op = word[0]
         r = self._r
         if op == MOV:
-            self.emit(f"{r(word[1])} = {self._operand(word[2])}")
+            value = self._operand(word[2])
+            self.emit(f"{r(word[1])} = {value}")
             return
         if op == BIN:
             a = self._operand(word[3])

@@ -386,7 +386,7 @@ class _WordLowerer(_FrameLayout):
             self.scratch_watermark = self._scratch_used
         return -self._scratch_used
 
-    # -- operands -------------------------------------------------------------------
+    # -- operands ------------------------------------------------------------------
 
     def _readable(self, *values) -> bool:
         """True when every value is a register or a constant; otherwise
