@@ -436,7 +436,7 @@ class _WordLowerer(_FrameLayout):
             if self._readable(src):
                 if (op is Op.NEG or op is Op.FNEG) \
                         and isinstance(src, VirtualReg):
-                    fn = "-"
+                    fn = "-"  # a negated constant calls the function
                 self._emit([UN, d, fn, self._read(src)])
             return 1
         if op is Op.MOV or op is Op.FMOV:
