@@ -153,7 +153,7 @@ for lg in payload["graphs"].values():
                 and type(word[3]) is int and type(word[4]) is int:
             word[2] = "-"
             break
-stored = _e.LoweredModule.from_graphs(None, payload["graphs"])
+stored = _e.LoweredModule.from_graphs(payload["graphs"])
 payload["sources"] = tuple(emit_sources(stored)[0])
 payload["code"] = None
 '''),

@@ -200,9 +200,8 @@ def _payload_problem(kind: str, payload) -> Optional[str]:
         return _optimized_problem(payload)
     if kind != "codegen":
         return None
-    # emission reads only the graphs, not the module they belong to
     sources, consts = emit_sources(
-        LoweredModule.from_graphs(None, payload["graphs"]))
+        LoweredModule.from_graphs(payload["graphs"]))
     mismatch = payload_mismatch(payload, payload["graphs"], sources,
                                 consts, _compile_sources("scan", sources))
     if mismatch in ("sources", "consts"):

@@ -40,6 +40,7 @@ from repro.chaining.frequency import dynamic_frequency
 from repro.chaining.sequence import SequenceName, sequence_label
 from repro.errors import AsipError
 from repro.ir.module import Module
+from repro.knobs import validate_knobs
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import DEFAULT_ENGINE, run_module
 
@@ -236,10 +237,14 @@ def explore_designs(module: Optional[Module],
     Pass *module* optimized at *level* as ``optimized`` (for a suite
     benchmark, :func:`repro.exec.study.optimized_module` serves it from
     the disk tier) to skip the optimizer; *module* may then be ``None``.
-    The measured design points come back in finalist order.
+    The measured design points come back in finalist order.  An
+    out-of-range knob raises :class:`~repro.errors.ReproError` naming it
+    before anything is optimized or simulated.
     """
     from repro.sim.machine import ensure_engine
     ensure_engine(engine)  # before the pipeline, not deep in a worker
+    validate_knobs("explore_designs argument {}", lengths, unroll_factor,
+                   max_candidates, measure_top)
     cost = cost_model or DEFAULT_COST_MODEL
     graph_module = optimized
     if graph_module is None:

@@ -289,7 +289,7 @@ def build_config(request: dict, default_jobs=None):
 
 def validate_simple_request(request: dict) -> None:
     """Front-load validation of an ``analyze``/``explore`` request."""
-    from repro.feedback.study import validate_knobs
+    from repro.knobs import validate_knobs
     from repro.opt.pipeline import OptLevel
     from repro.sim.machine import ensure_engine
     op = request["op"]

@@ -22,7 +22,8 @@
 Each graph's source is compiled on its own and ``exec``-uted once per
 module; the functions are cached on the module next to its lowering,
 under the module's content key (stripped at pickle boundaries by
-``GraphModule.__getstate__`` and regenerated lazily per process).  The
+``GraphModule.__getstate__`` and regenerated lazily per process), and
+neither holds a reference back to the module.  The
 source text itself is not kept in memory: it goes into the disk-cache
 entry, and :func:`emit_sources` re-emits it on demand.  Results are bit-identical to the reference
 interpreter — return value, memory, full node/edge/call profiles and
@@ -444,12 +445,13 @@ class GeneratedModule:
     ``lowered`` is the :class:`LoweredModule` the functions were emitted
     from; the run frame reuses its per-graph profile-reconstruction
     tables (:meth:`_LoweredGraph.resolve_counters`) unchanged.  ``fns``
-    maps each graph name to its function.
+    maps each graph name to its function.  Like the lowering, it does
+    not keep the module it was generated for, so the module's
+    ``_compiled`` slot holds no reference back to the module.
     """
 
-    def __init__(self, module: GraphModule, lowered: LoweredModule,
+    def __init__(self, lowered: LoweredModule,
                  consts: Dict[str, object], codes: Sequence) -> None:
-        self.module = module
         self.lowered = lowered
         self.fns: Dict[str, object] = {}
         namespace: Dict[str, object] = {
@@ -468,22 +470,22 @@ class GeneratedModule:
             self.fns[name] = fn
 
     @classmethod
-    def from_payload(cls, module: GraphModule, payload: Dict[str, object],
+    def from_payload(cls, name: str, payload: Dict[str, object],
                      lowered: Optional[LoweredModule] = None
                      ) -> "GeneratedModule":
-        """Rebuild from a disk-cache entry, skipping lowering, source
-        emission and (when the marshalled code objects verify and load)
-        compilation; a blob whose checksum does not match falls back to
-        compiling the stored sources.  A *lowered* form the module
-        already holds for the entry's key is kept; otherwise the
-        entry's lowered graphs are bound to *module*."""
+        """Rebuild module *name* from a disk-cache entry, skipping
+        lowering, source emission and (when the marshalled code objects
+        verify and load) compilation; a blob whose checksum does not
+        match falls back to compiling the stored sources under *name*.
+        A *lowered* form the module already holds for the entry's key is
+        kept; otherwise the entry's lowered graphs are used."""
         if lowered is None:
-            lowered = LoweredModule.from_graphs(module, payload["graphs"])
+            lowered = LoweredModule.from_graphs(payload["graphs"])
         codes = _blob_codes(payload)
         if not isinstance(codes, tuple) or \
                 len(codes) != len(lowered.graphs):
-            codes = _compile_sources(module.name, payload["sources"])
-        return cls(module, lowered, payload["consts"], codes)
+            codes = _compile_sources(name, payload["sources"])
+        return cls(lowered, payload["consts"], codes)
 
 
 def _blob_codes(payload: Dict[str, object]):
@@ -587,7 +589,8 @@ def generate_module(module: GraphModule) -> GeneratedModule:
     payload = None if cache is None else cache.load("codegen", key)
     if payload is not None and not verify_on_load():
         try:
-            generated = GeneratedModule.from_payload(module, payload, lowered)
+            generated = GeneratedModule.from_payload(module.name, payload,
+                                                     lowered)
         except Exception:
             cache.unusable("codegen")
         else:
@@ -602,7 +605,7 @@ def generate_module(module: GraphModule) -> GeneratedModule:
             payload, lowered.graphs, sources, consts, codes) is not None:
         cache.reject("codegen")
         payload = None
-    generated = GeneratedModule(module, lowered, consts, codes)
+    generated = GeneratedModule(lowered, consts, codes)
     if cache is not None and payload is None:
         cache.store("codegen", key,
                     _disk_payload(lowered, sources, consts, codes))

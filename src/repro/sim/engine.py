@@ -17,8 +17,10 @@ decode operands through :func:`decode_operand`.
 The lowered form is cached on the :class:`GraphModule` under the module's
 content key (:func:`~repro.sim.diskcache.content_key`), so repeated runs
 of the same module pay lowering once; equal content means the same
-lowered form.  Words hold no references to
-other words, so the lowered form pickles as is into the disk-cache entry.
+lowered form.  The lowered form holds no reference back to the module,
+so a dropped module is freed by reference counting.  Words hold no
+references to other words, so the lowered form pickles as is into the
+disk-cache entry.
 :func:`run_lowered_module` is the run frame around the generated code:
 globals, inputs, counters, profile reconstruction and the cycle limit.
 
@@ -948,25 +950,25 @@ class _LoweredGraph:
 
 
 class LoweredModule:
-    """All graphs of one :class:`GraphModule` as word lists."""
+    """All graphs of one :class:`GraphModule` as word lists.
+
+    It does not keep the module it was lowered from: it lives in that
+    module's ``_compiled`` slot, and a reference back would make every
+    compiled module a reference cycle that only the cycle collector can
+    free.
+    """
 
     def __init__(self, module: GraphModule):
-        self.module = module
         self.graphs: Dict[str, _LoweredGraph] = {}
         for name, graph in module.graphs.items():
             self.graphs[name] = _LoweredGraph(graph, module)
 
     @classmethod
-    def from_graphs(cls, module: GraphModule,
-                    graphs: Dict[str, _LoweredGraph]) -> "LoweredModule":
-        """Rebind disk-loaded lowered *graphs* to the live *module*.
-
-        The graphs carry everything execution needs (words, frame
-        plans, profile tables); only the module reference is
-        process-local, so it is re-bound to the live module here.
-        """
+    def from_graphs(cls, graphs: Dict[str, _LoweredGraph]
+                    ) -> "LoweredModule":
+        """Wrap disk-loaded lowered *graphs*: they carry everything
+        execution needs (words, frame plans, profile tables)."""
         lowered = cls.__new__(cls)
-        lowered.module = module
         lowered.graphs = graphs
         return lowered
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asip import explore
 from repro.asip.cost import DEFAULT_COST_MODEL, CostModel
 from repro.asip.evaluate import evaluate_isa, evaluate_on_sequential
 from repro.asip.explore import explore_designs
@@ -10,7 +11,7 @@ from repro.asip.resequence import resequence_module
 from repro.asip.select import (FusedInstruction, SelectionStats,
                                select_chains)
 from repro.cfg.build import build_module_graphs
-from repro.errors import AsipError
+from repro.errors import AsipError, ReproError
 from repro.frontend import compile_source
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import run_module
@@ -242,6 +243,19 @@ class TestExploration:
         result = explore_designs(module, MAC_INPUTS, area_budget=0)
         assert result.candidates == []
         assert result.best is None
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_candidates", -2), ("measure_top", -1), ("unroll_factor", 0)])
+    def test_out_of_range_knob_refused_before_optimizing(
+            self, monkeypatch, knob, value):
+        def optimize_module(*args, **kwargs):
+            raise AssertionError("optimized before the knobs were checked")
+
+        monkeypatch.setattr(explore, "optimize_module", optimize_module)
+        module = compile_source(MAC_SRC, "t")
+        with pytest.raises(ReproError, match=rf"\b{knob} is {value}\b"):
+            explore_designs(module, MAC_INPUTS, area_budget=2500,
+                            **{knob: value})
 
 
 # The independent oracle: chain selection exactly as it was when it
