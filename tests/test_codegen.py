@@ -248,6 +248,32 @@ class TestErrorParity:
         gm = GraphModule("t", {"main": graph}, {}, {}, {})
         self._all_raise(gm, match="undefined register")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "codegen reads a node's return operand ahead of its operations "
+        "(ROADMAP: 'Codegen and the reference interpreter give "
+        "different error text for one fault shape')"))
+    def test_faulting_op_feeding_the_return(self):
+        """A single node ``{%t = load @nowhere[0]}`` with control
+        ``ret %t``: the load's fault comes first on every engine."""
+        from repro.cfg.graph import GraphModule, ProgramGraph
+        from repro.ir.instr import Instruction
+        from repro.ir.ops import Op
+        from repro.ir.values import ArraySymbol, Constant, VirtualReg
+        graph = ProgramGraph("main", return_type="int")
+        node = graph.new_node()
+        t = VirtualReg("%t")
+        node.ops.append(Instruction(Op.LOAD, dest=t, srcs=(Constant(0),),
+                                    array=ArraySymbol("nowhere", 4)))
+        node.control = Instruction(Op.RET, srcs=(t,))
+        graph.entry = node.id
+        gm = GraphModule("t", {"main": graph}, {}, {}, {})
+        messages = {}
+        for engine in ENGINES:
+            with pytest.raises(SimulationError) as info:
+                run_module(gm, engine=engine)
+            messages[engine] = str(info.value)
+        assert len(set(messages.values())) == 1, messages
+
 
 class TestNonFiniteConstants:
     """Constant folding can bake inf/nan into the graph (1e308 * 1e308

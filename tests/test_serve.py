@@ -422,6 +422,41 @@ class TestProtocol:
             dict(EXPLORE_REQ, seed=1))
         assert protocol.request_digest(a) != protocol.request_digest(c)
 
+    @pytest.mark.parametrize("op, config_type, canonical, digest", [
+        ("study", study_api.StudyConfig,
+         {"op": "study", "benchmarks": None, "engine": "codegen",
+          "jobs": None, "lengths": [2, 3, 4, 5], "levels": [0, 1, 2],
+          "seed": 0, "seeds": None, "unroll_factor": 2, "verify": True},
+         "6ac2d19e9fb7785e7cd7b919b32f8f52"
+         "389da158ab0bd8ce193eb992b46dffd2"),
+        ("explore-study", study_api.ExplorationStudyConfig,
+         {"op": "explore-study", "benchmarks": None, "budgets": [2500],
+          "engine": "codegen", "jobs": None, "lengths": [2, 3],
+          "level": 1, "max_candidates": 8, "measure_top": 4, "seed": 0,
+          "seeds": None, "unroll_factor": 2},
+         "830d9c5b2504158b90dabb60940350bf"
+         "7673134d2cfc250c19c790512f163810"),
+        ("frontier", study_api.FrontierStudyConfig,
+         {"op": "frontier", "benchmarks": None, "engine": "codegen",
+          "jobs": None, "lengths": [2, 3], "level": 1, "max_budget": None,
+          "max_candidates": 8, "measure_top": 4, "seed": 0,
+          "seeds": None, "unroll_factor": 2},
+         "7f5efc60235bc231620035a5412ab1ad"
+         "087632e26cfaaccb56dcea5e664b0088"),
+    ])
+    def test_empty_study_request_means_the_default_config(
+            self, op, config_type, canonical, digest):
+        request = protocol.canonical_request({"op": op})
+        assert request == canonical
+        assert protocol.request_digest(request) == digest
+        assert protocol.build_config(request) == config_type()
+
+    def test_explore_request_digest_is_pinned(self):
+        assert protocol.request_digest(
+            protocol.canonical_request(EXPLORE_REQ)) == (
+            "9ad4a0d3daf49791c350eed74865c66b"
+            "f59158346d500ce89f0063a0c010be81")
+
     def test_explore_request_rejects_jobs(self):
         # a single-benchmark exploration runs in the evaluating process:
         # it has no worker count to set
