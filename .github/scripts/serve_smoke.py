@@ -2,8 +2,9 @@
 
 Starts `python -m repro serve` as a real subprocess, issues two
 identical explore requests plus one study request over the socket,
-then two requests with out-of-range knobs that must be refused by name
-before any dispatch, asserts the dedup/result-tier counters, and checks
+then four requests with out-of-range knobs that must be refused by name
+before any dispatch (the last two through the study-family config
+validator), asserts the dedup/result-tier counters, and checks
 a clean shutdown (exit code 0, socket unlinked).
 """
 
@@ -44,13 +45,18 @@ def main() -> int:
             assert study["ok"], study.get("error")
             assert study["meta"]["result_cache"] == "miss", study["meta"]
 
-            # 2**42 - 1 finalist subsets, and a one-operation chain
+            # 2**42 - 1 finalist subsets, a one-operation chain, a zero
+            # sweep ceiling and an optimization level that does not exist
             for bad, knob in (
                     ({"op": "explore", "benchmark": "pse",
                       "budget": 1_000_000_000, "max_candidates": 42},
                      "max_candidates"),
                     ({"op": "study", "benchmarks": ["sewha"],
-                      "lengths": [1]}, "lengths")):
+                      "lengths": [1]}, "lengths"),
+                    ({"op": "frontier", "benchmarks": ["sewha"],
+                      "max_budget": 0}, "FrontierStudyConfig.max_budget"),
+                    ({"op": "explore-study", "benchmarks": ["sewha"],
+                      "level": 7}, "ExplorationStudyConfig.level")):
                 refused = client.request(bad)
                 assert not refused["ok"], refused
                 assert knob in refused["error"], refused
@@ -60,7 +66,7 @@ def main() -> int:
             payload = status["result"]
             stats = payload["stats"]
             print(json.dumps(stats, indent=2, sort_keys=True))
-            assert stats["errors"] == 2, stats
+            assert stats["errors"] == 4, stats
             assert stats["dispatches"] == 3, stats
             assert stats["result_hits"] == 1, stats
             assert stats["result_misses"] == 2, stats

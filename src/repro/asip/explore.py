@@ -200,9 +200,9 @@ def pick_finalists(table: FinalistTable, area_budget: int,
             greedy.append(i)
             remaining -= areas[i]
     finalists = {tuple(sorted(greedy))} if greedy else set()
-    affordable = [combo for _, combo, area in table.subsets
-                  if area <= area_budget]
-    finalists.update(affordable[:measure_top])
+    affordable = (combo for _, combo, area in table.subsets
+                  if area <= area_budget)
+    finalists.update(itertools.islice(affordable, measure_top))
     return sorted(finalists)
 
 

@@ -75,6 +75,7 @@ def _parse_level(text: str) -> int:
 def _parse_lengths(text: str) -> tuple:
     # Chain lengths, not levels: any integer >= 2 ("chains have at
     # least two operations"), deduplicated and sorted like --levels.
+    from repro.knobs import validate_knobs
     try:
         lengths = tuple(sorted({int(part) for part in text.split(",")
                                 if part.strip()}))
@@ -85,11 +86,10 @@ def _parse_lengths(text: str) -> tuple:
     if not lengths:
         raise argparse.ArgumentTypeError(
             "--lengths is empty: pass at least one chain length")
-    for length in lengths:
-        if length < 2:
-            raise argparse.ArgumentTypeError(
-                f"--lengths contains {length}: chains have at least "
-                f"two operations")
+    try:
+        validate_knobs("--{}", lengths)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return lengths
 
 
@@ -355,18 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(config_type, args, **knobs):
+    """A study-family config from the flags this command defines: each
+    parsed flag named like a field of *config_type*, then *knobs*.  A
+    field no flag sets keeps its dataclass default."""
+    import dataclasses
+    names = {field.name for field in dataclasses.fields(config_type)}
+    flags = {name: value for name, value in vars(args).items()
+             if name in names}
+    return config_type(**{**flags, **knobs})
+
+
 def _study_config(args) -> "StudyConfig":
     from repro.feedback.study import StudyConfig
-    from repro.sim.machine import DEFAULT_ENGINE
     benchmarks = (tuple(args.benchmarks.split(","))
-                  if getattr(args, "benchmarks", None) else None)
-    levels = getattr(args, "levels", (0, 1, 2))
-    seed = getattr(args, "seed", 0)
-    engine = getattr(args, "engine", DEFAULT_ENGINE)
-    return StudyConfig(benchmarks=benchmarks, levels=levels, seed=seed,
-                       engine=engine,
-                       seeds=getattr(args, "seeds", None),
-                       jobs=getattr(args, "jobs", None))
+                  if args.benchmarks else None)
+    return _config(StudyConfig, args, benchmarks=benchmarks)
 
 
 def cmd_list(_args, out) -> int:
@@ -446,7 +450,6 @@ def cmd_ilp(_args, out) -> int:
 def cmd_explore_study(args, out) -> int:
     from repro.feedback.study import (ExplorationStudyConfig,
                                       run_exploration_study)
-    from repro.sim.machine import DEFAULT_ENGINE
 
     benchmarks = None
     if args.benchmarks:
@@ -458,10 +461,7 @@ def cmd_explore_study(args, out) -> int:
         benchmarks = benchmarks or None
     if args.frontier:
         return _cmd_frontier_study(args, benchmarks, out)
-    config = ExplorationStudyConfig(
-        benchmarks=benchmarks, budgets=args.budgets, level=args.level,
-        seed=args.seed, seeds=args.seeds,
-        engine=getattr(args, "engine", DEFAULT_ENGINE), jobs=args.jobs)
+    config = _config(ExplorationStudyConfig, args, benchmarks=benchmarks)
     study = run_exploration_study(
         config, progress=lambda name, stage:
         print(f"  {name} @ {stage}", file=out))
@@ -496,12 +496,8 @@ def _cmd_frontier_study(args, benchmarks, out) -> int:
     from repro.feedback.study import (FrontierStudyConfig,
                                       run_frontier_study)
     from repro.reporting.frontier import frontier_report
-    from repro.sim.machine import DEFAULT_ENGINE
 
-    config = FrontierStudyConfig(
-        benchmarks=benchmarks, level=args.level, seed=args.seed,
-        seeds=args.seeds, max_budget=args.max_budget,
-        engine=getattr(args, "engine", DEFAULT_ENGINE), jobs=args.jobs)
+    config = _config(FrontierStudyConfig, args, benchmarks=benchmarks)
     study = run_frontier_study(
         config, progress=lambda name, stage:
         print(f"  {name} @ {stage}", file=out))

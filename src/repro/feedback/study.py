@@ -328,67 +328,51 @@ ProgressFn = Callable[[str, str], None]
 # came from.
 
 
-def validate_study_config(config: StudyConfig) -> None:
-    """Raise :class:`~repro.errors.ReproError` on a malformed config."""
+def validate_config(config) -> None:
+    """Raise :class:`~repro.errors.ReproError` on a malformed
+    :class:`StudyConfig`, :class:`ExplorationStudyConfig` or
+    :class:`FrontierStudyConfig`, naming the knob as
+    ``<ConfigName>.<knob>``; checks every knob the config has, unknown
+    benchmark names included."""
     from repro.sim.machine import ensure_engine
     from repro.suite.runner import validate_seeds
+    name = type(config).__name__
     ensure_engine(config.engine)
-    validate_seeds(config.seeds, source="StudyConfig.seeds")
-    validate_knobs("StudyConfig.{}", config.lengths, config.unroll_factor)
-    for level in config.levels:
+    validate_seeds(config.seeds, source=f"{name}.seeds")
+    validate_knobs(f"{name}.{{}}", **{
+        knob: getattr(config, knob)
+        for knob in ("lengths", "unroll_factor", "max_candidates",
+                     "measure_top") if hasattr(config, knob)})
+    if hasattr(config, "budgets"):
+        if not config.budgets:
+            raise ReproError(
+                f"{name}.budgets is empty: pass at least one "
+                f"area budget (e.g. budgets=(2500,))")
+        for budget in config.budgets:
+            if budget <= 0:
+                raise ReproError(
+                    f"{name}.budgets contains {budget}: area "
+                    f"budgets must be positive")
+    if getattr(config, "max_budget", None) is not None \
+            and config.max_budget <= 0:
+        raise ReproError(
+            f"{name}.max_budget={config.max_budget}: the "
+            f"sweep ceiling must be positive (or None for unbounded)")
+    for level in getattr(config, "levels", ()):
         try:
             OptLevel(level)
         except ValueError:
             raise ReproError(
-                f"StudyConfig.levels contains {level!r}: not an "
+                f"{name}.levels contains {level!r}: not an "
                 f"optimization level (expected 0, 1 or 2)")
-
-
-def validate_exploration_config(config: ExplorationStudyConfig) -> None:
-    """Raise :class:`~repro.errors.ReproError` on a malformed config."""
-    from repro.sim.machine import ensure_engine
-    from repro.suite.runner import validate_seeds
-    ensure_engine(config.engine)
-    validate_seeds(config.seeds, source="ExplorationStudyConfig.seeds")
-    validate_knobs("ExplorationStudyConfig.{}", config.lengths,
-                   config.unroll_factor, config.max_candidates,
-                   config.measure_top)
-    if not config.budgets:
-        raise ReproError(
-            "ExplorationStudyConfig.budgets is empty: pass at least one "
-            "area budget (e.g. budgets=(2500,))")
-    for budget in config.budgets:
-        if budget <= 0:
+    if hasattr(config, "level"):
+        try:
+            OptLevel(config.level)
+        except ValueError:
             raise ReproError(
-                f"ExplorationStudyConfig.budgets contains {budget}: area "
-                f"budgets must be positive")
-    try:
-        OptLevel(config.level)
-    except ValueError:
-        raise ReproError(
-            f"ExplorationStudyConfig.level={config.level!r} is not an "
-            f"optimization level (expected 0, 1 or 2)")
-
-
-def validate_frontier_config(config: FrontierStudyConfig) -> None:
-    """Raise :class:`~repro.errors.ReproError` on a malformed config."""
-    from repro.sim.machine import ensure_engine
-    from repro.suite.runner import validate_seeds
-    ensure_engine(config.engine)
-    validate_seeds(config.seeds, source="FrontierStudyConfig.seeds")
-    validate_knobs("FrontierStudyConfig.{}", config.lengths,
-                   config.unroll_factor, config.max_candidates,
-                   config.measure_top)
-    if config.max_budget is not None and config.max_budget <= 0:
-        raise ReproError(
-            f"FrontierStudyConfig.max_budget={config.max_budget}: the "
-            f"sweep ceiling must be positive (or None for unbounded)")
-    try:
-        OptLevel(config.level)
-    except ValueError:
-        raise ReproError(
-            f"FrontierStudyConfig.level={config.level!r} is not an "
-            f"optimization level (expected 0, 1 or 2)")
+                f"{name}.level={config.level!r} is not an "
+                f"optimization level (expected 0, 1 or 2)")
+    selected_names(config.benchmarks)
 
 
 # -- the whole-result tier ---------------------------------------------------------
@@ -419,40 +403,19 @@ def result_request_key(op: str, config) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _result_tier(op: str, config):
-    """``(cache, key)`` when the whole-result tier applies, else
-    ``(None, None)``.  The tier is opt-in
-    (:data:`~repro.sim.diskcache.RESULT_ENV_VAR`) on top of an enabled
-    disk cache; the serve daemon turns it on for its process."""
-    from repro.sim.diskcache import get_cache, result_cache_enabled
-    if not result_cache_enabled():
-        return None, None
-    cache = get_cache()
-    if cache is None:
-        return None, None
-    return cache, result_request_key(op, config)
-
-
-def _load_cached_result(cache, key: str, result_type):
-    """A stored whole result of the expected type, or ``None``.
-
-    A payload of the wrong type (a stale or colliding entry) is
-    reclassified as corrupt via the guarded
-    :meth:`~repro.sim.diskcache.DiskCache.unusable` and regenerated.
-    """
-    from repro.sim.diskcache import RESULT_KIND
-    cached = cache.load(RESULT_KIND, key)
-    if cached is None:
-        return None
-    if not isinstance(cached, result_type):
-        cache.unusable(RESULT_KIND)
-        return None
-    return cached
-
-
-def _store_result(cache, key: str, result) -> None:
-    from repro.sim.diskcache import RESULT_KIND
-    cache.store(RESULT_KIND, key, result)
+def _run(op: str, config, result_type, execute,
+         progress: Optional[ProgressFn], stats):
+    """The body every ``run_*`` entry point shares: validate, then answer
+    from the whole-result tier or *execute* (and store)."""
+    from repro.exec.pool import resolve_jobs
+    from repro.sim.diskcache import cached_result
+    validate_config(config)
+    result = cached_result(
+        lambda: result_request_key(op, config), result_type,
+        lambda: execute(config, jobs=resolve_jobs(config.jobs),
+                        progress=progress, stats=stats))
+    result.config = config  # a stored twin differs in jobs only
+    return result
 
 
 def run_study(config: StudyConfig = StudyConfig(),
@@ -474,20 +437,9 @@ def run_study(config: StudyConfig = StudyConfig(),
     :class:`~repro.exec.scheduler.ScheduleStats`) collects scheduler
     accounting.
     """
-    from repro.exec.pool import resolve_jobs
     from repro.exec.study import execute_study
-    validate_study_config(config)
-    cache, key = _result_tier("study", config)
-    if cache is not None:
-        cached = _load_cached_result(cache, key, StudyResult)
-        if cached is not None:
-            cached.config = config  # the stored twin differs in jobs only
-            return cached
-    result = execute_study(config, jobs=resolve_jobs(config.jobs),
-                           progress=progress, stats=stats)
-    if cache is not None:
-        _store_result(cache, key, result)
-    return result
+    return _run("study", config, StudyResult, execute_study, progress,
+                stats)
 
 
 def run_exploration_study(
@@ -512,20 +464,8 @@ def run_exploration_study(
     :func:`run_study`.
     """
     from repro.exec.explore import execute_exploration_study
-    from repro.exec.pool import resolve_jobs
-    validate_exploration_config(config)
-    cache, key = _result_tier("explore-study", config)
-    if cache is not None:
-        cached = _load_cached_result(cache, key, ExplorationStudyResult)
-        if cached is not None:
-            cached.config = config
-            return cached
-    jobs = resolve_jobs(config.jobs)
-    result = execute_exploration_study(config, jobs=jobs,
-                                       progress=progress, stats=stats)
-    if cache is not None:
-        _store_result(cache, key, result)
-    return result
+    return _run("explore-study", config, ExplorationStudyResult,
+                execute_exploration_study, progress, stats)
 
 
 def run_frontier_study(
@@ -548,17 +488,5 @@ def run_frontier_study(
     :func:`run_study`.
     """
     from repro.exec.explore import execute_frontier_study
-    from repro.exec.pool import resolve_jobs
-    validate_frontier_config(config)
-    cache, key = _result_tier("frontier", config)
-    if cache is not None:
-        cached = _load_cached_result(cache, key, FrontierResult)
-        if cached is not None:
-            cached.config = config
-            return cached
-    jobs = resolve_jobs(config.jobs)
-    result = execute_frontier_study(config, jobs=jobs, progress=progress,
-                                    stats=stats)
-    if cache is not None:
-        _store_result(cache, key, result)
-    return result
+    return _run("frontier", config, FrontierResult, execute_frontier_study,
+                progress, stats)

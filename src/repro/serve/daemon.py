@@ -309,12 +309,11 @@ class ReproServer:
                 return payload, sched, _tier_outcome(state, before)
         else:  # analyze / explore
             protocol.validate_simple_request(request)
-            result_key = _simple_result_key(digest)
 
             def evaluate():
                 state, before = _tier_state()
-                payload = _serve_cached_payload(
-                    result_key,
+                payload = diskcache.cached_result(
+                    lambda: _simple_result_key(digest), dict,
                     lambda: (_run_analyze(request) if op == "analyze"
                              else _run_explore(request)))
                 return payload, None, _tier_outcome(state, before)
@@ -385,22 +384,6 @@ def _tier_outcome(tier_on: bool, before: int) -> str:
             and cache.hits[diskcache.RESULT_KIND] > before:
         return "hit"
     return "miss"
-
-
-def _serve_cached_payload(result_key: str, compute) -> dict:
-    """The serve-layer result tier for analyze/explore payload dicts."""
-    cache = diskcache.get_cache()
-    tier_on = cache is not None and diskcache.result_cache_enabled()
-    if tier_on:
-        stored = cache.load(diskcache.RESULT_KIND, result_key)
-        if isinstance(stored, dict):
-            return stored
-        if stored is not None:  # wrong type: stale/colliding entry
-            cache.unusable(diskcache.RESULT_KIND)
-    payload = compute()
-    if tier_on:
-        cache.store(diskcache.RESULT_KIND, result_key, payload)
-    return payload
 
 
 def _run_analyze(request: dict) -> dict:

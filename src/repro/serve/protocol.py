@@ -15,11 +15,14 @@ happens.  Two requests that ask the same question (one spelling out
 and serve-level result cache treat them as one.  Field *order* never
 matters: the digest hashes the sorted-keys JSON encoding.
 
-Study-family requests (``study`` / ``explore-study`` / ``frontier``)
-additionally build the corresponding :mod:`repro.feedback.study` config
-via :func:`build_config`, running the same front-loaded validators the
-library entry points run — a malformed request fails with a named-knob
-message before any compile or worker spawn.
+The study-family requests (``study`` / ``explore-study`` /
+``frontier``) take exactly the fields of the matching
+:mod:`repro.feedback.study` config dataclass, with its defaults (tuples
+travel as lists): their field tables are read off the dataclasses, not
+restated here.  :func:`build_config` turns such a request back into its
+config and runs the same front-loaded validator the library entry
+points run — a malformed request fails with a named-knob message before
+any compile or worker spawn.
 
 The payload builders produce exactly the JSON shapes the CLI's
 ``--json`` exports produce (the CLI calls the same builders, which for
@@ -30,13 +33,16 @@ are interchangeable documents.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Callable, Dict, Tuple
 
-from repro.chaining.detect import DEFAULT_LENGTHS
 from repro.errors import ReproError
 from repro.feedback.results import exploration_payload, frontier_payload
+from repro.feedback.study import (ExplorationStudyConfig,
+                                  FrontierStudyConfig, StudyConfig,
+                                  validate_config)
 from repro.sim.machine import DEFAULT_ENGINE
 
 #: Sentinel default for fields a request must spell out.
@@ -103,9 +109,37 @@ def _opt_str_list(op: str, name: str, value):
 
 _FieldSpec = Dict[str, Tuple[object, Callable]]
 
-#: Per-op field tables: ``field -> (default, type coercer)``.  Defaults
-#: match the CLI flags and the feedback-layer config dataclasses, so an
-#: empty request means exactly what the bare CLI command means.
+#: The config dataclass each study-family op builds.
+_STUDY_CONFIGS = {"study": StudyConfig,
+                  "explore-study": ExplorationStudyConfig,
+                  "frontier": FrontierStudyConfig}
+
+#: One coercer per config-field annotation (``Field.type`` is the
+#: annotation's source text: the config module postpones annotations).
+_COERCERS: Dict[str, Callable] = {
+    "int": _int,
+    "bool": _bool,
+    "str": _str,
+    "Optional[int]": _opt_int,
+    "Tuple[int, ...]": _int_list,
+    "Optional[Tuple[int, ...]]": _opt_int_list,
+    "Optional[Tuple[str, ...]]": _opt_str_list,
+}
+
+
+def _config_fields(config_type) -> _FieldSpec:
+    """A study-family op's field table: one field per config field, with
+    the config's default (a tuple default as a list)."""
+    return {field.name: (list(field.default)
+                         if isinstance(field.default, tuple)
+                         else field.default, _COERCERS[field.type])
+            for field in dataclasses.fields(config_type)}
+
+
+#: Per-op field tables: ``field -> (default, type coercer)``.  The
+#: ``analyze``/``explore`` defaults match the CLI flags; the study-family
+#: tables are the config dataclasses'.  Either way an empty request means
+#: exactly what the bare CLI command means.
 _REQUEST_FIELDS: Dict[str, _FieldSpec] = {
     "analyze": {
         "source": (_REQUIRED, _str),
@@ -127,43 +161,8 @@ _REQUEST_FIELDS: Dict[str, _FieldSpec] = {
         "unroll_factor": (2, _int),
         "engine": (DEFAULT_ENGINE, _str),
     },
-    "study": {
-        "benchmarks": (None, _opt_str_list),
-        "levels": ([0, 1, 2], _int_list),
-        "lengths": (list(DEFAULT_LENGTHS), _int_list),
-        "seed": (0, _int),
-        "seeds": (None, _opt_int_list),
-        "unroll_factor": (2, _int),
-        "verify": (True, _bool),
-        "engine": (DEFAULT_ENGINE, _str),
-        "jobs": (None, _opt_int),
-    },
-    "explore-study": {
-        "benchmarks": (None, _opt_str_list),
-        "budgets": ([2500], _int_list),
-        "level": (1, _int),
-        "lengths": ([2, 3], _int_list),
-        "seed": (0, _int),
-        "seeds": (None, _opt_int_list),
-        "unroll_factor": (2, _int),
-        "max_candidates": (8, _int),
-        "measure_top": (4, _int),
-        "engine": (DEFAULT_ENGINE, _str),
-        "jobs": (None, _opt_int),
-    },
-    "frontier": {
-        "benchmarks": (None, _opt_str_list),
-        "level": (1, _int),
-        "lengths": ([2, 3], _int_list),
-        "seed": (0, _int),
-        "seeds": (None, _opt_int_list),
-        "unroll_factor": (2, _int),
-        "max_candidates": (8, _int),
-        "measure_top": (4, _int),
-        "max_budget": (None, _opt_int),
-        "engine": (DEFAULT_ENGINE, _str),
-        "jobs": (None, _opt_int),
-    },
+    **{op: _config_fields(config_type)
+       for op, config_type in _STUDY_CONFIGS.items()},
     "status": {},
     "shutdown": {},
 }
@@ -240,50 +239,15 @@ def build_config(request: dict, default_jobs=None):
     unknown benchmark name is reported before the request is ever
     dispatched.
     """
-    from repro.feedback.study import (ExplorationStudyConfig,
-                                      FrontierStudyConfig, StudyConfig,
-                                      selected_names,
-                                      validate_exploration_config,
-                                      validate_frontier_config,
-                                      validate_study_config)
     op = request["op"]
-    jobs = request.get("jobs")
-    if jobs is None:
-        jobs = default_jobs
-    benchmarks = (tuple(request["benchmarks"])
-                  if request.get("benchmarks") else None)
-    seeds = tuple(request["seeds"]) if request.get("seeds") else None
-    if op == "study":
-        config = StudyConfig(
-            benchmarks=benchmarks, levels=tuple(request["levels"]),
-            lengths=tuple(request["lengths"]), seed=request["seed"],
-            seeds=seeds, unroll_factor=request["unroll_factor"],
-            verify=request["verify"], engine=request["engine"],
-            jobs=jobs)
-        validate_study_config(config)
-    elif op == "explore-study":
-        config = ExplorationStudyConfig(
-            benchmarks=benchmarks, budgets=tuple(request["budgets"]),
-            level=request["level"], lengths=tuple(request["lengths"]),
-            seed=request["seed"], seeds=seeds,
-            unroll_factor=request["unroll_factor"],
-            max_candidates=request["max_candidates"],
-            measure_top=request["measure_top"],
-            engine=request["engine"], jobs=jobs)
-        validate_exploration_config(config)
-    elif op == "frontier":
-        config = FrontierStudyConfig(
-            benchmarks=benchmarks, level=request["level"],
-            lengths=tuple(request["lengths"]), seed=request["seed"],
-            seeds=seeds, unroll_factor=request["unroll_factor"],
-            max_candidates=request["max_candidates"],
-            measure_top=request["measure_top"],
-            max_budget=request["max_budget"],
-            engine=request["engine"], jobs=jobs)
-        validate_frontier_config(config)
-    else:
+    if op not in _STUDY_CONFIGS:
         raise ReproError(f"{op} requests do not build a study config")
-    selected_names(config.benchmarks)
+    knobs = {name: tuple(value) if isinstance(value, list) else value
+             for name, value in request.items() if name != "op"}
+    if knobs["jobs"] is None:
+        knobs["jobs"] = default_jobs
+    config = _STUDY_CONFIGS[op](**knobs)
+    validate_config(config)
     return config
 
 

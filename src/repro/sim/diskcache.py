@@ -62,7 +62,9 @@ opt-in via :data:`RESULT_ENV_VAR`): ``run_study`` /
 ``run_exploration_study`` / ``run_frontier_study`` persist their
 *complete* results keyed by request shape plus
 :func:`result_source_token`, so a repeat query — from the serve daemon
-or a warm CLI run — is a disk read, not a simulation.
+or a warm CLI run — is a disk read, not a simulation.  They and the
+daemon's ``analyze``/``explore`` payloads go through one load /
+type-check / store path, :func:`cached_result`.
 
 The store has no size cap: each workload's store is a few megabytes,
 and ``repro cache clear`` empties it.
@@ -79,7 +81,7 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 
@@ -587,6 +589,29 @@ def get_cache() -> Optional[DiskCache]:
     if _active is None or _active[0] != root:
         _active = (root, DiskCache(root))
     return _active[1]
+
+
+def cached_result(key: Callable[[], str], result_type, compute):
+    """``compute()`` through the whole-result tier (:data:`RESULT_KIND`).
+
+    With the tier on, a stored entry of *result_type* under ``key()``
+    answers without computing; an entry of another type (stale or
+    colliding) is reclassified as corrupt via :meth:`DiskCache.unusable`
+    and replaced by the fresh result.  With the tier off this is just
+    ``compute()`` and *key* is never called.
+    """
+    cache = get_cache() if result_cache_enabled() else None
+    if cache is None:
+        return compute()
+    digest = key()
+    stored = cache.load(RESULT_KIND, digest)
+    if isinstance(stored, result_type):
+        return stored
+    if stored is not None:
+        cache.unusable(RESULT_KIND)
+    result = compute()
+    cache.store(RESULT_KIND, digest, result)
+    return result
 
 
 def reset_cache_state() -> None:

@@ -26,7 +26,7 @@ from repro.errors import OptimizationError, ReproError
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, OptimizationReport, optimize_module
 from repro.sim.machine import (DEFAULT_ENGINE, MachineResult, ensure_engine,
-                               run_module, run_module_batch)
+                               run_module_batch)
 from repro.suite.registry import BenchmarkSpec
 
 #: ``check_against`` accepts the level-0 result for the primary seed or a
@@ -191,15 +191,10 @@ def run_benchmark(spec: BenchmarkSpec,
             module = compile_benchmark(spec)
         graph_module, report = optimize_module(module, level,
                                                unroll_factor=unroll_factor)
-    if seeds:
-        seed_list = tuple(seeds)
-        results = run_module_batch(
-            graph_module, [spec.generate_inputs(s) for s in seed_list],
-            engine=engine)
-    else:
-        seed_list = (seed,)
-        results = [run_module(graph_module, spec.generate_inputs(seed),
-                              engine=engine)]
+    seed_list = tuple(seeds or (seed,))
+    results = run_module_batch(
+        graph_module, [spec.generate_inputs(s) for s in seed_list],
+        engine=engine)
     result = results[0]
     if check_against is not None:
         if isinstance(check_against, MachineResult):

@@ -82,7 +82,7 @@ class TestRunnerOracle:
         from repro.exec import pool as pool_mod
         from repro.feedback.study import StudyConfig, run_study
         real_optimize = study_mod.optimize_module
-        real_run = runner_mod.run_module
+        real_run = runner_mod.run_module_batch
         broken = set()  # ids of the level-1 graph modules
 
         def optimize(module, level, **kwargs):
@@ -91,14 +91,15 @@ class TestRunnerOracle:
                 broken.add(id(graph_module))
             return graph_module, report
 
-        def run(graph_module, inputs, **kwargs):
-            result = real_run(graph_module, inputs, **kwargs)
+        def run(graph_module, inputs_list, **kwargs):
+            results = real_run(graph_module, inputs_list, **kwargs)
             if id(graph_module) in broken:
-                result.return_value = (result.return_value or 0) + 1
-            return result
+                for result in results:
+                    result.return_value = (result.return_value or 0) + 1
+            return results
 
         monkeypatch.setattr(study_mod, "optimize_module", optimize)
-        monkeypatch.setattr(runner_mod, "run_module", run)
+        monkeypatch.setattr(runner_mod, "run_module_batch", run)
         # Workers fork from this process, so only a pool started after
         # the patch runs the diverging simulator.
         pool_mod.shutdown_pool()
@@ -119,18 +120,19 @@ class TestRunnerOracle:
         import repro.suite.runner as runner_mod
         from repro.feedback.study import StudyConfig, run_study
         real_benchmark = study_mod.run_benchmark
-        real_run = runner_mod.run_module
+        real_run = runner_mod.run_module_batch
 
-        def corrupted(graph_module, inputs, **kwargs):
-            result = real_run(graph_module, inputs, **kwargs)
-            result.globals_after["y"][0] += 1
-            return result
+        def corrupted(graph_module, inputs_list, **kwargs):
+            results = real_run(graph_module, inputs_list, **kwargs)
+            for result in results:
+                result.globals_after["y"][0] += 1
+            return results
 
         def run_benchmark(spec, level, **kwargs):
             if OptLevel(level) != OptLevel(1):
                 return real_benchmark(spec, level, **kwargs)
             with monkeypatch.context() as patch:
-                patch.setattr(runner_mod, "run_module", corrupted)
+                patch.setattr(runner_mod, "run_module_batch", corrupted)
                 return real_benchmark(spec, level, **kwargs)
 
         monkeypatch.setattr(study_mod, "run_benchmark", run_benchmark)
