@@ -41,7 +41,7 @@ def main() -> int:
     args = build_parser().parse_args(_normalize_argv(
         WORKLOADS["explore-seeds"].argv(WORKLOAD_SEED)))
     config = ExplorationStudyConfig(
-        benchmarks=tuple(args.benchmarks.split(",")), budgets=args.budgets,
+        benchmarks=args.benchmarks, budgets=args.budgets,
         level=args.level, seeds=args.seeds)
     budgets = tuple(dict.fromkeys(config.budgets))
     compared = mismatches = 0

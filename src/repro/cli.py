@@ -60,6 +60,14 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
+def _parse_benchmarks(text: str) -> Optional[tuple]:
+    """A ``--benchmarks`` list, one policy for every command: names are
+    stripped and empty ones dropped ("sewha, dft" and trailing commas
+    are fine); a list of no names means the whole suite."""
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    return names or None
+
+
 def _parse_level(text: str) -> int:
     """A single ``--level`` value, validated at the flag."""
     try:
@@ -171,6 +179,12 @@ def _parse_budgets(text: str) -> tuple:
     return budgets
 
 
+def _add_benchmarks_arg(parser) -> None:
+    parser.add_argument("--benchmarks", default=None,
+                        type=_parse_benchmarks,
+                        help="comma-separated subset (default: all 12)")
+
+
 def _add_engine_arg(parser) -> None:
     from repro.sim.machine import DEFAULT_ENGINE, ENGINES
     parser.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
@@ -216,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the Table-1 benchmark suite")
 
     study = sub.add_parser("study", help="run the experiment matrix")
-    study.add_argument("--benchmarks", default=None,
-                       help="comma-separated subset (default: all 12)")
+    _add_benchmarks_arg(study)
     study.add_argument("--levels", default="0,1,2", type=_parse_levels,
                        help="optimization levels (default 0,1,2)")
     study.add_argument("--seed", type=int, default=0)
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
     tables.add_argument("which", choices=("1", "2", "3", "all"))
-    tables.add_argument("--benchmarks", default=None)
+    _add_benchmarks_arg(tables)
     _add_engine_arg(tables)
     _add_jobs_arg(tables)
     _add_seeds_arg(tables)
@@ -239,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures", help="regenerate paper figures")
     figures.add_argument("which", choices=("3", "4", "5", "6", "all"))
-    figures.add_argument("--benchmarks", default=None)
+    _add_benchmarks_arg(figures)
     _add_engine_arg(figures)
     _add_jobs_arg(figures)
     _add_seeds_arg(figures)
@@ -258,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_study = sub.add_parser(
         "explore-study",
         help="design-space exploration across the whole suite")
-    explore_study.add_argument("--benchmarks", default=None,
-                               help="comma-separated subset "
-                                    "(default: all 12)")
+    _add_benchmarks_arg(explore_study)
     explore_study.add_argument("--budgets", default="2500",
                                type=_parse_budgets,
                                help="comma-separated area budgets "
@@ -315,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="range-analyse every benchmark's lowered words and "
                        "lint the simulator sources for nondeterminism")
-    verify.add_argument("--benchmarks", default=None,
-                        help="comma-separated subset (default: all 12)")
+    _add_benchmarks_arg(verify)
     verify.add_argument("--levels", default="0,1,2", type=_parse_levels,
                         help="optimization levels (default 0,1,2)")
     verify.add_argument("--skip-lint", action="store_true",
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report",
                             help="write a Markdown study report")
-    report.add_argument("--benchmarks", default=None)
+    _add_benchmarks_arg(report)
     report.add_argument("--levels", default="0,1,2", type=_parse_levels)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--output", default=None,
@@ -368,9 +378,7 @@ def _config(config_type, args, **knobs):
 
 def _study_config(args) -> "StudyConfig":
     from repro.feedback.study import StudyConfig
-    benchmarks = (tuple(args.benchmarks.split(","))
-                  if args.benchmarks else None)
-    return _config(StudyConfig, args, benchmarks=benchmarks)
+    return _config(StudyConfig, args)
 
 
 def cmd_list(_args, out) -> int:
@@ -451,17 +459,9 @@ def cmd_explore_study(args, out) -> int:
     from repro.feedback.study import (ExplorationStudyConfig,
                                       run_exploration_study)
 
-    benchmarks = None
-    if args.benchmarks:
-        # Same whitespace policy as --seeds/--budgets: "sewha, dft"
-        # and trailing commas are fine.
-        benchmarks = tuple(part.strip()
-                           for part in args.benchmarks.split(",")
-                           if part.strip())
-        benchmarks = benchmarks or None
     if args.frontier:
-        return _cmd_frontier_study(args, benchmarks, out)
-    config = _config(ExplorationStudyConfig, args, benchmarks=benchmarks)
+        return _cmd_frontier_study(args, out)
+    config = _config(ExplorationStudyConfig, args)
     study = run_exploration_study(
         config, progress=lambda name, stage:
         print(f"  {name} @ {stage}", file=out))
@@ -492,12 +492,12 @@ def cmd_explore_study(args, out) -> int:
     return 0
 
 
-def _cmd_frontier_study(args, benchmarks, out) -> int:
+def _cmd_frontier_study(args, out) -> int:
     from repro.feedback.study import (FrontierStudyConfig,
                                       run_frontier_study)
     from repro.reporting.frontier import frontier_report
 
-    config = _config(FrontierStudyConfig, args, benchmarks=benchmarks)
+    config = _config(FrontierStudyConfig, args)
     study = run_frontier_study(
         config, progress=lambda name, stage:
         print(f"  {name} @ {stage}", file=out))
@@ -746,8 +746,7 @@ def cmd_verify(args, out) -> int:
     from repro.analysis.lint import lint_determinism
     from repro.analysis.sweep import render_markdown, report_json, run_sweep
 
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    report = run_sweep(benchmarks=benchmarks, levels=args.levels)
+    report = run_sweep(benchmarks=args.benchmarks, levels=args.levels)
     failed = not report.ok
     lint = None
     if not args.skip_lint:

@@ -9,6 +9,18 @@
   inlined literals, array storages are hoisted into locals once per
   frame, so the hot path is plain ``LOAD_FAST`` arithmetic with zero
   interpretive overhead;
+* a word whose helper adds only a Python frame is emitted as plain
+  Python that behaves exactly like the call it replaces: compares
+  (``1 if a < b else 0``), ``&``/``|``/``^``, shifts by a constant
+  amount >= 0, ``int_div`` by a positive int constant (its own
+  expression for that divisor), and bounds-checked stores into global
+  and local arrays, coerced to the array's kind
+  (:attr:`_LoweredGraph.float_slots`), with the ``store`` method as the
+  out-of-bounds fallback.  Still called: ``int_mod`` and ``float_div``
+  (more than one expression), division and shifts by a register or by a
+  constant the helper refuses (its error is the one raised), intrinsics,
+  and stores into parameter arrays (the argument's kind is known only
+  at run time);
 * control flow becomes ``while``/``if`` structure: a ``J`` to the next
   word that nothing else jumps to is merged away at generation time,
   and the remaining jump targets (word indices) go through an O(log n)
@@ -35,7 +47,9 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import operator
 import pickle
+import struct
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
@@ -43,11 +57,23 @@ from repro.cfg.graph import GraphModule
 from repro.sim.engine import (BIN, BR, CALL, ERROR, INTRN, J, JB,
                               JUMP_SLOTS, LOAD, LoweredModule, MOV, RET, ST,
                               TERMINAL_OPS, TEST, UN, _LoweredGraph, _UNDEF,
-                              decode_operand, lower_module,
+                              _cmp_eq, _cmp_ge, _cmp_gt, _cmp_le, _cmp_lt,
+                              _cmp_ne, decode_operand, lower_module,
                               run_lowered_module)
 from repro.sim.diskcache import content_key, get_cache, verify_on_load
 from repro.sim.machine import _MAX_CALL_DEPTH, GraphInterpreter, MachineResult
 from repro.sim.memory import ArrayStorage
+from repro.sim.values import int_div, shift_left, shift_right
+
+#: Operation functions emitted as infix operators over any operands:
+#: each adds nothing to the operator but a Python frame.
+_INFIX_FN = {operator.and_: "&", operator.or_: "|", operator.xor: "^"}
+#: Compares, emitted as ``1 if a OP b else 0``.
+_COMPARE_FN = {_cmp_eq: "==", _cmp_ne: "!=", _cmp_lt: "<", _cmp_le: "<=",
+               _cmp_gt: ">", _cmp_ge: ">="}
+#: Shifts, emitted as infix operators over a constant amount >= 0 (a
+#: negative amount raises in the function).
+_SHIFT_FN = {shift_left: "<<", shift_right: ">>"}
 
 
 class _FunctionEmitter:
@@ -81,12 +107,15 @@ class _FunctionEmitter:
         """Local-variable name of a register slot (negative = scratch)."""
         return f"r{slot}" if slot >= 0 else f"t{-slot}"
 
-    def _k(self, obj) -> str:
-        """Default-argument name binding *obj* into the function."""
-        name = self._obj_names.get(id(obj))
+    def _k(self, obj, key=None) -> str:
+        """Default-argument name binding *obj* into the function; one
+        name per *key*, by default the object's identity."""
+        if key is None:
+            key = id(obj)
+        name = self._obj_names.get(key)
         if name is None:
             name = f"K{len(self.objs)}"
-            self._obj_names[id(obj)] = name
+            self._obj_names[key] = name
             self.objs.append(obj)
         return name
 
@@ -97,11 +126,13 @@ class _FunctionEmitter:
         constant folding can produce ``inf``/``nan`` (e.g. ``1e308 *
         1e308`` folded at level 1), whose reprs are bare names that do
         not exist in the generated namespace — those are bound as
-        default arguments instead.
+        default arguments instead, one per bit pattern: pickling does not
+        keep a float's identity, and the lowering a disk entry stores
+        must re-emit the entry's sources.
         """
         if isinstance(value, float) and \
                 (value != value or value in (float("inf"), float("-inf"))):
-            return self._k(value)
+            return self._k(value, struct.pack("<d", value))
         return repr(value)
 
     def _operand(self, operand) -> str:
@@ -162,12 +193,8 @@ class _FunctionEmitter:
             self.emit(f"{r(word[1])} = {value}")
             return
         if op == BIN:
-            a = self._operand(word[3])
-            b = self._operand(word[4])
-            if isinstance(word[2], str):
-                self.emit(f"{r(word[1])} = {a} {word[2]} {b}")
-            else:
-                self.emit(f"{r(word[1])} = {self._k(word[2])}({a}, {b})")
+            value = self._binary(word[2], word[3], word[4])
+            self.emit(f"{r(word[1])} = {value}")
             return
         if op == UN:
             a = self._operand(word[3])
@@ -185,9 +212,7 @@ class _FunctionEmitter:
             self.emit(f"    a{k}.load({index})")
             return
         if op == ST:
-            index = self._operand(word[2])
-            value = self._operand(word[3])
-            self.emit(f"a{word[1]}.store({index}, {value})")
+            self._emit_store(word)
             return
         if op == TEST:
             self.emit(f"{r(word[1])} = {r(word[2])} != 0")
@@ -200,6 +225,51 @@ class _FunctionEmitter:
             return
         raise SimulationError(
             f"cannot generate code for word {word!r}")  # pragma: no cover
+
+    def _binary(self, fn, a_operand, b_operand) -> str:
+        """The expression of a ``BIN`` word: an infix form wherever it
+        behaves exactly like *fn*, else a call of the bound function."""
+        a = self._operand(a_operand)
+        b = self._operand(b_operand)
+        if isinstance(fn, str):
+            return f"{a} {fn} {b}"
+        sym = _INFIX_FN.get(fn)
+        if sym is not None:
+            return f"{a} {sym} {b}"
+        sym = _COMPARE_FN.get(fn)
+        if sym is not None:
+            return f"1 if {a} {sym} {b} else 0"
+        kind, amount, _name = decode_operand(b_operand)
+        if kind == "c" and type(amount) is int:
+            sym = _SHIFT_FN.get(fn)
+            if sym is not None and amount >= 0:
+                return f"{a} {sym} {b}"
+            if fn is int_div and amount > 0:
+                # int_div's own expression for a positive divisor
+                return (f"abs({a}) // {b} if {a} >= 0 "
+                        f"else -(abs({a}) // {b})")
+        return f"{self._k(fn)}({a}, {b})"
+
+    def _emit_store(self, word: list) -> None:
+        """A store into a global or local array writes its list in place
+        when the index is in bounds, coercing the value to the array's
+        kind; the method call is the fallback that raises.  A parameter
+        array's kind is its argument's, so its stores call the method."""
+        k = word[1]
+        index = self._operand(word[2])
+        value = self._operand(word[3])
+        is_float = self.lg.float_slots.get(k)
+        if is_float is None:
+            self.emit(f"a{k}.store({index}, {value})")
+            return
+        kind, payload, _name = decode_operand(word[3])
+        coerced = value
+        if kind != "c" or type(payload) is not (float if is_float else int):
+            coerced = f"{'float' if is_float else 'int'}({value})"
+        self.emit(f"if 0 <= {index} < a{k}.size:")
+        self.emit(f"    a{k}.data[{index}] = {coerced}")
+        self.emit("else:")
+        self.emit(f"    a{k}.store({index}, {value})")
 
     def _emit_intrinsic(self, word: list) -> None:
         args = []

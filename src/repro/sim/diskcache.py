@@ -299,10 +299,13 @@ def module_digest(module) -> str:
     identically, while any structural difference — an extra node, a
     rewritten operand, a different successor order — changes the key.
     It covers every instruction field lowering reads (``op``, ``dest``,
-    ``srcs``, ``array``, ``callee`` and chained ``parts``), so it keys
-    the module's in-memory compiled slot as well as its disk entry.
+    ``srcs``, ``array``, ``callee`` and chained ``parts``) and the kind
+    of every global array (the generated stores coerce to it), so it
+    keys the module's in-memory compiled slot as well as its disk entry.
     """
-    parts: List[str] = ["G:" + ",".join(sorted(module.global_arrays))]
+    parts: List[str] = ["G:" + ",".join(
+        f"{name}:{symbol.is_float:d}"
+        for name, symbol in sorted(module.global_arrays.items()))]
     for name, graph in module.graphs.items():
         parts.append(f"F:{name}:{graph.entry!r}")
         parts.append(f"P:{len(graph.params)}")

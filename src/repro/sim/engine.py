@@ -741,10 +741,11 @@ class _WordLowerer(_FrameLayout):
         self.edge_class[edge_base] = _EDGE_COUNTED
         self._emit([ERROR, missing])
 
-    def _emit_return(self, control: Instruction,
-                     ret_slot: Optional[int]) -> None:
-        if ret_slot is not None:
-            self._emit([RET, ret_slot])
+    def _emit_return(self, control: Instruction, ret) -> None:
+        """*ret* is the operand of a return value read ahead, or
+        ``None``."""
+        if ret is not None:
+            self._emit([RET, ret])
         elif not control.srcs:
             self._emit([RET, None])
         elif self._readable(control.srcs[0]):
@@ -755,7 +756,13 @@ class _WordLowerer(_FrameLayout):
         """Capture control operands into scratch before any same-node
         write can land.  ``pre_cycle_only`` limits the capture to nodes
         whose operations write a register the control instruction reads
-        (the reordered-direct path); the deferred path always captures."""
+        (the reordered-direct path); the deferred path always captures.
+
+        The reference reads the return value after the node's operations
+        and before its commits.  The deferred path captures it there,
+        checked; the direct path captures it ahead of the operations,
+        unchecked, and :meth:`lower_node` checks the capture where the
+        reference reads it."""
         control = node.control
         cond_slot = None
         ret_slot = None
@@ -773,8 +780,8 @@ class _WordLowerer(_FrameLayout):
         elif is_ret and control.srcs \
                 and isinstance(control.srcs[0], VirtualReg):
             ret_slot = self._scratch()
-            self._emit([MOV, ret_slot,
-                        self._read(control.srcs[0], checked=True)])
+            self._emit([MOV, ret_slot, self._read(
+                control.srcs[0], checked=not pre_cycle_only)])
         return cond_slot, ret_slot
 
     def lower_node(self, nid: int, node: Node) -> None:
@@ -814,8 +821,19 @@ class _WordLowerer(_FrameLayout):
             if prereads and control is not None:
                 cond_slot, ret_slot = self._control_prereads(
                     node, is_br, is_ret, pre_cycle_only=True)
+            ret_check = None
+            if ret_slot is not None:
+                ret_check = (ret_slot, control.srcs[0].name)
             for ins in direct_ops:
+                if ret_check is not None \
+                        and (ins.op is Op.STORE or ins.op is Op.FSTORE):
+                    # the reordered stores run last; the reference reads
+                    # the return value before it commits any of them
+                    self._emit([MOV, ret_slot, ret_check])
+                    ret_check = None
                 self._emit_op_direct(ins)
+            if ret_check is not None:
+                ret_slot = ret_check  # the return reads the capture checked
         else:
             pending_regs: List = []
             pending_stores: List = []
@@ -843,10 +861,11 @@ class _LoweredGraph:
     """
 
     __slots__ = ("name", "n_params", "param_plan", "local_plan",
-                 "global_plan", "missing_plan", "n_regs", "n_arrays",
-                 "scratch_watermark", "words", "entry_word", "entry_idx",
-                 "node_ids", "edge_pairs", "n_counters", "_in_edges",
-                 "_derived_out", "_derived_in_count", "_edge_dst_idx")
+                 "global_plan", "missing_plan", "float_slots", "n_regs",
+                 "n_arrays", "scratch_watermark", "words", "entry_word",
+                 "entry_idx", "node_ids", "edge_pairs", "n_counters",
+                 "_in_edges", "_derived_out", "_derived_in_count",
+                 "_edge_dst_idx")
 
     def __init__(self, graph: ProgramGraph, module: GraphModule):
         node_ids: List[int] = list(graph.nodes)
@@ -903,6 +922,14 @@ class _LoweredGraph:
         self.entry_word = node_word.get(graph.entry)
         self.global_plan = low.global_plan
         self.missing_plan = low.missing_plan
+        # Element kind of every global and local array slot (``True``:
+        # floats), so the generated code coerces stored values without
+        # asking the storage; a parameter slot's kind is its argument's.
+        self.float_slots = {
+            slot: module.global_arrays[gname].is_float
+            for slot, gname in low.global_plan}
+        self.float_slots.update(
+            (slot, symbol.is_float) for slot, symbol in self.local_plan)
         self.n_regs = len(low.reg_slots) + 1 + low.scratch_watermark
         self.n_arrays = len(low.arr_slots)
         # Kept for the code generator: how many scratch (negative) slots

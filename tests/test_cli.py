@@ -236,6 +236,26 @@ class TestStudy:
         assert sorted(progress) == ["  dft @ levels 0,1",
                                     "  sewha @ levels 0,1"]
 
+    def test_benchmark_names_are_stripped(self):
+        """``--benchmarks`` follows one parse on every command: "sewha,
+        fir" names two benchmarks, as it does for explore-study."""
+        code, text = run_cli("study", "--benchmarks", "sewha, fir",
+                             "--levels", "0")
+        assert code == 0
+        progress = [line for line in text.splitlines() if " @ " in line]
+        assert sorted(progress) == ["  fir @ levels 0",
+                                    "  sewha @ levels 0"]
+
+    @pytest.mark.parametrize("command", [
+        ["study"], ["tables", "2"], ["figures", "3"], ["explore-study"],
+        ["verify"], ["report"]])
+    def test_every_command_parses_benchmarks_alike(self, command):
+        args = build_parser().parse_args(
+            command + ["--benchmarks", " sewha, fir,,"])
+        assert args.benchmarks == ("sewha", "fir")
+        args = build_parser().parse_args(command + ["--benchmarks", ","])
+        assert args.benchmarks is None
+
 
 class TestExplore:
     def test_explore_sewha(self):

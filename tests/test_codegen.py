@@ -28,6 +28,7 @@ from repro.sim.machine import (ENGINES, ensure_engine, run_module,
                                run_module_batch)
 from repro.suite.registry import all_benchmarks, get_benchmark
 from repro.suite.runner import compile_benchmark, run_benchmark
+from tests.test_golden_generated_sources import regen
 
 SUITE = [spec.name for spec in all_benchmarks()]
 LEVELS = (0, 1, 2)
@@ -248,10 +249,6 @@ class TestErrorParity:
         gm = GraphModule("t", {"main": graph}, {}, {}, {})
         self._all_raise(gm, match="undefined register")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "codegen reads a node's return operand ahead of its operations "
-        "(ROADMAP: 'Codegen and the reference interpreter give "
-        "different error text for one fault shape')"))
     def test_faulting_op_feeding_the_return(self):
         """A single node ``{%t = load @nowhere[0]}`` with control
         ``ret %t``: the load's fault comes first on every engine."""
@@ -273,6 +270,103 @@ class TestErrorParity:
                 run_module(gm, engine=engine)
             messages[engine] = str(info.value)
         assert len(set(messages.values())) == 1, messages
+
+    def test_return_read_before_a_faulting_store(self):
+        """``{%t = load @src[0]; store @out[9] = 1}`` with control
+        ``ret %t`` and ``%t`` undefined before the node: the return reads
+        ``%t`` before any store commits, so the undefined register wins
+        over the out-of-bounds store on every engine."""
+        from repro.cfg.graph import GraphModule, ProgramGraph
+        from repro.ir.instr import Instruction
+        from repro.ir.ops import Op
+        from repro.ir.values import ArraySymbol, Constant, VirtualReg
+        graph = ProgramGraph("main", return_type="int")
+        node = graph.new_node()
+        t = VirtualReg("%t")
+        src, out = ArraySymbol("src", 2), ArraySymbol("out", 2)
+        node.ops.append(Instruction(Op.LOAD, dest=t, srcs=(Constant(0),),
+                                    array=src))
+        node.ops.append(Instruction(Op.STORE, srcs=(Constant(1),
+                                                    Constant(9)),
+                                    array=out))
+        node.control = Instruction(Op.RET, srcs=(t,))
+        graph.entry = node.id
+        gm = GraphModule("t", {"main": graph},
+                         {"src": src, "out": out}, {}, {})
+        self._all_raise(gm, match="^read of undefined register '%t'$")
+
+
+def _outcome(gm, engine):
+    """Everything a run shows: the error text of a faulting run, else the
+    return value, memory (by ``repr``, so ``-0.0`` and NaN compare) and
+    profile."""
+    try:
+        result = run_module(gm, engine=engine)
+    except SimulationError as exc:
+        return "error", str(exc)
+    profile = result.profile
+    return ("ok", repr(result.return_value), repr(result.globals_after),
+            profile.node_counts, profile.edge_counts, profile.call_counts)
+
+
+class TestInlineForms:
+    """The words the generator emits as plain Python (compares, bitwise
+    operations, constant shifts and divisions, global and local stores)
+    behave exactly like the helpers they replace."""
+
+    @pytest.mark.parametrize("shape", sorted(regen.shape_modules()))
+    def test_shape_module_matches_reference(self, shape):
+        """Each hand-built shape module (NaN, infinities and ``-0.0``
+        compared; values of the other kind stored into global, local
+        and parameter arrays; stores out of bounds and at negative
+        indices; shifts by zero and by a negative constant; constant
+        division of negative, zero and ``-0.0`` dividends, by a negative
+        and by a zero constant) gives the same outcome on both engines."""
+        gm = regen.shape_modules()[shape]
+        assert _outcome(gm, "codegen") == _outcome(gm, "reference")
+
+    @pytest.mark.parametrize("shape", sorted(regen.shape_modules()))
+    def test_shape_module_reemits_from_pickled_lowering(self, shape):
+        """A disk entry's stored lowering re-emits its stored sources: a
+        non-finite constant repeated across words (the ``compares``
+        shape) binds one name, although pickling does not keep the
+        float's identity."""
+        lowered = lower_module(regen.shape_modules()[shape])
+        stored = pickle.loads(pickle.dumps(lowered.graphs))
+        assert emit_sources(type(lowered).from_graphs(stored))[0] == \
+            emit_sources(lowered)[0]
+
+    def test_suite_sources_inline_compares_bitwise_ops_and_stores(self):
+        """No suite source binds a compare or bitwise function, and every
+        store into a global or local array is the out-of-bounds fallback
+        of an inline write."""
+        import operator
+        import re
+
+        from repro.sim import engine
+        inlined = {engine._cmp_eq, engine._cmp_ne, engine._cmp_lt,
+                   engine._cmp_le, engine._cmp_gt, engine._cmp_ge,
+                   operator.and_, operator.or_, operator.xor}
+        store = re.compile(r"\ba(\d+)\.store\(")
+        for spec in all_benchmarks():
+            module = compile_benchmark(spec)
+            for level in LEVELS:
+                gm, _ = optimize_module(module, OptLevel(level))
+                for form in (gm, resequence_module(gm)):
+                    lowered = lower_module(form)
+                    sources, consts = emit_sources(lowered)
+                    where = (spec.name, level)
+                    assert not [k for k, obj in consts.items()
+                                if any(obj is fn for fn in inlined)], where
+                    for lg, source in zip(lowered.graphs.values(),
+                                          sources):
+                        lines = source.splitlines()
+                        for i, line in enumerate(lines):
+                            match = store.search(line)
+                            if match and int(match.group(1)) \
+                                    in lg.float_slots:
+                                assert lines[i - 1].strip() == "else:", \
+                                    (where, line)
 
 
 class TestNonFiniteConstants:

@@ -94,6 +94,17 @@ class TestDigest:
         x_load.array = z_symbol
         assert module_digest(gm) != before
 
+    def test_changes_on_global_array_kind(self):
+        """Generated stores coerce to their global array's kind, so two
+        modules whose globals differ only in kind must not share a key."""
+        from repro.ir.values import ArraySymbol
+        gm = fresh_graph_module()
+        before = module_digest(gm)
+        name, symbol = next(iter(gm.global_arrays.items()))
+        gm.global_arrays[name] = ArraySymbol(name, symbol.size,
+                                             not symbol.is_float)
+        assert module_digest(gm) != before
+
     def test_changes_on_successor_order(self):
         """A branch's successor order is its taken/fall-through choice."""
         gm = fresh_graph_module()

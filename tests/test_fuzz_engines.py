@@ -45,6 +45,7 @@ set ``REPRO_FUZZ_CASES`` to widen it locally, e.g.::
 
 import os
 import random
+import re
 from typing import NamedTuple, Optional
 
 import pytest
@@ -66,6 +67,8 @@ LEVELS = (0, 1, 2)
 LANE_WIDTHS = (2, 4, 9)
 #: Least share of the corpus whose level-0 run must fault.
 MIN_FAULT_SHARE = 0.10
+#: Literal divisors of ``/`` and ``%``: both signs, never zero.
+LITERAL_DIVISORS = [k for k in range(-9, 10) if k]
 
 
 class ProgramGen:
@@ -133,6 +136,10 @@ class ProgramGen:
                          "/", "%", "<<", ">>",
                          "<", "<=", ">", ">=", "==", "!="))
         if op in ("/", "%"):
+            if rng.random() < 0.5:
+                # a literal divisor, which the generated code inlines
+                divisor = rng.choice(LITERAL_DIVISORS)
+                return f"(({a}) {op} {divisor})"
             return f"({a} {op} (({b}) | 1))"  # never a zero denominator
         if op in ("<<", ">>"):
             return f"(({a}) {op} {rng.randrange(4)})"
@@ -527,6 +534,8 @@ def test_generator_covers_shapes():
     assert any("helper(" in src for src in sources)
     assert all("[" in src for src in sources)
     assert any("/ (d[i0] - " in src for src in sources)
+    assert any(re.search(r"\) / -?[1-9]\)", src) for src in sources)
+    assert any(re.search(r"\) % -?[1-9]\)", src) for src in sources)
     assert any("[d[i0] - " in src for src in sources)
     assert any(fuzz.max_cycles is not None for fuzz in cases)
 

@@ -102,6 +102,12 @@ Z_LOAD_SOURCE = X_LOAD_SOURCE.replace("return x[1]", "return z[1]")
 XZ_INPUTS = {"x": [1, 2, 3, 4], "z": [5, 6, 7, 8]}
 
 
+#: The int kernel with a modulo and a division by a register, whose
+#: generated code calls two bound helpers (``int_mod``, ``int_div``).
+HELPER_KERNEL_SOURCE = INT_KERNEL_SOURCE.replace("acc >> 2",
+                                                 "(acc % 5) + (acc / n)")
+
+
 def _graph_module(source=FIR_LIKE_SOURCE, level=1):
     module = compile_source(source)
     gm, _ = optimize_module(module, OptLevel(level))
@@ -181,17 +187,18 @@ def _swap_blob(payload):
     payload["code_sha"] = hashlib.sha256(blob).hexdigest()
 
 
-def _assert_restored(mutate, monkeypatch):
+def _assert_restored(mutate, monkeypatch, source=FIR_LIKE_SOURCE,
+                     inputs=FIR_INPUTS):
     """The gate rejects the tampered entry and re-stores it: a later
     process without the gate is then served the right program, edge
     profile included."""
-    _assert_rejected(mutate)
+    _assert_rejected(mutate, source=source, inputs=inputs)
     monkeypatch.delenv(diskcache.VERIFY_ENV_VAR)
     diskcache.reset_cache_state()
-    served = run_module(_graph_module(), FIR_INPUTS, engine="codegen")
+    served = run_module(_graph_module(source), inputs, engine="codegen")
     assert diskcache.get_cache().hits["codegen"] == 1
     assert _projection(served) == _projection(run_module(
-        _graph_module(), FIR_INPUTS, engine="reference"))
+        _graph_module(source), inputs, engine="reference"))
 
 
 def _first_graph(payload):
@@ -348,9 +355,10 @@ class TestCodegenSourceMutations:
         # ungated load binds them
         def mutate(payload):
             consts = payload["consts"]
-            assert consts  # fir-like kernel folds constants
+            assert consts
             del consts[sorted(consts)[0]]
-        _assert_rejected(mutate)
+        _assert_rejected(mutate, source=HELPER_KERNEL_SOURCE,
+                         inputs=INT_INPUTS)
 
     def test_missing_function_def(self, verified_cache):
         _assert_rejected(lambda payload: _edit_sources(
@@ -478,7 +486,8 @@ class TestVerifyOnLoad:
             first, second = sorted(consts)[:2]
             assert consts[first] is not consts[second]
             consts[first], consts[second] = consts[second], consts[first]
-        _assert_restored(alter, monkeypatch)
+        _assert_restored(alter, monkeypatch, HELPER_KERNEL_SOURCE,
+                         INT_INPUTS)
 
     def test_cache_scan_reports_corrupt_entry(self, verified_cache):
         generate_module(_graph_module())
